@@ -13,7 +13,10 @@ definite, hence still a descent direction with the same zero set).
 Updates act on the interior only (a boundary ring of width 2 stays
 frozen in place of compactly supported variations) and a backtracking
 line search keeps the energy trace exactly non-increasing; conformality
-is measured and recorded, never repaired.
+is measured and recorded, never repaired.  A trial step costs one
+geometry bundle and its energy, which alone decide acceptance; Q and
+ps_norm are computed once, for accepted states only, and Q travels with
+the bundle so the next step's direction reuses it.
 
 The stationarity measure ps_norm is an H^{-1}-type proxy for the dual
 norm in the Palais-Smale definition: solve Lap phi_k = (div Q)_k with
@@ -23,7 +26,8 @@ zero Dirichlet data per ambient component and sum ||grad phi_k||_L2.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -92,9 +96,13 @@ def descent_velocity(
 class FlowState:
     """Snapshot of one accepted flow iterate.
 
-    Working states carry their geometry bundle; states stored in a
-    FlowTrace are stripped summaries (bundle None) to keep long runs
-    light.  ``step`` rebuilds the bundle when needed.
+    Working states carry their geometry bundle and the Q assembled from
+    it (ps is computed from that Q, and the next step's direction reuses
+    it); states stored in a FlowTrace are stripped summaries (bundle and
+    Q None) to keep long runs light.  ``step`` rebuilds what is missing.
+    ``rejections`` names, in trial order, why each line-search trial of
+    the step that produced this state was rejected: "energy" (no strict
+    decrease) or the class name of the exception the trial raised.
     """
 
     patch: ImmersionPatch
@@ -105,53 +113,73 @@ class FlowState:
     stalled: bool = False   # no energy-decreasing step was found
     degenerate: bool = False  # conformal factor collapsed; run aborted
     bundle: GeometryBundle | None = None
+    Q: np.ndarray | None = None
+    rejections: tuple[str, ...] = ()
 
     def summary(self) -> "FlowState":
-        return replace(self, bundle=None)
+        return replace(self, bundle=None, Q=None)
+
+
+def _accept(patch: ImmersionPatch, bundle: GeometryBundle, energy: float, tau: float,
+            rejections: tuple[str, ...] = ()) -> FlowState:
+    Q = assemble_Q(bundle)
+    return FlowState(
+        patch=patch,
+        energy=energy,
+        ps=ps_norm(bundle, Q),
+        conformal_defect=bundle.conformal_defect,
+        tau=tau,
+        bundle=bundle,
+        Q=Q,
+        rejections=rejections,
+    )
 
 
 def _state_from_patch(patch: ImmersionPatch, tau: float) -> FlowState:
     bundle = make_bundle(patch)
-    return FlowState(
-        patch=patch,
-        energy=willmore_energy(bundle),
-        ps=ps_norm(bundle),
-        conformal_defect=bundle.conformal_defect,
-        tau=tau,
-        bundle=bundle,
-    )
+    return _accept(patch, bundle, willmore_energy(bundle), tau)
 
 
 def step(state: FlowState, tau0: float, precondition: str = "bilaplacian") -> FlowState:
     """One backtracking descent step from an accepted state.
 
     Halves the trial step until the energy strictly decreases; returns
-    the state flagged stalled when tau drops below 1e-12 * tau0.
+    the state flagged stalled when tau drops below 1e-12 * tau0.  A trial
+    whose bundle, energy, Q or ps_norm raises is rejected like one whose
+    energy does not decrease.
     """
     if tau0 <= 0.0:
         raise ValueError("trial step tau0 must be positive")
     bundle = state.bundle if state.bundle is not None else make_bundle(state.patch)
-    vel = descent_velocity(bundle, precondition=precondition)
+    vel = descent_velocity(bundle, Q=state.Q, precondition=precondition)
+    rejections = []
     tau = tau0
     while tau > _MIN_STEP_FACTOR * tau0:
         candidate = state.patch.with_phi(state.patch.phi + tau * vel)
         try:
-            new = _state_from_patch(candidate, tau)
-        except (DegenerateImmersionError, FrameError, dg.SolverError, ValueError):
-            tau *= 0.5
-            continue
-        if new.energy < state.energy:
-            return new
+            trial = make_bundle(candidate)
+            energy = willmore_energy(trial)
+            if energy < state.energy:
+                return _accept(candidate, trial, energy, tau, tuple(rejections))
+        except (DegenerateImmersionError, FrameError, dg.SolverError, ValueError) as exc:
+            rejections.append(type(exc).__name__)
+        else:
+            rejections.append("energy")
         tau *= 0.5
-    return replace(state, tau=0.0, stalled=True, bundle=bundle)
+    return replace(state, tau=0.0, stalled=True, bundle=bundle, rejections=tuple(rejections))
 
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """Accepted states of one descent run, energies non-increasing."""
+    """Accepted states of one descent run, energies non-increasing.
+
+    ``rejections`` counts the run's rejected line-search trials by reason
+    (see FlowState.rejections); it is kept in memory only.
+    """
 
     states: tuple[FlowState, ...]
     stopped_by: str   # "threshold" | "stalled" | "max_iters" | "degenerate"
+    rejections: dict[str, int] = field(default_factory=dict)
 
     @property
     def initial(self) -> FlowState:
@@ -191,6 +219,7 @@ def run(
     state = _state_from_patch(patch, 0.0)
     elam_floor = 1e-8 * float(np.max(state.bundle.elam))
     states = [state.summary()]
+    rejections = Counter()
     stopped = "max_iters"
     tau_try = tau0
     for _ in range(max_iters):
@@ -198,6 +227,7 @@ def run(
             stopped = "threshold"
             break
         state = step(state, tau_try, precondition)
+        rejections.update(state.rejections)
         if state.stalled:
             stopped = "stalled"
             states.append(state.summary())
@@ -212,5 +242,6 @@ def run(
         if stop > 0.0 and state.ps <= stop:
             stopped = "threshold"
     energies = [s.energy for s in states]
-    assert all(b <= a for a, b in zip(energies, energies[1:])), "energy trace must be non-increasing"
-    return FlowTrace(tuple(states), stopped)
+    if any(b > a for a, b in zip(energies, energies[1:])):
+        raise RuntimeError("energy trace must be non-increasing")
+    return FlowTrace(tuple(states), stopped, dict(rejections))
