@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -31,32 +32,51 @@ __all__ = ["main"]
 
 SCHEMA_VERSION = 1
 
-
 def _max_workers() -> int:
     env = os.environ.get("WILLMORE_LAB_THREADS")
-    if env:
+    if not env:
+        return min(4, os.cpu_count() or 1)
+    try:
         return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError(f"WILLMORE_LAB_THREADS must be an integer, got {env!r}") from None
+
+
+def _base_surface(name: str, params: dict) -> tuple[str, dict]:
+    """Catalog kind and its parameters; perturbed_<kind> keeps seed and amplitude for the bump."""
+    kind = name.removeprefix("perturbed_")
+    return kind, {k: v for k, v in params.items() if kind == name or k not in ("seed", "amplitude")}
 
 
 def _parse_surface(arg: str) -> tuple[str, dict]:
-    """Parse 'name' or 'name:key=value,key=value' surface arguments."""
+    """Parse 'name' or 'name:key=value,...' (JSON values) and check the keys
+    against the catalog; bad input raises ValueError with a one-line message."""
     name, _, tail = arg.partition(":")
+    name = name.replace("-", "_")
     params: dict = {}
     if tail:
         for item in tail.split(","):
             key, _, value = item.partition("=")
-            params[key.strip()] = json.loads(value)
-    return name.replace("-", "_"), params
+            try:
+                params[key.strip()] = json.loads(value)
+            except json.JSONDecodeError:
+                raise ValueError(f"--surface {arg}: {key.strip()}={value} is not a JSON value") from None
+    kind, shape = _base_surface(name, params)
+    if kind in CATALOG:
+        try:
+            inspect.signature(CATALOG[kind]).bind(None, 3, **shape)  # (grid, m, **params)
+        except TypeError as exc:
+            raise ValueError(f"--surface {arg}: {kind} {exc}") from None
+    return name, params
 
 
 def _patched(name: str, params: dict, s: float, n: int, m: int, seed: int):
-    if name in ("perturbed_catenoid", "perturbed_sphere", "perturbed_cylinder"):
-        base = make_surface(name.removeprefix("perturbed_"), Grid(s, n), m=m,
-                            **{k: v for k, v in params.items() if k not in ("seed", "amplitude")})
-        return perturb_normal(base, seed=int(params.get("seed", seed)),
-                              amplitude=float(params.get("amplitude", 0.05)))
-    return make_surface(name, Grid(s, n), m=m, **params)
+    kind, shape = _base_surface(name, params)
+    patch = make_surface(kind, Grid(s, n), m=m, **shape)
+    if kind == name:
+        return patch
+    return perturb_normal(patch, seed=int(params.get("seed", seed)),
+                          amplitude=float(params.get("amplitude", 0.05)))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -79,8 +99,7 @@ def _write_rows_csv(path, rows: list[dict]) -> None:
 
 
 def _report_items(args) -> list[dict]:
-    name, params = _parse_surface(args.surface)
-    jobs = [(name, params, args.s, n, args.m) for n in args.n]
+    jobs = [(args.kind, args.params, args.s, n, args.m) for n in args.n]
 
     def work(job):
         jname, jparams, s, n, m = job
@@ -96,7 +115,7 @@ def _report_items(args) -> list[dict]:
             "keys": {k: float(v) for k, v in sorted(report.items())},
         }
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
         return list(pool.map(work, jobs))
 
 
@@ -106,11 +125,10 @@ def cmd_verify(args) -> int:
         with open(args.threshold_file) as fh:
             thresholds.update(json.load(fh))
     items = _report_items(args)
-    name, _ = _parse_surface(args.surface)
     ok = True
     rows = []
     for item in items:
-        failures = rp.check_report(item["keys"], name, thresholds)
+        failures = rp.check_report(item["keys"], args.kind, thresholds)
         item["failures"] = {k: {"value": v, "threshold": t} for k, (v, t) in sorted(failures.items())}
         ok = ok and not failures
         rows.extend(
@@ -175,7 +193,7 @@ def cmd_wente(args) -> int:
         res = lo.wente_solve(grid, a, b)
         return seed, res.ratio_L2, res.ratio_L21
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
         rows = list(pool.map(work, range(args.samples)))
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -211,8 +229,7 @@ def cmd_lorentz(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    name, params = _parse_surface(args.surface)
-    patch = _patched(name, params, args.s, args.n[0], args.m, args.seed)
+    patch = _patched(args.kind, args.params, args.s, args.n[0], args.m, args.seed)
     stop = 0.0
     if args.stop_ratio > 0.0:
         stop = args.stop_ratio * ps_norm(make_bundle(patch))
@@ -243,7 +260,7 @@ def cmd_flow(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, surface: bool = True) -> None:
     if surface:
         parser.add_argument("--surface", required=True,
-                            help="catalog name, optionally name:key=value,... "
+                            help="catalog name or perturbed-<name>, optionally name:key=value,... "
                                  f"(catalog: {', '.join(sorted(CATALOG))})")
         parser.add_argument("--m", type=int, default=3, help="ambient dimension (3..6)")
     parser.add_argument("--n", type=int, action="append", default=None,
@@ -302,6 +319,13 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--n must be odd, got {n}")
     if sorted(args.n) != args.n:
         parser.error("--n values must be increasing")
+    try:
+        if hasattr(args, "surface"):
+            args.kind, args.params = _parse_surface(args.surface)
+        args.workers = _max_workers()
+    except ValueError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diskgrid as dg
-from .conservation import assemble_Q, dz_L0_closed_form, surface_scale
+from .conservation import _grad_H, assemble_Q, dz_L0_closed_form, surface_scale
 from .immersion import GeometryBundle
 
 __all__ = [
@@ -49,13 +49,6 @@ __all__ = [
 ]
 
 
-def _sup(field: np.ndarray, win) -> float:
-    v = np.abs(field[win])
-    if v.ndim > 2:
-        v = np.linalg.norm(v, axis=-1)
-    return float(np.max(v))
-
-
 def frame_derivative_residuals(bundle: GeometryBundle) -> tuple[float, float]:
     """Residuals of the complex frame derivative identities.
 
@@ -66,13 +59,12 @@ def frame_derivative_residuals(bundle: GeometryBundle) -> tuple[float, float]:
     Both are unconditional; returns normalized interior sup-norms.
     """
     grid = bundle.grid
-    win = grid.interior()
-    scale = surface_scale(bundle)
+    scale = bundle.derived(surface_scale)
     dzsl = dg.dzstar(grid, bundle.lam)
     half_elam = 0.5 * bundle.elam[..., None]
     r_ez = dg.dzstar(grid, bundle.ez) - (-dzsl[..., None] * bundle.ez + half_elam * bundle.H)
     r_ezs = dg.dzstar(grid, bundle.ezstar) - (dzsl[..., None] * bundle.ezstar + half_elam * bundle.H0)
-    res_a4 = max(_sup(r_ez, win), _sup(r_ezs, win)) / scale
+    res_a4 = max(dg._interior_sup(grid, r_ez), dg._interior_sup(grid, r_ezs)) / scale
     res_a5 = 0.0
     for a in range(bundle.m - 2):
         na = bundle.normal_frame[a]
@@ -81,7 +73,7 @@ def frame_derivative_residuals(bundle: GeometryBundle) -> tuple[float, float]:
         dzs_na = dg.dzstar(grid, na)
         pred = -bundle.elam[..., None] * (H0a[..., None] * bundle.ez + Ha[..., None] * bundle.ezstar)
         pred = pred + bundle.project_normal(dzs_na)
-        res_a5 = max(res_a5, _sup(dzs_na - pred, win))
+        res_a5 = max(res_a5, dg._interior_sup(grid, dzs_na - pred))
     return res_a4, res_a5 / scale
 
 
@@ -92,13 +84,12 @@ def codazzi_residual(bundle: GeometryBundle) -> float:
     with complex-bilinear ambient dot products.  Normalized interior sup.
     """
     grid = bundle.grid
-    win = grid.interior()
     e2lam = bundle.elam**2
     H0cH = np.sum(np.conj(bundle.H0) * bundle.H, axis=-1)
     lhs = dg.dzstar(grid, e2lam * H0cH) / e2lam
     rhs = np.sum(bundle.H * dg.dz(grid, bundle.H), axis=-1)
     rhs = rhs + np.sum(np.conj(bundle.H0) * dg.dzstar(grid, bundle.H), axis=-1)
-    return _sup(lhs - rhs, win) / surface_scale(bundle)
+    return dg._interior_sup(grid, lhs - rhs) / bundle.derived(surface_scale)
 
 
 @dataclass(frozen=True)
@@ -140,7 +131,7 @@ def extract_A_f(bundle: GeometryBundle, L: np.ndarray | None = None) -> Conforma
         f = -1j * bundle.elam * (A + 2j * bundle.elam * H0cH)
         return ConformalData(A, f, _holomorphy_defect(grid, f), L, 0.0)
 
-    Z0 = dz_L0_closed_form(bundle)
+    Z0 = bundle.derived(dz_L0_closed_form)
     G = dg.dzstar(grid, Z0)
     # Im[G + i f H0 / 2] = 0: columns of the pointwise design matrix are
     # the real and (negated) imaginary parts of H0
@@ -169,15 +160,10 @@ def extract_A_f(bundle: GeometryBundle, L: np.ndarray | None = None) -> Conforma
     return ConformalData(A, f, _holomorphy_defect(grid, f), Lsys, float(np.sqrt(defect2)))
 
 
-def conformal_willmore_residual(bundle: GeometryBundle, f: np.ndarray | float) -> np.ndarray:
-    """Residual field of the conformal Willmore equation for a candidate f.
-
-    Lap_perp H + sum_ab h^a_ij h^b_ij H^b n_a - 2 |H|^2 H
-        - e^{-2 lambda} Re(f H0),
-    with Lap_perp H = e^{-2 lambda} pi_n div(pi_n grad H).
-    """
+def _cw_lhs(bundle: GeometryBundle) -> np.ndarray:
+    """The f-independent part Lap_perp H + sum_ab h^a_ij h^b_ij H^b n_a - 2 |H|^2 H."""
     grid = bundle.grid
-    gradH = dg.grad(grid, bundle.H)
+    gradH = bundle.derived(_grad_H)
     pin = np.stack([bundle.project_normal(gradH[0]), bundle.project_normal(gradH[1])])
     lap_perp = bundle.project_normal(dg.div(grid, pin)) / bundle.area_density[..., None]
     Hcoef = np.stack(
@@ -186,33 +172,37 @@ def conformal_willmore_residual(bundle: GeometryBundle, f: np.ndarray | float) -
     hh = np.einsum("...aij,...bij->...ab", bundle.h, bundle.h)
     Aterm = np.einsum("...a,a...k->...k", np.einsum("...ab,...b->...a", hh, Hcoef), bundle.normal_frame)
     H2 = np.sum(bundle.H**2, axis=-1)
-    lhs = lap_perp + Aterm - 2.0 * H2[..., None] * bundle.H
+    return lap_perp + Aterm - 2.0 * H2[..., None] * bundle.H
+
+
+def conformal_willmore_residual(bundle: GeometryBundle, f: np.ndarray | float) -> np.ndarray:
+    """Residual field of the conformal Willmore equation for a candidate f.
+
+    Lap_perp H + sum_ab h^a_ij h^b_ij H^b n_a - 2 |H|^2 H
+        - e^{-2 lambda} Re(f H0),
+    with Lap_perp H = e^{-2 lambda} pi_n div(pi_n grad H).  The
+    f-independent part is computed once per bundle.
+    """
     f_arr = np.asarray(f, dtype=complex)
     rhs = np.real(f_arr[..., None] * bundle.H0) / bundle.area_density[..., None]
-    return lhs - rhs
+    return bundle.derived(_cw_lhs) - rhs
 
 
-def eq13_residual(
-    bundle: GeometryBundle,
-    f: np.ndarray | float,
-    L: np.ndarray,
-    Q: np.ndarray | None = None,
-) -> float:
+def eq13_residual(bundle: GeometryBundle, f: np.ndarray | float, L: np.ndarray) -> float:
     """Interior-L2 residual of Lap(L - L0) = 2 i H0 f, normalized.
 
     Lap L0 is evaluated through the complex transcription of the
     defining combination, 4 dz*( (Q_2 + i Q_1)/2 ) = curl Q + i div Q,
     which remains meaningful when div Q != 0 and no real L0 exists.
     """
-    if Q is None:
-        Q = assemble_Q(bundle)
     grid = bundle.grid
     win = grid.interior()
+    Q = bundle.derived(assemble_Q)
     lapL = dg.laplace(grid, L)
     lapL0 = dg.curl(grid, Q) + 1j * dg.div(grid, Q)
     f_arr = np.asarray(f, dtype=complex)
     resid = lapL - lapL0 - 2j * f_arr[..., None] * bundle.H0
-    return dg.l2norm(grid, resid[win]) / surface_scale(bundle)
+    return dg.l2norm(grid, resid[win]) / bundle.derived(surface_scale)
 
 
 def gauss_map_energy(bundle: GeometryBundle) -> float:

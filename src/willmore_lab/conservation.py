@@ -29,7 +29,9 @@ validated facts wired into this module (each is also a test):
   where . is the first-order contraction of multivec.bullet.
 
 Potentials are fixed mean-zero; every off-shell input degrades to a
-reported defect rather than an error.
+reported defect rather than an error.  Q, grad H, L, the surface scale
+and the closed form of dz L0 are computed once per bundle and shared
+through ``GeometryBundle.derived``.
 """
 
 from __future__ import annotations
@@ -67,17 +69,14 @@ def surface_scale(bundle: GeometryBundle) -> float:
     return float(max(1.0, np.max((bundle.area_density * (1.0 + normH2 + normB2))[win])))
 
 
-def _sup(field: np.ndarray, win) -> float:
-    v = field[win]
-    if v.ndim > 2:
-        v = np.linalg.norm(np.abs(v), axis=-1)
-    return float(np.max(np.abs(v)))
+def _grad_H(bundle: GeometryBundle) -> np.ndarray:
+    return dg.grad(bundle.grid, bundle.H)
 
 
 def assemble_Q(bundle: GeometryBundle) -> np.ndarray:
     """Q = grad H - 3 pi_n(grad H) + star(grad_perp n ^ H), shape (2, n, n, m)."""
     grid, m = bundle.grid, bundle.m
-    gradH = dg.grad(grid, bundle.H)
+    gradH = bundle.derived(_grad_H)
     tang = gradH - 3.0 * np.stack([bundle.project_normal(gradH[0]), bundle.project_normal(gradH[1])])
     gpn = dg.grad_perp(grid, bundle.gauss)
     Hmv = mv.vector_field_to_mv(bundle.H)
@@ -87,11 +86,7 @@ def assemble_Q(bundle: GeometryBundle) -> np.ndarray:
     return tang + star
 
 
-def willmore_residual(
-    bundle: GeometryBundle,
-    Q: np.ndarray | None = None,
-    normalization: str = "euler_lagrange",
-) -> np.ndarray:
+def willmore_residual(bundle: GeometryBundle, normalization: str = "euler_lagrange") -> np.ndarray:
     """Residual of the divergence-form Willmore equation, shape (n, n, m).
 
     ``normalization="euler_lagrange"`` (default) returns
@@ -99,9 +94,7 @@ def willmore_residual(
     Lap_perp H + A~(H) - 2 |H|^2 H; ``"divergence"`` returns raw div Q.
     Both vanish at O(h^2) exactly on Willmore patches.
     """
-    if Q is None:
-        Q = assemble_Q(bundle)
-    divQ = dg.div(bundle.grid, Q)
+    divQ = dg.div(bundle.grid, bundle.derived(assemble_Q))
     if normalization == "divergence":
         return divQ
     if normalization == "euler_lagrange":
@@ -109,26 +102,24 @@ def willmore_residual(
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-def tangency_identities(bundle: GeometryBundle, Q: np.ndarray | None = None) -> tuple[float, float]:
+def tangency_identities(bundle: GeometryBundle) -> tuple[float, float]:
     """Pointwise tangency identities of Q, as normalized interior sup-residuals.
 
     resid_dot  : grad Phi . Q = 0
     resid_wedge: grad Phi ^ Q + 2 grad Phi ^ grad H = 0
     Both hold on every conformal patch, Willmore or not.
     """
-    if Q is None:
-        Q = assemble_Q(bundle)
     grid, m = bundle.grid, bundle.m
     jet = bundle.jet
-    win = grid.interior()
-    scale = surface_scale(bundle)
+    Q = bundle.derived(assemble_Q)
+    scale = bundle.derived(surface_scale)
     dot = np.sum(jet.d1 * Q[0] + jet.d2 * Q[1], axis=-1)
-    gradH = dg.grad(grid, bundle.H)
+    gradH = bundle.derived(_grad_H)
     wedge = sum(
         mv.field_wedge(m, mv.vector_field_to_mv(dphi), mv.vector_field_to_mv(Qj + 2.0 * gHj))
         for dphi, Qj, gHj in ((jet.d1, Q[0], gradH[0]), (jet.d2, Q[1], gradH[1]))
     )
-    return _sup(dot, win) / scale, _sup(wedge, win) / scale
+    return dg._interior_sup(grid, dot) / scale, dg._interior_sup(grid, wedge) / scale
 
 
 @dataclass(frozen=True)
@@ -141,16 +132,15 @@ class LRecovery:
     compat_defect: float
 
 
-def recover_L(bundle: GeometryBundle, Q: np.ndarray | None = None) -> LRecovery:
+def recover_L(bundle: GeometryBundle) -> LRecovery:
     """Recover L from grad_perp L = Q via componentwise curl potentials.
 
     Exact (to O(h^2)) precisely when div Q ~ 0, i.e. on Willmore patches;
     otherwise the defect stays bounded away from zero and is reported.
     L is normalized mean-zero per component.
     """
-    if Q is None:
-        Q = assemble_Q(bundle)
     grid = bundle.grid
+    Q = bundle.derived(assemble_Q)
     L = np.empty_like(Q[0])
     defect2 = 0.0
     compat = 0.0
@@ -159,7 +149,7 @@ def recover_L(bundle: GeometryBundle, Q: np.ndarray | None = None) -> LRecovery:
         L[..., k] = res.u
         defect2 += res.defect**2
         compat = max(compat, res.compat_defect)
-    return LRecovery(L, np.sqrt(defect2) / surface_scale(bundle), np.sqrt(defect2), compat)
+    return LRecovery(L, np.sqrt(defect2) / bundle.derived(surface_scale), np.sqrt(defect2), compat)
 
 
 @dataclass(frozen=True)
@@ -181,21 +171,19 @@ def dz_L0_closed_form(bundle: GeometryBundle) -> np.ndarray:
     return -2j * (bundle.elam * H0cH)[..., None] * bundle.ezstar - 2j * bundle.project_normal(dzH)
 
 
-def assemble_L0(bundle: GeometryBundle, Q: np.ndarray | None = None) -> L0Data:
+def assemble_L0(bundle: GeometryBundle) -> L0Data:
     """Assemble grad_perp L0 both ways and report their mutual residual.
 
     The defining combination is Q itself written as a rotated gradient,
     whose dz-transcription is (1/2)(Q_2 + i Q_1); the closed form comes
-    from the complex frame identities.  L0 is recovered by curl
-    potential (it coincides with recover_L on the same Q).
+    from the complex frame identities.  L0 is the curl potential of
+    recover_L on the same bundle.
     """
-    if Q is None:
-        Q = assemble_Q(bundle)
-    win = bundle.grid.interior()
+    Q = bundle.derived(assemble_Q)
     W = 0.5 * (Q[1] + 1j * Q[0])
-    Z0 = dz_L0_closed_form(bundle)
-    consistency = _sup(np.abs(W - Z0), win) / surface_scale(bundle)
-    rec = recover_L(bundle, Q)
+    Z0 = bundle.derived(dz_L0_closed_form)
+    consistency = dg._interior_sup(bundle.grid, W - Z0) / bundle.derived(surface_scale)
+    rec = bundle.derived(recover_L)
     return L0Data(Q, Z0, consistency, rec.L, rec.defect)
 
 
@@ -238,7 +226,7 @@ def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
         res = dg.grad_potential(grid, TR[:, :, :, mask])
         R[..., mask] = res.u
         rdef2 += res.defect**2
-    scale = surface_scale(bundle)
+    scale = bundle.derived(surface_scale)
     return SRData(resS.u, R, resS.defect / scale, np.sqrt(rdef2) / scale, resS.defect, np.sqrt(rdef2))
 
 
@@ -252,8 +240,7 @@ def sr_system_residual(
     opposite sign, kept as a diagnostic control.
     """
     grid, m = bundle.grid, bundle.m
-    win = grid.interior()
-    scale = surface_scale(bundle)
+    scale = bundle.derived(surface_scale)
     starn = mv.field_hodge(m, bundle.gauss)
     gstarn = dg.grad(grid, starn)
     ggauss = dg.grad(grid, bundle.gauss)
@@ -261,12 +248,13 @@ def sr_system_residual(
     gperpS = dg.grad_perp(grid, S)
     res_S = dg.laplace(grid, S) - sum(mv.field_inner(m, gstarn[j], gperpR[j]) for j in range(2))
     contraction = sum(mv.field_bullet(m, ggauss[j], gperpR[j]) for j in range(2))
+    del ggauss, gperpR  # bounds the peak memory of the R-side terms below
     sign = (-1.0) ** m if sign_exponent == "ambient" else -((-1.0) ** m)
     rhs_R = sign * mv.field_hodge(m, contraction) - sum(
         gstarn[j] * gperpS[j][..., None] for j in range(2)
     )
     res_R = dg.laplace(grid, R) - rhs_R
-    return _sup(res_S, win) / scale, _sup(res_R, win) / scale
+    return dg._interior_sup(grid, res_S) / scale, dg._interior_sup(grid, res_R) / scale
 
 
 def phi_identity_residual(bundle: GeometryBundle, S: np.ndarray, R: np.ndarray) -> float:
@@ -278,7 +266,6 @@ def phi_identity_residual(bundle: GeometryBundle, S: np.ndarray, R: np.ndarray) 
     """
     grid, m = bundle.grid, bundle.m
     jet = bundle.jet
-    win = grid.interior()
     gperp_phi = (-jet.d2, jet.d1)
     gR = dg.grad(grid, R)
     gS = dg.grad(grid, S)
@@ -288,4 +275,4 @@ def phi_identity_residual(bundle: GeometryBundle, S: np.ndarray, R: np.ndarray) 
     )
     sterm = sum(gS[j][..., None] * gperp_phi[j] for j in range(2))
     resid = dg.laplace(grid, jet.phi) - 0.5 * (contraction - sterm)
-    return _sup(resid, win) / surface_scale(bundle)
+    return dg._interior_sup(grid, resid) / bundle.derived(surface_scale)

@@ -174,6 +174,14 @@ def l2norm(grid: Grid, f: np.ndarray, region: tuple[slice, slice] | None = None)
     return float(np.sqrt(grid.h**2 * np.sum(np.abs(v) ** 2)))
 
 
+def _interior_sup(grid: Grid, f: np.ndarray) -> float:
+    """Sup of |f| on the default interior window; components fold in by the Euclidean norm."""
+    v = np.abs(f[grid.interior()])
+    if v.ndim > 2:
+        v = np.linalg.norm(v, axis=-1)
+    return float(np.max(v))
+
+
 # ---------------------------------------------------------------------------
 # Poisson solvers
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ frozen in place of compactly supported variations) and a backtracking
 line search keeps the energy trace exactly non-increasing; conformality
 is measured and recorded, never repaired.  A trial step costs one
 geometry bundle and its energy, which alone decide acceptance; Q and
-ps_norm are computed once, for accepted states only, and Q travels with
-the bundle so the next step's direction reuses it.
+ps_norm are computed once, for accepted states only.  Q travels in the
+accepted bundle's memo (``GeometryBundle.derived``), so the next step's
+direction reuses it.
 
 The stationarity measure ps_norm is an H^{-1}-type proxy for the dual
 norm in the Palais-Smale definition: solve Lap phi_k = (div Q)_k with
@@ -48,12 +49,10 @@ _FROZEN_RING = 2
 _MIN_STEP_FACTOR = 1e-12
 
 
-def ps_norm(bundle: GeometryBundle, Q: np.ndarray | None = None) -> float:
+def ps_norm(bundle: GeometryBundle) -> float:
     """H^{-1}-proxy stationarity norm of div Q (zero at critical points)."""
-    if Q is None:
-        Q = assemble_Q(bundle)
     grid = bundle.grid
-    divQ = dg.div(grid, Q)
+    divQ = dg.div(grid, bundle.derived(assemble_Q))
     total = 0.0
     for k in range(divQ.shape[-1]):
         phi = dg.poisson_dirichlet(grid, divQ[..., k])
@@ -61,9 +60,7 @@ def ps_norm(bundle: GeometryBundle, Q: np.ndarray | None = None) -> float:
     return total
 
 
-def descent_velocity(
-    bundle: GeometryBundle, Q: np.ndarray | None = None, precondition: str = "bilaplacian"
-) -> np.ndarray:
+def descent_velocity(bundle: GeometryBundle, precondition: str = "bilaplacian") -> np.ndarray:
     """Descent direction with frozen boundary ring.
 
     "none": +(1/2) e^{-2 lambda} div Q, minus the raw Willmore gradient
@@ -72,10 +69,9 @@ def descent_velocity(
     keeps the zero set and the descent property while removing the
     fourth-order stiffness from the line search.
     """
-    if Q is None:
-        Q = assemble_Q(bundle)
     grid = bundle.grid
-    density = -0.5 * dg.div(grid, Q) / bundle.area_density[..., None]  # Willmore gradient
+    divQ = dg.div(grid, bundle.derived(assemble_Q))
+    density = -0.5 * divQ / bundle.area_density[..., None]  # Willmore gradient
     if precondition == "none":
         vel = -density
     elif precondition == "bilaplacian":
@@ -96,10 +92,10 @@ def descent_velocity(
 class FlowState:
     """Snapshot of one accepted flow iterate.
 
-    Working states carry their geometry bundle and the Q assembled from
-    it (ps is computed from that Q, and the next step's direction reuses
-    it); states stored in a FlowTrace are stripped summaries (bundle and
-    Q None) to keep long runs light.  ``step`` rebuilds what is missing.
+    Working states carry their geometry bundle, whose memo holds the Q
+    that ps was computed from (the next step's direction reuses it);
+    states stored in a FlowTrace are stripped summaries (bundle None) to
+    keep long runs light.  ``step`` rebuilds what is missing.
     ``rejections`` names, in trial order, why each line-search trial of
     the step that produced this state was rejected: "energy" (no strict
     decrease) or the class name of the exception the trial raised.
@@ -113,24 +109,21 @@ class FlowState:
     stalled: bool = False   # no energy-decreasing step was found
     degenerate: bool = False  # conformal factor collapsed; run aborted
     bundle: GeometryBundle | None = None
-    Q: np.ndarray | None = None
     rejections: tuple[str, ...] = ()
 
     def summary(self) -> "FlowState":
-        return replace(self, bundle=None, Q=None)
+        return replace(self, bundle=None)
 
 
 def _accept(patch: ImmersionPatch, bundle: GeometryBundle, energy: float, tau: float,
             rejections: tuple[str, ...] = ()) -> FlowState:
-    Q = assemble_Q(bundle)
     return FlowState(
         patch=patch,
         energy=energy,
-        ps=ps_norm(bundle, Q),
+        ps=ps_norm(bundle),
         conformal_defect=bundle.conformal_defect,
         tau=tau,
         bundle=bundle,
-        Q=Q,
         rejections=rejections,
     )
 
@@ -151,7 +144,7 @@ def step(state: FlowState, tau0: float, precondition: str = "bilaplacian") -> Fl
     if tau0 <= 0.0:
         raise ValueError("trial step tau0 must be positive")
     bundle = state.bundle if state.bundle is not None else make_bundle(state.patch)
-    vel = descent_velocity(bundle, Q=state.Q, precondition=precondition)
+    vel = descent_velocity(bundle, precondition)
     rejections = []
     tau = tau0
     while tau > _MIN_STEP_FACTOR * tau0:

@@ -23,8 +23,8 @@ oriented by construction (so star(n ^ e1) = e2 holds on the nose).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "GeometryBundle",
     "Jet",
     "make_surface",
-    "surface_from_spec",
     "load_surface_spec",
     "perturb_normal",
     "conformal_factor",
@@ -49,7 +48,6 @@ __all__ = [
     "willmore_energy",
     "export_bundle",
     "CATALOG",
-    "WILLMORE_SURFACES",
 ]
 
 
@@ -386,19 +384,13 @@ CATALOG: dict[str, Callable[..., JetFn]] = {
     "graph_perturbation": lambda grid, m, seed=0, amplitude=0.05: _graph_jets(m, seed, amplitude, grid.s),
 }
 
-#: catalog surfaces that are Willmore (divergence-form residual -> 0)
-WILLMORE_SURFACES = frozenset({"plane", "sphere", "catenoid", "enneper", "clifford_torus_patch"})
-
-
-def surface_from_spec(spec: dict) -> ImmersionPatch:
-    """Build a patch from {type, params, m, grid: {s, n}}."""
-    grid = Grid(float(spec["grid"]["s"]), int(spec["grid"]["n"]))
-    return make_surface(spec["type"], grid, m=int(spec.get("m", 3)), **spec.get("params", {}))
-
 
 def load_surface_spec(path) -> ImmersionPatch:
+    """Build a patch from a JSON file {type, params, m, grid: {s, n}}."""
     with open(path) as fh:
-        return surface_from_spec(json.load(fh))
+        spec = json.load(fh)
+    grid = Grid(float(spec["grid"]["s"]), int(spec["grid"]["n"]))
+    return make_surface(spec["type"], grid, m=int(spec.get("m", 3)), **spec.get("params", {}))
 
 
 def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05) -> ImmersionPatch:
@@ -428,13 +420,13 @@ def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GeometryBundle:
-    """Derived conformal-frame geometry of an immersion patch.
+class _FirstOrder:
+    """First-order conformal-frame geometry of an immersion patch.
 
-    normal_frame has shape (m-2, n, n, m); h has shape (n, n, m-2, 2, 2);
-    gauss holds blade coefficients of n = n_1 ^ ... ^ n_{m-2}.
-    t1/t2 are the exactly orthonormalized tangents used for projections
-    (they agree with e1/e2 up to the conformality defect).
+    normal_frame has shape (m-2, n, n, m); gauss holds blade coefficients
+    of n = n_1 ^ ... ^ n_{m-2}.  t1/t2 are the exactly orthonormalized
+    tangents used for projections (they agree with e1/e2 up to the
+    conformality defect).
     """
 
     patch: ImmersionPatch
@@ -450,12 +442,6 @@ class GeometryBundle:
     normal_frame: np.ndarray
     gauss: np.ndarray
     conformal_defect: float
-    h: np.ndarray | None = None
-    H: np.ndarray | None = None
-    H0: np.ndarray | None = None
-    K_lambda: np.ndarray | None = None
-    K_gauss: np.ndarray | None = None
-    area_density: np.ndarray | None = None
 
     @property
     def grid(self) -> Grid:
@@ -483,6 +469,31 @@ class GeometryBundle:
             na = self.normal_frame[a]
             out = out + np.sum(X * na, axis=-1)[..., None] * na
         return out
+
+
+@dataclass(frozen=True)
+class GeometryBundle(_FirstOrder):
+    """Derived conformal-frame geometry: the first-order fields plus h
+    (shape (n, n, m-2, 2, 2)), H, H0, both curvature routes and e^{2 lambda}.
+
+    ``derived(fn)`` evaluates fn(bundle) at most once per bundle (Q, grad H,
+    L, the surface scale, ...).  ``dataclasses.replace`` starts an empty
+    memo; memoized arrays are shared and must not be mutated.
+    """
+
+    h: np.ndarray
+    H: np.ndarray
+    H0: np.ndarray
+    K_lambda: np.ndarray
+    K_gauss: np.ndarray
+    area_density: np.ndarray
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def derived(self, fn: Callable[["GeometryBundle"], Any]) -> Any:
+        """fn(self), computed once per bundle; the function object is the key."""
+        if fn not in self._memo:
+            self._memo[fn] = fn(self)
+        return self._memo[fn]
 
 
 def conformal_factor(patch: ImmersionPatch) -> tuple[np.ndarray, float]:
@@ -513,7 +524,7 @@ def _orthonormal_tangents(jet: Jet) -> tuple[np.ndarray, np.ndarray]:
 _SEED_ACCEPT = 0.35
 
 
-def frames(patch: ImmersionPatch) -> GeometryBundle:
+def frames(patch: ImmersionPatch) -> _FirstOrder:
     """First-order geometry: conformal frame, normal frame, Gauss map."""
     jet = patch.jet()
     m = patch.m
@@ -555,7 +566,7 @@ def frames(patch: ImmersionPatch) -> GeometryBundle:
     for a in range(1, m - 2):
         gauss = mv.field_wedge(m, gauss, mv.vector_field_to_mv(normal_frame[a]))
 
-    return GeometryBundle(
+    return _FirstOrder(
         patch=patch,
         jet=jet,
         lam=lam,
@@ -572,37 +583,30 @@ def frames(patch: ImmersionPatch) -> GeometryBundle:
     )
 
 
-def second_fundamental(patch: ImmersionPatch, bundle: GeometryBundle | None = None) -> GeometryBundle:
-    """Complete the bundle with h, H, H0 and both curvature routes."""
-    if bundle is None:
-        bundle = frames(patch)
-    jet = bundle.jet
+def second_fundamental(patch: ImmersionPatch, first_order: _FirstOrder | None = None) -> GeometryBundle:
+    """Complete the first-order geometry (``frames(patch)`` by default) with
+    h, H, H0 and both curvature routes."""
+    first = frames(patch) if first_order is None else first_order
+    jet = first.jet
     m = patch.m
-    e2lam = bundle.elam**2
+    e2lam = first.elam**2
     second = ((jet.d11, jet.d12), (jet.d12, jet.d22))
     h = np.empty(patch.phi.shape[:-1] + (m - 2, 2, 2))
     for a in range(m - 2):
-        na = bundle.normal_frame[a]
+        na = first.normal_frame[a]
         for i in range(2):
             for j in range(2):
                 h[..., a, i, j] = np.sum(na * second[i][j], axis=-1) / e2lam
     Hcoef = 0.5 * (h[..., 0, 0] + h[..., 1, 1])
     H0coef = 0.5 * (h[..., 0, 0] - h[..., 1, 1] + 2j * h[..., 0, 1])
-    H = np.einsum("...a,a...k->...k", Hcoef, bundle.normal_frame)
-    H0 = np.einsum("...a,a...k->...k", H0coef, bundle.normal_frame.astype(complex))
-    K_lambda = -dg.laplace(patch.grid, bundle.lam) / e2lam
+    H = np.einsum("...a,a...k->...k", Hcoef, first.normal_frame)
+    H0 = np.einsum("...a,a...k->...k", H0coef, first.normal_frame.astype(complex))
+    K_lambda = -dg.laplace(patch.grid, first.lam) / e2lam
     normB2 = np.sum(h**2, axis=(-1, -2, -3))
     normH2 = np.sum(np.abs(H) ** 2, axis=-1)
     K_gauss = 2.0 * normH2 - 0.5 * normB2
-    return replace(
-        bundle,
-        h=h,
-        H=H,
-        H0=H0,
-        K_lambda=K_lambda,
-        K_gauss=K_gauss,
-        area_density=e2lam,
-    )
+    return GeometryBundle(**{f.name: getattr(first, f.name) for f in fields(_FirstOrder)},
+                          h=h, H=H, H0=H0, K_lambda=K_lambda, K_gauss=K_gauss, area_density=e2lam)
 
 
 def make_bundle(patch: ImmersionPatch) -> GeometryBundle:

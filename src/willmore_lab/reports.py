@@ -35,6 +35,7 @@ import numpy as np
 
 from . import confwillmore as cwmod
 from . import conservation as cons
+from . import diskgrid as dg
 from .immersion import GeometryBundle, ImmersionPatch, make_bundle, willmore_energy
 
 __all__ = [
@@ -125,36 +126,27 @@ SURFACE_INFO: dict[str, SurfaceInfo] = {
 FLOOR = "floor"
 
 
-def _interior_sup(bundle: GeometryBundle, field_values: np.ndarray) -> float:
-    win = bundle.grid.interior()
-    v = np.abs(field_values[win])
-    if v.ndim > 2:
-        v = np.linalg.norm(v, axis=-1)
-    return float(np.max(v))
-
-
 def residual_report(source: ImmersionPatch | GeometryBundle) -> dict[str, float]:
     """Run the full conservation / conformal-Willmore residual suite."""
     bundle = source if isinstance(source, GeometryBundle) else make_bundle(source)
-    scale = cons.surface_scale(bundle)
-    Q = cons.assemble_Q(bundle)
+    grid = bundle.grid
+    scale = bundle.derived(cons.surface_scale)
 
     report: dict[str, float] = {}
-    dot, wedge = cons.tangency_identities(bundle, Q)
+    dot, wedge = cons.tangency_identities(bundle)
     report["dot_identity"] = dot
     report["wedge_identity"] = wedge
-    report["divQ_inf"] = _interior_sup(bundle, cons.willmore_residual(bundle, Q))
+    report["divQ_inf"] = dg._interior_sup(grid, cons.willmore_residual(bundle))
 
-    recovery = cons.recover_L(bundle, Q)
-    report["L_defect"] = recovery.defect
-    report["L0_consistency"] = cons.assemble_L0(bundle, Q).consistency
+    report["L_defect"] = bundle.derived(cons.recover_L).defect
+    report["L0_consistency"] = cons.assemble_L0(bundle).consistency
 
     cdata = cwmod.extract_A_f(bundle)
-    report["f_inf"] = _interior_sup(bundle, cdata.f)
+    report["f_inf"] = dg._interior_sup(grid, cdata.f)
     report["f_holo_defect"] = cdata.holomorphy_defect
-    report["cw_resid_f"] = _interior_sup(bundle, cwmod.conformal_willmore_residual(bundle, cdata.f)) / scale
-    report["cw_resid_zero"] = _interior_sup(bundle, cwmod.conformal_willmore_residual(bundle, 0.0)) / scale
-    report["cwbis_resid"] = cwmod.eq13_residual(bundle, cdata.f, cdata.L, Q)
+    report["cw_resid_f"] = dg._interior_sup(grid, cwmod.conformal_willmore_residual(bundle, cdata.f)) / scale
+    report["cw_resid_zero"] = dg._interior_sup(grid, cwmod.conformal_willmore_residual(bundle, 0.0)) / scale
+    report["cwbis_resid"] = cwmod.eq13_residual(bundle, cdata.f, cdata.L)
 
     sr = cons.build_S_R(bundle, cdata.L)
     report["S_defect"] = sr.S_defect

@@ -53,8 +53,7 @@ def identity_statistics(kind, n, s, **params):
     grid = Grid(s, n)
     bundle = im.make_bundle(im.make_surface(kind, grid, **params))
     scale = cons.surface_scale(bundle)
-    Q = cons.assemble_Q(bundle)
-    dot, wedge = cons.tangency_identities(bundle, Q)
+    dot, wedge = cons.tangency_identities(bundle)
     cdata = cw.extract_A_f(bundle)
     sr = cons.build_S_R(bundle, cdata.L)
     a4, a5 = cw.frame_derivative_residuals(bundle)

@@ -100,6 +100,29 @@ class TestRefine:
         assert rc == 2
 
 
+class TestInputBoundary:
+    """Bad input ends in one stderr line and exit code 2, not a traceback."""
+
+    def check_rejected(self, capsys, tmp_path, surface="plane"):
+        out = tmp_path / "r.json"
+        rc = run_cli(["verify", "--surface", surface, "--n", "33", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("willmore-lab: error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+        return err
+
+    def test_surface_value_not_json(self, capsys, tmp_path):
+        assert "rho=abc" in self.check_rejected(capsys, tmp_path, "sphere:rho=abc")
+
+    def test_surface_parameter_unknown(self, capsys, tmp_path):
+        assert "radius" in self.check_rejected(capsys, tmp_path, "sphere:radius=2")
+
+    def test_thread_count_not_integer(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("WILLMORE_LAB_THREADS", "abc")
+        assert "WILLMORE_LAB_THREADS" in self.check_rejected(capsys, tmp_path)
+
+
 class TestWenteCommand:
     def test_batch_csv_and_summary(self, tmp_path):
         out = tmp_path / "wente.csv"

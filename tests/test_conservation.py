@@ -9,6 +9,8 @@ outward normal n):
 Round spheres satisfy Q = 0 identically.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,16 @@ class TestAssembleQ:
         expect1 = 0.5 * b.e2
         assert interior_sup(G129, Q[0] - expect0) < 1e-5
         assert interior_sup(G129, Q[1] - expect1) < 1e-5
+
+    def test_replaced_bundle_does_not_reuse_memoized_Q(self):
+        b = bundle("cylinder", G65, rho=1.0)
+        Q = b.derived(cons.assemble_Q)
+        assert b.derived(cons.assemble_Q) is Q
+        scaled = replace(b, H=2.0 * b.H)
+        Q2 = scaled.derived(cons.assemble_Q)
+        assert Q2 is not Q
+        assert np.array_equal(Q2, cons.assemble_Q(scaled))
+        assert np.max(np.abs(Q2 - 2.0 * Q)) < 1e-12 * np.max(np.abs(Q))
 
 
 class TestWillmoreResidual:

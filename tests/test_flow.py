@@ -130,12 +130,12 @@ class TestStep:
         state = fl._state_from_patch(perturbed_catenoid(), 0.0)
         full = fl.step(state, tau0=1.0)
         stripped = state.summary()
-        assert stripped.bundle is None and stripped.Q is None
+        assert stripped.bundle is None
         light = fl.step(stripped, tau0=1.0)
         assert light.energy == full.energy and light.ps == full.ps and light.tau == full.tau
         assert light.rejections == full.rejections
         assert np.array_equal(light.patch.phi, full.patch.phi)
-        assert np.array_equal(light.Q, full.Q)
+        assert np.array_equal(light.bundle.derived(fl.assemble_Q), full.bundle.derived(fl.assemble_Q))
 
     def test_trial_failing_after_energy_decrease_is_rejected(self, monkeypatch):
         state = fl._state_from_patch(perturbed_catenoid(), 0.0)
@@ -143,11 +143,11 @@ class TestStep:
         ps_norm = fl.ps_norm
         raised = []
 
-        def ps_norm_failing_once(bundle, Q=None):
+        def ps_norm_failing_once(bundle):
             if not raised:
                 raised.append(True)
                 raise ValueError("injected")
-            return ps_norm(bundle, Q)
+            return ps_norm(bundle)
 
         monkeypatch.setattr(fl, "ps_norm", ps_norm_failing_once)
         new = fl.step(state, tau0=1.0)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from willmore_lab import confwillmore as cw
+from willmore_lab import conservation as cons
 from willmore_lab import immersion as im
 from willmore_lab import reports as rp
 from willmore_lab.diskgrid import Grid
@@ -20,6 +22,29 @@ def test_all_contract_keys_present(sphere_report):
         assert key in sphere_report, key
     for key in ("gradn_energy", "conformal_defect", "willmore_energy"):
         assert key in sphere_report
+
+
+def counting(monkeypatch, name):
+    """Wrap every package binding of conservation.<name>; returns the list
+    its calls append to."""
+    calls = []
+    inner = getattr(cons, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    for module in (cons, cw):
+        if getattr(module, name, None) is inner:
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_report_computes_shared_quantities_once(monkeypatch):
+    names = ("assemble_Q", "recover_L", "surface_scale", "dz_L0_closed_form")
+    calls = {name: counting(monkeypatch, name) for name in names}
+    rp.residual_report(im.make_surface("sphere", G65, rho=1.0))
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 1)
 
 
 def test_report_accepts_bundle_or_patch(sphere_report):
@@ -71,6 +96,3 @@ def test_refinement_ratios_with_floor_sentinel():
 def test_willmore_flags():
     assert rp.SURFACE_INFO["clifford_torus_patch"].willmore
     assert not rp.SURFACE_INFO["cylinder"].willmore
-    assert set(im.WILLMORE_SURFACES) == {
-        k for k, v in rp.SURFACE_INFO.items() if v.willmore
-    }
