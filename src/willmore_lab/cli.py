@@ -25,7 +25,7 @@ from . import lorentz as lo
 from . import reports as rp
 from .diskgrid import Grid, read_field
 from .flow import ps_norm, run as flow_run
-from .immersion import CATALOG, make_bundle, make_surface, perturb_normal
+from .immersion import CATALOG, _check_surface, make_bundle, make_surface, perturb_normal
 from .reports import DEFAULT_THRESHOLDS, FLOOR, REPORT_KEYS
 
 __all__ = ["main"]
@@ -62,11 +62,11 @@ def _parse_surface(arg: str) -> tuple[str, dict]:
             except json.JSONDecodeError:
                 raise ValueError(f"--surface {arg}: {key.strip()}={value} is not a JSON value") from None
     kind, shape = _base_surface(name, params)
-    if kind in CATALOG:
-        try:
-            inspect.signature(CATALOG[kind]).bind(None, 3, **shape)  # (grid, m, **params)
-        except TypeError as exc:
-            raise ValueError(f"--surface {arg}: {kind} {exc}") from None
+    try:
+        _check_surface(kind, shape)
+        inspect.signature(CATALOG[kind]).bind(None, 3, **shape)  # (grid, m, **params)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"--surface {arg}: {exc}") from None
     return name, params
 
 
@@ -220,20 +220,18 @@ def cmd_wente(args) -> int:
 
 
 def cmd_lorentz(args) -> int:
-    grid, values = read_field(args.field)
-    f = values[..., 0] if values.ndim == 3 else values
-    q = np.inf if str(args.q).lower() in ("inf", "infinity") else float(args.q)
-    norm = lo.lorentz_norm(lo.rearrange(grid, f), float(args.p), q)
+    norm = lo.lorentz_norm(lo.rearrange(args.grid, args.values[..., 0]), args.p, args.q)
     print(f"{norm:.12g}")
     return 0
 
 
 def cmd_flow(args) -> int:
     patch = _patched(args.kind, args.params, args.s, args.n[0], args.m, args.seed)
+    bundle = make_bundle(patch)
     stop = 0.0
     if args.stop_ratio > 0.0:
-        stop = args.stop_ratio * ps_norm(make_bundle(patch))
-    trace = flow_run(patch, max_iters=args.max_iters, stop=stop)
+        stop = args.stop_ratio * bundle.derived(ps_norm)
+    trace = flow_run(bundle, max_iters=args.max_iters, stop=stop)
     if args.out:
         trace.write_csv(args.out)
         if args.checkpoint:
@@ -294,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lorentz", help="Lorentz norm of a binary field file")
     p.add_argument("--field", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
+    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--q", type=float, required=True, help="inf for the weak norm")
     p.set_defaults(func=cmd_lorentz)
 
     p = sub.add_parser("flow", help="Willmore descent run with trace output")
@@ -322,8 +320,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if hasattr(args, "surface"):
             args.kind, args.params = _parse_surface(args.surface)
+        if hasattr(args, "field"):
+            lo._check_exponents(args.p, args.q)
+            args.grid, args.values = read_field(args.field)
         args.workers = _max_workers()
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     return args.func(args)

@@ -150,14 +150,9 @@ def extract_A_f(bundle: GeometryBundle, L: np.ndarray | None = None) -> Conforma
     f = sol[..., 0] + 1j * sol[..., 1]
     candidate = Z0 + 1j * (f / bundle.elam)[..., None] * bundle.ezstar
     gradL = np.stack([2.0 * candidate.real, -2.0 * candidate.imag])
-    Lsys = np.empty_like(bundle.H)
-    defect2 = 0.0
-    for k in range(bundle.m):
-        res = dg.grad_potential(grid, gradL[:, :, :, k])
-        Lsys[..., k] = res.u
-        defect2 += res.defect**2
+    res = dg.grad_potential(grid, gradL)
     A = -2j * bundle.elam * H0cH + 1j * f / bundle.elam
-    return ConformalData(A, f, _holomorphy_defect(grid, f), Lsys, float(np.sqrt(defect2)))
+    return ConformalData(A, f, _holomorphy_defect(grid, f), res.u, res.defect)
 
 
 def _cw_lhs(bundle: GeometryBundle) -> np.ndarray:

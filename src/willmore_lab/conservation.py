@@ -139,17 +139,8 @@ def recover_L(bundle: GeometryBundle) -> LRecovery:
     otherwise the defect stays bounded away from zero and is reported.
     L is normalized mean-zero per component.
     """
-    grid = bundle.grid
-    Q = bundle.derived(assemble_Q)
-    L = np.empty_like(Q[0])
-    defect2 = 0.0
-    compat = 0.0
-    for k in range(Q.shape[-1]):
-        res = dg.curl_potential(grid, Q[:, :, :, k])
-        L[..., k] = res.u
-        defect2 += res.defect**2
-        compat = max(compat, res.compat_defect)
-    return LRecovery(L, np.sqrt(defect2) / bundle.derived(surface_scale), np.sqrt(defect2), compat)
+    res = dg.curl_potential(bundle.grid, bundle.derived(assemble_Q))
+    return LRecovery(res.u, res.defect / bundle.derived(surface_scale), res.defect, res.compat_defect)
 
 
 @dataclass(frozen=True)
@@ -213,21 +204,19 @@ def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
     Lmv = mv.vector_field_to_mv(L)
     Hmv = mv.vector_field_to_mv(bundle.H)
     gperp_phi = (-jet.d2, jet.d1)
+    blades = mv.grade_masks(m, 2)
     TR = np.stack(
         [
             mv.field_wedge(m, mv.vector_field_to_mv(dphi), Lmv)
             + 2.0 * mv.field_wedge(m, mv.vector_field_to_mv(gp), Hmv)
             for dphi, gp in ((jet.d1, gperp_phi[0]), (jet.d2, gperp_phi[1]))
         ]
-    )
-    R = np.zeros_like(TR[0])
-    rdef2 = 0.0
-    for mask in mv.grade_masks(m, 2):
-        res = dg.grad_potential(grid, TR[:, :, :, mask])
-        R[..., mask] = res.u
-        rdef2 += res.defect**2
+    )[..., blades]
+    resR = dg.grad_potential(grid, TR)
+    R = np.zeros(resR.u.shape[:-1] + (1 << m,))
+    R[..., blades] = resR.u
     scale = bundle.derived(surface_scale)
-    return SRData(resS.u, R, resS.defect / scale, np.sqrt(rdef2) / scale, resS.defect, np.sqrt(rdef2))
+    return SRData(resS.u, R, resS.defect / scale, resR.defect / scale, resS.defect, resR.defect)
 
 
 def sr_system_residual(

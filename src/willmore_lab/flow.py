@@ -52,12 +52,8 @@ _MIN_STEP_FACTOR = 1e-12
 def ps_norm(bundle: GeometryBundle) -> float:
     """H^{-1}-proxy stationarity norm of div Q (zero at critical points)."""
     grid = bundle.grid
-    divQ = dg.div(grid, bundle.derived(assemble_Q))
-    total = 0.0
-    for k in range(divQ.shape[-1]):
-        phi = dg.poisson_dirichlet(grid, divQ[..., k])
-        total += dg.l2norm(grid, dg.grad(grid, phi))
-    return total
+    phi = dg.poisson_dirichlet(grid, dg.div(grid, bundle.derived(assemble_Q)))
+    return sum(dg.l2norm(grid, dg.grad(grid, phi[..., k])) for k in range(phi.shape[-1]))
 
 
 def descent_velocity(bundle: GeometryBundle, precondition: str = "bilaplacian") -> np.ndarray:
@@ -75,10 +71,7 @@ def descent_velocity(bundle: GeometryBundle, precondition: str = "bilaplacian") 
     if precondition == "none":
         vel = -density
     elif precondition == "bilaplacian":
-        vel = np.empty_like(density)
-        for k in range(density.shape[-1]):
-            once = dg.poisson_dirichlet(grid, density[..., k])
-            vel[..., k] = -dg.poisson_dirichlet(grid, once)
+        vel = -dg.poisson_dirichlet(grid, dg.poisson_dirichlet(grid, density))
     else:
         raise ValueError(f"unknown preconditioner {precondition!r}")
     vel[: _FROZEN_RING] = 0.0
@@ -120,7 +113,7 @@ def _accept(patch: ImmersionPatch, bundle: GeometryBundle, energy: float, tau: f
     return FlowState(
         patch=patch,
         energy=energy,
-        ps=ps_norm(bundle),
+        ps=bundle.derived(ps_norm),
         conformal_defect=bundle.conformal_defect,
         tau=tau,
         bundle=bundle,
@@ -128,9 +121,9 @@ def _accept(patch: ImmersionPatch, bundle: GeometryBundle, energy: float, tau: f
     )
 
 
-def _state_from_patch(patch: ImmersionPatch, tau: float) -> FlowState:
-    bundle = make_bundle(patch)
-    return _accept(patch, bundle, willmore_energy(bundle), tau)
+def _state_from_patch(source: ImmersionPatch | GeometryBundle, tau: float) -> FlowState:
+    bundle = source if isinstance(source, GeometryBundle) else make_bundle(source)
+    return _accept(bundle.patch, bundle, willmore_energy(bundle), tau)
 
 
 def step(state: FlowState, tau0: float, precondition: str = "bilaplacian") -> FlowState:
@@ -195,13 +188,14 @@ class FlowTrace:
 
 
 def run(
-    patch: ImmersionPatch,
+    source: ImmersionPatch | GeometryBundle,
     max_iters: int = 500,
     stop: float = 0.0,
     tau0: float = 1.0,
     precondition: str = "bilaplacian",
 ) -> FlowTrace:
-    """Iterate descent steps until stop threshold, stall, or max_iters.
+    """Iterate descent steps from a patch, or from its bundle, until stop
+    threshold, stall, or max_iters.
 
     ``stop`` is an absolute ps_norm threshold (0 disables it).  tau0
     seeds the first line search; afterwards the trial step is twice the
@@ -209,7 +203,7 @@ def run(
     A collapsing conformal factor (e^lambda below 1e-8 of its initial
     maximum) aborts the run with the final state flagged degenerate.
     """
-    state = _state_from_patch(patch, 0.0)
+    state = _state_from_patch(source, 0.0)
     elam_floor = 1e-8 * float(np.max(state.bundle.elam))
     states = [state.summary()]
     rejections = Counter()

@@ -346,8 +346,11 @@ def _graph_jets(m: int, seed: int, amplitude: float, s: float) -> JetFn:
     return jets
 
 
-def _positive(params: dict, *names: str) -> None:
-    for name in names:
+def _check_surface(kind: str, params: dict) -> None:
+    """Raise ValueError unless kind is a catalog surface with positive rho/amplitude."""
+    if kind not in CATALOG:
+        raise ValueError(f"unknown surface {kind!r}; have {sorted(CATALOG)}")
+    for name in ("rho", "amplitude"):
         if params.get(name, 1.0) <= 0.0:
             raise ValueError(f"parameter {name} must be positive")
 
@@ -361,9 +364,7 @@ def make_surface(kind: str, grid: Grid, m: int = 3, **params) -> ImmersionPatch:
     if m < 3 or m > mv.MAX_DIM:
         raise ValueError(f"ambient dimension m={m} outside 3..{mv.MAX_DIM}")
     kind = kind.replace("-", "_")
-    if kind not in CATALOG:
-        raise ValueError(f"unknown surface {kind!r}; have {sorted(CATALOG)}")
-    _positive(params, *(k for k in params if k in ("rho", "amplitude")))
+    _check_surface(kind, params)
     builder = CATALOG[kind]
     jets = builder(grid=grid, m=m, **params)
     X1, X2 = grid.nodes()

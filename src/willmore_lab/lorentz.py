@@ -68,15 +68,19 @@ def rearrange(grid: Grid, f: np.ndarray, exclude: np.ndarray | None = None) -> R
     return RearrangedProfile(t, fstar, fstarstar, area)
 
 
+def _check_exponents(p: float, q: float) -> None:
+    if not 1.0 < p < np.inf:
+        raise ValueError(f"Lorentz exponent p={p} outside (1, inf)")
+    if not 1.0 <= q:
+        raise ValueError(f"Lorentz exponent q={q} outside [1, inf]")
+
+
 def lorentz_norm(profile: RearrangedProfile, p: float, q: float) -> float:
     """Lorentz norm ||t^{1/p} f**||_{L^q(dt/t)} of a rearranged profile.
 
     p must lie in (1, inf); q in [1, inf] (numpy.inf for the weak norm).
     """
-    if not 1.0 < p < np.inf:
-        raise ValueError(f"Lorentz exponent p={p} outside (1, inf)")
-    if not 1.0 <= q:
-        raise ValueError(f"Lorentz exponent q={q} outside [1, inf]")
+    _check_exponents(p, q)
     t, fss = profile.t, profile.fstarstar
     if np.isinf(q):
         return float(np.max(t ** (1.0 / p) * fss))

@@ -10,6 +10,7 @@ import pytest
 
 from willmore_lab import cli
 from willmore_lab import diskgrid as dg
+from willmore_lab import flow as fl
 from willmore_lab import reports as rp
 from willmore_lab.diskgrid import Grid
 
@@ -103,9 +104,9 @@ class TestRefine:
 class TestInputBoundary:
     """Bad input ends in one stderr line and exit code 2, not a traceback."""
 
-    def check_rejected(self, capsys, tmp_path, surface="plane"):
+    def check_rejected(self, capsys, tmp_path, surface="plane", argv=None):
         out = tmp_path / "r.json"
-        rc = run_cli(["verify", "--surface", surface, "--n", "33", "--out", str(out)])
+        rc = run_cli(argv or ["verify", "--surface", surface, "--n", "33", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("willmore-lab: error: ") and len(err.splitlines()) == 1
@@ -116,7 +117,20 @@ class TestInputBoundary:
         assert "rho=abc" in self.check_rejected(capsys, tmp_path, "sphere:rho=abc")
 
     def test_surface_parameter_unknown(self, capsys, tmp_path):
-        assert "radius" in self.check_rejected(capsys, tmp_path, "sphere:radius=2")
+        # the name and the parameter values are checked against the catalog too
+        for surface, word in (("sphere:radius=2", "radius"), ("torus", "torus"),
+                              ("sphere:rho=-1", "rho"), ("perturbed-torus", "torus")):
+            assert word in self.check_rejected(capsys, tmp_path, surface)
+
+    def test_field_file_and_exponent(self, capsys, tmp_path):
+        good, short, stub = tmp_path / "f.bin", tmp_path / "short.bin", tmp_path / "stub.bin"
+        dg.write_field(good, Grid(0.5, 33), np.ones((33, 33)))
+        short.write_bytes(good.read_bytes()[:-8])
+        stub.write_bytes(good.read_bytes()[:5])
+        for field, p, word in ((tmp_path / "missing.bin", "2", "missing.bin"), (short, "2", "short.bin"),
+                               (stub, "2", "stub.bin"), (good, "1", "p=1")):
+            argv = ["lorentz", "--field", str(field), "--p", p, "--q", "inf"]
+            assert word in self.check_rejected(capsys, tmp_path, argv=argv)
 
     def test_thread_count_not_integer(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("WILLMORE_LAB_THREADS", "abc")
@@ -168,6 +182,25 @@ class TestFlowCommand:
         assert all(b <= a for a, b in zip(energies, energies[1:]))
         summary = json.loads((tmp_path / "trace.csv.json").read_text())
         assert summary["final_energy"] <= summary["initial_energy"]
+
+    def test_initial_geometry_built_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in (("make_bundle", counting(cli.make_bundle)), ("ps_norm", counting(cli.ps_norm))):
+            monkeypatch.setattr(cli, name, fn)
+            monkeypatch.setattr(fl, name, fn)
+        rc = run_cli([
+            "flow", "--surface", "perturbed-catenoid:seed=0,amplitude=0.05", "--n", "33",
+            "--max-iters", "0", "--stop-ratio", "0.2", "--out", str(tmp_path / "trace.csv"),
+        ])
+        assert rc == 0
+        assert sorted(calls) == ["make_bundle", "ps_norm"]
 
     def test_checkpoint_binary_field(self, tmp_path):
         out = tmp_path / "trace.csv"

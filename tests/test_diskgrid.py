@@ -150,8 +150,56 @@ class TestPoissonDirichlet:
         rng = np.random.default_rng(3)
         rhs = rng.normal(size=(65, 65)) + 1j * rng.normal(size=(65, 65))
         u = dg.poisson_dirichlet(g, rhs)
-        assert np.allclose(u.real, dg.poisson_dirichlet(g, rhs.real))
-        assert np.allclose(u.imag, dg.poisson_dirichlet(g, rhs.imag))
+        assert np.array_equal(u.real, dg.poisson_dirichlet(g, rhs.real))
+        assert np.array_equal(u.imag, dg.poisson_dirichlet(g, rhs.imag))
+
+    def test_non_finite_slice_raises(self):
+        g = Grid(0.5, 33)
+        rhs = np.random.default_rng(4).normal(size=(33, 33, 3))
+        for bad in (np.nan, np.inf):
+            rhs[10, 12, 1] = bad
+            with pytest.raises(dg.SolverError):
+                dg.poisson_dirichlet(g, rhs)
+
+    def test_residual_normalized_per_slice(self):
+        # a defect in the small slice hides under the large slice's scale
+        # unless every slice is normalized by its own data
+        g = Grid(0.5, 33)
+        rhs = np.random.default_rng(5).normal(size=(33, 33, 2))
+        rhs[..., 0] *= 1e12
+        u = dg.poisson_dirichlet(g, rhs)
+        u[16, 16, 1] += 1e-6 * np.max(np.abs(u[..., 1]))
+        assert dg._five_point_residual(g, u, rhs) > 1e-10
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_stacked_solves_equal_per_slice_calls(complex_data):
+    n, k = 33, 4
+    g = Grid(0.5, n)
+    rng = np.random.default_rng(6)
+
+    def sample(*shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if complex_data else x
+
+    rhs, bc = sample(n, n, k), sample(n, n, k)
+    u = dg.poisson_dirichlet(g, rhs, bc)
+    fluxes = [sample(n, k) for _ in range(4)]
+    v, compat = dg.poisson_neumann(g, rhs, *fluxes)
+    assert compat.shape == (k,)
+    for j in range(k):
+        assert np.array_equal(u[..., j], dg.poisson_dirichlet(g, rhs[..., j], bc[..., j]))
+        vj, cj = dg.poisson_neumann(g, rhs[..., j], *(f[:, j] for f in fluxes))
+        assert np.array_equal(v[..., j], vj)
+        assert isinstance(cj, float) and compat[j] == cj
+    G = sample(2, n, n, k)
+    for potential in (dg.grad_potential, dg.curl_potential):
+        res = potential(g, G)
+        parts = [potential(g, G[..., j]) for j in range(k)]
+        assert np.array_equal(res.u, np.stack([p.u for p in parts], axis=-1))
+        assert res.defect == pytest.approx(np.sqrt(sum(p.defect**2 for p in parts)), rel=1e-14)
+        assert res.compat_defect == max(p.compat_defect for p in parts)
+        assert res.warning == any(p.warning for p in parts)
 
 
 class TestNeumannAndPotentials:
