@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
 import os
 import sys
@@ -48,9 +47,10 @@ def _base_surface(name: str, params: dict) -> tuple[str, dict]:
     return kind, {k: v for k, v in params.items() if kind == name or k not in ("seed", "amplitude")}
 
 
-def _parse_surface(arg: str) -> tuple[str, dict]:
-    """Parse 'name' or 'name:key=value,...' (JSON values) and check the keys
-    against the catalog; bad input raises ValueError with a one-line message."""
+def _parse_surface(arg: str, m: int) -> tuple[str, dict]:
+    """Parse 'name' or 'name:key=value,...' (JSON values) and check the name,
+    m and the parameters against the catalog record; bad input raises
+    ValueError with a one-line message."""
     name, _, tail = arg.partition(":")
     name = name.replace("-", "_")
     params: dict = {}
@@ -62,11 +62,7 @@ def _parse_surface(arg: str) -> tuple[str, dict]:
             except json.JSONDecodeError:
                 raise ValueError(f"--surface {arg}: {key.strip()}={value} is not a JSON value") from None
     kind, shape = _base_surface(name, params)
-    try:
-        _check_surface(kind, shape)
-        inspect.signature(CATALOG[kind]).bind(None, 3, **shape)  # (grid, m, **params)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"--surface {arg}: {exc}") from None
+    _check_surface(kind, m, shape)
     return name, params
 
 
@@ -318,8 +314,11 @@ def main(argv: list[str] | None = None) -> int:
     if sorted(args.n) != args.n:
         parser.error("--n values must be increasing")
     try:
+        if hasattr(args, "s"):
+            for n in args.n:
+                Grid(args.s, n)
         if hasattr(args, "surface"):
-            args.kind, args.params = _parse_surface(args.surface)
+            args.kind, args.params = _parse_surface(args.surface, args.m)
         if hasattr(args, "field"):
             lo._check_exponents(args.p, args.q)
             args.grid, args.values = read_field(args.field)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diskgrid as dg
-from .conservation import _grad_H, assemble_Q, dz_L0_closed_form, surface_scale
+from .conservation import _H0cH, _grad_H, assemble_Q, dz_L0_closed_form, surface_scale
 from .immersion import GeometryBundle
 
 __all__ = [
@@ -85,7 +85,7 @@ def codazzi_residual(bundle: GeometryBundle) -> float:
     """
     grid = bundle.grid
     e2lam = bundle.elam**2
-    H0cH = np.sum(np.conj(bundle.H0) * bundle.H, axis=-1)
+    H0cH = bundle.derived(_H0cH)
     lhs = dg.dzstar(grid, e2lam * H0cH) / e2lam
     rhs = np.sum(bundle.H * dg.dz(grid, bundle.H), axis=-1)
     rhs = rhs + np.sum(np.conj(bundle.H0) * dg.dzstar(grid, bundle.H), axis=-1)
@@ -124,7 +124,7 @@ def extract_A_f(bundle: GeometryBundle, L: np.ndarray | None = None) -> Conforma
     mean-zero Neumann solve, whose defect is reported.
     """
     grid = bundle.grid
-    H0cH = np.sum(np.conj(bundle.H0) * bundle.H, axis=-1)
+    H0cH = bundle.derived(_H0cH)
     if L is not None:
         dzL = dg.dz(grid, L)
         A = 2.0 * np.sum(dzL * bundle.ez, axis=-1)

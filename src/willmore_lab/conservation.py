@@ -73,6 +73,10 @@ def _grad_H(bundle: GeometryBundle) -> np.ndarray:
     return dg.grad(bundle.grid, bundle.H)
 
 
+def _H0cH(bundle: GeometryBundle) -> np.ndarray:
+    return np.sum(np.conj(bundle.H0) * bundle.H, axis=-1)
+
+
 def assemble_Q(bundle: GeometryBundle) -> np.ndarray:
     """Q = grad H - 3 pi_n(grad H) + star(grad_perp n ^ H), shape (2, n, n, m)."""
     grid, m = bundle.grid, bundle.m
@@ -158,7 +162,7 @@ def dz_L0_closed_form(bundle: GeometryBundle) -> np.ndarray:
     """Closed complex form of dz L0: -2i e^lam (H0* . H) e_{z*} - 2i pi_n(dz H)."""
     grid = bundle.grid
     dzH = dg.dz(grid, bundle.H)
-    H0cH = np.sum(np.conj(bundle.H0) * bundle.H, axis=-1)
+    H0cH = bundle.derived(_H0cH)
     return -2j * (bundle.elam * H0cH)[..., None] * bundle.ezstar - 2j * bundle.project_normal(dzH)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from typing import Any, Callable
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "ImmersionPatch",
     "GeometryBundle",
     "Jet",
+    "Surface",
     "make_surface",
     "load_surface_spec",
     "perturb_normal",
@@ -83,7 +85,6 @@ class ImmersionPatch:
     phi: np.ndarray
     jets: JetFn | None = None
     label: str = "surface"
-    params: dict = field(default_factory=dict)
 
     def jet(self) -> Jet:
         """Analytic jet when available, second-order FD jet otherwise."""
@@ -140,7 +141,7 @@ def _jet3(m, phi, d1, d2, d11, d12, d22) -> Jet:
 # Catalog surfaces
 # ---------------------------------------------------------------------------
 
-def _plane_jets(m: int) -> JetFn:
+def _plane_jets(grid: Grid, m: int) -> JetFn:
     def jets(X1, X2):
         shp = X1.shape + (3,)
         phi = np.zeros(shp)
@@ -155,7 +156,7 @@ def _plane_jets(m: int) -> JetFn:
     return jets
 
 
-def _sphere_jets(m: int, rho: float) -> JetFn:
+def _sphere_jets(grid: Grid, m: int, rho: float) -> JetFn:
     # inverse stereographic projection, e^lambda = 2 rho / (1 + |x|^2)
     def jets(X1, X2):
         u = 1.0 + X1**2 + X2**2
@@ -189,7 +190,7 @@ def _sphere_jets(m: int, rho: float) -> JetFn:
     return jets
 
 
-def _cylinder_jets(m: int, rho: float) -> JetFn:
+def _cylinder_jets(grid: Grid, m: int, rho: float) -> JetFn:
     def jets(X1, X2):
         t = X1 / rho
         c, s = np.cos(t), np.sin(t)
@@ -208,7 +209,7 @@ def _cylinder_jets(m: int, rho: float) -> JetFn:
     return jets
 
 
-def _catenoid_jets(m: int) -> JetFn:
+def _catenoid_jets(grid: Grid, m: int) -> JetFn:
     def jets(X1, X2):
         c1, s1 = np.cos(X1), np.sin(X1)
         ch, sh = np.cosh(X2), np.sinh(X2)
@@ -230,7 +231,7 @@ def _catenoid_jets(m: int) -> JetFn:
     return jets
 
 
-def _enneper_jets(m: int) -> JetFn:
+def _enneper_jets(grid: Grid, m: int) -> JetFn:
     # Phi = (u - u^3/3 + u v^2, -(v - v^3/3 + v u^2), u^2 - v^2), e^lambda = 1 + u^2 + v^2
     def jets(U, V):
         shp = U.shape + (3,)
@@ -266,7 +267,7 @@ def _enneper_jets(m: int) -> JetFn:
 _SQRT2 = np.sqrt(2.0)
 
 
-def _clifford_jets(m: int) -> JetFn:
+def _clifford_jets(grid: Grid, m: int) -> JetFn:
     # Torus of revolution with radii (sqrt 2, 1); the profile coordinate is
     # reparametrized by arc length of the conformal structure,
     # v(t) = 2 atan((sqrt 2 + 1) tan(t/2)), which integrates dv/dt = sqrt 2 + cos v
@@ -300,7 +301,7 @@ def _clifford_jets(m: int) -> JetFn:
     return jets
 
 
-def _graph_jets(m: int, seed: int, amplitude: float, s: float) -> JetFn:
+def _graph_jets(grid: Grid, m: int, seed: int, amplitude: float) -> JetFn:
     """Plane plus seeded smooth Gaussian bumps in each normal coordinate."""
     rng = np.random.default_rng(seed)
     n_normal = m - 2
@@ -311,9 +312,9 @@ def _graph_jets(m: int, seed: int, amplitude: float, s: float) -> JetFn:
             [
                 (
                     float(rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])),
-                    float(rng.uniform(-0.5 * s, 0.5 * s)),
-                    float(rng.uniform(-0.5 * s, 0.5 * s)),
-                    float(rng.uniform(s / 3.0, s / 2.0)),
+                    float(rng.uniform(-0.5 * grid.s, 0.5 * grid.s)),
+                    float(rng.uniform(-0.5 * grid.s, 0.5 * grid.s)),
+                    float(rng.uniform(grid.s / 3.0, grid.s / 2.0)),
                 )
                 for _ in range(k)
             ]
@@ -346,43 +347,64 @@ def _graph_jets(m: int, seed: int, amplitude: float, s: float) -> JetFn:
     return jets
 
 
-def _check_surface(kind: str, params: dict) -> None:
-    """Raise ValueError unless kind is a catalog surface with positive rho/amplitude."""
+@dataclass(frozen=True)
+class Surface:
+    """Catalog record: the factory jets(grid, m, **params), the parameter defaults
+    (whose types fix the accepted values: int >= 0, float finite > 0), the report
+    keys verify does not threshold (None: no key) and expected_f(params) (None: f = 0)."""
+
+    jets: Callable[..., JetFn]
+    params: dict[str, Any] = field(default_factory=dict)
+    exempt: frozenset[str] | None = frozenset()
+    expected_f: Callable[[dict], float] | None = None
+
+    @property
+    def willmore(self) -> bool:
+        """Willmore surfaces have their Willmore residual divQ_inf thresholded."""
+        return self.exempt is not None and "divQ_inf" not in self.exempt
+
+
+def _check_surface(kind: str, m: int, params: dict) -> Surface:
+    """The catalog record of kind; ValueError unless m and params fit it."""
     if kind not in CATALOG:
         raise ValueError(f"unknown surface {kind!r}; have {sorted(CATALOG)}")
-    for name in ("rho", "amplitude"):
-        if params.get(name, 1.0) <= 0.0:
-            raise ValueError(f"parameter {name} must be positive")
+    if not 3 <= m <= mv.MAX_DIM:
+        raise ValueError(f"ambient dimension m={m} outside 3..{mv.MAX_DIM}")
+    record = CATALOG[kind]
+    for name, value in params.items():
+        if name not in record.params:
+            raise ValueError(f"surface {kind} has no parameter {name!r}; it takes {sorted(record.params)}")
+        if isinstance(record.params[name], int):
+            if not isinstance(value, Integral) or value < 0:
+                raise ValueError(f"surface {kind} parameter {name} must be a non-negative integer, got {value!r}")
+        elif not isinstance(value, Real) or not 0.0 < value < np.inf:
+            raise ValueError(f"surface {kind} parameter {name} must be finite and positive, got {value!r}")
+    return record
 
 
 def make_surface(kind: str, grid: Grid, m: int = 3, **params) -> ImmersionPatch:
-    """Construct a catalog surface patch on the given grid.
-
-    Kinds: plane, sphere(rho), cylinder(rho), catenoid, enneper,
-    clifford_torus_patch, graph_perturbation(seed, amplitude).
-    """
-    if m < 3 or m > mv.MAX_DIM:
-        raise ValueError(f"ambient dimension m={m} outside 3..{mv.MAX_DIM}")
+    """Construct the ``CATALOG`` surface ``kind`` on the given grid; parameters
+    left out take their defaults, the others are checked by _check_surface."""
     kind = kind.replace("-", "_")
-    _check_surface(kind, params)
-    builder = CATALOG[kind]
-    jets = builder(grid=grid, m=m, **params)
-    X1, X2 = grid.nodes()
-    jet0 = jets(X1, X2)
+    record = _check_surface(kind, m, params)
+    jets = record.jets(grid, m, **{**record.params, **params})
+    jet0 = jets(*grid.nodes())
     if not np.all(np.isfinite(jet0.phi)):
         raise ValueError(f"surface {kind} is not finite on this grid")
     label = kind if not params else kind + "(" + ",".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
-    return ImmersionPatch(grid=grid, m=m, phi=jet0.phi, jets=jets, label=label, params=dict(params, m=m))
+    return ImmersionPatch(grid=grid, m=m, phi=jet0.phi, jets=jets, label=label)
 
 
-CATALOG: dict[str, Callable[..., JetFn]] = {
-    "plane": lambda grid, m: _plane_jets(m),
-    "sphere": lambda grid, m, rho=1.0: _sphere_jets(m, rho),
-    "cylinder": lambda grid, m, rho=1.0: _cylinder_jets(m, rho),
-    "catenoid": lambda grid, m: _catenoid_jets(m),
-    "enneper": lambda grid, m: _enneper_jets(m),
-    "clifford_torus_patch": lambda grid, m: _clifford_jets(m),
-    "graph_perturbation": lambda grid, m, seed=0, amplitude=0.05: _graph_jets(m, seed, amplitude, grid.s),
+CATALOG: dict[str, Surface] = {
+    "plane": Surface(_plane_jets),
+    "sphere": Surface(_sphere_jets, {"rho": 1.0}),
+    "cylinder": Surface(_cylinder_jets, {"rho": 1.0}, frozenset({"divQ_inf", "L_defect"}), lambda p: 0.5 / p["rho"] ** 2),
+    "catenoid": Surface(_catenoid_jets),
+    "enneper": Surface(_enneper_jets),
+    "clifford_torus_patch": Surface(_clifford_jets, exempt=frozenset({"f_holo_defect"})),
+    # negative control: only approximately conformal, so every identity has
+    # a conformality-defect floor and nothing is thresholded
+    "graph_perturbation": Surface(_graph_jets, {"seed": 0, "amplitude": 0.05}, exempt=None),
 }
 
 

@@ -23,27 +23,24 @@ like 1/(4 rho^3) on the cylinder are read off directly):
 
 Informational keys (never thresholded): f_inf, cw_resid_zero,
 gradn_energy, conformal_defect, willmore_energy.  Expected-nonzero keys
-per catalog surface are declared in SURFACE_INFO so that verification
-semantics stay data driven.
+are declared per surface by the ``exempt`` field of its
+``immersion.CATALOG`` record, so that verification semantics stay data
+driven.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import confwillmore as cwmod
 from . import conservation as cons
 from . import diskgrid as dg
-from .immersion import GeometryBundle, ImmersionPatch, make_bundle, willmore_energy
+from .immersion import CATALOG, GeometryBundle, ImmersionPatch, make_bundle, willmore_energy
 
 __all__ = [
     "REPORT_KEYS",
     "INFORMATIONAL_KEYS",
-    "SURFACE_INFO",
     "DEFAULT_THRESHOLDS",
-    "SurfaceInfo",
     "residual_report",
     "check_report",
     "refinement_ratios",
@@ -95,33 +92,6 @@ DEFAULT_THRESHOLDS: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class SurfaceInfo:
-    """Verification metadata for a catalog surface."""
-
-    willmore: bool
-    exempt: frozenset[str] = field(default_factory=frozenset)
-    # expected constant value of the extracted quadratic differential, as a
-    # function of the surface parameters (None: f is expected to vanish)
-    expected_f: object = None
-
-
-SURFACE_INFO: dict[str, SurfaceInfo] = {
-    "plane": SurfaceInfo(willmore=True),
-    "sphere": SurfaceInfo(willmore=True),
-    "catenoid": SurfaceInfo(willmore=True),
-    "enneper": SurfaceInfo(willmore=True),
-    "clifford_torus_patch": SurfaceInfo(willmore=True, exempt=frozenset({"f_holo_defect"})),
-    "cylinder": SurfaceInfo(
-        willmore=False,
-        exempt=frozenset({"divQ_inf", "L_defect"}),
-        expected_f=lambda params: 0.5 / params.get("rho", 1.0) ** 2,
-    ),
-    # negative-control surface: only approximately conformal, so every
-    # identity has a conformality-defect floor and nothing is thresholded
-    "graph_perturbation": SurfaceInfo(willmore=False, exempt=frozenset(REPORT_KEYS)),
-}
-
 #: sentinel for refinement ratios of exactly-zero keys
 FLOOR = "floor"
 
@@ -172,16 +142,20 @@ def check_report(
     kind: str,
     thresholds: dict[str, float] | None = None,
 ) -> dict[str, tuple[float, float]]:
-    """Threshold check honoring catalog exemptions.
+    """Threshold check honoring the exemptions of the catalog record of kind.
 
     Returns {key: (value, threshold)} for every violated key; empty
-    means pass.  Unknown surfaces are treated as fully thresholded.
+    means pass.  Names outside the catalog (perturbed_<name> included)
+    are fully thresholded; a record with ``exempt=None`` (the
+    graph_perturbation control) is not thresholded at all.
     """
     thresholds = dict(DEFAULT_THRESHOLDS if thresholds is None else thresholds)
-    info = SURFACE_INFO.get(kind, SurfaceInfo(willmore=False))
+    exempt = CATALOG[kind].exempt if kind in CATALOG else frozenset()
+    if exempt is None:
+        return {}
     failures: dict[str, tuple[float, float]] = {}
     for key, bound in thresholds.items():
-        if key in INFORMATIONAL_KEYS or key in info.exempt or key not in report:
+        if key in INFORMATIONAL_KEYS or key in exempt or key not in report:
             continue
         if not np.isfinite(report[key]) or report[key] > bound:
             failures[key] = (report[key], bound)

@@ -119,8 +119,16 @@ class TestInputBoundary:
     def test_surface_parameter_unknown(self, capsys, tmp_path):
         # the name and the parameter values are checked against the catalog too
         for surface, word in (("sphere:radius=2", "radius"), ("torus", "torus"),
-                              ("sphere:rho=-1", "rho"), ("perturbed-torus", "torus")):
+                              ("sphere:rho=-1", "rho"), ("perturbed-torus", "torus"),
+                              ("graph_perturbation:seed=1.5", "seed"), ("sphere:rho=1e400", "rho")):
             assert word in self.check_rejected(capsys, tmp_path, surface)
+
+    def test_grid_and_dimension(self, capsys, tmp_path):
+        # checked in main, not in a worker thread
+        for grid_args, word in ((["--n", "33", "--m", "7"], "m=7"), (["--n", "3"], "n=3"),
+                                (["--n", "33", "--s", "0.9"], "s=0.9")):
+            argv = ["verify", "--surface", "plane", *grid_args, "--out", str(tmp_path / "r.json")]
+            assert word in self.check_rejected(capsys, tmp_path, argv=argv)
 
     def test_field_file_and_exponent(self, capsys, tmp_path):
         good, short, stub = tmp_path / "f.bin", tmp_path / "short.bin", tmp_path / "stub.bin"

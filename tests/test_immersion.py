@@ -24,6 +24,10 @@ ALL_KINDS = [
 ]
 
 
+def test_all_kinds_cover_the_catalog():
+    assert {kind for kind, _ in ALL_KINDS} == set(im.CATALOG)
+
+
 @pytest.mark.parametrize("kind,params", ALL_KINDS)
 def test_analytic_jets_match_finite_differences(kind, params):
     errs = []
@@ -283,6 +287,13 @@ class TestConstructionInterfaces:
     def test_nonpositive_parameter_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             im.make_surface("sphere", G65, rho=-1.0)
+
+    def test_parameters_checked_against_the_record(self):
+        # names must be declared; values take the type of their default
+        for kind, params in (("sphere", {"radius": 2.0}), ("graph_perturbation", {"seed": 1.5}),
+                             ("sphere", {"rho": float("inf")})):
+            with pytest.raises(ValueError):
+                im.make_surface(kind, G65, **params)
 
     def test_ambient_dimension_bounds(self):
         with pytest.raises(ValueError):

@@ -41,7 +41,7 @@ def counting(monkeypatch, name):
 
 
 def test_report_computes_shared_quantities_once(monkeypatch):
-    names = ("assemble_Q", "recover_L", "surface_scale", "dz_L0_closed_form")
+    names = ("assemble_Q", "recover_L", "surface_scale", "dz_L0_closed_form", "_H0cH")
     calls = {name: counting(monkeypatch, name) for name in names}
     rp.residual_report(im.make_surface("sphere", G65, rho=1.0))
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 1)
@@ -67,6 +67,18 @@ def test_cylinder_exemptions():
     assert "divQ_inf" in failures and "L_defect" in failures
 
 
+def test_exemptions_per_surface():
+    # every thresholded key fails unless the surface's record exempts it
+    report = {key: 2.0 * bound for key, bound in rp.DEFAULT_THRESHOLDS.items()}
+    every = set(rp.DEFAULT_THRESHOLDS)
+    fully_checked = ("plane", "sphere", "catenoid", "enneper", "perturbed_sphere", "unknown-surface")
+    expected = dict.fromkeys(fully_checked, every)
+    expected.update(clifford_torus_patch=every - {"f_holo_defect"},
+                    cylinder=every - {"divQ_inf", "L_defect"}, graph_perturbation=set())
+    for kind, keys in expected.items():
+        assert set(rp.check_report(report, kind)) == keys, kind
+
+
 def test_informational_keys_never_fail(sphere_report):
     tight = {k: 1e-300 for k in rp.INFORMATIONAL_KEYS}
     assert rp.check_report(sphere_report, "sphere", thresholds=tight) == {}
@@ -79,9 +91,9 @@ def test_nonfinite_value_fails():
 
 
 def test_expected_f_metadata():
-    info = rp.SURFACE_INFO["cylinder"]
+    info = im.CATALOG["cylinder"]
     assert info.expected_f({"rho": 2.0}) == pytest.approx(0.125)
-    assert rp.SURFACE_INFO["sphere"].expected_f is None
+    assert im.CATALOG["sphere"].expected_f is None
 
 
 def test_refinement_ratios_with_floor_sentinel():
@@ -94,5 +106,5 @@ def test_refinement_ratios_with_floor_sentinel():
 
 
 def test_willmore_flags():
-    assert rp.SURFACE_INFO["clifford_torus_patch"].willmore
-    assert not rp.SURFACE_INFO["cylinder"].willmore
+    assert im.CATALOG["clifford_torus_patch"].willmore
+    assert not im.CATALOG["cylinder"].willmore
