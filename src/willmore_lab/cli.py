@@ -24,7 +24,7 @@ from . import lorentz as lo
 from . import reports as rp
 from .diskgrid import Grid, read_field
 from .flow import ps_norm, run as flow_run
-from .immersion import CATALOG, _check_surface, make_bundle, make_surface, perturb_normal
+from .immersion import CATALOG, make_bundle, make_surface, perturb_normal
 from .reports import DEFAULT_THRESHOLDS, FLOOR, REPORT_KEYS
 
 __all__ = ["main"]
@@ -41,16 +41,9 @@ def _max_workers() -> int:
         raise ValueError(f"WILLMORE_LAB_THREADS must be an integer, got {env!r}") from None
 
 
-def _base_surface(name: str, params: dict) -> tuple[str, dict]:
-    """Catalog kind and its parameters; perturbed_<kind> keeps seed and amplitude for the bump."""
-    kind = name.removeprefix("perturbed_")
-    return kind, {k: v for k, v in params.items() if kind == name or k not in ("seed", "amplitude")}
-
-
-def _parse_surface(arg: str, m: int) -> tuple[str, dict]:
-    """Parse 'name' or 'name:key=value,...' (JSON values) and check the name,
-    m and the parameters against the catalog record; bad input raises
-    ValueError with a one-line message."""
+def _parse_surface(arg: str) -> tuple[str, dict]:
+    """Parse 'name' or 'name:key=value,...' (JSON values); a value that is not
+    JSON raises ValueError with a one-line message."""
     name, _, tail = arg.partition(":")
     name = name.replace("-", "_")
     params: dict = {}
@@ -61,18 +54,18 @@ def _parse_surface(arg: str, m: int) -> tuple[str, dict]:
                 params[key.strip()] = json.loads(value)
             except json.JSONDecodeError:
                 raise ValueError(f"--surface {arg}: {key.strip()}={value} is not a JSON value") from None
-    kind, shape = _base_surface(name, params)
-    _check_surface(kind, m, shape)
     return name, params
 
 
 def _patched(name: str, params: dict, s: float, n: int, m: int, seed: int):
-    kind, shape = _base_surface(name, params)
-    patch = make_surface(kind, Grid(s, n), m=m, **shape)
-    if kind == name:
+    """The parsed --surface on Grid(s, n); perturbed_<kind> hands seed and amplitude to the bump.
+    make_surface and perturb_normal check the name, m and every parameter (ValueError)."""
+    kind = name.removeprefix("perturbed_")
+    bump = ("seed", "amplitude") if kind != name else ()
+    patch = make_surface(kind, Grid(s, n), m=m, **{k: v for k, v in params.items() if k not in bump})
+    if not bump:
         return patch
-    return perturb_normal(patch, seed=int(params.get("seed", seed)),
-                          amplitude=float(params.get("amplitude", 0.05)))
+    return perturb_normal(patch, seed=params.get("seed", seed), amplitude=params.get("amplitude", 0.05))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -95,24 +88,20 @@ def _write_rows_csv(path, rows: list[dict]) -> None:
 
 
 def _report_items(args) -> list[dict]:
-    jobs = [(args.kind, args.params, args.s, n, args.m) for n in args.n]
-
-    def work(job):
-        jname, jparams, s, n, m = job
-        patch = _patched(jname, jparams, s, n, m, args.seed)
+    def work(patch):
         report = rp.residual_report(patch)
         return {
             "surface": patch.label,
-            "kind": jname,
-            "params": jparams,
-            "m": m,
-            "n": n,
-            "s": s,
+            "kind": args.kind,
+            "params": args.params,
+            "m": args.m,
+            "n": patch.grid.n,
+            "s": args.s,
             "keys": {k: float(v) for k, v in sorted(report.items())},
         }
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        return list(pool.map(work, jobs))
+        return list(pool.map(work, args.patches))
 
 
 def cmd_verify(args) -> int:
@@ -222,7 +211,7 @@ def cmd_lorentz(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    patch = _patched(args.kind, args.params, args.s, args.n[0], args.m, args.seed)
+    patch = args.patches[0]
     bundle = make_bundle(patch)
     stop = 0.0
     if args.stop_ratio > 0.0:
@@ -308,17 +297,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "n", None) is None:
         args.n = [65]
-    for n in args.n:
-        if n % 2 == 0:
-            parser.error(f"--n must be odd, got {n}")
-    if sorted(args.n) != args.n:
-        parser.error("--n values must be increasing")
     try:
+        if any(a >= b for a, b in zip(args.n, args.n[1:])):
+            raise ValueError(f"--n values must be increasing, got {args.n}")
         if hasattr(args, "s"):
             for n in args.n:
                 Grid(args.s, n)
         if hasattr(args, "surface"):
-            args.kind, args.params = _parse_surface(args.surface, args.m)
+            # workers only run reports: every patch is built, and checked, here
+            args.kind, args.params = _parse_surface(args.surface)
+            args.patches = [_patched(args.kind, args.params, args.s, n, args.m, args.seed) for n in args.n]
         if hasattr(args, "field"):
             lo._check_exponents(args.p, args.q)
             args.grid, args.values = read_field(args.field)

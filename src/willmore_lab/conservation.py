@@ -56,7 +56,6 @@ __all__ = [
     "sr_system_residual",
     "phi_identity_residual",
     "LRecovery",
-    "L0Data",
     "SRData",
 ]
 
@@ -147,17 +146,6 @@ def recover_L(bundle: GeometryBundle) -> LRecovery:
     return LRecovery(res.u, res.defect / bundle.derived(surface_scale), res.defect, res.compat_defect)
 
 
-@dataclass(frozen=True)
-class L0Data:
-    """The defining combination grad_perp L0 (== Q) against its closed form."""
-
-    gradperp_L0: np.ndarray    # (2, n, n, m); the Q-combination itself
-    dz_closed: np.ndarray      # -2i e^lam (H0*.H) e_{z*} - 2i pi_n(dz H)
-    consistency: float         # normalized interior sup of the mismatch
-    L0: np.ndarray             # curl potential of the combination
-    L0_defect: float
-
-
 def dz_L0_closed_form(bundle: GeometryBundle) -> np.ndarray:
     """Closed complex form of dz L0: -2i e^lam (H0* . H) e_{z*} - 2i pi_n(dz H)."""
     grid = bundle.grid
@@ -166,20 +154,17 @@ def dz_L0_closed_form(bundle: GeometryBundle) -> np.ndarray:
     return -2j * (bundle.elam * H0cH)[..., None] * bundle.ezstar - 2j * bundle.project_normal(dzH)
 
 
-def assemble_L0(bundle: GeometryBundle) -> L0Data:
-    """Assemble grad_perp L0 both ways and report their mutual residual.
+def assemble_L0(bundle: GeometryBundle) -> float:
+    """Assemble grad_perp L0 both ways; their normalized interior sup mismatch.
 
     The defining combination is Q itself written as a rotated gradient,
     whose dz-transcription is (1/2)(Q_2 + i Q_1); the closed form comes
-    from the complex frame identities.  L0 is the curl potential of
-    recover_L on the same bundle.
+    from the complex frame identities.
     """
     Q = bundle.derived(assemble_Q)
     W = 0.5 * (Q[1] + 1j * Q[0])
     Z0 = bundle.derived(dz_L0_closed_form)
-    consistency = dg._interior_sup(bundle.grid, W - Z0) / bundle.derived(surface_scale)
-    rec = bundle.derived(recover_L)
-    return L0Data(Q, Z0, consistency, rec.L, rec.defect)
+    return dg._interior_sup(bundle.grid, W - Z0) / bundle.derived(surface_scale)
 
 
 @dataclass(frozen=True)
@@ -190,8 +175,6 @@ class SRData:
     R: np.ndarray              # blade coefficients (n, n, 2**m), grade 2
     S_defect: float            # || grad S - grad Phi . L ||_L2 / scale
     R_defect: float
-    S_defect_abs: float
-    R_defect_abs: float
 
 
 def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
@@ -220,7 +203,7 @@ def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
     R = np.zeros(resR.u.shape[:-1] + (1 << m,))
     R[..., blades] = resR.u
     scale = bundle.derived(surface_scale)
-    return SRData(resS.u, R, resS.defect / scale, resR.defect / scale, resS.defect, resR.defect)
+    return SRData(resS.u, R, resS.defect / scale, resR.defect / scale)
 
 
 def sr_system_residual(

@@ -19,7 +19,6 @@ mean-zero normalization and the compatibility defect reported.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,7 +49,6 @@ __all__ = [
     "HodgeParts",
     "write_field",
     "read_field",
-    "write_field_csv",
 ]
 
 
@@ -92,11 +90,11 @@ class Grid:
         return np.meshgrid(x, x, indexing="ij")
 
     def interior_margin(self) -> int:
-        """Default cell offset of the identity-check window (>= 2)."""
+        """Cell offset of the identity-check window (>= 2)."""
         return max(2, int(round(0.04 * (self.n - 1))))
 
-    def interior(self, margin: int | None = None) -> tuple[slice, slice]:
-        m = self.interior_margin() if margin is None else margin
+    def interior(self) -> tuple[slice, slice]:
+        m = self.interior_margin()
         return (slice(m, self.n - m), slice(m, self.n - m))
 
 
@@ -167,13 +165,9 @@ def integrate(grid: Grid, f: np.ndarray) -> float | np.ndarray:
     return np.tensordot(W, f, axes=([0, 1], [0, 1]))
 
 
-def l2norm(grid: Grid, f: np.ndarray, region: tuple[slice, slice] | None = None) -> float:
-    """Discrete L2 norm sqrt(h^2 * sum |f|^2), optionally on a window.
-
-    Trailing axes (components) are folded into the norm.
-    """
-    v = f if region is None else f[region]
-    return float(np.sqrt(grid.h**2 * np.sum(np.abs(v) ** 2)))
+def l2norm(grid: Grid, f: np.ndarray) -> float:
+    """Discrete L2 norm sqrt(h^2 * sum |f|^2); trailing axes (components) fold in."""
+    return float(np.sqrt(grid.h**2 * np.sum(np.abs(f) ** 2)))
 
 
 def _interior_sup(grid: Grid, f: np.ndarray) -> float:
@@ -310,22 +304,22 @@ class PotentialResult:
     u: np.ndarray
     defect: float            # || reconstructed gradient - target ||_L2, components folded in
     compat_defect: float     # largest incompatible constant part of a slice's Neumann data
-    warning: bool            # some slice's compat defect above tol x the L2 norm of its target
 
 
-def _potential(grid: Grid, rhs, fw, fe, fs, fn, target, reconstruct, tol: float) -> PotentialResult:
+def _potential(grid: Grid, rhs, fw, fe, fs, fn, target, reconstruct) -> PotentialResult:
+    """Neumann-solve Laplace(u) = rhs with fluxes (fw, fe, fs, fn); the defect
+    compares reconstruct(u) with target, the compat defect is the worst slice's."""
     u, compat = poisson_neumann(grid, rhs, fw, fe, fs, fn)
-    defect = l2norm(grid, reconstruct(u) - target)
-    scale = np.maximum(np.sqrt(grid.h**2 * np.sum(np.abs(target) ** 2, axis=(0, 1, 2))), 1e-30)
-    return PotentialResult(u, defect, float(np.max(compat)), bool(np.any(compat > tol * scale)))
+    return PotentialResult(u, l2norm(grid, reconstruct(u) - target), float(np.max(compat)))
 
 
-def grad_potential(grid: Grid, G: np.ndarray, tol: float = 1e-6) -> PotentialResult:
+def grad_potential(grid: Grid, G: np.ndarray) -> PotentialResult:
     """Best-gradient potential: u with grad(u) ~ G.
 
     Solves Laplace(u) = div G with d_nu u = G . nu, mean zero, for every
     trailing slice of G (2, n, n, ...).  The defect ||grad u - G||_L2
-    measures how far G is from an exact gradient.
+    measures how far G is from an exact gradient; the compat defect of
+    the Neumann data is reported, never enforced.
     """
     return _potential(
         grid,
@@ -333,11 +327,10 @@ def grad_potential(grid: Grid, G: np.ndarray, tol: float = 1e-6) -> PotentialRes
         -G[0][0, :], G[0][-1, :], -G[1][:, 0], G[1][:, -1],
         G,
         lambda u: grad(grid, u),
-        tol,
     )
 
 
-def curl_potential(grid: Grid, G: np.ndarray, tol: float = 1e-6) -> PotentialResult:
+def curl_potential(grid: Grid, G: np.ndarray) -> PotentialResult:
     """Rotated-gradient potential: u with grad_perp(u) ~ G.
 
     Solves Laplace(u) = curl G with d_nu u = G . tau (tau the positively
@@ -352,7 +345,6 @@ def curl_potential(grid: Grid, G: np.ndarray, tol: float = 1e-6) -> PotentialRes
         -G[1][0, :], G[1][-1, :], G[0][:, 0], -G[0][:, -1],
         G,
         lambda u: grad_perp(grid, u),
-        tol,
     )
 
 
@@ -412,18 +404,3 @@ def read_field(path) -> tuple[Grid, np.ndarray]:
         raise ValueError(f"field file {path}: truncated, or header and {len(payload)}-byte payload disagree")
     values = np.frombuffer(payload, dtype="<f8").reshape(n, n, arity).astype(np.float64)
     return Grid(s, n), values
-
-
-def write_field_csv(path, grid: Grid, data: np.ndarray) -> None:
-    """Write a field as CSV rows x1, x2, v0, v1, ... for inspection."""
-    values = _flatten_values(data)
-    X1, X2 = grid.nodes()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2"] + [f"v{k}" for k in range(values.shape[-1])])
-        for i in range(grid.n):
-            for j in range(grid.n):
-                writer.writerow(
-                    [f"{X1[i, j]:.17g}", f"{X2[i, j]:.17g}"]
-                    + [f"{v:.17g}" for v in values[i, j]]
-                )

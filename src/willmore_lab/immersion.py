@@ -2,9 +2,9 @@
 first/second-order geometry.
 
 Every catalog surface ships analytic jets (position plus first and
-second derivatives at the nodes); finite-difference jets exist as a
-fallback for perturbed or file-loaded patches and are tested against
-the analytic ones.  All derived quantities follow the conformal-frame
+second derivatives at the nodes); finite-difference jets are the
+fallback for perturbed patches and are tested against the analytic
+ones.  All derived quantities follow the conformal-frame
 conventions:
 
     e^lambda = |d1 Phi|,   e_i = e^-lambda d_i Phi,
@@ -22,7 +22,6 @@ oriented by construction (so star(n ^ e1) = e2 holds on the nose).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from typing import Any, Callable
@@ -41,14 +40,12 @@ __all__ = [
     "Jet",
     "Surface",
     "make_surface",
-    "load_surface_spec",
     "perturb_normal",
     "conformal_factor",
     "frames",
     "second_fundamental",
     "make_bundle",
     "willmore_energy",
-    "export_bundle",
     "CATALOG",
 ]
 
@@ -374,12 +371,17 @@ def _check_surface(kind: str, m: int, params: dict) -> Surface:
     for name, value in params.items():
         if name not in record.params:
             raise ValueError(f"surface {kind} has no parameter {name!r}; it takes {sorted(record.params)}")
-        if isinstance(record.params[name], int):
-            if not isinstance(value, Integral) or value < 0:
-                raise ValueError(f"surface {kind} parameter {name} must be a non-negative integer, got {value!r}")
-        elif not isinstance(value, Real) or not 0.0 < value < np.inf:
-            raise ValueError(f"surface {kind} parameter {name} must be finite and positive, got {value!r}")
+        _check_value(kind, name, record.params[name], value)
     return record
+
+
+def _check_value(kind: str, name: str, default: Any, value: Any) -> None:
+    """ValueError unless value has the type of default: int >= 0, or float finite > 0."""
+    if isinstance(default, int):
+        if not isinstance(value, Integral) or value < 0:
+            raise ValueError(f"surface {kind} parameter {name} must be a non-negative integer, got {value!r}")
+    elif not isinstance(value, Real) or not 0.0 < value < np.inf:
+        raise ValueError(f"surface {kind} parameter {name} must be finite and positive, got {value!r}")
 
 
 def make_surface(kind: str, grid: Grid, m: int = 3, **params) -> ImmersionPatch:
@@ -388,7 +390,8 @@ def make_surface(kind: str, grid: Grid, m: int = 3, **params) -> ImmersionPatch:
     kind = kind.replace("-", "_")
     record = _check_surface(kind, m, params)
     jets = record.jets(grid, m, **{**record.params, **params})
-    jet0 = jets(*grid.nodes())
+    with np.errstate(all="ignore"):  # an overflow is reported by the check below
+        jet0 = jets(*grid.nodes())
     if not np.all(np.isfinite(jet0.phi)):
         raise ValueError(f"surface {kind} is not finite on this grid")
     label = kind if not params else kind + "(" + ",".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
@@ -408,20 +411,15 @@ CATALOG: dict[str, Surface] = {
 }
 
 
-def load_surface_spec(path) -> ImmersionPatch:
-    """Build a patch from a JSON file {type, params, m, grid: {s, n}}."""
-    with open(path) as fh:
-        spec = json.load(fh)
-    grid = Grid(float(spec["grid"]["s"]), int(spec["grid"]["n"]))
-    return make_surface(spec["type"], grid, m=int(spec.get("m", 3)), **spec.get("params", {}))
-
-
 def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05) -> ImmersionPatch:
     """Add a seeded smooth normal bump, windowed to vanish at the boundary.
 
     The result has no analytic jets; geometry falls back to FD.  Used to
-    produce off-critical starting points for the descent flow.
+    produce off-critical starting points for the descent flow.  seed and
+    amplitude are checked like the catalog parameters (ValueError).
     """
+    _check_value(f"perturbed-{patch.label}", "seed", 0, seed)
+    _check_value(f"perturbed-{patch.label}", "amplitude", 0.05, amplitude)
     bundle = frames(patch)
     grid = patch.grid
     X1, X2 = grid.nodes()
@@ -641,30 +639,3 @@ def willmore_energy(bundle: GeometryBundle) -> float:
     """Trapezoidal quadrature of |H|^2 e^{2 lambda} over the grid square."""
     density = np.sum(np.abs(bundle.H) ** 2, axis=-1) * bundle.area_density
     return float(dg.integrate(bundle.grid, density))
-
-
-def export_bundle(bundle: GeometryBundle, directory) -> dict[str, str]:
-    """Write the bundle's primary fields in the binary field format.
-
-    Returns {field name: path}.  Complex fields store interleaved
-    real/imaginary slots; curvature.bin packs (K_lambda, K_gauss).
-    """
-    from pathlib import Path
-
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = bundle.grid
-    fields = {
-        "phi": bundle.patch.phi,
-        "lambda": bundle.lam,
-        "mean_curvature": bundle.H,
-        "weingarten": bundle.H0,
-        "curvature": np.stack([bundle.K_lambda, bundle.K_gauss], axis=-1),
-        "gauss_map": bundle.gauss,
-    }
-    paths = {}
-    for name, data in fields.items():
-        path = out / f"{name}.bin"
-        dg.write_field(path, grid, data)
-        paths[name] = str(path)
-    return paths

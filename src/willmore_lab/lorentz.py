@@ -40,11 +40,6 @@ class RearrangedProfile:
     t: np.ndarray          # right endpoints of the cell-sized pieces, increasing
     fstar: np.ndarray      # non-increasing rearranged values
     fstarstar: np.ndarray  # running averages (1/t) int_0^t f*
-    cell_area: float
-
-    @property
-    def total_measure(self) -> float:
-        return float(self.t[-1])
 
 
 def rearrange(grid: Grid, f: np.ndarray, exclude: np.ndarray | None = None) -> RearrangedProfile:
@@ -62,10 +57,9 @@ def rearrange(grid: Grid, f: np.ndarray, exclude: np.ndarray | None = None) -> R
     if not np.all(np.isfinite(values)):
         raise ValueError("rearrangement requires finite samples")
     fstar = np.sort(values)[::-1]
-    area = grid.h**2
-    t = area * np.arange(1, fstar.size + 1)
+    t = grid.h**2 * np.arange(1, fstar.size + 1)
     fstarstar = np.cumsum(fstar) / np.arange(1, fstar.size + 1)
-    return RearrangedProfile(t, fstar, fstarstar, area)
+    return RearrangedProfile(t, fstar, fstarstar)
 
 
 def _check_exponents(p: float, q: float) -> None:

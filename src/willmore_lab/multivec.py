@@ -256,10 +256,8 @@ class MultiVector:
 
     __slots__ = ("m", "coeffs")
 
-    def __init__(self, m: int, coeffs: np.ndarray | None = None):
+    def __init__(self, m: int, coeffs: np.ndarray):
         _check_dim(m)
-        if coeffs is None:
-            coeffs = np.zeros(1 << m)
         coeffs = np.array(coeffs, dtype=float)
         if coeffs.shape != (1 << m,):
             raise ValueError(f"expected {1 << m} blade coefficients, got {coeffs.shape}")
@@ -275,10 +273,6 @@ class MultiVector:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(m: int) -> "MultiVector":
-        return MultiVector(m)
-
-    @staticmethod
     def scalar(m: int, value: float) -> "MultiVector":
         c = np.zeros(1 << m)
         c[0] = value
@@ -288,15 +282,6 @@ class MultiVector:
 
     def grades(self) -> list[int]:
         return sorted({_popcount(i) for i in np.nonzero(self.coeffs)[0]})
-
-    def grade(self, k: int) -> "MultiVector":
-        c = np.zeros_like(self.coeffs)
-        masks = grade_masks(self.m, k)
-        c[masks] = self.coeffs[masks]
-        return MultiVector(self.m, c)
-
-    def vector_part(self) -> np.ndarray:
-        return np.array([self.coeffs[1 << k] for k in range(self.m)])
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.coeffs**2)))

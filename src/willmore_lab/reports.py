@@ -109,7 +109,7 @@ def residual_report(source: ImmersionPatch | GeometryBundle) -> dict[str, float]
     report["divQ_inf"] = dg._interior_sup(grid, cons.willmore_residual(bundle))
 
     report["L_defect"] = bundle.derived(cons.recover_L).defect
-    report["L0_consistency"] = cons.assemble_L0(bundle).consistency
+    report["L0_consistency"] = cons.assemble_L0(bundle)
 
     cdata = cwmod.extract_A_f(bundle)
     report["f_inf"] = dg._interior_sup(grid, cdata.f)

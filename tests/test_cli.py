@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,9 +73,12 @@ class TestVerify:
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
 
-    def test_even_n_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli(["verify", "--surface", "plane", "--n", "64", "--out", str(tmp_path / "x.json")])
+    def test_even_n_rejected(self, capsys, tmp_path):
+        out = tmp_path / "x.json"
+        rc = run_cli(["verify", "--surface", "plane", "--n", "64", "--out", str(out)])
+        assert rc == 2
+        assert "n=64" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRefine:
@@ -106,7 +111,10 @@ class TestInputBoundary:
 
     def check_rejected(self, capsys, tmp_path, surface="plane", argv=None):
         out = tmp_path / "r.json"
-        rc = run_cli(argv or ["verify", "--surface", surface, "--n", "33", "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(argv or ["verify", "--surface", surface, "--n", "33", "--out", str(out)])
+        assert not caught
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("willmore-lab: error: ") and len(err.splitlines()) == 1
@@ -117,16 +125,21 @@ class TestInputBoundary:
         assert "rho=abc" in self.check_rejected(capsys, tmp_path, "sphere:rho=abc")
 
     def test_surface_parameter_unknown(self, capsys, tmp_path):
-        # the name and the parameter values are checked against the catalog too
+        # the name and the parameter values are checked against the catalog too,
+        # the perturbation's bump parameters by the same rule, and the jets on the grid
         for surface, word in (("sphere:radius=2", "radius"), ("torus", "torus"),
                               ("sphere:rho=-1", "rho"), ("perturbed-torus", "torus"),
-                              ("graph_perturbation:seed=1.5", "seed"), ("sphere:rho=1e400", "rho")):
+                              ("graph_perturbation:seed=1.5", "seed"), ("sphere:rho=1e400", "rho"),
+                              ('perturbed-catenoid:amplitude="x"', "amplitude"),
+                              ("perturbed-sphere:amplitude=1e400", "amplitude"),
+                              ("perturbed-catenoid:seed=1.5", "seed"), ("sphere:rho=1e308", "not finite")):
             assert word in self.check_rejected(capsys, tmp_path, surface)
 
     def test_grid_and_dimension(self, capsys, tmp_path):
         # checked in main, not in a worker thread
         for grid_args, word in ((["--n", "33", "--m", "7"], "m=7"), (["--n", "3"], "n=3"),
-                                (["--n", "33", "--s", "0.9"], "s=0.9")):
+                                (["--n", "33", "--s", "0.9"], "s=0.9"), (["--n", "64"], "n=64"),
+                                (["--n", "65", "--n", "33"], "increasing")):
             argv = ["verify", "--surface", "plane", *grid_args, "--out", str(tmp_path / "r.json")]
             assert word in self.check_rejected(capsys, tmp_path, argv=argv)
 
@@ -223,10 +236,20 @@ class TestFlowCommand:
 
 
 def test_console_entry_point(tmp_path):
-    env = dict(os.environ, WILLMORE_LAB_THREADS="2")
-    proc = subprocess.run(
-        [sys.executable, "-m", "willmore_lab.cli", "verify", "--surface", "plane",
-         "--n", "33", "--out", str(tmp_path / "p.json")],
-        capture_output=True, text=True, env=env,
-    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, WILLMORE_LAB_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(surface):
+        return subprocess.run(
+            [sys.executable, "-m", "willmore_lab.cli", "verify", "--surface", surface,
+             "--n", "33", "--out", str(tmp_path / "p.json")],
+            capture_output=True, text=True, env=env,
+        )
+
+    proc = run("plane")
     assert proc.returncode == 0, proc.stderr
+    # an overflowing surface fails in one line: no numpy warnings reach stderr
+    proc = run("sphere:rho=1e308")
+    assert proc.returncode == 2 and proc.stderr.startswith("willmore-lab: error: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

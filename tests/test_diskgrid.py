@@ -199,7 +199,6 @@ def test_stacked_solves_equal_per_slice_calls(complex_data):
         assert np.array_equal(res.u, np.stack([p.u for p in parts], axis=-1))
         assert res.defect == pytest.approx(np.sqrt(sum(p.defect**2 for p in parts)), rel=1e-14)
         assert res.compat_defect == max(p.compat_defect for p in parts)
-        assert res.warning == any(p.warning for p in parts)
 
 
 class TestNeumannAndPotentials:
@@ -236,13 +235,13 @@ class TestNeumannAndPotentials:
         assert 3.4 <= defects[0] / defects[1] <= 4.6
 
     def test_constant_field_is_exact_rotated_gradient(self):
-        # (1, 0) = grad_perp(-x2): the recovery is exact and no warning
-        # fires (constant fields always admit a potential on the square)
+        # (1, 0) = grad_perp(-x2): the recovery is exact and the Neumann data
+        # are compatible (constant fields always admit a potential on the square)
         g = Grid(0.5, 65)
         G = np.stack([np.ones((65, 65)), np.zeros((65, 65))])
         res = dg.curl_potential(g, G)
         assert res.defect < 1e-10
-        assert not res.warning
+        assert res.compat_defect <= 1e-6 * dg.l2norm(g, G)
 
     def test_position_field_has_no_potential(self):
         # div(x1, x2) = 2 != 0: the defect stays bounded away from zero
@@ -325,11 +324,3 @@ class TestFieldIO:
         _, values = dg.read_field(path)
         assert values.shape == (33, 33, 2)
         assert np.array_equal(values[..., 0] + 1j * values[..., 1], data)
-
-    def test_csv_export(self, tmp_path):
-        g = Grid(0.5, 33)
-        path = tmp_path / "field.csv"
-        dg.write_field_csv(path, g, smooth_field(g))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x1,x2,v0"
-        assert len(lines) == 1 + 33 * 33

@@ -1,6 +1,5 @@
 """Surface catalog and conformal-frame geometry against closed forms."""
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -301,16 +300,6 @@ class TestConstructionInterfaces:
         with pytest.raises(ValueError):
             im.make_surface("plane", G65, m=7)
 
-    def test_surface_spec_json(self, tmp_path):
-        spec = {"type": "sphere", "params": {"rho": 2.0}, "m": 4, "grid": {"s": 0.4, "n": 33}}
-        path = tmp_path / "surface.json"
-        path.write_text(json.dumps(spec))
-        patch = im.load_surface_spec(path)
-        assert patch.m == 4
-        assert patch.grid == Grid(0.4, 33)
-        b = im.make_bundle(patch)
-        assert np.max(np.abs(np.linalg.norm(b.H, axis=-1) - 0.5)) < 1e-12
-
     def test_perturb_normal(self):
         base = im.make_surface("catenoid", G65)
         pert = im.perturb_normal(base, seed=0, amplitude=0.05)
@@ -325,12 +314,3 @@ class TestConstructionInterfaces:
         base = im.make_surface("sphere", G65)
         moved = base.with_phi(base.phi + 0.01)
         assert moved.jets is None and base.jets is not None
-
-    def test_export_bundle_binary_fields(self, tmp_path):
-        b = im.make_bundle(im.make_surface("sphere", G65, rho=1.0))
-        paths = im.export_bundle(b, tmp_path / "bundle")
-        grid, H = dg.read_field(paths["mean_curvature"])
-        assert grid == G65
-        assert np.allclose(H, b.H)
-        _, H0 = dg.read_field(paths["weingarten"])
-        assert np.allclose(H0[..., 0::2] + 1j * H0[..., 1::2], b.H0)

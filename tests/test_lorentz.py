@@ -17,7 +17,7 @@ class TestRearrange:
         prof = lo.rearrange(G65, -3.0 * np.ones((65, 65)))
         assert np.all(prof.fstar == 3.0)
         assert np.all(prof.fstarstar == 3.0)
-        assert prof.total_measure == pytest.approx(65 * 65 * G65.h**2)
+        assert prof.t[-1] == pytest.approx(65 * 65 * G65.h**2)
 
     def test_indicator_of_half_the_cells(self):
         f = np.zeros(65 * 65)
@@ -77,7 +77,7 @@ class TestLorentzNorm:
     def test_constant_closed_forms(self):
         c, T = 2.5, None
         prof = lo.rearrange(G65, c * np.ones((65, 65)))
-        T = prof.total_measure
+        T = prof.t[-1]
         # ||c||_{p,q} = c (p/q)^{1/q} T^{1/p}; q = inf gives c sqrt(T) at p = 2
         assert lo.lorentz_norm(prof, 2.0, np.inf) == pytest.approx(c * np.sqrt(T), rel=1e-12)
         assert lo.lorentz_norm(prof, 2.0, 2.0) == pytest.approx(c * np.sqrt(T), rel=1e-12)
