@@ -298,6 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "n", None) is None:
         args.n = [65]
     try:
+        if args.command in ("flow", "wente") and len(args.n) > 1:
+            raise ValueError(f"{args.command} takes one --n, got {args.n}")
+        if getattr(args, "samples", 1) < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         if any(a >= b for a, b in zip(args.n, args.n[1:])):
             raise ValueError(f"--n values must be increasing, got {args.n}")
         if hasattr(args, "s"):

@@ -376,7 +376,10 @@ def _check_surface(kind: str, m: int, params: dict) -> Surface:
 
 
 def _check_value(kind: str, name: str, default: Any, value: Any) -> None:
-    """ValueError unless value has the type of default: int >= 0, or float finite > 0."""
+    """ValueError unless value has the type of default: int >= 0, or float finite > 0.
+    A bool is neither, although Python counts it as an Integral and a Real."""
+    if isinstance(value, bool):
+        raise ValueError(f"surface {kind} parameter {name} must be a number, got {value!r}")
     if isinstance(default, int):
         if not isinstance(value, Integral) or value < 0:
             raise ValueError(f"surface {kind} parameter {name} must be a non-negative integer, got {value!r}")

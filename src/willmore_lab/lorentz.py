@@ -57,8 +57,9 @@ def rearrange(grid: Grid, f: np.ndarray, exclude: np.ndarray | None = None) -> R
     if not np.all(np.isfinite(values)):
         raise ValueError("rearrangement requires finite samples")
     fstar = np.sort(values)[::-1]
-    t = grid.h**2 * np.arange(1, fstar.size + 1)
-    fstarstar = np.cumsum(fstar) / np.arange(1, fstar.size + 1)
+    counts = np.arange(1, fstar.size + 1)
+    t = grid.h**2 * counts
+    fstarstar = np.cumsum(fstar) / counts
     return RearrangedProfile(t, fstar, fstarstar)
 
 
@@ -87,10 +88,11 @@ def lorentz_norm(profile: RearrangedProfile, p: float, q: float) -> float:
     return float((np.sum(fss**q * weights) / a) ** (1.0 / q))
 
 
-def _grad_norms(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, float]:
+def _grad_norms(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """grad f, its pointwise magnitude |grad f| and ||grad f||_L2."""
     G = dg.grad(grid, f)
     mag = np.hypot(G[0], G[1])
-    return G, float(dg.l2norm(grid, mag))
+    return G, mag, float(dg.l2norm(grid, mag))
 
 
 @dataclass(frozen=True)
@@ -110,12 +112,12 @@ def wente_solve(grid: Grid, a: np.ndarray, b: np.ndarray) -> WenteResult:
     the grid square; the constants estimated here are the square's, not
     the disk's.
     """
-    Ga, na_l2 = _grad_norms(grid, a)
-    Gb, nb_l2 = _grad_norms(grid, b)
-    jac = -Ga[0] * Gb[1] + Ga[1] * Gb[0]
-    u = dg.poisson_dirichlet(grid, jac)
-    Gu, nu_l2 = _grad_norms(grid, u)
-    nb_weak = lorentz_norm(rearrange(grid, np.hypot(Gb[0], Gb[1])), 2.0, np.inf)
+    Ga, Ga_mag, na_l2 = _grad_norms(grid, a)
+    Gb, Gb_mag, nb_l2 = _grad_norms(grid, b)
+    nb_weak = lorentz_norm(rearrange(grid, Gb_mag), 2.0, np.inf)
+    del Ga_mag, Gb_mag  # held through the solve, they would raise the sample's peak memory
+    u = dg.poisson_dirichlet(grid, -Ga[0] * Gb[1] + Ga[1] * Gb[0])
+    Gu, _, nu_l2 = _grad_norms(grid, u)
     nu_l21 = sum(lorentz_norm(rearrange(grid, Gu[j]), 2.0, 1.0) for j in range(2))
     den2 = na_l2 * nb_weak
     den21 = na_l2 * nb_l2
@@ -125,14 +127,22 @@ def wente_solve(grid: Grid, a: np.ndarray, b: np.ndarray) -> WenteResult:
 
 
 def random_band_limited(grid: Grid, seed: int, kmax: int = 4) -> np.ndarray:
-    """Seeded smooth random field: low trigonometric modes, decaying spectrum."""
+    """Seeded smooth random field: low trigonometric modes, decaying spectrum.
+
+    Each mode amp cos(k w x1 + ph1) cos(l w x2 + ph2), w = pi / (2 s), is
+    separable and built as an outer product of two cosine vectors on
+    ``grid.axis()``.  ``np.outer(amp * c1, c2)`` rounds exactly like the
+    meshgrid product ``amp * C1 * C2`` (``amp * np.outer(c1, c2)`` does not),
+    and modes and draws keep their order, so a seed gives the same field
+    bit for bit.
+    """
     rng = np.random.default_rng(seed)
-    X1, X2 = grid.nodes()
+    x = grid.axis()
     omega = np.pi / (2.0 * grid.s)
-    f = np.zeros_like(X1)
+    f = np.zeros((x.size, x.size))
     for k in range(kmax + 1):
         for l in range(kmax + 1):
             amp = rng.normal() / (1.0 + k * k + l * l)
             ph1, ph2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-            f += amp * np.cos(k * omega * X1 + ph1) * np.cos(l * omega * X2 + ph2)
+            f += np.outer(amp * np.cos(k * omega * x + ph1), np.cos(l * omega * x + ph2))
     return f

@@ -132,7 +132,9 @@ class TestInputBoundary:
                               ("graph_perturbation:seed=1.5", "seed"), ("sphere:rho=1e400", "rho"),
                               ('perturbed-catenoid:amplitude="x"', "amplitude"),
                               ("perturbed-sphere:amplitude=1e400", "amplitude"),
-                              ("perturbed-catenoid:seed=1.5", "seed"), ("sphere:rho=1e308", "not finite")):
+                              ("perturbed-catenoid:seed=1.5", "seed"), ("sphere:rho=1e308", "not finite"),
+                              ("sphere:rho=true", "rho"), ("graph_perturbation:seed=true", "seed"),
+                              ("perturbed-catenoid:amplitude=false", "amplitude")):
             assert word in self.check_rejected(capsys, tmp_path, surface)
 
     def test_grid_and_dimension(self, capsys, tmp_path):
@@ -142,6 +144,15 @@ class TestInputBoundary:
                                 (["--n", "65", "--n", "33"], "increasing")):
             argv = ["verify", "--surface", "plane", *grid_args, "--out", str(tmp_path / "r.json")]
             assert word in self.check_rejected(capsys, tmp_path, argv=argv)
+
+    def test_one_grid_and_samples_for_flow_and_wente(self, capsys, tmp_path):
+        out = str(tmp_path / "r.csv")
+        for argv, word in ((["flow", "--surface", "perturbed-catenoid", "--n", "33", "--n", "65"], "one --n"),
+                           (["wente", "--n", "33", "--n", "65"], "one --n"),
+                           (["wente", "--n", "33", "--samples", "0"], "samples"),
+                           (["wente", "--n", "33", "--samples", "-1"], "samples")):
+            assert word in self.check_rejected(capsys, tmp_path, argv=[*argv, "--out", out])
+            assert not (tmp_path / "r.csv").exists()
 
     def test_field_file_and_exponent(self, capsys, tmp_path):
         good, short, stub = tmp_path / "f.bin", tmp_path / "short.bin", tmp_path / "stub.bin"

@@ -288,9 +288,10 @@ class TestConstructionInterfaces:
             im.make_surface("sphere", G65, rho=-1.0)
 
     def test_parameters_checked_against_the_record(self):
-        # names must be declared; values take the type of their default
+        # names must be declared; values take the type of their default, and a bool is neither
         for kind, params in (("sphere", {"radius": 2.0}), ("graph_perturbation", {"seed": 1.5}),
-                             ("sphere", {"rho": float("inf")})):
+                             ("sphere", {"rho": float("inf")}), ("sphere", {"rho": True}),
+                             ("graph_perturbation", {"seed": True}), ("graph_perturbation", {"amplitude": False})):
             with pytest.raises(ValueError):
                 im.make_surface(kind, G65, **params)
 

@@ -172,3 +172,45 @@ class TestWente:
             res = lo.wente_solve(G65, a, b)
             assert np.isfinite(res.ratio_L2) and np.isfinite(res.ratio_L21)
             assert res.ratio_L2 > 0.0 and res.ratio_L21 > 0.0
+
+    def test_ratios_equal_separately_computed_reference(self):
+        # |grad b| is computed once, inside _grad_norms; the ratios must equal
+        # the route that recomputes hypot for the weak norm
+        def l2_of_grad(f):
+            G = dg.grad(G65, f)
+            return G, float(dg.l2norm(G65, np.hypot(G[0], G[1])))
+
+        for seed in range(3):
+            a = lo.random_band_limited(G65, 2 * seed)
+            b = lo.random_band_limited(G65, 2 * seed + 1)
+            Ga, na_l2 = l2_of_grad(a)
+            Gb, nb_l2 = l2_of_grad(b)
+            Gu, nu_l2 = l2_of_grad(dg.poisson_dirichlet(G65, -Ga[0] * Gb[1] + Ga[1] * Gb[0]))
+            nb_weak = lo.lorentz_norm(lo.rearrange(G65, np.hypot(Gb[0], Gb[1])), 2.0, np.inf)
+            nu_l21 = sum(lo.lorentz_norm(lo.rearrange(G65, Gu[j]), 2.0, 1.0) for j in range(2))
+            res = lo.wente_solve(G65, a, b)
+            assert res.ratio_L2 == nu_l2 / (na_l2 * nb_weak)
+            assert res.ratio_L21 == nu_l21 / (na_l2 * nb_l2)
+
+
+def _meshgrid_band_limited(grid, seed, kmax):
+    """The field evaluated on the full meshgrid, one mode at a time."""
+    rng = np.random.default_rng(seed)
+    X1, X2 = grid.nodes()
+    omega = np.pi / (2.0 * grid.s)
+    f = np.zeros_like(X1)
+    for k in range(kmax + 1):
+        for l in range(kmax + 1):
+            amp = rng.normal() / (1.0 + k * k + l * l)
+            ph1, ph2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
+            f += amp * np.cos(k * omega * X1 + ph1) * np.cos(l * omega * X2 + ph2)
+    return f
+
+
+@pytest.mark.parametrize("n", [33, 65, 257])
+@pytest.mark.parametrize("s", [0.5, 0.7])
+@pytest.mark.parametrize("kmax", [1, 4])
+def test_separable_field_is_bit_identical_to_meshgrid(n, s, kmax):
+    grid = Grid(s, n)
+    for seed in range(10):
+        assert np.array_equal(lo.random_band_limited(grid, seed, kmax), _meshgrid_band_limited(grid, seed, kmax))
