@@ -68,6 +68,22 @@ def _patched(name: str, params: dict, s: float, n: int, m: int, seed: int):
     return perturb_normal(patch, seed=params.get("seed", seed), amplitude=params.get("amplitude", 0.05))
 
 
+def _read_thresholds(path) -> dict:
+    """DEFAULT_THRESHOLDS overridden by the JSON object at path (None: no file); ValueError
+    unless it maps names to finite numbers (a JSON boolean is none), OSError if unreadable."""
+    if path is None:
+        return dict(DEFAULT_THRESHOLDS)
+    try:
+        with open(path) as fh:
+            overrides = json.load(fh)
+    except ValueError:  # not JSON (or not text): rejected below like any other non-object
+        overrides = None
+    if not isinstance(overrides, dict) or not all(
+            type(v) in (int, float) and -np.inf < v < np.inf for v in overrides.values()):
+        raise ValueError(f"--threshold-file {path} must hold a JSON object of finite numbers")
+    return {**DEFAULT_THRESHOLDS, **overrides}
+
+
 def _write_json(path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path in (None, "-"):
@@ -105,15 +121,11 @@ def _report_items(args) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    thresholds = dict(DEFAULT_THRESHOLDS)
-    if args.threshold_file:
-        with open(args.threshold_file) as fh:
-            thresholds.update(json.load(fh))
     items = _report_items(args)
     ok = True
     rows = []
     for item in items:
-        failures = rp.check_report(item["keys"], args.kind, thresholds)
+        failures = rp.check_report(item["keys"], args.kind, args.thresholds)
         item["failures"] = {k: {"value": v, "threshold": t} for k, (v, t) in sorted(failures.items())}
         ok = ok and not failures
         rows.extend(
@@ -124,7 +136,7 @@ def cmd_verify(args) -> int:
         "schema": SCHEMA_VERSION,
         "command": "verify",
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "thresholds": thresholds,
+        "thresholds": args.thresholds,
         "items": items,
         "pass": ok,
     }
@@ -143,9 +155,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    if len(args.n) < 2:
-        print("refine needs at least two --n grid sizes", file=sys.stderr)
-        return 2
     items = _report_items(args)
     ratios = rp.refinement_ratios([item["keys"] for item in items])
     if args.out:
@@ -300,8 +309,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in ("flow", "wente") and len(args.n) > 1:
             raise ValueError(f"{args.command} takes one --n, got {args.n}")
+        if args.command == "refine" and len(args.n) < 2:
+            raise ValueError(f"refine needs at least two --n grid sizes, got {args.n}")
         if getattr(args, "samples", 1) < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        if getattr(args, "max_iters", 0) < 0:
+            raise ValueError(f"--max-iters must be non-negative, got {args.max_iters}")
+        if not 0.0 <= getattr(args, "stop_ratio", 0.0) < np.inf:
+            raise ValueError(f"--stop-ratio must be finite and non-negative, got {args.stop_ratio}")
+        if hasattr(args, "threshold_file"):
+            args.thresholds = _read_thresholds(args.threshold_file)
         if any(a >= b for a, b in zip(args.n, args.n[1:])):
             raise ValueError(f"--n values must be increasing, got {args.n}")
         if hasattr(args, "s"):

@@ -1,10 +1,11 @@
 """Analytic catalog of conformal immersion patches and their
 first/second-order geometry.
 
-Every catalog surface ships analytic jets (position plus first and
-second derivatives at the nodes); finite-difference jets are the
-fallback for perturbed patches and are tested against the analytic
-ones.  All derived quantities follow the conformal-frame
+Each catalog factory returns its analytic jet (position plus first and
+second derivatives) on the grid's nodes, evaluated once by
+``make_surface``; the patch carries that value.  Finite-difference jets
+are the fallback for perturbed patches and are tested against the
+analytic ones.  All derived quantities follow the conformal-frame
 conventions:
 
     e^lambda = |d1 Phi|,   e_i = e^-lambda d_i Phi,
@@ -70,24 +71,20 @@ class Jet:
     d22: np.ndarray
 
 
-JetFn = Callable[[np.ndarray, np.ndarray], Jet]
-
-
 @dataclass(frozen=True)
 class ImmersionPatch:
-    """Sampled conformal immersion of the grid square into R^m."""
+    """Sampled conformal immersion of the grid square into R^m; jets is the
+    catalog's analytic jet on the grid's nodes (None off the catalog)."""
 
     grid: Grid
     m: int
     phi: np.ndarray
-    jets: JetFn | None = None
+    jets: Jet | None = None
     label: str = "surface"
 
     def jet(self) -> Jet:
-        """Analytic jet when available, second-order FD jet otherwise."""
-        if self.jets is not None:
-            return self.jets(*self.grid.nodes())
-        return fd_jet(self.grid, self.phi)
+        """The analytic jet the patch carries, else the second-order FD jet."""
+        return self.jets if self.jets is not None else fd_jet(self.grid, self.phi)
 
     def with_phi(self, phi: np.ndarray, label: str | None = None) -> "ImmersionPatch":
         """Same patch with replaced samples; analytic jets are dropped."""
@@ -138,219 +135,183 @@ def _jet3(m, phi, d1, d2, d11, d12, d22) -> Jet:
 # Catalog surfaces
 # ---------------------------------------------------------------------------
 
-def _plane_jets(grid: Grid, m: int) -> JetFn:
-    def jets(X1, X2):
-        shp = X1.shape + (3,)
-        phi = np.zeros(shp)
-        phi[..., 0], phi[..., 1] = X1, X2
-        d1 = np.zeros(shp)
-        d1[..., 0] = 1.0
-        d2 = np.zeros(shp)
-        d2[..., 1] = 1.0
-        z = np.zeros(shp)
-        return _jet3(m, phi, d1, d2, z, z.copy(), z.copy())
-
-    return jets
+def _plane_jets(grid: Grid, m: int) -> Jet:
+    X1, X2 = grid.nodes()
+    shp = X1.shape + (3,)
+    phi = np.zeros(shp)
+    phi[..., 0], phi[..., 1] = X1, X2
+    d1 = np.zeros(shp)
+    d1[..., 0] = 1.0
+    d2 = np.zeros(shp)
+    d2[..., 1] = 1.0
+    z = np.zeros(shp)
+    return _jet3(m, phi, d1, d2, z, z.copy(), z.copy())
 
 
-def _sphere_jets(grid: Grid, m: int, rho: float) -> JetFn:
+def _sphere_jets(grid: Grid, m: int, rho: float) -> Jet:
     # inverse stereographic projection, e^lambda = 2 rho / (1 + |x|^2)
-    def jets(X1, X2):
-        u = 1.0 + X1**2 + X2**2
-        shp = X1.shape + (3,)
-        phi = np.empty(shp)
-        phi[..., 0] = 2.0 * rho * X1 / u
-        phi[..., 1] = 2.0 * rho * X2 / u
-        phi[..., 2] = rho * (1.0 - 2.0 / u)
-        d1 = np.empty(shp)
-        d1[..., 0] = 2.0 * rho * (u - 2.0 * X1**2) / u**2
-        d1[..., 1] = -4.0 * rho * X1 * X2 / u**2
-        d1[..., 2] = 4.0 * rho * X1 / u**2
-        d2 = np.empty(shp)
-        d2[..., 0] = -4.0 * rho * X1 * X2 / u**2
-        d2[..., 1] = 2.0 * rho * (u - 2.0 * X2**2) / u**2
-        d2[..., 2] = 4.0 * rho * X2 / u**2
-        d11 = np.empty(shp)
-        d11[..., 0] = 2.0 * rho * (8.0 * X1**3 - 6.0 * X1 * u) / u**3
-        d11[..., 1] = -4.0 * rho * X2 * (u - 4.0 * X1**2) / u**3
-        d11[..., 2] = 4.0 * rho * (u - 4.0 * X1**2) / u**3
-        d22 = np.empty(shp)
-        d22[..., 0] = -4.0 * rho * X1 * (u - 4.0 * X2**2) / u**3
-        d22[..., 1] = 2.0 * rho * (8.0 * X2**3 - 6.0 * X2 * u) / u**3
-        d22[..., 2] = 4.0 * rho * (u - 4.0 * X2**2) / u**3
-        d12 = np.empty(shp)
-        d12[..., 0] = 4.0 * rho * X2 * (4.0 * X1**2 - u) / u**3
-        d12[..., 1] = 4.0 * rho * X1 * (4.0 * X2**2 - u) / u**3
-        d12[..., 2] = -16.0 * rho * X1 * X2 / u**3
-        return _jet3(m, phi, d1, d2, d11, d12, d22)
-
-    return jets
+    X1, X2 = grid.nodes()
+    u = 1.0 + X1**2 + X2**2
+    shp = X1.shape + (3,)
+    phi = np.empty(shp)
+    phi[..., 0] = 2.0 * rho * X1 / u
+    phi[..., 1] = 2.0 * rho * X2 / u
+    phi[..., 2] = rho * (1.0 - 2.0 / u)
+    d1 = np.empty(shp)
+    d1[..., 0] = 2.0 * rho * (u - 2.0 * X1**2) / u**2
+    d1[..., 1] = -4.0 * rho * X1 * X2 / u**2
+    d1[..., 2] = 4.0 * rho * X1 / u**2
+    d2 = np.empty(shp)
+    d2[..., 0] = -4.0 * rho * X1 * X2 / u**2
+    d2[..., 1] = 2.0 * rho * (u - 2.0 * X2**2) / u**2
+    d2[..., 2] = 4.0 * rho * X2 / u**2
+    d11 = np.empty(shp)
+    d11[..., 0] = 2.0 * rho * (8.0 * X1**3 - 6.0 * X1 * u) / u**3
+    d11[..., 1] = -4.0 * rho * X2 * (u - 4.0 * X1**2) / u**3
+    d11[..., 2] = 4.0 * rho * (u - 4.0 * X1**2) / u**3
+    d22 = np.empty(shp)
+    d22[..., 0] = -4.0 * rho * X1 * (u - 4.0 * X2**2) / u**3
+    d22[..., 1] = 2.0 * rho * (8.0 * X2**3 - 6.0 * X2 * u) / u**3
+    d22[..., 2] = 4.0 * rho * (u - 4.0 * X2**2) / u**3
+    d12 = np.empty(shp)
+    d12[..., 0] = 4.0 * rho * X2 * (4.0 * X1**2 - u) / u**3
+    d12[..., 1] = 4.0 * rho * X1 * (4.0 * X2**2 - u) / u**3
+    d12[..., 2] = -16.0 * rho * X1 * X2 / u**3
+    return _jet3(m, phi, d1, d2, d11, d12, d22)
 
 
-def _cylinder_jets(grid: Grid, m: int, rho: float) -> JetFn:
-    def jets(X1, X2):
-        t = X1 / rho
-        c, s = np.cos(t), np.sin(t)
-        shp = X1.shape + (3,)
-        phi = np.empty(shp)
-        phi[..., 0], phi[..., 1], phi[..., 2] = rho * c, rho * s, X2
-        d1 = np.zeros(shp)
-        d1[..., 0], d1[..., 1] = -s, c
-        d2 = np.zeros(shp)
-        d2[..., 2] = 1.0
-        d11 = np.zeros(shp)
-        d11[..., 0], d11[..., 1] = -c / rho, -s / rho
-        z = np.zeros(shp)
-        return _jet3(m, phi, d1, d2, d11, z, z.copy())
-
-    return jets
+def _cylinder_jets(grid: Grid, m: int, rho: float) -> Jet:
+    X1, X2 = grid.nodes()
+    t = X1 / rho
+    c, s = np.cos(t), np.sin(t)
+    shp = X1.shape + (3,)
+    phi = np.empty(shp)
+    phi[..., 0], phi[..., 1], phi[..., 2] = rho * c, rho * s, X2
+    d1 = np.zeros(shp)
+    d1[..., 0], d1[..., 1] = -s, c
+    d2 = np.zeros(shp)
+    d2[..., 2] = 1.0
+    d11 = np.zeros(shp)
+    d11[..., 0], d11[..., 1] = -c / rho, -s / rho
+    z = np.zeros(shp)
+    return _jet3(m, phi, d1, d2, d11, z, z.copy())
 
 
-def _catenoid_jets(grid: Grid, m: int) -> JetFn:
-    def jets(X1, X2):
-        c1, s1 = np.cos(X1), np.sin(X1)
-        ch, sh = np.cosh(X2), np.sinh(X2)
-        shp = X1.shape + (3,)
-        phi = np.empty(shp)
-        phi[..., 0], phi[..., 1], phi[..., 2] = ch * c1, ch * s1, X2
-        d1 = np.zeros(shp)
-        d1[..., 0], d1[..., 1] = -ch * s1, ch * c1
-        d2 = np.zeros(shp)
-        d2[..., 0], d2[..., 1], d2[..., 2] = sh * c1, sh * s1, 1.0
-        d11 = np.zeros(shp)
-        d11[..., 0], d11[..., 1] = -ch * c1, -ch * s1
-        d12 = np.zeros(shp)
-        d12[..., 0], d12[..., 1] = -sh * s1, sh * c1
-        d22 = np.zeros(shp)
-        d22[..., 0], d22[..., 1] = ch * c1, ch * s1
-        return _jet3(m, phi, d1, d2, d11, d12, d22)
-
-    return jets
+def _catenoid_jets(grid: Grid, m: int) -> Jet:
+    X1, X2 = grid.nodes()
+    c1, s1 = np.cos(X1), np.sin(X1)
+    ch, sh = np.cosh(X2), np.sinh(X2)
+    shp = X1.shape + (3,)
+    phi = np.empty(shp)
+    phi[..., 0], phi[..., 1], phi[..., 2] = ch * c1, ch * s1, X2
+    d1 = np.zeros(shp)
+    d1[..., 0], d1[..., 1] = -ch * s1, ch * c1
+    d2 = np.zeros(shp)
+    d2[..., 0], d2[..., 1], d2[..., 2] = sh * c1, sh * s1, 1.0
+    d11 = np.zeros(shp)
+    d11[..., 0], d11[..., 1] = -ch * c1, -ch * s1
+    d12 = np.zeros(shp)
+    d12[..., 0], d12[..., 1] = -sh * s1, sh * c1
+    d22 = np.zeros(shp)
+    d22[..., 0], d22[..., 1] = ch * c1, ch * s1
+    return _jet3(m, phi, d1, d2, d11, d12, d22)
 
 
-def _enneper_jets(grid: Grid, m: int) -> JetFn:
+def _enneper_jets(grid: Grid, m: int) -> Jet:
     # Phi = (u - u^3/3 + u v^2, -(v - v^3/3 + v u^2), u^2 - v^2), e^lambda = 1 + u^2 + v^2
-    def jets(U, V):
-        shp = U.shape + (3,)
-        phi = np.empty(shp)
-        phi[..., 0] = U - U**3 / 3.0 + U * V**2
-        phi[..., 1] = -(V - V**3 / 3.0 + V * U**2)
-        phi[..., 2] = U**2 - V**2
-        d1 = np.empty(shp)
-        d1[..., 0] = 1.0 - U**2 + V**2
-        d1[..., 1] = -2.0 * U * V
-        d1[..., 2] = 2.0 * U
-        d2 = np.empty(shp)
-        d2[..., 0] = 2.0 * U * V
-        d2[..., 1] = -(1.0 - V**2 + U**2)
-        d2[..., 2] = -2.0 * V
-        d11 = np.empty(shp)
-        d11[..., 0] = -2.0 * U
-        d11[..., 1] = -2.0 * V
-        d11[..., 2] = 2.0
-        d12 = np.empty(shp)
-        d12[..., 0] = 2.0 * V
-        d12[..., 1] = -2.0 * U
-        d12[..., 2] = 0.0
-        d22 = np.empty(shp)
-        d22[..., 0] = 2.0 * U
-        d22[..., 1] = 2.0 * V
-        d22[..., 2] = -2.0
-        return _jet3(m, phi, d1, d2, d11, d12, d22)
-
-    return jets
+    U, V = grid.nodes()
+    shp = U.shape + (3,)
+    phi = np.empty(shp)
+    phi[..., 0] = U - U**3 / 3.0 + U * V**2
+    phi[..., 1] = -(V - V**3 / 3.0 + V * U**2)
+    phi[..., 2] = U**2 - V**2
+    d1 = np.empty(shp)
+    d1[..., 0] = 1.0 - U**2 + V**2
+    d1[..., 1] = -2.0 * U * V
+    d1[..., 2] = 2.0 * U
+    d2 = np.empty(shp)
+    d2[..., 0] = 2.0 * U * V
+    d2[..., 1] = -(1.0 - V**2 + U**2)
+    d2[..., 2] = -2.0 * V
+    d11 = np.empty(shp)
+    d11[..., 0] = -2.0 * U
+    d11[..., 1] = -2.0 * V
+    d11[..., 2] = 2.0
+    d12 = np.empty(shp)
+    d12[..., 0] = 2.0 * V
+    d12[..., 1] = -2.0 * U
+    d12[..., 2] = 0.0
+    d22 = np.empty(shp)
+    d22[..., 0] = 2.0 * U
+    d22[..., 1] = 2.0 * V
+    d22[..., 2] = -2.0
+    return _jet3(m, phi, d1, d2, d11, d12, d22)
 
 
 _SQRT2 = np.sqrt(2.0)
 
 
-def _clifford_jets(grid: Grid, m: int) -> JetFn:
+def _clifford_jets(grid: Grid, m: int) -> Jet:
     # Torus of revolution with radii (sqrt 2, 1); the profile coordinate is
     # reparametrized by arc length of the conformal structure,
     # v(t) = 2 atan((sqrt 2 + 1) tan(t/2)), which integrates dv/dt = sqrt 2 + cos v
     # in closed form.  e^lambda = sqrt 2 + cos v.
-    def jets(X1, X2):
-        v = 2.0 * np.arctan((_SQRT2 + 1.0) * np.tan(X2 / 2.0))
-        cv, sv = np.cos(v), np.sin(v)
-        vp = _SQRT2 + cv           # dv/dt
-        vpp = -sv * vp             # d2v/dt2
-        c1, s1 = np.cos(X1), np.sin(X1)
-        r = _SQRT2 + cv
-        shp = X1.shape + (3,)
-        phi = np.empty(shp)
-        phi[..., 0], phi[..., 1], phi[..., 2] = r * c1, r * s1, sv
-        d1 = np.zeros(shp)
-        d1[..., 0], d1[..., 1] = -r * s1, r * c1
-        d2 = np.empty(shp)
-        d2[..., 0] = -sv * vp * c1
-        d2[..., 1] = -sv * vp * s1
-        d2[..., 2] = cv * vp
-        d11 = np.zeros(shp)
-        d11[..., 0], d11[..., 1] = -r * c1, -r * s1
-        d12 = np.zeros(shp)
-        d12[..., 0], d12[..., 1] = sv * vp * s1, -sv * vp * c1
-        d22 = np.empty(shp)
-        d22[..., 0] = -(cv * vp**2 + sv * vpp) * c1
-        d22[..., 1] = -(cv * vp**2 + sv * vpp) * s1
-        d22[..., 2] = cv * vpp - sv * vp**2
-        return _jet3(m, phi, d1, d2, d11, d12, d22)
-
-    return jets
+    X1, X2 = grid.nodes()
+    v = 2.0 * np.arctan((_SQRT2 + 1.0) * np.tan(X2 / 2.0))
+    cv, sv = np.cos(v), np.sin(v)
+    vp = _SQRT2 + cv           # dv/dt
+    vpp = -sv * vp             # d2v/dt2
+    c1, s1 = np.cos(X1), np.sin(X1)
+    r = _SQRT2 + cv
+    shp = X1.shape + (3,)
+    phi = np.empty(shp)
+    phi[..., 0], phi[..., 1], phi[..., 2] = r * c1, r * s1, sv
+    d1 = np.zeros(shp)
+    d1[..., 0], d1[..., 1] = -r * s1, r * c1
+    d2 = np.empty(shp)
+    d2[..., 0] = -sv * vp * c1
+    d2[..., 1] = -sv * vp * s1
+    d2[..., 2] = cv * vp
+    d11 = np.zeros(shp)
+    d11[..., 0], d11[..., 1] = -r * c1, -r * s1
+    d12 = np.zeros(shp)
+    d12[..., 0], d12[..., 1] = sv * vp * s1, -sv * vp * c1
+    d22 = np.empty(shp)
+    d22[..., 0] = -(cv * vp**2 + sv * vpp) * c1
+    d22[..., 1] = -(cv * vp**2 + sv * vpp) * s1
+    d22[..., 2] = cv * vpp - sv * vp**2
+    return _jet3(m, phi, d1, d2, d11, d12, d22)
 
 
-def _graph_jets(grid: Grid, m: int, seed: int, amplitude: float) -> JetFn:
+def _graph_jets(grid: Grid, m: int, seed: int, amplitude: float) -> Jet:
     """Plane plus seeded smooth Gaussian bumps in each normal coordinate."""
+    jet = _plane_jets(grid, m)
+    X1, X2 = grid.nodes()
     rng = np.random.default_rng(seed)
-    n_normal = m - 2
-    bumps = []  # per normal coordinate: list of (c, p1, p2, w)
-    for _ in range(n_normal):
-        k = rng.integers(2, 4)
-        bumps.append(
-            [
-                (
-                    float(rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])),
-                    float(rng.uniform(-0.5 * grid.s, 0.5 * grid.s)),
-                    float(rng.uniform(-0.5 * grid.s, 0.5 * grid.s)),
-                    float(rng.uniform(grid.s / 3.0, grid.s / 2.0)),
-                )
-                for _ in range(k)
-            ]
-        )
-
-    def jets(X1, X2):
-        shp = X1.shape + (m,)
-        phi = np.zeros(shp)
-        phi[..., 0], phi[..., 1] = X1, X2
-        d1 = np.zeros(shp)
-        d1[..., 0] = 1.0
-        d2 = np.zeros(shp)
-        d2[..., 1] = 1.0
-        d11 = np.zeros(shp)
-        d12 = np.zeros(shp)
-        d22 = np.zeros(shp)
-        for k, blist in enumerate(bumps):
-            comp = 2 + k
-            for c, p1, p2, w in blist:
-                u1, u2 = (X1 - p1) / w, (X2 - p2) / w
-                g = amplitude * c * np.exp(-(u1**2) - u2**2)
-                phi[..., comp] += g
-                d1[..., comp] += -2.0 * u1 / w * g
-                d2[..., comp] += -2.0 * u2 / w * g
-                d11[..., comp] += (4.0 * u1**2 - 2.0) / w**2 * g
-                d22[..., comp] += (4.0 * u2**2 - 2.0) / w**2 * g
-                d12[..., comp] += 4.0 * u1 * u2 / w**2 * g
-        return Jet(phi, d1, d2, d11, d12, d22)
-
-    return jets
+    for comp in range(2, m):
+        for _ in range(rng.integers(2, 4)):
+            c = rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
+            p1, p2 = rng.uniform(-0.5 * grid.s, 0.5 * grid.s, size=2)
+            w = rng.uniform(grid.s / 3.0, grid.s / 2.0)
+            u1, u2 = (X1 - p1) / w, (X2 - p2) / w
+            g = amplitude * c * np.exp(-(u1**2) - u2**2)
+            jet.phi[..., comp] += g
+            jet.d1[..., comp] += -2.0 * u1 / w * g
+            jet.d2[..., comp] += -2.0 * u2 / w * g
+            jet.d11[..., comp] += (4.0 * u1**2 - 2.0) / w**2 * g
+            jet.d22[..., comp] += (4.0 * u2**2 - 2.0) / w**2 * g
+            jet.d12[..., comp] += 4.0 * u1 * u2 / w**2 * g
+    return jet
 
 
 @dataclass(frozen=True)
 class Surface:
-    """Catalog record: the factory jets(grid, m, **params), the parameter defaults
+    """Catalog record: the factory jets(grid, m, **params) returning the Jet on the
+    grid's nodes, the parameter defaults
     (whose types fix the accepted values: int >= 0, float finite > 0), the report
     keys verify does not threshold (None: no key) and expected_f(params) (None: f = 0)."""
 
-    jets: Callable[..., JetFn]
+    jets: Callable[..., Jet]
     params: dict[str, Any] = field(default_factory=dict)
     exempt: frozenset[str] | None = frozenset()
     expected_f: Callable[[dict], float] | None = None
@@ -392,13 +353,12 @@ def make_surface(kind: str, grid: Grid, m: int = 3, **params) -> ImmersionPatch:
     left out take their defaults, the others are checked by _check_surface."""
     kind = kind.replace("-", "_")
     record = _check_surface(kind, m, params)
-    jets = record.jets(grid, m, **{**record.params, **params})
     with np.errstate(all="ignore"):  # an overflow is reported by the check below
-        jet0 = jets(*grid.nodes())
-    if not np.all(np.isfinite(jet0.phi)):
+        jet = record.jets(grid, m, **{**record.params, **params})
+    if not np.all(np.isfinite(jet.phi)):
         raise ValueError(f"surface {kind} is not finite on this grid")
     label = kind if not params else kind + "(" + ",".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
-    return ImmersionPatch(grid=grid, m=m, phi=jet0.phi, jets=jets, label=label)
+    return ImmersionPatch(grid=grid, m=m, phi=jet.phi, jets=jet, label=label)
 
 
 CATALOG: dict[str, Surface] = {
@@ -520,19 +480,19 @@ class GeometryBundle(_FirstOrder):
         return self._memo[fn]
 
 
-def conformal_factor(patch: ImmersionPatch) -> tuple[np.ndarray, float]:
-    """Conformal factor lambda = log |d1 Phi| and the conformality defect.
+def conformal_factor(grid: Grid, jet: Jet) -> tuple[np.ndarray, float]:
+    """Conformal factor lambda = log |d1 Phi| and the conformality defect of
+    a patch's jet on grid (``patch.jet()``, which ``frames`` already holds).
 
     The defect is the interior max of ||d1|-|d2||/e^lambda and
     |d1 . d2|/e^2lambda; degenerate nodes raise.
     """
-    jet = patch.jet()
     n1 = np.linalg.norm(jet.d1, axis=-1)
     n2 = np.linalg.norm(jet.d2, axis=-1)
     if np.min(n1) < 1e-12 or np.min(n2) < 1e-12:
         i, j = np.unravel_index(int(np.argmin(n1 + n2)), n1.shape)
         raise DegenerateImmersionError(f"immersion degenerates near node ({i}, {j})")
-    win = patch.grid.interior()
+    win = grid.interior()
     cross = np.abs(np.sum(jet.d1 * jet.d2, axis=-1))
     defect = float(max(np.max(np.abs(n1 - n2)[win] / n1[win]), np.max(cross[win] / n1[win] ** 2)))
     return np.log(n1), defect
@@ -552,7 +512,7 @@ def frames(patch: ImmersionPatch) -> _FirstOrder:
     """First-order geometry: conformal frame, normal frame, Gauss map."""
     jet = patch.jet()
     m = patch.m
-    lam, defect = conformal_factor(patch)
+    lam, defect = conformal_factor(patch.grid, jet)
     elam = np.exp(lam)
     e1 = jet.d1 / elam[..., None]
     e2 = jet.d2 / elam[..., None]

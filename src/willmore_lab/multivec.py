@@ -18,8 +18,11 @@ Operations provided, with the conventions used throughout the package:
                     ``a . b = a interior b`` for 1-vector b, and
                     ``a . (b ^ c) = (a . b) ^ c + (-1)^{pq} (a . c) ^ b``.
 
-Everything is immutable and pure; per-dimension multiplication tables
-are cached and shared.
+Each operation is one per-blade rule (``_wedge_rule``, ``_interior_rule``,
+``_bullet_rule``) that maps a pair of basis blades to its signed blade
+expansion; ``_entries(m, rule)`` builds the multiplication table of any
+rule over R^m once, and the tables are cached and shared.  Everything is
+immutable and pure.
 """
 
 from __future__ import annotations
@@ -76,80 +79,44 @@ def _merge_sign(a: int, b: int) -> int:
     return sign
 
 
-@lru_cache(maxsize=None)
-def _wedge_entries(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    ia, ib, iout, sg = [], [], [], []
-    for a in range(1 << m):
-        for b in range(1 << m):
-            if a & b:
-                continue
-            ia.append(a)
-            ib.append(b)
-            iout.append(a | b)
-            sg.append(_merge_sign(a, b))
-    return (np.array(ia), np.array(ib), np.array(iout), np.array(sg, dtype=float))
+def _wedge_rule(a: int, b: int) -> dict[int, float]:
+    """blade_a ^ blade_b as {blade mask: sign}."""
+    return {} if a & b else {a | b: float(_merge_sign(a, b))}
+
+
+def _interior_rule(g: int, b: int) -> dict[int, float]:
+    """blade_g interior blade_b = merge_sign(b, g^b) * blade_{g^b} for b subset g, else 0."""
+    return {} if b & ~g else {g ^ b: float(_merge_sign(b, g ^ b))}
 
 
 @lru_cache(maxsize=None)
-def _interior_entries(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # blade_g interior blade_b = merge_sign(b, g^b) * blade_{g^b} for b subset g
-    ia, ib, iout, sg = [], [], [], []
-    for g in range(1 << m):
-        for b in range(1 << m):
-            if b & ~g:
-                continue
-            ia.append(g)
-            ib.append(b)
-            iout.append(g ^ b)
-            sg.append(_merge_sign(b, g ^ b))
-    return (np.array(ia), np.array(ib), np.array(iout), np.array(sg, dtype=float))
-
-
-def _bullet_blades(m: int, a: int, b: int, memo: dict) -> dict[int, float]:
+def _bullet_rule(a: int, b: int) -> dict[int, float]:
     """Signed blade expansion of blade_a . blade_b."""
-    key = (a, b)
-    if key in memo:
-        return memo[key]
-    out: dict[int, float] = {}
     if _popcount(b) <= 1:
-        # grade-0 or grade-1 second argument: plain interior multiplication
-        if b == 0:
-            out[a] = 1.0
-        elif b & ~a:
-            pass  # contraction annihilates
-        else:
-            out[a ^ b] = float(_merge_sign(b, a ^ b))
-    else:
-        lo = b & -b          # lowest factor e_i, so blade_b = e_i ^ rest
-        rest = b ^ lo
-        q = _popcount(rest)
-        # a . (e_i ^ rest) = (a . e_i) ^ rest + (-1)^q (a . rest) ^ e_i
-        for mask, coeff in _bullet_blades(m, a, lo, memo).items():
-            if mask & rest:
-                continue
-            out[mask | rest] = out.get(mask | rest, 0.0) + coeff * _merge_sign(mask, rest)
-        sign = -1.0 if q & 1 else 1.0
-        for mask, coeff in _bullet_blades(m, a, rest, memo).items():
-            if mask & lo:
-                continue
-            out[mask | lo] = out.get(mask | lo, 0.0) + sign * coeff * _merge_sign(mask, lo)
-    out = {k: v for k, v in out.items() if v != 0.0}
-    memo[key] = out
-    return out
+        return _interior_rule(a, b)
+    lo = b & -b          # lowest factor e_i, so blade_b = e_i ^ rest
+    rest = b ^ lo
+    q = _popcount(rest)
+    out: dict[int, float] = {}
+    # a . (e_i ^ rest) = (a . e_i) ^ rest + (-1)^q (a . rest) ^ e_i
+    for mask, coeff in _bullet_rule(a, lo).items():
+        if mask & rest:
+            continue
+        out[mask | rest] = out.get(mask | rest, 0.0) + coeff * _merge_sign(mask, rest)
+    sign = -1.0 if q & 1 else 1.0
+    for mask, coeff in _bullet_rule(a, rest).items():
+        if mask & lo:
+            continue
+        out[mask | lo] = out.get(mask | lo, 0.0) + sign * coeff * _merge_sign(mask, lo)
+    return {k: v for k, v in out.items() if v != 0.0}
 
 
 @lru_cache(maxsize=None)
-def _bullet_entries(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    memo: dict = {}
-    ia, ib, iout, sg = [], [], [], []
-    for a in range(1 << m):
-        for b in range(1 << m):
-            for mask, coeff in _bullet_blades(m, a, b, memo).items():
-                ia.append(a)
-                ib.append(b)
-                iout.append(mask)
-                sg.append(coeff)
-    return (np.array(ia), np.array(ib), np.array(iout), np.array(sg, dtype=float))
+def _entries(m: int, rule) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Table (left blade, right blade, product blade, sign) of a per-blade rule over R^m."""
+    ia, ib, iout, sg = zip(*[(a, b, mask, coeff) for a in range(1 << m) for b in range(1 << m)
+                             for mask, coeff in rule(a, b).items()])
+    return np.array(ia), np.array(ib), np.array(iout), np.array(sg, dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -191,19 +158,19 @@ def _apply_bilinear(entries, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def field_wedge(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise wedge of two blade-coefficient fields."""
     _check_dim(m)
-    return _apply_bilinear(_wedge_entries(m), a, b)
+    return _apply_bilinear(_entries(m, _wedge_rule), a, b)
 
 
 def field_interior(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise interior multiplication a interior b."""
     _check_dim(m)
-    return _apply_bilinear(_interior_entries(m), a, b)
+    return _apply_bilinear(_entries(m, _interior_rule), a, b)
 
 
 def field_bullet(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise first-order contraction a . b."""
     _check_dim(m)
-    return _apply_bilinear(_bullet_entries(m), a, b)
+    return _apply_bilinear(_entries(m, _bullet_rule), a, b)
 
 
 def field_hodge(m: int, a: np.ndarray) -> np.ndarray:
@@ -288,15 +255,15 @@ class MultiVector:
 
     # -- algebra -------------------------------------------------------------
 
-    def _binary(self, other: "MultiVector", entries) -> "MultiVector":
+    def _binary(self, other: "MultiVector", rule) -> "MultiVector":
         if not isinstance(other, MultiVector):
             raise TypeError("expected a MultiVector")
         if other.m != self.m:
             raise DimensionMismatchError(f"ambient dimensions differ: {self.m} vs {other.m}")
-        return MultiVector(self.m, _apply_bilinear(entries, self.coeffs, other.coeffs))
+        return MultiVector(self.m, _apply_bilinear(_entries(self.m, rule), self.coeffs, other.coeffs))
 
     def wedge(self, other: "MultiVector") -> "MultiVector":
-        return self._binary(other, _wedge_entries(self.m))
+        return self._binary(other, _wedge_rule)
 
     def interior(self, other: "MultiVector") -> "MultiVector":
         """Interior multiplication self interior other (grades q, p -> q - p).
@@ -310,16 +277,13 @@ class MultiVector:
             gp = other.grades()
             if len(gq) == 1 and len(gp) == 1 and gp[0] > gq[0]:
                 raise GradeError(f"cannot contract grade {gq[0]} by grade {gp[0]}")
-        return self._binary(other, _interior_entries(self.m))
+        return self._binary(other, _interior_rule)
 
     def bullet(self, other: "MultiVector") -> "MultiVector":
-        return self._binary(other, _bullet_entries(self.m))
+        return self._binary(other, _bullet_rule)
 
     def hodge(self) -> "MultiVector":
-        iout, sg = _hodge_entries(self.m)
-        c = np.zeros_like(self.coeffs)
-        c[iout] = sg * self.coeffs
-        return MultiVector(self.m, c)
+        return MultiVector(self.m, field_hodge(self.m, self.coeffs))
 
     def inner(self, other: "MultiVector") -> float:
         if other.m != self.m:

@@ -101,9 +101,11 @@ class TestRefine:
         floors = [ln for ln in rows if ln.endswith(rp.FLOOR)]
         assert floors  # every identically-zero key reports the sentinel
 
-    def test_needs_two_grids(self, tmp_path):
+    def test_needs_two_grids(self, capsys, tmp_path):
         rc = run_cli(["refine", "--surface", "plane", "--n", "65", "--out", str(tmp_path / "t.csv")])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("willmore-lab: error: refine needs at least two --n") and len(err.splitlines()) == 1
 
 
 class TestInputBoundary:
@@ -150,9 +152,27 @@ class TestInputBoundary:
         for argv, word in ((["flow", "--surface", "perturbed-catenoid", "--n", "33", "--n", "65"], "one --n"),
                            (["wente", "--n", "33", "--n", "65"], "one --n"),
                            (["wente", "--n", "33", "--samples", "0"], "samples"),
-                           (["wente", "--n", "33", "--samples", "-1"], "samples")):
+                           (["wente", "--n", "33", "--samples", "-1"], "samples"),
+                           (["wente", "--n", "33", "--samples", "2", "--seed", "-5"], "--seed"),
+                           (["flow", "--surface", "catenoid", "--n", "33", "--seed", "-1"], "--seed"),
+                           (["flow", "--surface", "catenoid", "--n", "33", "--max-iters", "-1"], "--max-iters"),
+                           (["flow", "--surface", "catenoid", "--n", "33", "--stop-ratio", "-1"], "--stop-ratio"),
+                           (["flow", "--surface", "catenoid", "--n", "33", "--stop-ratio", "nan"], "--stop-ratio"),
+                           (["flow", "--surface", "catenoid", "--n", "33", "--stop-ratio", "inf"], "--stop-ratio")):
             assert word in self.check_rejected(capsys, tmp_path, argv=[*argv, "--out", out])
             assert not (tmp_path / "r.csv").exists()
+
+    def test_threshold_file(self, capsys, tmp_path):
+        # read in main: a JSON object of finite, non-boolean numbers or nothing
+        for name, text in (("missing.json", None), ("text.json", '{"dot_identity": "x"}'), ("list.json", "[1]"),
+                           ("bool.json", '{"dot_identity": true}'), ("nan.json", '{"dot_identity": NaN}'),
+                           ("broken.json", '{"dot_identity": ')):
+            path = tmp_path / name
+            if text is not None:
+                path.write_text(text)
+            argv = ["verify", "--surface", "plane", "--n", "33", "--threshold-file", str(path),
+                    "--out", str(tmp_path / "r.json")]
+            assert name in self.check_rejected(capsys, tmp_path, argv=argv)
 
     def test_field_file_and_exponent(self, capsys, tmp_path):
         good, short, stub = tmp_path / "f.bin", tmp_path / "short.bin", tmp_path / "stub.bin"

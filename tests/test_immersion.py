@@ -33,7 +33,7 @@ def test_analytic_jets_match_finite_differences(kind, params):
     for n in (65, 129):
         g = Grid(0.5, n)
         p = im.make_surface(kind, g, **params)
-        ja = p.jets(*g.nodes())
+        ja = p.jets
         jf = im.fd_jet(g, p.phi)
         win = g.interior()
         errs.append(
@@ -47,6 +47,24 @@ def test_analytic_jets_match_finite_differences(kind, params):
     assert errs[1] < max(4e-3, errs[0])
     if errs[1] > 1e-11:
         assert 3.2 <= errs[0] / errs[1] <= 4.8
+
+
+class TestEachValueOnce:
+    """A catalog jet is evaluated once, in make_surface; a bundle reuses it, and an
+    FD patch's jet is differenced once per bundle."""
+
+    def test_bundle_holds_the_catalog_jet(self):
+        for kind, params in ALL_KINDS:
+            p = im.make_surface(kind, G65, **params)
+            assert im.make_bundle(p).jet is p.jets, kind
+
+    def test_fd_jet_once_per_bundle(self, monkeypatch):
+        calls = []
+        fd_jet = im.fd_jet
+        monkeypatch.setattr(im, "fd_jet", lambda *a: calls.append(1) or fd_jet(*a))
+        patch = im.perturb_normal(im.make_surface("catenoid", G65), seed=0)
+        im.make_bundle(patch)
+        assert len(calls) == 1
 
 
 class TestCatalogClosedForms:
@@ -112,21 +130,21 @@ class TestCatalogClosedForms:
 class TestConformalFactor:
     def test_defect_zero_for_exact_catalog(self):
         for kind, params in ALL_KINDS[:-1]:
-            _, defect = im.conformal_factor(im.make_surface(kind, G65, **params))
+            _, defect = im.conformal_factor(G65, im.make_surface(kind, G65, **params).jet())
             assert defect < 1e-12, kind
 
     def test_graph_defect_scales_with_amplitude_squared(self):
         d = {}
         for amp in (0.02, 0.04):
             _, d[amp] = im.conformal_factor(
-                im.make_surface("graph_perturbation", G65, seed=1, amplitude=amp)
+                G65, im.make_surface("graph_perturbation", G65, seed=1, amplitude=amp).jet()
             )
         assert 3.0 < d[0.04] / d[0.02] < 5.0
 
     def test_degenerate_immersion_raises(self):
         patch = im.ImmersionPatch(G65, 3, np.zeros((65, 65, 3)), None, "degenerate")
         with pytest.raises(im.DegenerateImmersionError):
-            im.conformal_factor(patch)
+            im.conformal_factor(G65, patch.jet())
 
 
 class TestFrames:
