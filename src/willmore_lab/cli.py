@@ -70,7 +70,8 @@ def _patched(name: str, params: dict, s: float, n: int, m: int, seed: int):
 
 def _read_thresholds(path) -> dict:
     """DEFAULT_THRESHOLDS overridden by the JSON object at path (None: no file); ValueError
-    unless it maps names to finite numbers (a JSON boolean is none), OSError if unreadable."""
+    unless it maps thresholded key names to finite numbers (a JSON boolean is none), OSError
+    if unreadable."""
     if path is None:
         return dict(DEFAULT_THRESHOLDS)
     try:
@@ -81,6 +82,10 @@ def _read_thresholds(path) -> dict:
     if not isinstance(overrides, dict) or not all(
             type(v) in (int, float) and -np.inf < v < np.inf for v in overrides.values()):
         raise ValueError(f"--threshold-file {path} must hold a JSON object of finite numbers")
+    unknown = sorted(set(overrides) - set(DEFAULT_THRESHOLDS))
+    if unknown:
+        raise ValueError(f"--threshold-file {path}: {unknown[0]!r} is no thresholded key; "
+                         f"have {sorted(DEFAULT_THRESHOLDS)}")
     return {**DEFAULT_THRESHOLDS, **overrides}
 
 

@@ -69,7 +69,7 @@ def frame_derivative_residuals(bundle: GeometryBundle) -> tuple[float, float]:
     for a in range(bundle.m - 2):
         na = bundle.normal_frame[a]
         H0a = np.sum(bundle.H0 * na, axis=-1)
-        Ha = np.sum(bundle.H * na, axis=-1)
+        Ha = dg.component_sum(bundle.H * na)
         dzs_na = dg.dzstar(grid, na)
         pred = -bundle.elam[..., None] * (H0a[..., None] * bundle.ez + Ha[..., None] * bundle.ezstar)
         pred = pred + bundle.project_normal(dzs_na)
@@ -162,11 +162,11 @@ def _cw_lhs(bundle: GeometryBundle) -> np.ndarray:
     pin = np.stack([bundle.project_normal(gradH[0]), bundle.project_normal(gradH[1])])
     lap_perp = bundle.project_normal(dg.div(grid, pin)) / bundle.area_density[..., None]
     Hcoef = np.stack(
-        [np.sum(bundle.H * bundle.normal_frame[a], axis=-1) for a in range(bundle.m - 2)], axis=-1
+        [dg.component_sum(bundle.H * bundle.normal_frame[a]) for a in range(bundle.m - 2)], axis=-1
     )
     hh = np.einsum("...aij,...bij->...ab", bundle.h, bundle.h)
     Aterm = np.einsum("...a,a...k->...k", np.einsum("...ab,...b->...a", hh, Hcoef), bundle.normal_frame)
-    H2 = np.sum(bundle.H**2, axis=-1)
+    H2 = dg.component_sum(bundle.H * bundle.H)
     return lap_perp + Aterm - 2.0 * H2[..., None] * bundle.H
 
 

@@ -64,7 +64,7 @@ def surface_scale(bundle: GeometryBundle) -> float:
     """Normalization constant for residuals: sup e^{2 lambda}(1 + |H|^2 + |B|^2)."""
     win = bundle.grid.interior()
     normB2 = np.sum(bundle.h**2, axis=(-1, -2, -3))
-    normH2 = np.sum(np.abs(bundle.H) ** 2, axis=-1)
+    normH2 = dg.component_sum(bundle.H * bundle.H)
     return float(max(1.0, np.max((bundle.area_density * (1.0 + normH2 + normB2))[win])))
 
 
@@ -116,7 +116,7 @@ def tangency_identities(bundle: GeometryBundle) -> tuple[float, float]:
     jet = bundle.jet
     Q = bundle.derived(assemble_Q)
     scale = bundle.derived(surface_scale)
-    dot = np.sum(jet.d1 * Q[0] + jet.d2 * Q[1], axis=-1)
+    dot = dg.component_sum(jet.d1 * Q[0] + jet.d2 * Q[1])
     gradH = bundle.derived(_grad_H)
     wedge = sum(
         mv.field_wedge(m, mv.vector_field_to_mv(dphi), mv.vector_field_to_mv(Qj + 2.0 * gHj))
@@ -186,7 +186,7 @@ def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
     """
     grid, m = bundle.grid, bundle.m
     jet = bundle.jet
-    TS = np.stack([np.sum(jet.d1 * L, axis=-1), np.sum(jet.d2 * L, axis=-1)])
+    TS = np.stack([dg.component_sum(jet.d1 * L), dg.component_sum(jet.d2 * L)])
     resS = dg.grad_potential(grid, TS)
     Lmv = mv.vector_field_to_mv(L)
     Hmv = mv.vector_field_to_mv(bundle.H)

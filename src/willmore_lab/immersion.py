@@ -439,7 +439,8 @@ class _FirstOrder:
         """Tangential part of an ambient (possibly complex) vector field."""
         out = np.zeros_like(X)
         for t in (self.t1, self.t2):
-            out = out + np.sum(X * t, axis=-1)[..., None] * t
+            P = X * t
+            out = out + (dg.component_sum(P) if np.isrealobj(P) else np.sum(P, axis=-1))[..., None] * t
         return out
 
     def project_normal(self, X: np.ndarray) -> np.ndarray:
@@ -487,21 +488,21 @@ def conformal_factor(grid: Grid, jet: Jet) -> tuple[np.ndarray, float]:
     The defect is the interior max of ||d1|-|d2||/e^lambda and
     |d1 . d2|/e^2lambda; degenerate nodes raise.
     """
-    n1 = np.linalg.norm(jet.d1, axis=-1)
-    n2 = np.linalg.norm(jet.d2, axis=-1)
+    n1 = np.sqrt(dg.component_sum(jet.d1 * jet.d1))
+    n2 = np.sqrt(dg.component_sum(jet.d2 * jet.d2))
     if np.min(n1) < 1e-12 or np.min(n2) < 1e-12:
         i, j = np.unravel_index(int(np.argmin(n1 + n2)), n1.shape)
         raise DegenerateImmersionError(f"immersion degenerates near node ({i}, {j})")
     win = grid.interior()
-    cross = np.abs(np.sum(jet.d1 * jet.d2, axis=-1))
+    cross = np.abs(dg.component_sum(jet.d1 * jet.d2))
     defect = float(max(np.max(np.abs(n1 - n2)[win] / n1[win]), np.max(cross[win] / n1[win] ** 2)))
     return np.log(n1), defect
 
 
 def _orthonormal_tangents(jet: Jet) -> tuple[np.ndarray, np.ndarray]:
-    t1 = jet.d1 / np.linalg.norm(jet.d1, axis=-1, keepdims=True)
-    t2 = jet.d2 - np.sum(jet.d2 * t1, axis=-1, keepdims=True) * t1
-    t2 = t2 / np.linalg.norm(t2, axis=-1, keepdims=True)
+    t1 = jet.d1 / np.sqrt(dg.component_sum(jet.d1 * jet.d1))[..., None]
+    t2 = jet.d2 - dg.component_sum(jet.d2 * t1)[..., None] * t1
+    t2 = t2 / np.sqrt(dg.component_sum(t2 * t2))[..., None]
     return t1, t2
 
 
@@ -524,11 +525,11 @@ def frames(patch: ImmersionPatch) -> _FirstOrder:
             break
         seed = np.zeros(patch.phi.shape)
         seed[..., comp] = 1.0
-        r = seed - np.sum(seed * t1, axis=-1, keepdims=True) * t1
-        r -= np.sum(r * t2, axis=-1, keepdims=True) * t2
+        r = seed - dg.component_sum(seed * t1)[..., None] * t1
+        r -= dg.component_sum(r * t2)[..., None] * t2
         for na in accepted:
-            r -= np.sum(r * na, axis=-1, keepdims=True) * na
-        norms = np.linalg.norm(r, axis=-1)
+            r -= dg.component_sum(r * na)[..., None] * na
+        norms = np.sqrt(dg.component_sum(r * r))
         if np.min(norms) < _SEED_ACCEPT:
             continue
         accepted.append(r / norms[..., None])
@@ -543,7 +544,7 @@ def frames(patch: ImmersionPatch) -> _FirstOrder:
     for na in accepted:
         w = mv.field_wedge(m, w, mv.vector_field_to_mv(na))
     n_last = mv.mv_field_vector_part(mv.field_hodge(m, w))
-    n_last = n_last / np.linalg.norm(n_last, axis=-1, keepdims=True)
+    n_last = n_last / np.sqrt(dg.component_sum(n_last * n_last))[..., None]
 
     normal_frame = np.stack(accepted + [n_last])
     gauss = mv.vector_field_to_mv(normal_frame[0])
@@ -580,14 +581,14 @@ def second_fundamental(patch: ImmersionPatch, first_order: _FirstOrder | None = 
         na = first.normal_frame[a]
         for i in range(2):
             for j in range(2):
-                h[..., a, i, j] = np.sum(na * second[i][j], axis=-1) / e2lam
+                h[..., a, i, j] = dg.component_sum(na * second[i][j]) / e2lam
     Hcoef = 0.5 * (h[..., 0, 0] + h[..., 1, 1])
     H0coef = 0.5 * (h[..., 0, 0] - h[..., 1, 1] + 2j * h[..., 0, 1])
     H = np.einsum("...a,a...k->...k", Hcoef, first.normal_frame)
     H0 = np.einsum("...a,a...k->...k", H0coef, first.normal_frame.astype(complex))
     K_lambda = -dg.laplace(patch.grid, first.lam) / e2lam
     normB2 = np.sum(h**2, axis=(-1, -2, -3))
-    normH2 = np.sum(np.abs(H) ** 2, axis=-1)
+    normH2 = dg.component_sum(H * H)
     K_gauss = 2.0 * normH2 - 0.5 * normB2
     return GeometryBundle(**{f.name: getattr(first, f.name) for f in fields(_FirstOrder)},
                           h=h, H=H, H0=H0, K_lambda=K_lambda, K_gauss=K_gauss, area_density=e2lam)
@@ -600,5 +601,5 @@ def make_bundle(patch: ImmersionPatch) -> GeometryBundle:
 
 def willmore_energy(bundle: GeometryBundle) -> float:
     """Trapezoidal quadrature of |H|^2 e^{2 lambda} over the grid square."""
-    density = np.sum(np.abs(bundle.H) ** 2, axis=-1) * bundle.area_density
+    density = dg.component_sum(bundle.H * bundle.H) * bundle.area_density
     return float(dg.integrate(bundle.grid, density))

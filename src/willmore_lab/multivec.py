@@ -23,6 +23,14 @@ Each operation is one per-blade rule (``_wedge_rule``, ``_interior_rule``,
 expansion; ``_entries(m, rule)`` builds the multiplication table of any
 rule over R^m once, and the tables are cached and shared.  Everything is
 immutable and pure.
+
+Field kernel: a bilinear product reads only the live blade slots of its
+operands (slots that are nonzero somewhere), copies each once into a
+contiguous row, and runs the kept table entries in table order, so every
+product slot adds the same terms in the same order as a loop over the
+whole table and the result is the same to the bit.  The plan for a pair of
+live masks is cached.  The Hodge star maps blade k to blade ``full ^ k =
+full - k``: it is the blade axis reversed and signed, one elementwise pass.
 """
 
 from __future__ import annotations
@@ -120,15 +128,10 @@ def _entries(m: int, rule) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 
 
 @lru_cache(maxsize=None)
-def _hodge_entries(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _hodge_signs(m: int) -> np.ndarray:
+    """Per slot j, the sign with which star(blade_{full ^ j}) lands on blade_j."""
     full = (1 << m) - 1
-    iout = np.empty(1 << m, dtype=int)
-    sg = np.empty(1 << m)
-    for a in range(1 << m):
-        comp = full ^ a
-        iout[a] = comp
-        sg[a] = _merge_sign(a, comp)
-    return iout, sg
+    return np.array([float(_merge_sign(full ^ j, j)) for j in range(1 << m)])
 
 
 def _check_dim(m: int) -> None:
@@ -141,45 +144,87 @@ def _check_dim(m: int) -> None:
 # Geometry modules use these; the MultiVector class below wraps single points.
 # ---------------------------------------------------------------------------
 
-def _apply_bilinear(entries, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ia, ib, iout, sg = entries
+@lru_cache(maxsize=1024)
+def _plan(m: int, rule, live_a: bytes, live_b: bytes):
+    """Live-slot program of a rule's table for operands whose live blade slots
+    are the boolean masks live_a, live_b: the live slots of a, b and the
+    product, and per kept table entry (row of a, row of b, product row, sign),
+    in table order."""
+    ia, ib, iout, sg = _entries(m, rule)
+    keep = np.flatnonzero(np.frombuffer(live_a, dtype=bool)[ia] & np.frombuffer(live_b, dtype=bool)[ib])
+    slots_a, ra = np.unique(ia[keep], return_inverse=True)
+    slots_b, rb = np.unique(ib[keep], return_inverse=True)
+    slots_out, ro = np.unique(iout[keep], return_inverse=True)
+    return slots_a, slots_b, slots_out, tuple(zip(ra.tolist(), rb.tolist(), ro.tolist(), sg[keep]))
+
+
+def _live(a: np.ndarray) -> np.ndarray:
+    """Mask of the blade slots of a that are nonzero somewhere.
+
+    The rows of ``a != 0`` are or-folded in halves; numpy's reduction over
+    the leading axes runs its inner loop along the short blade axis only and
+    is 2-7x slower here.
+    """
+    rows = (a != 0).reshape(-1, a.shape[-1])
+    while len(rows) > 1:
+        half = len(rows) // 2
+        folded = rows[:half] | rows[half:2 * half]
+        if len(rows) % 2:
+            folded[0] |= rows[-1]
+        rows = folded
+    return rows.any(axis=0)
+
+
+def _apply_bilinear(m: int, rule, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise bilinear product of blade-coefficient fields by a rule's table.
+
+    Only live slots are read: each is copied once into a contiguous row, every
+    kept table entry adds sign * a_row * b_row onto its product row, in table
+    order, and the product rows are written back.  Each output slot therefore
+    sums the same terms in the same order as a loop over the whole table.
+    """
     dtype = np.result_type(a.dtype, b.dtype)
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (a.shape[-1],), dtype=dtype)
-    lead_a = tuple(range(a.ndim - 1))
-    lead_b = tuple(range(b.ndim - 1))
-    live_a = np.any(a != 0, axis=lead_a) if a.ndim > 1 else (a != 0)
-    live_b = np.any(b != 0, axis=lead_b) if b.ndim > 1 else (b != 0)
-    keep = live_a[ia] & live_b[ib]
-    for t in np.flatnonzero(keep):
-        out[..., iout[t]] += sg[t] * a[..., ia[t]] * b[..., ib[t]]
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(lead + (a.shape[-1],), dtype=dtype)
+    slots_a, slots_b, slots_out, program = _plan(m, rule, _live(a).tobytes(), _live(b).tobytes())
+    A = np.moveaxis(a, -1, 0)[slots_a]
+    B = np.moveaxis(b, -1, 0)[slots_b]
+    acc = np.zeros((len(slots_out),) + lead, dtype=dtype)
+    term = np.empty(lead, dtype=dtype)
+    for i, j, k, sign in program:
+        np.multiply(sign, A[i], out=term)
+        np.multiply(term, B[j], out=term)
+        acc[k] += term
+    out[..., slots_out] = np.moveaxis(acc, 0, -1)
     return out
 
 
 def field_wedge(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise wedge of two blade-coefficient fields."""
     _check_dim(m)
-    return _apply_bilinear(_entries(m, _wedge_rule), a, b)
+    return _apply_bilinear(m, _wedge_rule, a, b)
 
 
 def field_interior(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise interior multiplication a interior b."""
     _check_dim(m)
-    return _apply_bilinear(_entries(m, _interior_rule), a, b)
+    return _apply_bilinear(m, _interior_rule, a, b)
 
 
 def field_bullet(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise first-order contraction a . b."""
     _check_dim(m)
-    return _apply_bilinear(_entries(m, _bullet_rule), a, b)
+    return _apply_bilinear(m, _bullet_rule, a, b)
 
 
 def field_hodge(m: int, a: np.ndarray) -> np.ndarray:
-    """Pointwise Hodge star of a blade-coefficient field."""
+    """Pointwise Hodge star of a blade-coefficient field.
+
+    star(blade_k) = sign * blade_{full ^ k} and full ^ k = full - k, so the
+    star is the blade axis reversed and signed: one elementwise pass.
+    """
     _check_dim(m)
-    iout, sg = _hodge_entries(m)
-    out = np.zeros_like(a)
-    out[..., iout] = sg * a
-    return out
+    return a[..., ::-1] * _hodge_signs(m)
 
 
 def field_inner(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -260,7 +305,7 @@ class MultiVector:
             raise TypeError("expected a MultiVector")
         if other.m != self.m:
             raise DimensionMismatchError(f"ambient dimensions differ: {self.m} vs {other.m}")
-        return MultiVector(self.m, _apply_bilinear(_entries(self.m, rule), self.coeffs, other.coeffs))
+        return MultiVector(self.m, _apply_bilinear(self.m, rule, self.coeffs, other.coeffs))
 
     def wedge(self, other: "MultiVector") -> "MultiVector":
         return self._binary(other, _wedge_rule)

@@ -163,16 +163,20 @@ class TestInputBoundary:
             assert not (tmp_path / "r.csv").exists()
 
     def test_threshold_file(self, capsys, tmp_path):
-        # read in main: a JSON object of finite, non-boolean numbers or nothing
+        # read in main: a JSON object of finite, non-boolean numbers for thresholded keys, or nothing
         for name, text in (("missing.json", None), ("text.json", '{"dot_identity": "x"}'), ("list.json", "[1]"),
                            ("bool.json", '{"dot_identity": true}'), ("nan.json", '{"dot_identity": NaN}'),
-                           ("broken.json", '{"dot_identity": ')):
+                           ("broken.json", '{"dot_identity": '), ("typo.json", '{"a4_resd": 1e-30}'),
+                           ("informational.json", '{"f_inf": 1.0}')):
             path = tmp_path / name
             if text is not None:
                 path.write_text(text)
             argv = ["verify", "--surface", "plane", "--n", "33", "--threshold-file", str(path),
                     "--out", str(tmp_path / "r.json")]
-            assert name in self.check_rejected(capsys, tmp_path, argv=argv)
+            err = self.check_rejected(capsys, tmp_path, argv=argv)
+            assert name in err
+            if name in ("typo.json", "informational.json"):
+                assert repr(json.loads(text).popitem()[0]) in err
 
     def test_field_file_and_exponent(self, capsys, tmp_path):
         good, short, stub = tmp_path / "f.bin", tmp_path / "short.bin", tmp_path / "stub.bin"

@@ -324,3 +324,23 @@ class TestFieldIO:
         _, values = dg.read_field(path)
         assert values.shape == (33, 33, 2)
         assert np.array_equal(values[..., 0] + 1j * values[..., 1], data)
+
+
+class TestComponentSum:
+    """component_sum is np.sum over a short real trailing axis, bit for bit."""
+
+    @pytest.mark.parametrize("n", [33, 129])
+    def test_equals_numpy_sum_and_norm(self, n):
+        rng = np.random.default_rng(n)
+        for m in range(2, 8):
+            for _ in range(3):
+                X = rng.normal(size=(n, n, m)) * np.exp(rng.uniform(-5, 5, (n, n, m)))
+                assert np.array_equal(dg.component_sum(X), np.sum(X, axis=-1))
+                assert np.array_equal(np.sqrt(dg.component_sum(X * X)), np.linalg.norm(X, axis=-1))
+                # a strided trailing axis (components stacked in front) sums the same way
+                Y = np.moveaxis(np.moveaxis(X, -1, 0).copy(), 0, -1)
+                assert np.array_equal(dg.component_sum(Y), np.sum(Y, axis=-1))
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        P = np.full((5, 5, 3), -0.0)
+        assert dg.component_sum(P).tobytes() == np.sum(P, axis=-1).tobytes()

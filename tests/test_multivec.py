@@ -267,3 +267,84 @@ def test_vector_embedding_roundtrip():
     rng = np.random.default_rng(10)
     v = rng.normal(size=(4, 4, 5))
     assert np.allclose(mv.mv_field_vector_part(mv.vector_field_to_mv(v)), v)
+
+
+def loop_bilinear(m, rule, a, b):
+    """Reference: the per-entry loop over the whole table that the live-slot kernel replaced."""
+    ia, ib, iout, sg = mv._entries(m, rule)
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (a.shape[-1],),
+                   dtype=np.result_type(a.dtype, b.dtype))
+    live_a = np.any(a != 0, axis=tuple(range(a.ndim - 1))) if a.ndim > 1 else (a != 0)
+    live_b = np.any(b != 0, axis=tuple(range(b.ndim - 1))) if b.ndim > 1 else (b != 0)
+    for t in np.flatnonzero(live_a[ia] & live_b[ib]):
+        out[..., iout[t]] += sg[t] * a[..., ia[t]] * b[..., ib[t]]
+    return out
+
+
+def same_bits(x, y):
+    """Equal dtype, shape and bytes: signed zeros count."""
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestLiveSlotKernel:
+    """The live-slot kernel sums the loop's terms in the loop's order: bit-identical results."""
+
+    RULES = {"wedge": (mv.field_wedge, mv._wedge_rule), "interior": (mv.field_interior, mv._interior_rule),
+             "bullet": (mv.field_bullet, mv._bullet_rule)}
+
+    @staticmethod
+    def graded_field(m, grade, rng, lead, complex_data=False):
+        out = np.zeros(lead + (1 << m,), dtype=complex if complex_data else float)
+        slots = mv.grade_masks(m, grade)
+        vals = rng.normal(size=lead + (len(slots),)) * np.exp(rng.uniform(-5, 5, lead + (len(slots),)))
+        if complex_data:
+            vals = vals + 1j * rng.normal(size=vals.shape)
+        out[..., slots] = vals
+        if len(slots) > 1:
+            out[..., slots[-1]] = 0.0  # one dead slot inside the grade
+        return out
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_every_grade_pair_matches_the_loop(self, m):
+        rng = np.random.default_rng(m)
+        for name, (op, rule) in self.RULES.items():
+            for p in range(m + 1):
+                for q in range(m + 1):
+                    A, B = (self.graded_field(m, k, rng, (3, 3)) for k in (p, q))
+                    Ac, Bc = (self.graded_field(m, k, rng, (3, 3), complex_data=True) for k in (p, q))
+                    a, b = (self.graded_field(m, k, rng, ()) for k in (p, q))
+                    for x, y in ((A, B), (Ac, Bc), (A, Bc), (Ac, B), (a, b), (A, b)):
+                        assert same_bits(op(m, x, y), loop_bilinear(m, rule, x, y)), (name, p, q)
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_mixed_grades_and_zero_operand(self, m):
+        rng = np.random.default_rng(10 + m)
+        A = sum(self.graded_field(m, k, rng, (5, 5)) for k in range(m + 1))
+        B = sum(self.graded_field(m, k, rng, (5, 5), complex_data=True) for k in (0, 1, 3))
+        Z = np.zeros_like(A)
+        # slots live at a single node only: the last node, and one in the middle
+        S = np.zeros_like(A)
+        S[-1, -1, 1], S[2, 3, 3], S[-1, -1, 6] = 2.0, -1.5, 0.25
+        for name, (op, rule) in self.RULES.items():
+            for x, y in ((A, B), (B, A), (A, A), (A, Z), (Z, B), (S, A), (B, S)):
+                assert same_bits(op(m, x, y), loop_bilinear(m, rule, x, y)), name
+            assert not np.any(op(m, A, Z))
+
+    def test_multivector_methods_use_the_kernel(self):
+        rng = np.random.default_rng(20)
+        a, b = random_mv(5, rng), random_mv(5, rng, 2)
+        for method, rule in ((a.wedge, mv._wedge_rule), (a.interior, mv._interior_rule),
+                             (a.bullet, mv._bullet_rule)):
+            assert same_bits(method(b).coeffs, loop_bilinear(5, rule, a.coeffs, b.coeffs))
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_hodge_matches_its_definition(self, m):
+        """star(blade_k) = merge_sign(k, full ^ k) * blade_{full ^ k}."""
+        rng = np.random.default_rng(30 + m)
+        full = (1 << m) - 1
+        for lead, complex_data in (((5, 5), False), ((5, 5), True), ((), False)):
+            A = sum(self.graded_field(m, k, rng, lead, complex_data) for k in (1, m - 1, m))
+            expect = np.zeros_like(A)
+            for k in range(1 << m):
+                expect[..., full ^ k] = mv._merge_sign(k, full ^ k) * A[..., k]
+            assert same_bits(mv.field_hodge(m, A), expect)
