@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diskgrid as dg
-from .conservation import _H0cH, _grad_H, assemble_Q, dz_L0_closed_form, surface_scale
+from .conservation import _H0cH, _grad_gauss, _grad_H, assemble_Q, dz_L0_closed_form, surface_scale
 from .immersion import GeometryBundle
 
 __all__ = [
@@ -202,6 +202,6 @@ def eq13_residual(bundle: GeometryBundle, f: np.ndarray | float, L: np.ndarray) 
 
 def gauss_map_energy(bundle: GeometryBundle) -> float:
     """Dirichlet energy integral |grad n|^2 of the Gauss map over the patch."""
-    gn = dg.grad(bundle.grid, bundle.gauss)
+    gn = bundle.derived(_grad_gauss)
     density = np.sum(gn[0] ** 2 + gn[1] ** 2, axis=-1)
     return float(dg.integrate(bundle.grid, density))

@@ -29,9 +29,12 @@ validated facts wired into this module (each is also a test):
   where . is the first-order contraction of multivec.bullet.
 
 Potentials are fixed mean-zero; every off-shell input degrades to a
-reported defect rather than an error.  Q, grad H, L, the surface scale
-and the closed form of dz L0 are computed once per bundle and shared
-through ``GeometryBundle.derived``.
+reported defect rather than an error.  Q, grad H, grad n, L, the surface
+scale and the closed form of dz L0 are computed once per bundle and
+shared through ``GeometryBundle.derived``.  Derivatives of multivector
+fields (grad n, grad star n, grad_perp R, Lap R, grad R) run on their
+live blade slots only; wedges of vector fields (the tangency identity and
+the targets of R) run on blade rows without the 2**m embedding.
 """
 
 from __future__ import annotations
@@ -72,6 +75,16 @@ def _grad_H(bundle: GeometryBundle) -> np.ndarray:
     return dg.grad(bundle.grid, bundle.H)
 
 
+def _live_fd(op, grid, a: np.ndarray) -> np.ndarray:
+    """op(grid, a) for a finite difference op of diskgrid and a blade field a, on its live slots."""
+    return mv.field_slotwise(lambda f: op(grid, f), a)
+
+
+def _grad_gauss(bundle: GeometryBundle) -> np.ndarray:
+    """grad n of the Gauss map, shape (2, n, n, 2**m)."""
+    return _live_fd(dg.grad, bundle.grid, bundle.gauss)
+
+
 def _H0cH(bundle: GeometryBundle) -> np.ndarray:
     return np.sum(np.conj(bundle.H0) * bundle.H, axis=-1)
 
@@ -81,7 +94,8 @@ def assemble_Q(bundle: GeometryBundle) -> np.ndarray:
     grid, m = bundle.grid, bundle.m
     gradH = bundle.derived(_grad_H)
     tang = gradH - 3.0 * np.stack([bundle.project_normal(gradH[0]), bundle.project_normal(gradH[1])])
-    gpn = dg.grad_perp(grid, bundle.gauss)
+    gn = bundle.derived(_grad_gauss)
+    gpn = (-gn[1], gn[0])
     Hmv = mv.vector_field_to_mv(bundle.H)
     star = np.stack(
         [mv.mv_field_vector_part(mv.field_hodge(m, mv.field_wedge(m, gpn[j], Hmv))) for j in range(2)]
@@ -112,14 +126,14 @@ def tangency_identities(bundle: GeometryBundle) -> tuple[float, float]:
     resid_wedge: grad Phi ^ Q + 2 grad Phi ^ grad H = 0
     Both hold on every conformal patch, Willmore or not.
     """
-    grid, m = bundle.grid, bundle.m
+    grid = bundle.grid
     jet = bundle.jet
     Q = bundle.derived(assemble_Q)
     scale = bundle.derived(surface_scale)
     dot = dg.component_sum(jet.d1 * Q[0] + jet.d2 * Q[1])
     gradH = bundle.derived(_grad_H)
     wedge = sum(
-        mv.field_wedge(m, mv.vector_field_to_mv(dphi), mv.vector_field_to_mv(Qj + 2.0 * gHj))
+        mv.field_wedge_vectors(dphi, Qj + 2.0 * gHj).dense()
         for dphi, Qj, gHj in ((jet.d1, Q[0], gradH[0]), (jet.d2, Q[1], gradH[1]))
     )
     return dg._interior_sup(grid, dot) / scale, dg._interior_sup(grid, wedge) / scale
@@ -188,18 +202,14 @@ def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
     jet = bundle.jet
     TS = np.stack([dg.component_sum(jet.d1 * L), dg.component_sum(jet.d2 * L)])
     resS = dg.grad_potential(grid, TS)
-    Lmv = mv.vector_field_to_mv(L)
-    Hmv = mv.vector_field_to_mv(bundle.H)
-    gperp_phi = (-jet.d2, jet.d1)
     blades = mv.grade_masks(m, 2)
-    TR = np.stack(
-        [
-            mv.field_wedge(m, mv.vector_field_to_mv(dphi), Lmv)
-            + 2.0 * mv.field_wedge(m, mv.vector_field_to_mv(gp), Hmv)
-            for dphi, gp in ((jet.d1, gperp_phi[0]), (jet.d2, gperp_phi[1]))
-        ]
-    )[..., blades]
-    resR = dg.grad_potential(grid, TR)
+    # blade axis outermost in memory: the solver's defect sums run in memory
+    # order, so this layout fixes the bits of R_defect
+    TR = np.empty((len(blades), 2) + L.shape[:-1])
+    for j, (dphi, gp) in enumerate(((jet.d1, -jet.d2), (jet.d2, jet.d1))):
+        TR[:, j] = (mv.field_wedge_vectors(dphi, L).part(blades)
+                    + 2.0 * mv.field_wedge_vectors(gp, bundle.H).part(blades))
+    resR = dg.grad_potential(grid, np.moveaxis(TR, 0, -1))
     R = np.zeros(resR.u.shape[:-1] + (1 << m,))
     R[..., blades] = resR.u
     scale = bundle.derived(surface_scale)
@@ -217,19 +227,18 @@ def sr_system_residual(
     """
     grid, m = bundle.grid, bundle.m
     scale = bundle.derived(surface_scale)
-    starn = mv.field_hodge(m, bundle.gauss)
-    gstarn = dg.grad(grid, starn)
-    ggauss = dg.grad(grid, bundle.gauss)
-    gperpR = dg.grad_perp(grid, R)
+    gstarn = _live_fd(dg.grad, grid, mv.field_hodge(m, bundle.gauss))
+    ggauss = bundle.derived(_grad_gauss)
+    gperpR = _live_fd(dg.grad_perp, grid, R)
     gperpS = dg.grad_perp(grid, S)
     res_S = dg.laplace(grid, S) - sum(mv.field_inner(m, gstarn[j], gperpR[j]) for j in range(2))
     contraction = sum(mv.field_bullet(m, ggauss[j], gperpR[j]) for j in range(2))
-    del ggauss, gperpR  # bounds the peak memory of the R-side terms below
+    del gperpR  # bounds the peak memory of the R-side terms below
     sign = (-1.0) ** m if sign_exponent == "ambient" else -((-1.0) ** m)
     rhs_R = sign * mv.field_hodge(m, contraction) - sum(
         gstarn[j] * gperpS[j][..., None] for j in range(2)
     )
-    res_R = dg.laplace(grid, R) - rhs_R
+    res_R = _live_fd(dg.laplace, grid, R) - rhs_R
     return dg._interior_sup(grid, res_S) / scale, dg._interior_sup(grid, res_R) / scale
 
 
@@ -243,7 +252,7 @@ def phi_identity_residual(bundle: GeometryBundle, S: np.ndarray, R: np.ndarray) 
     grid, m = bundle.grid, bundle.m
     jet = bundle.jet
     gperp_phi = (-jet.d2, jet.d1)
-    gR = dg.grad(grid, R)
+    gR = _live_fd(dg.grad, grid, R)
     gS = dg.grad(grid, S)
     contraction = sum(
         mv.mv_field_vector_part(mv.field_bullet(m, gR[j], mv.vector_field_to_mv(gperp_phi[j])))

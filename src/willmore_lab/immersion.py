@@ -350,13 +350,15 @@ def _check_value(kind: str, name: str, default: Any, value: Any) -> None:
 
 def make_surface(kind: str, grid: Grid, m: int = 3, **params) -> ImmersionPatch:
     """Construct the ``CATALOG`` surface ``kind`` on the given grid; parameters
-    left out take their defaults, the others are checked by _check_surface."""
+    left out take their defaults, the others are checked by _check_surface.
+    ValueError if the samples or the metric |d_i Phi|^2 are not finite."""
     kind = kind.replace("-", "_")
     record = _check_surface(kind, m, params)
     with np.errstate(all="ignore"):  # an overflow is reported by the check below
         jet = record.jets(grid, m, **{**record.params, **params})
-    if not np.all(np.isfinite(jet.phi)):
-        raise ValueError(f"surface {kind} is not finite on this grid")
+        metric = [dg.component_sum(d * d) for d in (jet.d1, jet.d2)]
+    if not all(np.all(np.isfinite(x)) for x in (jet.phi, *metric)):
+        raise ValueError(f"surface {kind} is not finite on this grid: its samples or its metric |d_i Phi|^2 overflow")
     label = kind if not params else kind + "(" + ",".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
     return ImmersionPatch(grid=grid, m=m, phi=jet.phi, jets=jet, label=label)
 
@@ -462,7 +464,7 @@ class GeometryBundle(_FirstOrder):
     (shape (n, n, m-2, 2, 2)), H, H0, both curvature routes and e^{2 lambda}.
 
     ``derived(fn)`` evaluates fn(bundle) at most once per bundle (Q, grad H,
-    L, the surface scale, ...).  ``dataclasses.replace`` starts an empty
+    grad n, L, the surface scale, ...).  ``dataclasses.replace`` starts an empty
     memo; memoized arrays are shared and must not be mutated.
     """
 
@@ -540,16 +542,11 @@ def frames(patch: ImmersionPatch) -> _FirstOrder:
 
     # last normal is the Hodge dual of everything so far; this fixes the
     # orientation so that star(n ^ e1) = e2 without any sign fix-up
-    w = mv.field_wedge(m, mv.vector_field_to_mv(t1), mv.vector_field_to_mv(t2))
-    for na in accepted:
-        w = mv.field_wedge(m, w, mv.vector_field_to_mv(na))
-    n_last = mv.mv_field_vector_part(mv.field_hodge(m, w))
+    n_last = mv.field_cross(t1, t2, *accepted)
     n_last = n_last / np.sqrt(dg.component_sum(n_last * n_last))[..., None]
 
     normal_frame = np.stack(accepted + [n_last])
-    gauss = mv.vector_field_to_mv(normal_frame[0])
-    for a in range(1, m - 2):
-        gauss = mv.field_wedge(m, gauss, mv.vector_field_to_mv(normal_frame[a]))
+    gauss = mv.field_wedge_vectors(*normal_frame).dense()
 
     return _FirstOrder(
         patch=patch,

@@ -24,18 +24,25 @@ expansion; ``_entries(m, rule)`` builds the multiplication table of any
 rule over R^m once, and the tables are cached and shared.  Everything is
 immutable and pure.
 
-Field kernel: a bilinear product reads only the live blade slots of its
-operands (slots that are nonzero somewhere), copies each once into a
-contiguous row, and runs the kept table entries in table order, so every
-product slot adds the same terms in the same order as a loop over the
-whole table and the result is the same to the bit.  The plan for a pair of
-live masks is cached.  The Hodge star maps blade k to blade ``full ^ k =
-full - k``: it is the blade axis reversed and signed, one elementwise pass.
+Fields carry dense blade slots at the API, shape (..., 2**m); the work
+runs on live blade rows (``BladeRows``: one contiguous array per slot that
+is nonzero somewhere).  A bilinear product is three steps: gather the live
+slots of each operand into rows, run the kept table entries in table order
+on the rows (the plan for a pair of live slot sets is cached), and scatter
+the product rows into a zeroed dense field.  Every product slot adds the
+same terms in the same order as a loop over the whole table, so the result
+is the same to the bit.  ``field_wedge_vectors`` wedges vector fields
+(..., m) from their m component rows and keeps the chain in rows;
+``field_cross`` is the vector part of the star of such a wedge, and
+``field_slotwise`` takes a finite difference on the live slots only.  The
+Hodge star maps blade k to blade ``full ^ k = full - k``: it is the blade
+axis reversed and signed, one elementwise pass.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +58,10 @@ __all__ = [
     "field_bullet",
     "field_hodge",
     "field_inner",
+    "field_wedge_vectors",
+    "field_cross",
+    "field_slotwise",
+    "BladeRows",
     "vector_field_to_mv",
     "mv_field_vector_part",
 ]
@@ -145,17 +156,19 @@ def _check_dim(m: int) -> None:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1024)
-def _plan(m: int, rule, live_a: bytes, live_b: bytes):
+def _plan(m: int, rule, slots_a: bytes, slots_b: bytes):
     """Live-slot program of a rule's table for operands whose live blade slots
-    are the boolean masks live_a, live_b: the live slots of a, b and the
-    product, and per kept table entry (row of a, row of b, product row, sign),
-    in table order."""
+    are slots_a, slots_b (increasing masks as intp bytes): the product's live
+    slots and, per kept table entry in table order, (row of a, row of b,
+    product row, sign)."""
     ia, ib, iout, sg = _entries(m, rule)
-    keep = np.flatnonzero(np.frombuffer(live_a, dtype=bool)[ia] & np.frombuffer(live_b, dtype=bool)[ib])
-    slots_a, ra = np.unique(ia[keep], return_inverse=True)
-    slots_b, rb = np.unique(ib[keep], return_inverse=True)
+    sa, sb = (np.frombuffer(s, dtype=np.intp) for s in (slots_a, slots_b))
+    live_a, live_b = np.zeros(1 << m, dtype=bool), np.zeros(1 << m, dtype=bool)
+    live_a[sa] = live_b[sb] = True
+    keep = np.flatnonzero(live_a[ia] & live_b[ib])
     slots_out, ro = np.unique(iout[keep], return_inverse=True)
-    return slots_a, slots_b, slots_out, tuple(zip(ra.tolist(), rb.tolist(), ro.tolist(), sg[keep]))
+    ra, rb = np.searchsorted(sa, ia[keep]), np.searchsorted(sb, ib[keep])
+    return slots_out, tuple(zip(ra.tolist(), rb.tolist(), ro.tolist(), sg[keep]))
 
 
 def _live(a: np.ndarray) -> np.ndarray:
@@ -175,28 +188,63 @@ def _live(a: np.ndarray) -> np.ndarray:
     return rows.any(axis=0)
 
 
-def _apply_bilinear(m: int, rule, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise bilinear product of blade-coefficient fields by a rule's table.
+class BladeRows(NamedTuple):
+    """A blade-coefficient field held as rows: ``rows[i]`` is the coefficient
+    of blade mask ``slots[i]`` (increasing), every other slot is +0."""
 
-    Only live slots are read: each is copied once into a contiguous row, every
-    kept table entry adds sign * a_row * b_row onto its product row, in table
-    order, and the product rows are written back.  Each output slot therefore
-    sums the same terms in the same order as a loop over the whole table.
+    m: int
+    slots: np.ndarray
+    rows: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The (..., 2**m) coefficient field."""
+        out = np.zeros(self.rows.shape[1:] + (1 << self.m,), dtype=self.rows.dtype)
+        out[..., self.slots] = np.moveaxis(self.rows, 0, -1)
+        return out
+
+    def part(self, blades: np.ndarray) -> np.ndarray:
+        """Rows of the given increasing blade masks, shape (len(blades), ...); +0 where not held."""
+        out = np.zeros((len(blades),) + self.rows.shape[1:], dtype=self.rows.dtype)
+        held = np.isin(blades, self.slots)
+        out[held] = self.rows[np.searchsorted(self.slots, blades[held])]
+        return out
+
+
+def _gather(m: int, a: np.ndarray) -> BladeRows:
+    """The live slots of a dense field, each copied once into a contiguous row."""
+    slots = np.flatnonzero(_live(a))
+    return BladeRows(m, slots, np.moveaxis(a, -1, 0)[slots])
+
+
+def _live_rows(x: BladeRows) -> BladeRows:
+    """x without the rows that are zero everywhere (the slots _live would not see)."""
+    keep = np.any(x.rows != 0, axis=tuple(range(1, x.rows.ndim)))
+    return x if keep.all() else BladeRows(x.m, x.slots[keep], x.rows[keep])
+
+
+def _product(rule, a: BladeRows, b: BladeRows) -> BladeRows:
+    """Pointwise bilinear product of live rows by a rule's table.
+
+    Every kept table entry adds sign * a_row * b_row onto its product row,
+    in table order, so each product slot sums the same terms in the same
+    order as a loop over the whole table.
     """
-    dtype = np.result_type(a.dtype, b.dtype)
-    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.zeros(lead + (a.shape[-1],), dtype=dtype)
-    slots_a, slots_b, slots_out, program = _plan(m, rule, _live(a).tobytes(), _live(b).tobytes())
-    A = np.moveaxis(a, -1, 0)[slots_a]
-    B = np.moveaxis(b, -1, 0)[slots_b]
+    slots_out, program = _plan(a.m, rule, a.slots.tobytes(), b.slots.tobytes())
+    lead = np.broadcast_shapes(a.rows.shape[1:], b.rows.shape[1:])
+    dtype = np.result_type(a.rows.dtype, b.rows.dtype)
     acc = np.zeros((len(slots_out),) + lead, dtype=dtype)
     term = np.empty(lead, dtype=dtype)
     for i, j, k, sign in program:
-        np.multiply(sign, A[i], out=term)
-        np.multiply(term, B[j], out=term)
+        np.multiply(sign, a.rows[i], out=term)
+        np.multiply(term, b.rows[j], out=term)
         acc[k] += term
-    out[..., slots_out] = np.moveaxis(acc, 0, -1)
-    return out
+    return BladeRows(a.m, slots_out, acc)
+
+
+def _apply_bilinear(m: int, rule, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise bilinear product of dense blade-coefficient fields: gather
+    the live rows, take the product on rows, scatter back."""
+    return _product(rule, _gather(m, a), _gather(m, b)).dense()
 
 
 def field_wedge(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,6 +275,61 @@ def field_hodge(m: int, a: np.ndarray) -> np.ndarray:
     return a[..., ::-1] * _hodge_signs(m)
 
 
+def field_wedge_vectors(*vectors: np.ndarray) -> BladeRows:
+    """Pointwise wedge v_1 ^ ... ^ v_k of R^m-valued fields (..., m), as rows.
+
+    Each vector enters as its m component rows, with no 2**m embedding, and
+    the chain stays in rows from step to step; the live rows of each operand
+    are found as ``field_wedge`` finds them, so ``.dense()`` is bit for bit
+    the chain of ``field_wedge`` over ``vector_field_to_mv`` operands.
+    """
+    m = vectors[0].shape[-1]
+    _check_dim(m)
+    if any(v.shape[-1] != m for v in vectors):
+        raise DimensionMismatchError("vector fields of different ambient dimensions")
+    basis = np.left_shift(1, np.arange(m, dtype=np.intp))
+    if len(vectors) == 1:  # the embedding itself, signed zeros included
+        return BladeRows(m, basis, np.moveaxis(vectors[0], -1, 0))
+    out = None
+    for v in vectors:
+        live = np.flatnonzero(_live(v))
+        rows = BladeRows(m, basis[live], np.moveaxis(v, -1, 0)[live])
+        out = rows if out is None else _product(_wedge_rule, _live_rows(out), rows)
+    return out
+
+
+def field_cross(*vectors: np.ndarray) -> np.ndarray:
+    """Generalized cross product: the vector part of star(v_1 ^ ... ^ v_{m-1})
+    of m - 1 fields (..., m), bit for bit ``mv_field_vector_part(field_hodge(...))``
+    of the dense wedge: component k is sign_k times the coefficient of the blade
+    full ^ e_k, and 0.0 * sign_k (a signed zero) where that blade is not held."""
+    w = field_wedge_vectors(*vectors)
+    if len(vectors) != w.m - 1:
+        raise GradeError(f"a cross product in R^{w.m} takes {w.m - 1} vectors, got {len(vectors)}")
+    full, signs = (1 << w.m) - 1, _hodge_signs(w.m)
+    row = dict(zip(w.slots.tolist(), w.rows))
+    out = np.empty(w.rows.shape[1:] + (w.m,), dtype=w.rows.dtype)
+    for k in range(w.m):
+        out[..., k] = row.get(full ^ (1 << k), 0.0) * signs[1 << k]
+    return out
+
+
+def field_slotwise(fn, a: np.ndarray) -> np.ndarray:
+    """fn(a) for a linear map fn that acts on each blade slot of a alone (a
+    finite difference of diskgrid), evaluated on the live slots only.
+
+    fn must send a slot that is +0 or -0 everywhere to one field, as every
+    difference does (x - x = +0); the dead slots share fn of one of them.
+    The result has fn's shape and is C-ordered, like ``np.stack`` output.
+    """
+    live = _live(a)
+    slots, dead = np.flatnonzero(live), np.flatnonzero(~live)
+    part = fn(np.take(a, np.append(slots, dead[:1]), axis=-1))
+    source = np.full(a.shape[-1], len(slots))  # each slot's column of part: dead ones the last
+    source[slots] = np.arange(len(slots))
+    return np.take(part, source, axis=-1)
+
+
 def field_inner(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise blade-orthonormal inner product <a, b>."""
     _check_dim(m)
@@ -235,12 +338,7 @@ def field_inner(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def vector_field_to_mv(v: np.ndarray) -> np.ndarray:
     """Embed an R^m-valued field (..., m) as grade-1 coefficients (..., 2**m)."""
-    m = v.shape[-1]
-    _check_dim(m)
-    out = np.zeros(v.shape[:-1] + (1 << m,), dtype=v.dtype)
-    for k in range(m):
-        out[..., 1 << k] = v[..., k]
-    return out
+    return field_wedge_vectors(v).dense()
 
 
 def mv_field_vector_part(a: np.ndarray) -> np.ndarray:

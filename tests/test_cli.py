@@ -139,6 +139,19 @@ class TestInputBoundary:
                               ("perturbed-catenoid:amplitude=false", "amplitude")):
             assert word in self.check_rejected(capsys, tmp_path, surface)
 
+    def test_metric_overflow_rejected(self, capsys, tmp_path):
+        # the sphere's |d_i Phi|^2 is about (2 rho)^2: finite samples, but the metric overflows from rho = 1e154 on
+        for rho in ("1e154", "1e200", "1e300", "8e307"):
+            assert "metric" in self.check_rejected(capsys, tmp_path, f"sphere:rho={rho}")
+
+    def test_largest_finite_metric_gives_finite_keys(self, tmp_path):
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_cli(["verify", "--surface", "sphere:rho=1e153", "--n", "33", "--out", str(out)])
+        keys = json.loads(out.read_text())["items"][0]["keys"]
+        assert keys and all(np.isfinite(v) for v in keys.values())
+
     def test_grid_and_dimension(self, capsys, tmp_path):
         # checked in main, not in a worker thread
         for grid_args, word in ((["--n", "33", "--m", "7"], "m=7"), (["--n", "3"], "n=3"),

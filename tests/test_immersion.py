@@ -333,3 +333,27 @@ class TestConstructionInterfaces:
         base = im.make_surface("sphere", G65)
         moved = base.with_phi(base.phi + 0.01)
         assert moved.jets is None and base.jets is not None
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("kind,params", ALL_KINDS)
+def test_frames_match_the_dense_blade_chains(kind, params, m):
+    """The last normal and the Gauss map, built on blade rows, are bit for bit
+    what the dense chains of field_wedge over embedded vectors give."""
+    def embed(v):
+        out = np.zeros(v.shape[:-1] + (1 << m,))
+        for k in range(m):
+            out[..., 1 << k] = v[..., k]
+        return out
+
+    b = im.frames(im.make_surface(kind, G65, m=m, **params))
+    w = embed(b.t1)
+    for v in [b.t2, *b.normal_frame[:-1]]:
+        w = mv.field_wedge(m, w, embed(v))
+    n_last = mv.mv_field_vector_part(mv.field_hodge(m, w))
+    n_last = n_last / np.sqrt(dg.component_sum(n_last * n_last))[..., None]
+    gauss = embed(b.normal_frame[0])
+    for v in b.normal_frame[1:]:
+        gauss = mv.field_wedge(m, gauss, embed(v))
+    assert b.normal_frame[-1].tobytes() == n_last.tobytes()
+    assert b.gauss.tobytes() == gauss.tobytes() and b.gauss.strides == gauss.strides

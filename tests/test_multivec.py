@@ -67,6 +67,12 @@ class TestWedge:
             a, b, c = (random_mv(5, rng) for _ in range(3))
             assert a.wedge(b).wedge(c).allclose(a.wedge(b.wedge(c)), tol=1e-8)
 
+    def test_embedding_keeps_signed_zeros(self):
+        v = np.random.default_rng(61).normal(size=(4, 4, 5))
+        v[..., 2] = -0.0
+        assert same_bits(mv.vector_field_to_mv(v), loop_embed(v))
+        assert same_bits(mv.from_vector(v[0, 0]).coeffs, loop_embed(v[0, 0]))
+
     def test_dimension_mismatch(self):
         with pytest.raises(mv.DimensionMismatchError):
             mv.basis_vector(3, 1).wedge(mv.basis_vector(4, 1))
@@ -348,3 +354,100 @@ class TestLiveSlotKernel:
             for k in range(1 << m):
                 expect[..., full ^ k] = mv._merge_sign(k, full ^ k) * A[..., k]
             assert same_bits(mv.field_hodge(m, A), expect)
+
+
+def loop_embed(v):
+    """Reference: the component loop that embedded vectors before blade rows."""
+    out = np.zeros(v.shape[:-1] + (1 << v.shape[-1],), dtype=v.dtype)
+    for k in range(v.shape[-1]):
+        out[..., 1 << k] = v[..., k]
+    return out
+
+
+def dense_wedge_chain(vectors):
+    """Reference: the dense chain of field_wedge over embedded vectors."""
+    m = vectors[0].shape[-1]
+    out = loop_embed(vectors[0])
+    for v in vectors[1:]:
+        out = mv.field_wedge(m, out, loop_embed(v))
+    return out
+
+
+class TestVectorRows:
+    """Wedges of vector fields on component rows match the dense chains bit for bit."""
+
+    @staticmethod
+    def vectors(m, k, rng, n=6):
+        vs = rng.normal(size=(k, n, n, m)) * np.exp(rng.uniform(-4, 4, (k, n, n, m)))
+        vs[0, ..., m - 1] = 0.0            # a component that is zero everywhere
+        vs[-1, ..., 0] = -0.0               # ... and one that is -0 everywhere
+        if k > 2:
+            vs[1, ..., 1] = 0.0
+            vs[1, 2, 3, 1] = 1.75           # a component live at a single node
+        return list(vs)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_wedge_of_k_vectors_matches_the_dense_chain(self, m):
+        rng = np.random.default_rng(40 + m)
+        for k in range(1, m + 1):
+            vs = self.vectors(m, k, rng)
+            w = mv.field_wedge_vectors(*vs)
+            assert same_bits(w.dense(), dense_wedge_chain(vs)), k
+            blades = mv.grade_masks(m, k)
+            assert same_bits(w.part(blades), np.moveaxis(dense_wedge_chain(vs)[..., blades], -1, 0)), k
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_cross_product_matches_the_dense_star(self, m):
+        rng = np.random.default_rng(50 + m)
+        for vs in (self.vectors(m, m - 1, rng), list(np.zeros((m - 1, 4, 4, m)))):
+            expect = mv.mv_field_vector_part(mv.field_hodge(m, dense_wedge_chain(vs)))
+            assert same_bits(mv.field_cross(*vs), expect)
+        with pytest.raises(mv.GradeError):
+            mv.field_cross(*self.vectors(m, m - 2, rng))
+
+    def test_zero_and_single_node_operands(self):
+        m = 6
+        zero = np.zeros((5, 5, m))
+        spot = np.zeros((5, 5, m))
+        spot[4, 4, 2], spot[0, 3, 5] = -2.5, 1e-300
+        rng = np.random.default_rng(60)
+        full = rng.normal(size=(5, 5, m))
+        for vs in ([zero, full], [full, zero, full], [spot, full], [full, spot, spot], [spot, full, full, full]):
+            assert same_bits(mv.field_wedge_vectors(*vs).dense(), dense_wedge_chain(vs))
+
+    def test_embedding_keeps_signed_zeros(self):
+        v = np.random.default_rng(61).normal(size=(4, 4, 5))
+        v[..., 2] = -0.0
+        assert same_bits(mv.vector_field_to_mv(v), loop_embed(v))
+        assert same_bits(mv.from_vector(v[0, 0]).coeffs, loop_embed(v[0, 0]))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(mv.DimensionMismatchError):
+            mv.field_wedge_vectors(np.ones((3, 3, 4)), np.ones((3, 3, 5)))
+
+
+class TestSlotwise:
+    """Finite differences on the live slots match the dense ones bit for bit, signed zeros and layout included."""
+
+    @staticmethod
+    def fields(m, rng, n=9):
+        g = np.zeros((n, n, 1 << m))
+        g[..., mv.grade_masks(m, 2)] = rng.normal(size=(n, n, len(mv.grade_masks(m, 2))))
+        g[..., 3] = 0.0
+        g[4, 5, 3] = 0.5                     # a slot live at one node only
+        return g, mv.field_hodge(m, g)       # the star writes -0 into dead slots
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_matches_dense_differences(self, m):
+        from willmore_lab import diskgrid as dg
+
+        grid = dg.Grid(0.5, 9)
+        rng = np.random.default_rng(70 + m)
+        g, star = self.fields(m, rng)
+        assert np.signbit(star[..., mv._live(star) == 0]).any()
+        for a in (g, star, np.zeros_like(g), -np.zeros_like(g)):
+            for op in (dg.grad, dg.grad_perp, dg.laplace):
+                dense = op(grid, a)
+                live = mv.field_slotwise(lambda f: op(grid, f), a)
+                assert same_bits(live, dense), op.__name__
+                assert live.strides == dense.strides and live.flags.c_contiguous

@@ -1,9 +1,11 @@
-"""Package surface: every name a module lists in __all__ resolves, and so does
-every function the benchmark's tracer wraps."""
+"""Package surface: every name a module lists in __all__ resolves, so does
+every function the benchmark's tracer wraps, and each benchmark workload
+still reaches every layer its traced run requires."""
 
 import importlib
 import importlib.util
 import pkgutil
+import random
 import sys
 from pathlib import Path
 
@@ -12,7 +14,8 @@ import pytest
 import willmore_lab
 
 MODULES = ["willmore_lab"] + [f"willmore_lab.{info.name}" for info in pkgutil.iter_modules(willmore_lab.__path__)]
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -33,3 +36,38 @@ def test_traced_layers_resolve(monkeypatch):
     missing = [(module, fn) for module, fn in layers
                if not callable(getattr(importlib.import_module(f"willmore_lab.{module}"), fn, None))]
     assert missing == []
+
+
+def _load_perfbench(monkeypatch):
+    """perfbench/run.py as a module, read only: no bytecode is written next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # dataclasses look their module up there
+    spec.loader.exec_module(run)
+    return run
+
+
+WORKLOADS = ["flow_catenoid", "verify_m3", "verify_m6", "wente_batch"]
+
+
+def test_every_workload_is_guarded(monkeypatch):
+    assert sorted(_load_perfbench(monkeypatch).WORKLOADS) == WORKLOADS
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_workload_reaches_its_layers(workload, monkeypatch, tmp_path):
+    # the traced benchmark raises when a must_call layer records no call, e.g. after a
+    # caller stops going through a wrapped binding; the tiny pass is checked here
+    run = _load_perfbench(monkeypatch)
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    monkeypatch.setenv("WILLMORE_LAB_THREADS", "2")
+    from willmore_lab import cli
+
+    tracer = run.Tracer()
+    with tracer.installed():
+        for op in run.make_pass(workload, random.Random(3), tiny=True, shuffle=False):
+            assert cli.main(list(op.argv)) in (0, 1)
+    seen = {span.name for span in tracer.spans}
+    assert [name for name in run.WORKLOADS[workload].must_call if name not in seen] == []
