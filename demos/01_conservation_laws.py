@@ -12,16 +12,9 @@ second order) and the round cylinder (residual -> 1/(4 rho^3) in
 Euler-Lagrange normalization).
 """
 
-import numpy as np
-
 from willmore_lab import conservation as cons
 from willmore_lab import immersion as im
-from willmore_lab.diskgrid import Grid
-
-
-def interior_sup(grid, field):
-    v = np.linalg.norm(field[grid.interior()], axis=-1)
-    return float(np.max(v))
+from willmore_lab.diskgrid import Grid, interior_sup
 
 
 SURFACES = [

@@ -12,19 +12,10 @@ plugs it back into the conformal Willmore equation, and closes the loop
 with the potential-difference identity Lap(L - L0) = 2 i H0 f.
 """
 
-import numpy as np
-
 from willmore_lab import confwillmore as cw
 from willmore_lab import conservation as cons
 from willmore_lab import immersion as im
-from willmore_lab.diskgrid import Grid
-
-
-def interior_sup(grid, field):
-    v = np.abs(field[grid.interior()])
-    if v.ndim > 2:
-        v = np.linalg.norm(v, axis=-1)
-    return float(np.max(v))
+from willmore_lab.diskgrid import Grid, interior_sup
 
 
 print("== CMC cylinder: the constrained multiplier is f = 1/(2 rho^2) ==")

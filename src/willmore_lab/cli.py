@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lorentz as lo
 from . import reports as rp
-from .diskgrid import Grid, read_field
+from .diskgrid import Grid, read_field, write_field
 from .flow import ps_norm, run as flow_run
 from .immersion import CATALOG, make_bundle, make_surface, perturb_normal
 from .reports import DEFAULT_THRESHOLDS, FLOOR, REPORT_KEYS
@@ -36,9 +36,12 @@ def _max_workers() -> int:
     if not env:
         return min(4, os.cpu_count() or 1)
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError:
-        raise ValueError(f"WILLMORE_LAB_THREADS must be an integer, got {env!r}") from None
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"WILLMORE_LAB_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _parse_surface(arg: str) -> tuple[str, dict]:
@@ -233,10 +236,8 @@ def cmd_flow(args) -> int:
     trace = flow_run(bundle, max_iters=args.max_iters, stop=stop)
     if args.out:
         trace.write_csv(args.out)
-        if args.checkpoint:
-            from .diskgrid import write_field
-
-            write_field(args.checkpoint, patch.grid, trace.final.patch.phi)
+    if args.checkpoint:
+        write_field(args.checkpoint, patch.grid, trace.final.patch.phi)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "flow",

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diskgrid as dg
+from . import multivec as mv
 from .conservation import _H0cH, _grad_gauss, _grad_H, assemble_Q, dz_L0_closed_form, surface_scale
 from .immersion import GeometryBundle
 
@@ -64,7 +65,7 @@ def frame_derivative_residuals(bundle: GeometryBundle) -> tuple[float, float]:
     half_elam = 0.5 * bundle.elam[..., None]
     r_ez = dg.dzstar(grid, bundle.ez) - (-dzsl[..., None] * bundle.ez + half_elam * bundle.H)
     r_ezs = dg.dzstar(grid, bundle.ezstar) - (dzsl[..., None] * bundle.ezstar + half_elam * bundle.H0)
-    res_a4 = max(dg._interior_sup(grid, r_ez), dg._interior_sup(grid, r_ezs)) / scale
+    res_a4 = max(dg.interior_sup(grid, r_ez), dg.interior_sup(grid, r_ezs)) / scale
     res_a5 = 0.0
     for a in range(bundle.m - 2):
         na = bundle.normal_frame[a]
@@ -73,7 +74,7 @@ def frame_derivative_residuals(bundle: GeometryBundle) -> tuple[float, float]:
         dzs_na = dg.dzstar(grid, na)
         pred = -bundle.elam[..., None] * (H0a[..., None] * bundle.ez + Ha[..., None] * bundle.ezstar)
         pred = pred + bundle.project_normal(dzs_na)
-        res_a5 = max(res_a5, dg._interior_sup(grid, dzs_na - pred))
+        res_a5 = max(res_a5, dg.interior_sup(grid, dzs_na - pred))
     return res_a4, res_a5 / scale
 
 
@@ -89,7 +90,7 @@ def codazzi_residual(bundle: GeometryBundle) -> float:
     lhs = dg.dzstar(grid, e2lam * H0cH) / e2lam
     rhs = np.sum(bundle.H * dg.dz(grid, bundle.H), axis=-1)
     rhs = rhs + np.sum(np.conj(bundle.H0) * dg.dzstar(grid, bundle.H), axis=-1)
-    return dg._interior_sup(grid, lhs - rhs) / bundle.derived(surface_scale)
+    return dg.interior_sup(grid, lhs - rhs) / bundle.derived(surface_scale)
 
 
 @dataclass(frozen=True)
@@ -203,5 +204,5 @@ def eq13_residual(bundle: GeometryBundle, f: np.ndarray | float, L: np.ndarray) 
 def gauss_map_energy(bundle: GeometryBundle) -> float:
     """Dirichlet energy integral |grad n|^2 of the Gauss map over the patch."""
     gn = bundle.derived(_grad_gauss)
-    density = np.sum(gn[0] ** 2 + gn[1] ** 2, axis=-1)
+    density = mv.blade_sum(gn._replace(rows=gn.rows[:, 0] ** 2 + gn.rows[:, 1] ** 2))
     return float(dg.integrate(bundle.grid, density))

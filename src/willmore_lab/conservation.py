@@ -31,15 +31,16 @@ validated facts wired into this module (each is also a test):
 Potentials are fixed mean-zero; every off-shell input degrades to a
 reported defect rather than an error.  Q, grad H, grad n, L, the surface
 scale and the closed form of dz L0 are computed once per bundle and
-shared through ``GeometryBundle.derived``.  Derivatives of multivector
-fields (grad n, grad star n, grad_perp R, Lap R, grad R) run on their
-live blade slots only; wedges of vector fields (the tangency identity and
-the targets of R) run on blade rows without the 2**m embedding.
+shared through ``GeometryBundle.derived``.  Multivector fields (n, R and
+their derivatives and products) are ``multivec.BladeRows`` end to end, and
+residual norms sum over the blade axis in numpy's order (``blade_sum``);
+wedges of vector fields start from the component rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,14 +76,9 @@ def _grad_H(bundle: GeometryBundle) -> np.ndarray:
     return dg.grad(bundle.grid, bundle.H)
 
 
-def _live_fd(op, grid, a: np.ndarray) -> np.ndarray:
-    """op(grid, a) for a finite difference op of diskgrid and a blade field a, on its live slots."""
-    return mv.field_slotwise(lambda f: op(grid, f), a)
-
-
-def _grad_gauss(bundle: GeometryBundle) -> np.ndarray:
-    """grad n of the Gauss map, shape (2, n, n, 2**m)."""
-    return _live_fd(dg.grad, bundle.grid, bundle.gauss)
+def _grad_gauss(bundle: GeometryBundle) -> mv.BladeRows:
+    """grad n of the Gauss map, as rows over the field shape (2, n, n)."""
+    return mv.field_slotwise(partial(dg.grad, bundle.grid), bundle.gauss)
 
 
 def _H0cH(bundle: GeometryBundle) -> np.ndarray:
@@ -91,15 +87,11 @@ def _H0cH(bundle: GeometryBundle) -> np.ndarray:
 
 def assemble_Q(bundle: GeometryBundle) -> np.ndarray:
     """Q = grad H - 3 pi_n(grad H) + star(grad_perp n ^ H), shape (2, n, n, m)."""
-    grid, m = bundle.grid, bundle.m
     gradH = bundle.derived(_grad_H)
     tang = gradH - 3.0 * np.stack([bundle.project_normal(gradH[0]), bundle.project_normal(gradH[1])])
     gn = bundle.derived(_grad_gauss)
-    gpn = (-gn[1], gn[0])
-    Hmv = mv.vector_field_to_mv(bundle.H)
-    star = np.stack(
-        [mv.mv_field_vector_part(mv.field_hodge(m, mv.field_wedge(m, gpn[j], Hmv))) for j in range(2)]
-    )
+    gpn = gn._replace(rows=np.stack([-gn.rows[:, 1], gn.rows[:, 0]], axis=1))
+    star = mv.mv_field_vector_part(mv.field_hodge(mv.field_wedge(gpn, mv.vector_field_to_mv(bundle.H))))
     return tang + star
 
 
@@ -132,11 +124,13 @@ def tangency_identities(bundle: GeometryBundle) -> tuple[float, float]:
     scale = bundle.derived(surface_scale)
     dot = dg.component_sum(jet.d1 * Q[0] + jet.d2 * Q[1])
     gradH = bundle.derived(_grad_H)
-    wedge = sum(
-        mv.field_wedge_vectors(dphi, Qj + 2.0 * gHj).dense()
+    blades = mv.grade_masks(bundle.m, 2)
+    wedge = mv.BladeRows(bundle.m, blades, sum(
+        mv.field_wedge_vectors(dphi, Qj + 2.0 * gHj).part(blades)
         for dphi, Qj, gHj in ((jet.d1, Q[0], gradH[0]), (jet.d2, Q[1], gradH[1]))
-    )
-    return dg._interior_sup(grid, dot) / scale, dg._interior_sup(grid, wedge) / scale
+    ))
+    norm = np.sqrt(mv.field_inner(wedge, wedge))
+    return dg.interior_sup(grid, dot) / scale, dg.interior_sup(grid, norm) / scale
 
 
 @dataclass(frozen=True)
@@ -178,7 +172,7 @@ def assemble_L0(bundle: GeometryBundle) -> float:
     Q = bundle.derived(assemble_Q)
     W = 0.5 * (Q[1] + 1j * Q[0])
     Z0 = bundle.derived(dz_L0_closed_form)
-    return dg._interior_sup(bundle.grid, W - Z0) / bundle.derived(surface_scale)
+    return dg.interior_sup(bundle.grid, W - Z0) / bundle.derived(surface_scale)
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,7 @@ class SRData:
     """Scalar potential S and 2-vector potential R with their defects."""
 
     S: np.ndarray              # (n, n)
-    R: np.ndarray              # blade coefficients (n, n, 2**m), grade 2
+    R: mv.BladeRows            # every grade-2 blade, rows over (n, n)
     S_defect: float            # || grad S - grad Phi . L ||_L2 / scale
     R_defect: float
 
@@ -210,14 +204,13 @@ def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
         TR[:, j] = (mv.field_wedge_vectors(dphi, L).part(blades)
                     + 2.0 * mv.field_wedge_vectors(gp, bundle.H).part(blades))
     resR = dg.grad_potential(grid, np.moveaxis(TR, 0, -1))
-    R = np.zeros(resR.u.shape[:-1] + (1 << m,))
-    R[..., blades] = resR.u
+    R = mv.BladeRows(m, blades, np.moveaxis(resR.u, -1, 0))
     scale = bundle.derived(surface_scale)
     return SRData(resS.u, R, resS.defect / scale, resR.defect / scale)
 
 
 def sr_system_residual(
-    bundle: GeometryBundle, S: np.ndarray, R: np.ndarray, sign_exponent: str = "ambient"
+    bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows, sign_exponent: str = "ambient"
 ) -> tuple[float, float]:
     """Normalized interior sup-residuals of the S/R elliptic system.
 
@@ -227,37 +220,36 @@ def sr_system_residual(
     """
     grid, m = bundle.grid, bundle.m
     scale = bundle.derived(surface_scale)
-    gstarn = _live_fd(dg.grad, grid, mv.field_hodge(m, bundle.gauss))
+    gstarn = mv.field_slotwise(partial(dg.grad, grid), mv.field_hodge(bundle.gauss))
     ggauss = bundle.derived(_grad_gauss)
-    gperpR = _live_fd(dg.grad_perp, grid, R)
+    gperpR = mv.field_slotwise(partial(dg.grad_perp, grid), R)
     gperpS = dg.grad_perp(grid, S)
-    res_S = dg.laplace(grid, S) - sum(mv.field_inner(m, gstarn[j], gperpR[j]) for j in range(2))
-    contraction = sum(mv.field_bullet(m, ggauss[j], gperpR[j]) for j in range(2))
+    res_S = dg.laplace(grid, S) - sum(mv.field_inner(gstarn, gperpR))
+    bullet = mv.field_bullet(ggauss, gperpR)
     del gperpR  # bounds the peak memory of the R-side terms below
+    contraction = bullet._replace(rows=sum(np.moveaxis(bullet.rows, 1, 0)))
     sign = (-1.0) ** m if sign_exponent == "ambient" else -((-1.0) ** m)
-    rhs_R = sign * mv.field_hodge(m, contraction) - sum(
-        gstarn[j] * gperpS[j][..., None] for j in range(2)
-    )
-    res_R = _live_fd(dg.laplace, grid, R) - rhs_R
-    return dg._interior_sup(grid, res_S) / scale, dg._interior_sup(grid, res_R) / scale
+    blades = mv.grade_masks(m, 2)  # every term of the R equation is a 2-vector
+    gs = gstarn.part(blades)
+    rhs_R = sign * mv.field_hodge(contraction).part(blades) - sum(gs[:, j] * gperpS[j] for j in range(2))
+    res_R = mv.BladeRows(m, blades, mv.field_slotwise(partial(dg.laplace, grid), R).part(blades) - rhs_R)
+    norm_R = np.sqrt(mv.field_inner(res_R, res_R))
+    return dg.interior_sup(grid, res_S) / scale, dg.interior_sup(grid, norm_R) / scale
 
 
-def phi_identity_residual(bundle: GeometryBundle, S: np.ndarray, R: np.ndarray) -> float:
+def phi_identity_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -> float:
     """Residual of Lap Phi = 1/2 (grad R . grad_perp Phi - grad S grad_perp Phi).
 
     The contraction is multivec.bullet; the identity holds whenever
     (S, R) come from a potential L solving the conservation system.
     Returns the normalized interior sup-norm.
     """
-    grid, m = bundle.grid, bundle.m
+    grid = bundle.grid
     jet = bundle.jet
-    gperp_phi = (-jet.d2, jet.d1)
-    gR = _live_fd(dg.grad, grid, R)
+    gperp_phi = np.stack([-jet.d2, jet.d1])
+    gR = mv.field_slotwise(partial(dg.grad, grid), R)
     gS = dg.grad(grid, S)
-    contraction = sum(
-        mv.mv_field_vector_part(mv.field_bullet(m, gR[j], mv.vector_field_to_mv(gperp_phi[j])))
-        for j in range(2)
-    )
+    contraction = sum(mv.mv_field_vector_part(mv.field_bullet(gR, mv.vector_field_to_mv(gperp_phi))))
     sterm = sum(gS[j][..., None] * gperp_phi[j] for j in range(2))
     resid = dg.laplace(grid, jet.phi) - 0.5 * (contraction - sterm)
-    return dg._interior_sup(grid, resid) / bundle.derived(surface_scale)
+    return dg.interior_sup(grid, resid) / bundle.derived(surface_scale)

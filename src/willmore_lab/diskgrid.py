@@ -21,8 +21,8 @@ mean-zero normalization and the compatibility defect reported.
 that axis runs an inner loop only m long and is 5-8x slower on these
 grids; for real P with at most 7 components both give the same bits, so
 the geometry modules use it for every real ambient dot product and norm.
-Blade-axis sums (2**m slots) and complex sums with m >= 4 stay on
-``np.sum``, whose pairwise order gives other bits.
+Complex sums with m >= 4 stay on ``np.sum``, whose pairwise order gives
+other bits; blade-axis sums (2**m slots) are ``multivec.blade_sum``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ __all__ = [
     "integrate",
     "l2norm",
     "component_sum",
+    "interior_sup",
     "poisson_dirichlet",
     "poisson_neumann",
     "grad_potential",
@@ -192,7 +193,7 @@ def component_sum(P: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interior_sup(grid: Grid, f: np.ndarray) -> float:
+def interior_sup(grid: Grid, f: np.ndarray) -> float:
     """Sup of |f| on the default interior window; components fold in by the Euclidean norm."""
     v = np.abs(f[grid.interior()])
     if v.ndim > 2:

@@ -409,8 +409,8 @@ def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05
 class _FirstOrder:
     """First-order conformal-frame geometry of an immersion patch.
 
-    normal_frame has shape (m-2, n, n, m); gauss holds blade coefficients
-    of n = n_1 ^ ... ^ n_{m-2}.  t1/t2 are the exactly orthonormalized
+    normal_frame has shape (m-2, n, n, m); gauss holds n = n_1 ^ ... ^ n_{m-2}
+    as blade rows over (n, n).  t1/t2 are the exactly orthonormalized
     tangents used for projections (they agree with e1/e2 up to the
     conformality defect).
     """
@@ -426,7 +426,7 @@ class _FirstOrder:
     ez: np.ndarray
     ezstar: np.ndarray
     normal_frame: np.ndarray
-    gauss: np.ndarray
+    gauss: mv.BladeRows
     conformal_defect: float
 
     @property
@@ -546,7 +546,7 @@ def frames(patch: ImmersionPatch) -> _FirstOrder:
     n_last = n_last / np.sqrt(dg.component_sum(n_last * n_last))[..., None]
 
     normal_frame = np.stack(accepted + [n_last])
-    gauss = mv.field_wedge_vectors(*normal_frame).dense()
+    gauss = mv.field_wedge_vectors(*normal_frame)
 
     return _FirstOrder(
         patch=patch,

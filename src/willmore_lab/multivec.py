@@ -24,24 +24,23 @@ expansion; ``_entries(m, rule)`` builds the multiplication table of any
 rule over R^m once, and the tables are cached and shared.  Everything is
 immutable and pure.
 
-Fields carry dense blade slots at the API, shape (..., 2**m); the work
-runs on live blade rows (``BladeRows``: one contiguous array per slot that
-is nonzero somewhere).  A bilinear product is three steps: gather the live
-slots of each operand into rows, run the kept table entries in table order
-on the rows (the plan for a pair of live slot sets is cached), and scatter
-the product rows into a zeroed dense field.  Every product slot adds the
-same terms in the same order as a loop over the whole table, so the result
-is the same to the bit.  ``field_wedge_vectors`` wedges vector fields
-(..., m) from their m component rows and keeps the chain in rows;
-``field_cross`` is the vector part of the star of such a wedge, and
-``field_slotwise`` takes a finite difference on the live slots only.  The
-Hodge star maps blade k to blade ``full ^ k = full - k``: it is the blade
-axis reversed and signed, one elementwise pass.
+Fields are ``BladeRows``: one contiguous row per held blade slot, every
+other slot +0.  Every field operation takes and returns rows; dense
+(..., 2**m) arrays appear only in the point oracle ``MultiVector``, in
+``BladeRows.dense()`` and in ``BladeRows.from_dense``.  A bilinear product
+runs the kept table entries in table order on the rows (the plan for a pair
+of slot sets is cached), so each product slot sums the same terms in the
+same order as a loop over the whole table: the same bits.  ``blade_sum``
+sums over the blade axis in numpy's own order.  ``field_wedge_vectors``
+wedges vector fields (..., m) from their component rows, ``field_cross`` is
+the vector part of the star of such a wedge, and ``field_slotwise`` takes a
+finite difference of the held slots.  The Hodge star maps blade k to blade
+``full ^ k = full - k``: the held slots reversed and signed.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +61,7 @@ __all__ = [
     "field_cross",
     "field_slotwise",
     "BladeRows",
+    "blade_sum",
     "vector_field_to_mv",
     "mv_field_vector_part",
 ]
@@ -151,32 +151,29 @@ def _check_dim(m: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Field-level operations: arrays of blade coefficients with shape (..., 2**m).
-# Geometry modules use these; the MultiVector class below wraps single points.
+# Field-level operations on blade rows.  Geometry modules use these; the
+# MultiVector class below wraps single points.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1024)
 def _plan(m: int, rule, slots_a: bytes, slots_b: bytes):
-    """Live-slot program of a rule's table for operands whose live blade slots
-    are slots_a, slots_b (increasing masks as intp bytes): the product's live
-    slots and, per kept table entry in table order, (row of a, row of b,
-    product row, sign)."""
+    """Program of a rule's table for operands holding slots_a, slots_b
+    (increasing masks as intp bytes): the product's slots and, per kept table
+    entry in table order, (row of a, row of b, product row, sign)."""
     ia, ib, iout, sg = _entries(m, rule)
     sa, sb = (np.frombuffer(s, dtype=np.intp) for s in (slots_a, slots_b))
-    live_a, live_b = np.zeros(1 << m, dtype=bool), np.zeros(1 << m, dtype=bool)
-    live_a[sa] = live_b[sb] = True
-    keep = np.flatnonzero(live_a[ia] & live_b[ib])
+    keep = np.flatnonzero(np.isin(ia, sa) & np.isin(ib, sb))
     slots_out, ro = np.unique(iout[keep], return_inverse=True)
     ra, rb = np.searchsorted(sa, ia[keep]), np.searchsorted(sb, ib[keep])
     return slots_out, tuple(zip(ra.tolist(), rb.tolist(), ro.tolist(), sg[keep]))
 
 
 def _live(a: np.ndarray) -> np.ndarray:
-    """Mask of the blade slots of a that are nonzero somewhere.
+    """Mask of the trailing slots of a that are nonzero somewhere.
 
     The rows of ``a != 0`` are or-folded in halves; numpy's reduction over
-    the leading axes runs its inner loop along the short blade axis only and
-    is 2-7x slower here.
+    the leading axes runs its inner loop along the short trailing axis only
+    and is 2-7x slower here.
     """
     rows = (a != 0).reshape(-1, a.shape[-1])
     while len(rows) > 1:
@@ -190,11 +187,22 @@ def _live(a: np.ndarray) -> np.ndarray:
 
 class BladeRows(NamedTuple):
     """A blade-coefficient field held as rows: ``rows[i]`` is the coefficient
-    of blade mask ``slots[i]`` (increasing), every other slot is +0."""
+    of blade mask ``slots[i]`` (increasing) over the field shape
+    ``rows.shape[1:]``, and every other slot is +0."""
 
     m: int
     slots: np.ndarray
     rows: np.ndarray
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> "BladeRows":
+        """The slots of a (..., 2**m) field that are nonzero somewhere, each copied once into a row."""
+        m = a.shape[-1].bit_length() - 1
+        if a.shape[-1] != 1 << m:
+            raise DimensionMismatchError(f"{a.shape[-1]} blade slots is no power of two")
+        _check_dim(m)
+        slots = np.flatnonzero(_live(a))
+        return cls(m, slots, np.moveaxis(a, -1, 0)[slots])
 
     def dense(self) -> np.ndarray:
         """The (..., 2**m) coefficient field."""
@@ -203,32 +211,24 @@ class BladeRows(NamedTuple):
         return out
 
     def part(self, blades: np.ndarray) -> np.ndarray:
-        """Rows of the given increasing blade masks, shape (len(blades), ...); +0 where not held."""
+        """Rows of the given blade masks, shape (len(blades), ...); +0 where not held."""
         out = np.zeros((len(blades),) + self.rows.shape[1:], dtype=self.rows.dtype)
         held = np.isin(blades, self.slots)
         out[held] = self.rows[np.searchsorted(self.slots, blades[held])]
         return out
 
 
-def _gather(m: int, a: np.ndarray) -> BladeRows:
-    """The live slots of a dense field, each copied once into a contiguous row."""
-    slots = np.flatnonzero(_live(a))
-    return BladeRows(m, slots, np.moveaxis(a, -1, 0)[slots])
-
-
-def _live_rows(x: BladeRows) -> BladeRows:
-    """x without the rows that are zero everywhere (the slots _live would not see)."""
-    keep = np.any(x.rows != 0, axis=tuple(range(1, x.rows.ndim)))
-    return x if keep.all() else BladeRows(x.m, x.slots[keep], x.rows[keep])
+def _check_pair(a: BladeRows, b: BladeRows) -> None:
+    if a.m != b.m:
+        raise DimensionMismatchError(f"ambient dimensions differ: {a.m} vs {b.m}")
 
 
 def _product(rule, a: BladeRows, b: BladeRows) -> BladeRows:
-    """Pointwise bilinear product of live rows by a rule's table.
-
-    Every kept table entry adds sign * a_row * b_row onto its product row,
-    in table order, so each product slot sums the same terms in the same
-    order as a loop over the whole table.
-    """
+    """Pointwise bilinear product of blade rows by a rule's table: every kept
+    entry adds sign * a_row * b_row onto its product row, in table order.  A
+    row that is zero everywhere adds zeros to sums that start at +0 and
+    changes no bit."""
+    _check_pair(a, b)
     slots_out, program = _plan(a.m, rule, a.slots.tobytes(), b.slots.tobytes())
     lead = np.broadcast_shapes(a.rows.shape[1:], b.rows.shape[1:])
     dtype = np.result_type(a.rows.dtype, b.rows.dtype)
@@ -241,110 +241,101 @@ def _product(rule, a: BladeRows, b: BladeRows) -> BladeRows:
     return BladeRows(a.m, slots_out, acc)
 
 
-def _apply_bilinear(m: int, rule, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise bilinear product of dense blade-coefficient fields: gather
-    the live rows, take the product on rows, scatter back."""
-    return _product(rule, _gather(m, a), _gather(m, b)).dense()
+def field_wedge(a: BladeRows, b: BladeRows) -> BladeRows:
+    """Pointwise wedge of two blade fields."""
+    return _product(_wedge_rule, a, b)
 
 
-def field_wedge(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise wedge of two blade-coefficient fields."""
-    _check_dim(m)
-    return _apply_bilinear(m, _wedge_rule, a, b)
-
-
-def field_interior(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def field_interior(a: BladeRows, b: BladeRows) -> BladeRows:
     """Pointwise interior multiplication a interior b."""
-    _check_dim(m)
-    return _apply_bilinear(m, _interior_rule, a, b)
+    return _product(_interior_rule, a, b)
 
 
-def field_bullet(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def field_bullet(a: BladeRows, b: BladeRows) -> BladeRows:
     """Pointwise first-order contraction a . b."""
-    _check_dim(m)
-    return _apply_bilinear(m, _bullet_rule, a, b)
+    return _product(_bullet_rule, a, b)
 
 
-def field_hodge(m: int, a: np.ndarray) -> np.ndarray:
-    """Pointwise Hodge star of a blade-coefficient field.
+def field_hodge(a: BladeRows) -> BladeRows:
+    """Pointwise Hodge star: star(blade_k) = sign * blade_{full ^ k} and
+    full ^ k = full - k, so the held slots reverse and each row takes its
+    sign.  A slot not held stays +0 (a dense star writes 0.0 * sign)."""
+    slots = ((1 << a.m) - 1) ^ a.slots[::-1]
+    signs = _hodge_signs(a.m)[slots].reshape((-1,) + (1,) * (a.rows.ndim - 1))
+    return BladeRows(a.m, slots, a.rows[::-1] * signs)
 
-    star(blade_k) = sign * blade_{full ^ k} and full ^ k = full - k, so the
-    star is the blade axis reversed and signed: one elementwise pass.
-    """
-    _check_dim(m)
-    return a[..., ::-1] * _hodge_signs(m)
+
+def blade_sum(x: BladeRows) -> np.ndarray:
+    """Sum over the blade axis, ``np.sum(x.dense(), axis=-1)`` bit for bit for
+    real rows and 2**m >= 8 slots: numpy adds slot j into accumulator j % 8
+    in index order and ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    onto a +0 start.  A slot not held would add +0, which moves no value
+    (only the sign of a zero, and the +0 start fixes that), so it is skipped."""
+    r = [0.0] * 8
+    for slot, row in zip(x.slots.tolist(), x.rows):
+        r[slot & 7] = r[slot & 7] + row
+    return np.zeros(x.rows.shape[1:]) + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
+def field_inner(a: BladeRows, b: BladeRows) -> np.ndarray:
+    """Pointwise blade-orthonormal inner product <a, b>: the blade sum of the
+    products of the slots both fields hold (field shapes broadcast)."""
+    _check_pair(a, b)
+    common, ia, ib = np.intersect1d(a.slots, b.slots, assume_unique=True, return_indices=True)
+    products = np.moveaxis(a.rows[ia], 0, -1) * np.moveaxis(b.rows[ib], 0, -1)
+    return blade_sum(BladeRows(a.m, common, np.moveaxis(products, -1, 0)))
 
 
 def field_wedge_vectors(*vectors: np.ndarray) -> BladeRows:
     """Pointwise wedge v_1 ^ ... ^ v_k of R^m-valued fields (..., m), as rows.
 
-    Each vector enters as its m component rows, with no 2**m embedding, and
-    the chain stays in rows from step to step; the live rows of each operand
-    are found as ``field_wedge`` finds them, so ``.dense()`` is bit for bit
-    the chain of ``field_wedge`` over ``vector_field_to_mv`` operands.
+    Each vector enters as the rows of its components that are nonzero
+    somewhere, with no 2**m embedding; ``.dense()`` is bit for bit the dense
+    chain.  A single vector is the embedding: every component a row, signed
+    zeros kept.
     """
     m = vectors[0].shape[-1]
     _check_dim(m)
     if any(v.shape[-1] != m for v in vectors):
         raise DimensionMismatchError("vector fields of different ambient dimensions")
     basis = np.left_shift(1, np.arange(m, dtype=np.intp))
-    if len(vectors) == 1:  # the embedding itself, signed zeros included
+    if len(vectors) == 1:
         return BladeRows(m, basis, np.moveaxis(vectors[0], -1, 0))
-    out = None
-    for v in vectors:
-        live = np.flatnonzero(_live(v))
-        rows = BladeRows(m, basis[live], np.moveaxis(v, -1, 0)[live])
-        out = rows if out is None else _product(_wedge_rule, _live_rows(out), rows)
-    return out
+    live = [np.flatnonzero(_live(v)) for v in vectors]
+    return reduce(partial(_product, _wedge_rule),
+                  (BladeRows(m, basis[s], np.moveaxis(v, -1, 0)[s]) for v, s in zip(vectors, live)))
 
 
 def field_cross(*vectors: np.ndarray) -> np.ndarray:
     """Generalized cross product: the vector part of star(v_1 ^ ... ^ v_{m-1})
-    of m - 1 fields (..., m), bit for bit ``mv_field_vector_part(field_hodge(...))``
-    of the dense wedge: component k is sign_k times the coefficient of the blade
-    full ^ e_k, and 0.0 * sign_k (a signed zero) where that blade is not held."""
+    of m - 1 fields (..., m), bit for bit the dense star of the dense wedge.
+    The wedge is held on every (m-1)-blade, so the star of one it lacks is
+    0.0 * sign, a signed zero, as in the dense star."""
     w = field_wedge_vectors(*vectors)
     if len(vectors) != w.m - 1:
         raise GradeError(f"a cross product in R^{w.m} takes {w.m - 1} vectors, got {len(vectors)}")
-    full, signs = (1 << w.m) - 1, _hodge_signs(w.m)
-    row = dict(zip(w.slots.tolist(), w.rows))
-    out = np.empty(w.rows.shape[1:] + (w.m,), dtype=w.rows.dtype)
-    for k in range(w.m):
-        out[..., k] = row.get(full ^ (1 << k), 0.0) * signs[1 << k]
-    return out
+    blades = grade_masks(w.m, w.m - 1)
+    return mv_field_vector_part(field_hodge(BladeRows(w.m, blades, w.part(blades))))
 
 
-def field_slotwise(fn, a: np.ndarray) -> np.ndarray:
-    """fn(a) for a linear map fn that acts on each blade slot of a alone (a
-    finite difference of diskgrid), evaluated on the live slots only.
-
-    fn must send a slot that is +0 or -0 everywhere to one field, as every
-    difference does (x - x = +0); the dead slots share fn of one of them.
-    The result has fn's shape and is C-ordered, like ``np.stack`` output.
-    """
-    live = _live(a)
-    slots, dead = np.flatnonzero(live), np.flatnonzero(~live)
-    part = fn(np.take(a, np.append(slots, dead[:1]), axis=-1))
-    source = np.full(a.shape[-1], len(slots))  # each slot's column of part: dead ones the last
-    source[slots] = np.arange(len(slots))
-    return np.take(part, source, axis=-1)
+def field_slotwise(fn, a: BladeRows) -> BladeRows:
+    """fn of the held slots of a, for a finite difference of diskgrid with its
+    grid bound (``partial(grad, grid)``), which acts on each trailing slot
+    alone.  fn runs once, on the rows seen as one (n, n, k) field, and its
+    field shape ((2, n, n) for a gradient) becomes the rows'.  A slot not
+    held stays +0; fn of a slot that is +0 or -0 everywhere is a zero too
+    (-0 under grad_perp's sign)."""
+    return BladeRows(a.m, a.slots, np.moveaxis(fn(np.moveaxis(a.rows, 0, -1)), -1, 0))
 
 
-def field_inner(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise blade-orthonormal inner product <a, b>."""
-    _check_dim(m)
-    return np.sum(a * b, axis=-1)
+def vector_field_to_mv(v: np.ndarray) -> BladeRows:
+    """Embed an R^m-valued field (..., m) as grade-1 rows."""
+    return field_wedge_vectors(v)
 
 
-def vector_field_to_mv(v: np.ndarray) -> np.ndarray:
-    """Embed an R^m-valued field (..., m) as grade-1 coefficients (..., 2**m)."""
-    return field_wedge_vectors(v).dense()
-
-
-def mv_field_vector_part(a: np.ndarray) -> np.ndarray:
-    """Extract the grade-1 part of a coefficient field as an (..., m) array."""
-    m = (a.shape[-1]).bit_length() - 1
-    return np.stack([a[..., 1 << k] for k in range(m)], axis=-1)
+def mv_field_vector_part(a: BladeRows) -> np.ndarray:
+    """The grade-1 part of a blade field as a C-ordered (..., m) array."""
+    return np.stack(list(a.part(np.left_shift(1, np.arange(a.m)))), axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -403,7 +394,8 @@ class MultiVector:
             raise TypeError("expected a MultiVector")
         if other.m != self.m:
             raise DimensionMismatchError(f"ambient dimensions differ: {self.m} vs {other.m}")
-        return MultiVector(self.m, _apply_bilinear(self.m, rule, self.coeffs, other.coeffs))
+        rows = (BladeRows.from_dense(x.coeffs) for x in (self, other))
+        return MultiVector(self.m, _product(rule, *rows).dense())
 
     def wedge(self, other: "MultiVector") -> "MultiVector":
         return self._binary(other, _wedge_rule)
@@ -426,7 +418,7 @@ class MultiVector:
         return self._binary(other, _bullet_rule)
 
     def hodge(self) -> "MultiVector":
-        return MultiVector(self.m, field_hodge(self.m, self.coeffs))
+        return MultiVector(self.m, field_hodge(BladeRows.from_dense(self.coeffs)).dense())
 
     def inner(self, other: "MultiVector") -> float:
         if other.m != self.m:
@@ -490,4 +482,4 @@ def blade(m: int, indices: tuple[int, ...], coeff: float = 1.0) -> MultiVector:
 def from_vector(v) -> MultiVector:
     """1-vector with the given Euclidean components."""
     v = np.asarray(v, dtype=float)
-    return MultiVector(v.size, vector_field_to_mv(v))
+    return MultiVector(v.size, vector_field_to_mv(v).dense())

@@ -106,16 +106,16 @@ def residual_report(source: ImmersionPatch | GeometryBundle) -> dict[str, float]
     dot, wedge = cons.tangency_identities(bundle)
     report["dot_identity"] = dot
     report["wedge_identity"] = wedge
-    report["divQ_inf"] = dg._interior_sup(grid, cons.willmore_residual(bundle))
+    report["divQ_inf"] = dg.interior_sup(grid, cons.willmore_residual(bundle))
 
     report["L_defect"] = bundle.derived(cons.recover_L).defect
     report["L0_consistency"] = cons.assemble_L0(bundle)
 
     cdata = cwmod.extract_A_f(bundle)
-    report["f_inf"] = dg._interior_sup(grid, cdata.f)
+    report["f_inf"] = dg.interior_sup(grid, cdata.f)
     report["f_holo_defect"] = cdata.holomorphy_defect
-    report["cw_resid_f"] = dg._interior_sup(grid, cwmod.conformal_willmore_residual(bundle, cdata.f)) / scale
-    report["cw_resid_zero"] = dg._interior_sup(grid, cwmod.conformal_willmore_residual(bundle, 0.0)) / scale
+    report["cw_resid_f"] = dg.interior_sup(grid, cwmod.conformal_willmore_residual(bundle, cdata.f)) / scale
+    report["cw_resid_zero"] = dg.interior_sup(grid, cwmod.conformal_willmore_residual(bundle, 0.0)) / scale
     report["cwbis_resid"] = cwmod.eq13_residual(bundle, cdata.f, cdata.L)
 
     sr = cons.build_S_R(bundle, cdata.L)

@@ -26,17 +26,10 @@ from willmore_lab import flow as fl
 from willmore_lab import immersion as im
 from willmore_lab import lorentz as lo
 from willmore_lab import multivec as mv
-from willmore_lab.diskgrid import Grid
+from willmore_lab.diskgrid import Grid, interior_sup
 
 RATIO_BAND = (3.4, 4.6)
 FLOOR = 1e-9
-
-
-def interior_sup(grid, field):
-    v = np.abs(field[grid.interior()])
-    if v.ndim > 2:
-        v = np.linalg.norm(v, axis=-1)
-    return float(np.max(v))
 
 
 def ratio_ok(coarse, fine, band=RATIO_BAND, floor=FLOOR):

@@ -201,9 +201,11 @@ class TestInputBoundary:
             argv = ["lorentz", "--field", str(field), "--p", p, "--q", "inf"]
             assert word in self.check_rejected(capsys, tmp_path, argv=argv)
 
-    def test_thread_count_not_integer(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("WILLMORE_LAB_THREADS", "abc")
-        assert "WILLMORE_LAB_THREADS" in self.check_rejected(capsys, tmp_path)
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+    def test_thread_count_not_integer(self, capsys, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("WILLMORE_LAB_THREADS", threads)
+        assert f"WILLMORE_LAB_THREADS must be a positive integer, got {threads!r}" in self.check_rejected(
+            capsys, tmp_path)
 
 
 class TestWenteCommand:
@@ -281,6 +283,15 @@ class TestFlowCommand:
         grid, values = dg.read_field(ckpt)
         assert grid.n == 65
         assert values.shape == (65, 65, 3)
+
+    def test_checkpoint_without_out(self, tmp_path, capsys):
+        ckpt = tmp_path / "ck.bin"
+        rc = run_cli(["flow", "--surface", "perturbed-catenoid", "--n", "33", "--max-iters", "2",
+                      "--checkpoint", str(ckpt)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "flow"  # the summary goes to stdout
+        grid, values = dg.read_field(ckpt)
+        assert grid.n == 33 and values.shape == (33, 33, 3)
 
 
 def test_console_entry_point(tmp_path):

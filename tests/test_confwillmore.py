@@ -7,7 +7,7 @@ import pytest
 from willmore_lab import confwillmore as cw
 from willmore_lab import conservation as cons
 from willmore_lab import immersion as im
-from willmore_lab.diskgrid import Grid
+from willmore_lab.diskgrid import Grid, interior_sup
 
 G65 = Grid(0.5, 65)
 G129 = Grid(0.5, 129)
@@ -15,13 +15,6 @@ G129 = Grid(0.5, 129)
 
 def bundle(kind, grid=G129, m=3, **params):
     return im.make_bundle(im.make_surface(kind, grid, m=m, **params))
-
-
-def interior_sup(grid, field):
-    v = np.abs(field[grid.interior()])
-    if v.ndim > 2:
-        v = np.linalg.norm(v, axis=-1)
-    return float(np.max(v))
 
 
 class TestFrameDerivativeIdentities:
@@ -221,7 +214,7 @@ class TestConsistencyTriangle:
             [c * base.normal_frame[0] + s * base.normal_frame[1],
              -s * base.normal_frame[0] + c * base.normal_frame[1]]
         )
-        gauss = mvec.field_wedge(4, mvec.vector_field_to_mv(rot[0]), mvec.vector_field_to_mv(rot[1]))
+        gauss = mvec.field_wedge(mvec.vector_field_to_mv(rot[0]), mvec.vector_field_to_mv(rot[1]))
         b2 = im.second_fundamental(p, replace(base, normal_frame=rot, gauss=gauss))
         f1 = cw.extract_A_f(b1).f
         f2 = cw.extract_A_f(b2).f

@@ -10,6 +10,7 @@ Round spheres satisfy Q = 0 identically.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from willmore_lab import conservation as cons
 from willmore_lab import diskgrid as dg
 from willmore_lab import immersion as im
-from willmore_lab.diskgrid import Grid
+from willmore_lab.diskgrid import Grid, interior_sup
 
 G65 = Grid(0.5, 65)
 G129 = Grid(0.5, 129)
@@ -25,13 +26,6 @@ G129 = Grid(0.5, 129)
 
 def bundle(kind, grid=G129, m=3, **params):
     return im.make_bundle(im.make_surface(kind, grid, m=m, **params))
-
-
-def interior_sup(grid, field):
-    v = np.abs(field[grid.interior()])
-    if v.ndim > 2:
-        v = np.linalg.norm(v, axis=-1)
-    return float(np.max(v))
 
 
 class TestAssembleQ:
@@ -191,7 +185,7 @@ class TestSRSystem:
         b = bundle("plane", G65)
         sr = cons.build_S_R(b, np.zeros((65, 65, 3)))
         assert np.max(np.abs(sr.S)) < 1e-12
-        assert np.max(np.abs(sr.R)) < 1e-12
+        assert np.max(np.abs(sr.R.rows)) < 1e-12
 
     def test_sphere_defects_and_residuals(self):
         vals = []
@@ -304,16 +298,36 @@ def test_contraction_form_of_the_wedge_identity(kind, params, m, tol):
     jet = b.jet
     gH = dg.grad(grid, b.H)
     lhs = sum(
-        mvec.field_wedge(m, mvec.vector_field_to_mv(d), mvec.vector_field_to_mv(gh))
+        mvec.field_wedge(mvec.vector_field_to_mv(d), mvec.vector_field_to_mv(gh)).dense()
         for d, gh in ((jet.d1, gH[0]), (jet.d2, gH[1]))
     )
-    star_nH = mvec.field_hodge(m, mvec.field_interior(m, b.gauss, mvec.vector_field_to_mv(b.H)))
-    gs = dg.grad(grid, star_nH)
-    gperp_phi = (-jet.d2, jet.d1)
-    contr = sum(
-        mvec.field_interior(m, gs[j], mvec.vector_field_to_mv(gperp_phi[j])) for j in range(2)
-    )
+    star_nH = mvec.field_hodge(mvec.field_interior(b.gauss, mvec.vector_field_to_mv(b.H)))
+    gs = mvec.field_slotwise(partial(dg.grad, grid), star_nH)
+    gperp_phi = np.stack([-jet.d2, jet.d1])
+    contr = sum(mvec.field_interior(gs, mvec.vector_field_to_mv(gperp_phi)).dense())
     scale = max(1.0, interior_sup(grid, lhs))
     sign = (-1.0) ** (m - 1)
     assert interior_sup(grid, lhs - sign * contr) / scale < tol
     assert interior_sup(grid, lhs + sign * contr) / scale > 1.0
+
+
+def test_no_dense_blade_field_on_the_residual_path(monkeypatch):
+    """A residual report at m = 6 and a flow step at m = 3 keep every blade field
+    in rows: neither BladeRows.dense nor the dense -> rows constructor runs."""
+    from willmore_lab import flow as fl
+    from willmore_lab import multivec as mvec
+    from willmore_lab import reports as rp
+
+    calls = []
+    dense, from_dense = mvec.BladeRows.dense, mvec.BladeRows.from_dense.__func__
+    monkeypatch.setattr(mvec.BladeRows, "dense", lambda self: calls.append("dense") or dense(self))
+    monkeypatch.setattr(mvec.BladeRows, "from_dense",
+                        classmethod(lambda cls, a: calls.append("from_dense") or from_dense(cls, a)))
+    report = rp.residual_report(im.make_surface("graph_perturbation", Grid(0.5, 33), m=6))
+    assert np.all(np.isfinite(list(report.values())))
+    patch = im.perturb_normal(im.make_surface("catenoid", Grid(0.5, 33), m=3), seed=0, amplitude=0.05)
+    state = fl._state_from_patch(patch, 0.0)
+    assert fl.step(state, tau0=1.0).energy < state.energy
+    assert calls == []
+    mvec.BladeRows.from_dense(np.ones(8)).dense()  # the counters do see a call
+    assert calls == ["from_dense", "dense"]

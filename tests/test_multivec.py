@@ -1,5 +1,7 @@
 """Exterior algebra kernel: exact identities against brute-force oracles."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,7 +72,7 @@ class TestWedge:
     def test_embedding_keeps_signed_zeros(self):
         v = np.random.default_rng(61).normal(size=(4, 4, 5))
         v[..., 2] = -0.0
-        assert same_bits(mv.vector_field_to_mv(v), loop_embed(v))
+        assert same_bits(mv.vector_field_to_mv(v).dense(), loop_embed(v))
         assert same_bits(mv.from_vector(v[0, 0]).coeffs, loop_embed(v[0, 0]))
 
     def test_dimension_mismatch(self):
@@ -250,15 +252,20 @@ def test_property_adjointness_and_isometry(m, data):
     assert g.hodge().inner(b.hodge()) == pytest.approx(g.inner(b), abs=1e-8 * (1 + g.norm() * b.norm()))
 
 
+def rows(a):
+    """Blade rows of a dense field: the one dense -> rows constructor."""
+    return mv.BladeRows.from_dense(a)
+
+
 def test_field_ops_match_pointwise():
     rng = np.random.default_rng(9)
     m = 4
     A = rng.normal(size=(5, 5, 1 << m))
     B = rng.normal(size=(5, 5, 1 << m))
-    W = mv.field_wedge(m, A, B)
-    I = mv.field_interior(m, A, B)
-    U = mv.field_bullet(m, A, B)
-    H = mv.field_hodge(m, A)
+    W = mv.field_wedge(rows(A), rows(B)).dense()
+    I = mv.field_interior(rows(A), rows(B)).dense()
+    U = mv.field_bullet(rows(A), rows(B)).dense()
+    H = mv.field_hodge(rows(A)).dense()
     for i in (0, 3):
         for j in (1, 4):
             a = mv.MultiVector(m, A[i, j])
@@ -292,6 +299,16 @@ def same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def dense_op(op, *fields):
+    """A field op on dense operands: each gathered into rows, the result scattered back."""
+    return op(*map(rows, fields)).dense()
+
+
+def dense_star(m, a):
+    """Reference: the dense Hodge star, the blade axis reversed and signed (0.0 * sign in dead slots)."""
+    return a[..., ::-1] * mv._hodge_signs(m)
+
+
 class TestLiveSlotKernel:
     """The live-slot kernel sums the loop's terms in the loop's order: bit-identical results."""
 
@@ -320,7 +337,7 @@ class TestLiveSlotKernel:
                     Ac, Bc = (self.graded_field(m, k, rng, (3, 3), complex_data=True) for k in (p, q))
                     a, b = (self.graded_field(m, k, rng, ()) for k in (p, q))
                     for x, y in ((A, B), (Ac, Bc), (A, Bc), (Ac, B), (a, b), (A, b)):
-                        assert same_bits(op(m, x, y), loop_bilinear(m, rule, x, y)), (name, p, q)
+                        assert same_bits(dense_op(op, x, y), loop_bilinear(m, rule, x, y)), (name, p, q)
 
     @pytest.mark.parametrize("m", [3, 6])
     def test_mixed_grades_and_zero_operand(self, m):
@@ -333,8 +350,8 @@ class TestLiveSlotKernel:
         S[-1, -1, 1], S[2, 3, 3], S[-1, -1, 6] = 2.0, -1.5, 0.25
         for name, (op, rule) in self.RULES.items():
             for x, y in ((A, B), (B, A), (A, A), (A, Z), (Z, B), (S, A), (B, S)):
-                assert same_bits(op(m, x, y), loop_bilinear(m, rule, x, y)), name
-            assert not np.any(op(m, A, Z))
+                assert same_bits(dense_op(op, x, y), loop_bilinear(m, rule, x, y)), name
+            assert not np.any(dense_op(op, A, Z))
 
     def test_multivector_methods_use_the_kernel(self):
         rng = np.random.default_rng(20)
@@ -345,15 +362,16 @@ class TestLiveSlotKernel:
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_hodge_matches_its_definition(self, m):
-        """star(blade_k) = merge_sign(k, full ^ k) * blade_{full ^ k}."""
+        """star(blade_k) = merge_sign(k, full ^ k) * blade_{full ^ k} on the held
+        slots; a slot that is not held stays +0."""
         rng = np.random.default_rng(30 + m)
         full = (1 << m) - 1
         for lead, complex_data in (((5, 5), False), ((5, 5), True), ((), False)):
             A = sum(self.graded_field(m, k, rng, lead, complex_data) for k in (1, m - 1, m))
             expect = np.zeros_like(A)
-            for k in range(1 << m):
+            for k in rows(A).slots.tolist():
                 expect[..., full ^ k] = mv._merge_sign(k, full ^ k) * A[..., k]
-            assert same_bits(mv.field_hodge(m, A), expect)
+            assert same_bits(dense_op(mv.field_hodge, A), expect)
 
 
 def loop_embed(v):
@@ -369,7 +387,7 @@ def dense_wedge_chain(vectors):
     m = vectors[0].shape[-1]
     out = loop_embed(vectors[0])
     for v in vectors[1:]:
-        out = mv.field_wedge(m, out, loop_embed(v))
+        out = dense_op(mv.field_wedge, out, loop_embed(v))
     return out
 
 
@@ -400,7 +418,7 @@ class TestVectorRows:
     def test_cross_product_matches_the_dense_star(self, m):
         rng = np.random.default_rng(50 + m)
         for vs in (self.vectors(m, m - 1, rng), list(np.zeros((m - 1, 4, 4, m)))):
-            expect = mv.mv_field_vector_part(mv.field_hodge(m, dense_wedge_chain(vs)))
+            expect = dense_star(m, dense_wedge_chain(vs))[..., 1 << np.arange(m)]
             assert same_bits(mv.field_cross(*vs), expect)
         with pytest.raises(mv.GradeError):
             mv.field_cross(*self.vectors(m, m - 2, rng))
@@ -418,7 +436,7 @@ class TestVectorRows:
     def test_embedding_keeps_signed_zeros(self):
         v = np.random.default_rng(61).normal(size=(4, 4, 5))
         v[..., 2] = -0.0
-        assert same_bits(mv.vector_field_to_mv(v), loop_embed(v))
+        assert same_bits(mv.vector_field_to_mv(v).dense(), loop_embed(v))
         assert same_bits(mv.from_vector(v[0, 0]).coeffs, loop_embed(v[0, 0]))
 
     def test_dimension_mismatch(self):
@@ -427,7 +445,8 @@ class TestVectorRows:
 
 
 class TestSlotwise:
-    """Finite differences on the live slots match the dense ones bit for bit, signed zeros and layout included."""
+    """Finite differences of the held slots match the dense ones bit for bit, signed zeros included;
+    every other slot is a zero of the dense difference (-0 under grad_perp's sign) and +0 in rows."""
 
     @staticmethod
     def fields(m, rng, n=9):
@@ -435,7 +454,7 @@ class TestSlotwise:
         g[..., mv.grade_masks(m, 2)] = rng.normal(size=(n, n, len(mv.grade_masks(m, 2))))
         g[..., 3] = 0.0
         g[4, 5, 3] = 0.5                     # a slot live at one node only
-        return g, mv.field_hodge(m, g)       # the star writes -0 into dead slots
+        return g, dense_star(m, g)           # the dense star writes -0 into dead slots
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_matches_dense_differences(self, m):
@@ -446,8 +465,52 @@ class TestSlotwise:
         g, star = self.fields(m, rng)
         assert np.signbit(star[..., mv._live(star) == 0]).any()
         for a in (g, star, np.zeros_like(g), -np.zeros_like(g)):
-            for op in (dg.grad, dg.grad_perp, dg.laplace):
-                dense = op(grid, a)
-                live = mv.field_slotwise(lambda f: op(grid, f), a)
-                assert same_bits(live, dense), op.__name__
-                assert live.strides == dense.strides and live.flags.c_contiguous
+            # the live slots only, and every slot held (rows that are +0 or -0 everywhere)
+            for x in (rows(a), mv.BladeRows(m, np.arange(1 << m), np.moveaxis(a, -1, 0))):
+                for op in (dg.grad, dg.grad_perp, dg.laplace):
+                    dense = np.moveaxis(op(grid, a), -1, 0)
+                    live = mv.field_slotwise(partial(op, grid), x)
+                    assert same_bits(live.rows, dense[x.slots]), op.__name__
+                    assert not np.any(np.delete(dense, x.slots, axis=0))
+
+
+class TestBladeSum:
+    """blade_sum repeats numpy's own order over the blade axis, so a numpy whose order moves fails here."""
+
+    @staticmethod
+    def field(shape, rng, live_fraction):
+        a = rng.normal(size=shape) * np.exp(rng.uniform(-5, 5, shape))
+        a[..., rng.random(shape[-1]) > live_fraction] = 0.0
+        return a
+
+    @pytest.mark.parametrize("shape", [(65, 65, 8), (65, 65, 16), (65, 65, 32), (65, 65, 64),
+                                       (129, 129, 64), (2, 65, 65, 64)])
+    def test_matches_numpy_sum_and_norm(self, shape):
+        rng = np.random.default_rng(len(shape) * 1000 + shape[0] + shape[-1])
+        for live_fraction in (1.0, 0.5, 0.15):
+            a = self.field(shape, rng, live_fraction)
+            x = rows(a)
+            squares = x._replace(rows=x.rows * x.rows)
+            assert same_bits(mv.blade_sum(x), np.sum(a, axis=-1)), live_fraction
+            assert same_bits(mv.blade_sum(squares), np.sum(a * a, axis=-1)), live_fraction
+            assert same_bits(np.sqrt(mv.blade_sum(squares)), np.linalg.norm(a, axis=-1)), live_fraction
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_signed_zeros(self, m):
+        rng = np.random.default_rng(80 + m)
+        a = rng.normal(size=(7, 7, 1 << m))
+        a[..., 3::8] = -0.0              # an accumulator that holds -0 rows only
+        a[..., 5::8] = 0.0               # an accumulator that holds dead slots only
+        a[2, 4] = -0.0                   # a node where every slot is -0
+        a[3, 3, :] = 0.0
+        a[3, 3, 1], a[3, 3, 2] = 1.5, -1.5   # a node whose terms cancel
+        held = mv.BladeRows(m, np.arange(1 << m), np.moveaxis(a, -1, 0))
+        for x in (rows(a), held):
+            assert same_bits(mv.blade_sum(x), np.sum(a, axis=-1))
+        assert not np.signbit(mv.blade_sum(held)[2, 4])
+
+    def test_inner_product_is_the_dense_sum(self):
+        rng = np.random.default_rng(90)
+        a, b = (self.field((2, 9, 9, 64), rng, 0.4) for _ in range(2))
+        assert same_bits(mv.field_inner(rows(a), rows(b)), np.sum(a * b, axis=-1))
+        assert same_bits(mv.field_inner(rows(a), rows(b[1])), np.sum(a * b[1], axis=-1))  # field shapes broadcast

@@ -1,0 +1,140 @@
+"""Print one sha256 per output of a fixed list of runs, to check that two
+source trees give byte-identical results.
+
+    python tools/output_hashes.py --src PATH/TO/src > hashes.txt
+
+Run it once on each tree's ``src`` directory and ``diff`` the listings.
+The outputs are:
+
+* ``verify`` JSON (timestamp line removed) and CSV: the seven catalog
+  surfaces at m = 3 (--n 65 --n 129); sphere, clifford_torus_patch,
+  graph_perturbation and plane at m = 4, 5, 6 (--n 65);
+  graph_perturbation:seed=7 at m = 6, n = 129; perturbed-sphere:seed=2 at
+  m = 3 and 6 (n = 65);
+* ``flow`` CSV and JSON (timestamp removed) on
+  perturbed-catenoid:seed=K,amplitude=0.05, n = 65, --stop-ratio 0.2,
+  --max-iters 500, for K = 1, 0, 3, 4, 7;
+* ``wente --n 129 --samples 3 --seed 5`` CSV and JSON (timestamp removed);
+* for 37 (surface, m) bundles at n = 65 (the catalog at m = 3..6 and the
+  perturbed catenoid, sphere and plane at m = 3, 4, 6): every
+  ``GeometryBundle`` array and jet array (dtype, shape, strides and bytes,
+  signed zeros included), Q, S, R, the S/R defects and system residuals,
+  the phi identity, the tangency identities and the Gauss-map energy.
+  Blade-row fields are hashed through ``.dense()``.
+
+Runs single-process with WILLMORE_LAB_THREADS=2 unless it is set.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import os
+import re
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+CATALOG = ("plane", "sphere", "cylinder", "catenoid", "enneper", "clifford_torus_patch", "graph_perturbation")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _array_bytes(x) -> bytes:
+    x = x.dense() if hasattr(x, "dense") else np.asarray(x)
+    head = f"{x.dtype.str}|{x.shape}|{x.strides}|".encode()
+    return head + x.tobytes()
+
+
+def _float_bytes(*values) -> bytes:
+    return b"".join(struct.pack("<d", float(v)) for v in values)
+
+
+def _cli_runs():
+    m3 = [(f"verify {s} m=3", ["--surface", s, "--m", "3", "--n", "65", "--n", "129"]) for s in CATALOG]
+    m456 = [(f"verify {s} m={m}", ["--surface", s, "--m", str(m), "--n", "65"])
+            for m in (4, 5, 6) for s in ("sphere", "clifford_torus_patch", "graph_perturbation", "plane")]
+    extra = [("verify graph_perturbation:seed=7 m=6 n=129",
+              ["--surface", "graph_perturbation:seed=7", "--m", "6", "--n", "129"])]
+    extra += [(f"verify perturbed-sphere:seed=2 m={m}", ["--surface", "perturbed-sphere:seed=2", "--m", str(m), "--n", "65"])
+              for m in (3, 6)]
+    for name, argv in m3 + m456 + extra:
+        yield name, ["verify", *argv, "--out", "{dir}/out.json", "--csv", "{dir}/out.csv"], ("out.json", "out.csv")
+    for k in (1, 0, 3, 4, 7):
+        yield (f"flow perturbed-catenoid:seed={k}",
+               ["flow", "--surface", f"perturbed-catenoid:seed={k},amplitude=0.05", "--n", "65",
+                "--stop-ratio", "0.2", "--max-iters", "500", "--out", "{dir}/flow.csv"],
+               ("flow.csv", "flow.csv.json"))
+    yield ("wente n=129", ["wente", "--n", "129", "--samples", "3", "--seed", "5", "--out", "{dir}/wente.csv"],
+           ("wente.csv", "wente.csv.json"))
+
+
+def _bundle_cases():
+    for m in (3, 4, 5, 6):
+        for s in CATALOG:
+            yield s, m
+    for m in (3, 4, 6):
+        for s in ("catenoid", "sphere", "plane"):
+            yield f"perturbed-{s}", m
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="the src directory of the tree to hash (default: this repository's)")
+    args = parser.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    os.environ.setdefault("WILLMORE_LAB_THREADS", "2")
+
+    from willmore_lab import cli, confwillmore, conservation, reports
+    from willmore_lab.diskgrid import Grid
+    from willmore_lab.immersion import make_bundle, make_surface, perturb_normal
+
+    stamp = re.compile(rb'\n *"timestamp": "[^"]*",?')
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, files in _cli_runs():
+            for f in files:
+                Path(tmp, f).unlink(missing_ok=True)
+            with contextlib.redirect_stderr(io.StringIO()):  # verify's FAIL lines
+                code = cli.main([a.format(dir=tmp) for a in argv])
+            for f in files:
+                data = stamp.sub(b"", Path(tmp, f).read_bytes())
+                print(_sha(data), f"{name} {f} (exit {code})")
+
+    for surface, m in _bundle_cases():
+        kind = surface.removeprefix("perturbed-")
+        patch = make_surface(kind, Grid(0.5, 65), m=m)
+        if kind != surface:
+            patch = perturb_normal(patch, seed=0, amplitude=0.05)
+        bundle = make_bundle(patch)
+        case = f"{surface} m={m}"
+        for f in dataclasses.fields(bundle):
+            value = getattr(bundle, f.name)
+            if hasattr(value, "shape") or hasattr(value, "dense"):
+                print(_sha(_array_bytes(value)), f"{case} bundle.{f.name}")
+        for f in dataclasses.fields(bundle.jet):
+            print(_sha(_array_bytes(getattr(bundle.jet, f.name))), f"{case} jet.{f.name}")
+        print(_sha(_array_bytes(bundle.derived(conservation.assemble_Q))), f"{case} Q")
+        L = confwillmore.extract_A_f(bundle).L
+        sr = conservation.build_S_R(bundle, L)
+        print(_sha(_array_bytes(sr.S)), f"{case} S")
+        print(_sha(_array_bytes(sr.R)), f"{case} R")
+        print(_sha(_float_bytes(sr.S_defect, sr.R_defect)), f"{case} S/R defects")
+        print(_sha(_float_bytes(*conservation.sr_system_residual(bundle, sr.S, sr.R))), f"{case} S/R residuals")
+        print(_sha(_float_bytes(conservation.phi_identity_residual(bundle, sr.S, sr.R))), f"{case} phi identity")
+        print(_sha(_float_bytes(*conservation.tangency_identities(bundle))), f"{case} tangency identities")
+        print(_sha(_float_bytes(confwillmore.gauss_map_energy(bundle))), f"{case} Gauss-map energy")
+        print(_sha(_float_bytes(*reports.residual_report(bundle).values())), f"{case} report values")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
