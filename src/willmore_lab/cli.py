@@ -46,17 +46,20 @@ def _max_workers() -> int:
 
 def _parse_surface(arg: str) -> tuple[str, dict]:
     """Parse 'name' or 'name:key=value,...' (JSON values); a value that is not
-    JSON raises ValueError with a one-line message."""
+    JSON, or a key given twice, raises ValueError with a one-line message."""
     name, _, tail = arg.partition(":")
     name = name.replace("-", "_")
     params: dict = {}
     if tail:
         for item in tail.split(","):
             key, _, value = item.partition("=")
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"--surface {arg}: parameter {key} is given twice")
             try:
-                params[key.strip()] = json.loads(value)
+                params[key] = json.loads(value)
             except json.JSONDecodeError:
-                raise ValueError(f"--surface {arg}: {key.strip()}={value} is not a JSON value") from None
+                raise ValueError(f"--surface {arg}: {key}={value} is not a JSON value") from None
     return name, params
 
 
@@ -102,8 +105,6 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _write_rows_csv(path, rows: list[dict]) -> None:
-    if path is None:
-        return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["surface", "m", "n", "key", "value"])
@@ -341,9 +342,14 @@ def main(argv: list[str] | None = None) -> int:
             args.grid, args.values = read_field(args.field)
         args.workers = _max_workers()
     except (OSError, ValueError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
-    return args.func(args)
+        error = exc
+    else:
+        try:
+            return args.func(args)
+        except OSError as exc:  # an output file that cannot be written
+            error = exc
+    print(f"{parser.prog}: error: {error}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -36,8 +36,8 @@ import numpy as np
 
 from . import diskgrid as dg
 from . import multivec as mv
-from .conservation import _H0cH, _grad_gauss, _grad_H, assemble_Q, dz_L0_closed_form, surface_scale
-from .immersion import GeometryBundle
+from .conservation import _H0cH, _grad_gauss, _pin_grad_H, assemble_Q, dz_L0_closed_form, surface_scale
+from .immersion import GeometryBundle, complex_frame, norm_H2
 
 __all__ = [
     "ConformalData",
@@ -61,10 +61,11 @@ def frame_derivative_residuals(bundle: GeometryBundle) -> tuple[float, float]:
     """
     grid = bundle.grid
     scale = bundle.derived(surface_scale)
+    ez, ezstar = bundle.derived(complex_frame)
     dzsl = dg.dzstar(grid, bundle.lam)
     half_elam = 0.5 * bundle.elam[..., None]
-    r_ez = dg.dzstar(grid, bundle.ez) - (-dzsl[..., None] * bundle.ez + half_elam * bundle.H)
-    r_ezs = dg.dzstar(grid, bundle.ezstar) - (dzsl[..., None] * bundle.ezstar + half_elam * bundle.H0)
+    r_ez = dg.dzstar(grid, ez) - (-dzsl[..., None] * ez + half_elam * bundle.H)
+    r_ezs = dg.dzstar(grid, ezstar) - (dzsl[..., None] * ezstar + half_elam * bundle.H0)
     res_a4 = max(dg.interior_sup(grid, r_ez), dg.interior_sup(grid, r_ezs)) / scale
     res_a5 = 0.0
     for a in range(bundle.m - 2):
@@ -72,7 +73,7 @@ def frame_derivative_residuals(bundle: GeometryBundle) -> tuple[float, float]:
         H0a = np.sum(bundle.H0 * na, axis=-1)
         Ha = dg.component_sum(bundle.H * na)
         dzs_na = dg.dzstar(grid, na)
-        pred = -bundle.elam[..., None] * (H0a[..., None] * bundle.ez + Ha[..., None] * bundle.ezstar)
+        pred = -bundle.elam[..., None] * (H0a[..., None] * ez + Ha[..., None] * ezstar)
         pred = pred + bundle.project_normal(dzs_na)
         res_a5 = max(res_a5, dg.interior_sup(grid, dzs_na - pred))
     return res_a4, res_a5 / scale
@@ -85,7 +86,7 @@ def codazzi_residual(bundle: GeometryBundle) -> float:
     with complex-bilinear ambient dot products.  Normalized interior sup.
     """
     grid = bundle.grid
-    e2lam = bundle.elam**2
+    e2lam = bundle.area_density
     H0cH = bundle.derived(_H0cH)
     lhs = dg.dzstar(grid, e2lam * H0cH) / e2lam
     rhs = np.sum(bundle.H * dg.dz(grid, bundle.H), axis=-1)
@@ -128,7 +129,7 @@ def extract_A_f(bundle: GeometryBundle, L: np.ndarray | None = None) -> Conforma
     H0cH = bundle.derived(_H0cH)
     if L is not None:
         dzL = dg.dz(grid, L)
-        A = 2.0 * np.sum(dzL * bundle.ez, axis=-1)
+        A = 2.0 * np.sum(dzL * bundle.derived(complex_frame)[0], axis=-1)
         f = -1j * bundle.elam * (A + 2j * bundle.elam * H0cH)
         return ConformalData(A, f, _holomorphy_defect(grid, f), L, 0.0)
 
@@ -149,7 +150,7 @@ def extract_A_f(bundle: GeometryBundle, L: np.ndarray | None = None) -> Conforma
     usable = tr > 1e-12 * max(float(np.max(tr)), 1.0)
     sol = np.where(usable[..., None], sol, 0.0)
     f = sol[..., 0] + 1j * sol[..., 1]
-    candidate = Z0 + 1j * (f / bundle.elam)[..., None] * bundle.ezstar
+    candidate = Z0 + 1j * (f / bundle.elam)[..., None] * bundle.derived(complex_frame)[1]
     gradL = np.stack([2.0 * candidate.real, -2.0 * candidate.imag])
     res = dg.grad_potential(grid, gradL)
     A = -2j * bundle.elam * H0cH + 1j * f / bundle.elam
@@ -159,16 +160,13 @@ def extract_A_f(bundle: GeometryBundle, L: np.ndarray | None = None) -> Conforma
 def _cw_lhs(bundle: GeometryBundle) -> np.ndarray:
     """The f-independent part Lap_perp H + sum_ab h^a_ij h^b_ij H^b n_a - 2 |H|^2 H."""
     grid = bundle.grid
-    gradH = bundle.derived(_grad_H)
-    pin = np.stack([bundle.project_normal(gradH[0]), bundle.project_normal(gradH[1])])
-    lap_perp = bundle.project_normal(dg.div(grid, pin)) / bundle.area_density[..., None]
+    lap_perp = bundle.project_normal(dg.div(grid, bundle.derived(_pin_grad_H))) / bundle.area_density[..., None]
     Hcoef = np.stack(
         [dg.component_sum(bundle.H * bundle.normal_frame[a]) for a in range(bundle.m - 2)], axis=-1
     )
     hh = np.einsum("...aij,...bij->...ab", bundle.h, bundle.h)
     Aterm = np.einsum("...a,a...k->...k", np.einsum("...ab,...b->...a", hh, Hcoef), bundle.normal_frame)
-    H2 = dg.component_sum(bundle.H * bundle.H)
-    return lap_perp + Aterm - 2.0 * H2[..., None] * bundle.H
+    return lap_perp + Aterm - 2.0 * bundle.derived(norm_H2)[..., None] * bundle.H
 
 
 def conformal_willmore_residual(bundle: GeometryBundle, f: np.ndarray | float) -> np.ndarray:

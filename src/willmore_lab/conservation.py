@@ -29,12 +29,13 @@ validated facts wired into this module (each is also a test):
   where . is the first-order contraction of multivec.bullet.
 
 Potentials are fixed mean-zero; every off-shell input degrades to a
-reported defect rather than an error.  Q, grad H, grad n, L, the surface
-scale and the closed form of dz L0 are computed once per bundle and
-shared through ``GeometryBundle.derived``.  Multivector fields (n, R and
-their derivatives and products) are ``multivec.BladeRows`` end to end, and
-residual norms sum over the blade axis in numpy's order (``blade_sum``);
-wedges of vector fields start from the component rows.
+reported defect rather than an error.  Q, grad H, pi_n(grad H), grad n,
+L, the surface scale and the closed form of dz L0 are computed once per
+bundle and shared through ``GeometryBundle.derived``.  Multivector
+fields (n, R and their derivatives and products) are
+``multivec.BladeRows`` end to end, and residual norms sum over the blade
+axis in numpy's order (``blade_sum``); wedges of vector fields start from
+the component rows.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import diskgrid as dg
 from . import multivec as mv
-from .immersion import GeometryBundle
+from .immersion import GeometryBundle, complex_frame, norm_B2, norm_H2
 
 __all__ = [
     "surface_scale",
@@ -67,13 +68,18 @@ __all__ = [
 def surface_scale(bundle: GeometryBundle) -> float:
     """Normalization constant for residuals: sup e^{2 lambda}(1 + |H|^2 + |B|^2)."""
     win = bundle.grid.interior()
-    normB2 = np.sum(bundle.h**2, axis=(-1, -2, -3))
-    normH2 = dg.component_sum(bundle.H * bundle.H)
+    normH2, normB2 = bundle.derived(norm_H2), bundle.derived(norm_B2)
     return float(max(1.0, np.max((bundle.area_density * (1.0 + normH2 + normB2))[win])))
 
 
 def _grad_H(bundle: GeometryBundle) -> np.ndarray:
     return dg.grad(bundle.grid, bundle.H)
+
+
+def _pin_grad_H(bundle: GeometryBundle) -> np.ndarray:
+    """pi_n(grad H), shape (2, n, n, m)."""
+    gradH = bundle.derived(_grad_H)
+    return np.stack([bundle.project_normal(gradH[0]), bundle.project_normal(gradH[1])])
 
 
 def _grad_gauss(bundle: GeometryBundle) -> mv.BladeRows:
@@ -87,28 +93,21 @@ def _H0cH(bundle: GeometryBundle) -> np.ndarray:
 
 def assemble_Q(bundle: GeometryBundle) -> np.ndarray:
     """Q = grad H - 3 pi_n(grad H) + star(grad_perp n ^ H), shape (2, n, n, m)."""
-    gradH = bundle.derived(_grad_H)
-    tang = gradH - 3.0 * np.stack([bundle.project_normal(gradH[0]), bundle.project_normal(gradH[1])])
+    tang = bundle.derived(_grad_H) - 3.0 * bundle.derived(_pin_grad_H)
     gn = bundle.derived(_grad_gauss)
     gpn = gn._replace(rows=np.stack([-gn.rows[:, 1], gn.rows[:, 0]], axis=1))
     star = mv.mv_field_vector_part(mv.field_hodge(mv.field_wedge(gpn, mv.vector_field_to_mv(bundle.H))))
     return tang + star
 
 
-def willmore_residual(bundle: GeometryBundle, normalization: str = "euler_lagrange") -> np.ndarray:
-    """Residual of the divergence-form Willmore equation, shape (n, n, m).
-
-    ``normalization="euler_lagrange"`` (default) returns
-    -(1/2) e^{-2 lambda} div Q, the classical Willmore operator
-    Lap_perp H + A~(H) - 2 |H|^2 H; ``"divergence"`` returns raw div Q.
-    Both vanish at O(h^2) exactly on Willmore patches.
+def willmore_residual(bundle: GeometryBundle) -> np.ndarray:
+    """Euler-Lagrange density -(1/2) e^{-2 lambda} div Q of the Willmore
+    energy, shape (n, n, m): the classical Willmore operator
+    Lap_perp H + A~(H) - 2 |H|^2 H, which vanishes at O(h^2) exactly on
+    Willmore patches.
     """
     divQ = dg.div(bundle.grid, bundle.derived(assemble_Q))
-    if normalization == "divergence":
-        return divQ
-    if normalization == "euler_lagrange":
-        return -0.5 * divQ / bundle.area_density[..., None]
-    raise ValueError(f"unknown normalization {normalization!r}")
+    return -0.5 * divQ / bundle.area_density[..., None]
 
 
 def tangency_identities(bundle: GeometryBundle) -> tuple[float, float]:
@@ -159,7 +158,8 @@ def dz_L0_closed_form(bundle: GeometryBundle) -> np.ndarray:
     grid = bundle.grid
     dzH = dg.dz(grid, bundle.H)
     H0cH = bundle.derived(_H0cH)
-    return -2j * (bundle.elam * H0cH)[..., None] * bundle.ezstar - 2j * bundle.project_normal(dzH)
+    ezstar = bundle.derived(complex_frame)[1]
+    return -2j * (bundle.elam * H0cH)[..., None] * ezstar - 2j * bundle.project_normal(dzH)
 
 
 def assemble_L0(bundle: GeometryBundle) -> float:

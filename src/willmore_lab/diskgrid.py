@@ -418,7 +418,8 @@ def write_field(path, grid: Grid, data: np.ndarray) -> None:
 def read_field(path) -> tuple[Grid, np.ndarray]:
     """Read a binary field; returns (grid, values) with values (n, n, arity).
 
-    A header or payload that does not match raises ValueError naming the file.
+    A header or payload that does not match, or a sample that is not finite,
+    raises ValueError naming the file.
     """
     with open(path, "rb") as fh:
         header, payload = fh.read(_HEADER.size), fh.read()
@@ -426,4 +427,6 @@ def read_field(path) -> tuple[Grid, np.ndarray]:
     if n < 1 or arity < 1 or len(payload) != 8 * n * n * arity:
         raise ValueError(f"field file {path}: truncated, or header and {len(payload)}-byte payload disagree")
     values = np.frombuffer(payload, dtype="<f8").reshape(n, n, arity).astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"field file {path}: holds a sample that is not finite")
     return Grid(s, n), values

@@ -1,14 +1,14 @@
 """Discrete Willmore-energy descent with fixed boundary.
 
 The pointwise Willmore gradient density is the Euler-Lagrange-normalized
-residual of the divergence-form equation, -(1/2) e^{-2 lambda} div Q; it
-vanishes exactly at critical points.  Stepping against it raw is
-stability-throttled at tau ~ h^4 (the operator is fourth order), which
-freezes the smooth components the stationarity norm weighs most, so by
-default the direction is preconditioned by the squared inverse
-Dirichlet Laplacian (a Sobolev-gradient direction: symmetric positive
-definite, hence still a descent direction with the same zero set).
-``precondition="none"`` recovers the raw density.
+residual of the divergence-form equation, -(1/2) e^{-2 lambda} div Q
+(``conservation.willmore_residual``); it vanishes exactly at critical
+points.  Stepping against it raw is stability-throttled at tau ~ h^4
+(the operator is fourth order), which freezes the smooth components the
+stationarity norm weighs most, so the direction is preconditioned by
+the squared inverse Dirichlet Laplacian (a Sobolev-gradient direction:
+symmetric positive definite, hence still a descent direction with the
+same zero set).
 
 Updates act on the interior only (a boundary ring of width 2 stays
 frozen in place of compactly supported variations) and a backtracking
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diskgrid as dg
-from .conservation import assemble_Q
+from .conservation import assemble_Q, willmore_residual
 from .immersion import (
     DegenerateImmersionError,
     FrameError,
@@ -56,24 +56,15 @@ def ps_norm(bundle: GeometryBundle) -> float:
     return sum(dg.l2norm(grid, dg.grad(grid, phi[..., k])) for k in range(phi.shape[-1]))
 
 
-def descent_velocity(bundle: GeometryBundle, precondition: str = "bilaplacian") -> np.ndarray:
-    """Descent direction with frozen boundary ring.
-
-    "none": +(1/2) e^{-2 lambda} div Q, minus the raw Willmore gradient
-    density.  "bilaplacian" (default): the same density pushed through
-    the squared inverse Dirichlet Laplacian per ambient component, which
-    keeps the zero set and the descent property while removing the
-    fourth-order stiffness from the line search.
+def descent_velocity(bundle: GeometryBundle) -> np.ndarray:
+    """Descent direction with frozen boundary ring: minus the Willmore
+    gradient density pushed through the squared inverse Dirichlet
+    Laplacian per ambient component, which keeps the zero set and the
+    descent property while removing the fourth-order stiffness from the
+    line search.
     """
     grid = bundle.grid
-    divQ = dg.div(grid, bundle.derived(assemble_Q))
-    density = -0.5 * divQ / bundle.area_density[..., None]  # Willmore gradient
-    if precondition == "none":
-        vel = -density
-    elif precondition == "bilaplacian":
-        vel = -dg.poisson_dirichlet(grid, dg.poisson_dirichlet(grid, density))
-    else:
-        raise ValueError(f"unknown preconditioner {precondition!r}")
+    vel = -dg.poisson_dirichlet(grid, dg.poisson_dirichlet(grid, willmore_residual(bundle)))
     vel[: _FROZEN_RING] = 0.0
     vel[-_FROZEN_RING:] = 0.0
     vel[:, : _FROZEN_RING] = 0.0
@@ -100,7 +91,6 @@ class FlowState:
     conformal_defect: float
     tau: float              # accepted step size (0.0 for the initial state)
     stalled: bool = False   # no energy-decreasing step was found
-    degenerate: bool = False  # conformal factor collapsed; run aborted
     bundle: GeometryBundle | None = None
     rejections: tuple[str, ...] = ()
 
@@ -126,7 +116,7 @@ def _state_from_patch(source: ImmersionPatch | GeometryBundle, tau: float) -> Fl
     return _accept(bundle.patch, bundle, willmore_energy(bundle), tau)
 
 
-def step(state: FlowState, tau0: float, precondition: str = "bilaplacian") -> FlowState:
+def step(state: FlowState, tau0: float) -> FlowState:
     """One backtracking descent step from an accepted state.
 
     Halves the trial step until the energy strictly decreases; returns
@@ -137,7 +127,7 @@ def step(state: FlowState, tau0: float, precondition: str = "bilaplacian") -> Fl
     if tau0 <= 0.0:
         raise ValueError("trial step tau0 must be positive")
     bundle = state.bundle if state.bundle is not None else make_bundle(state.patch)
-    vel = descent_velocity(bundle, precondition)
+    vel = descent_velocity(bundle)
     rejections = []
     tau = tau0
     while tau > _MIN_STEP_FACTOR * tau0:
@@ -191,39 +181,35 @@ def run(
     source: ImmersionPatch | GeometryBundle,
     max_iters: int = 500,
     stop: float = 0.0,
-    tau0: float = 1.0,
-    precondition: str = "bilaplacian",
 ) -> FlowTrace:
     """Iterate descent steps from a patch, or from its bundle, until stop
     threshold, stall, or max_iters.
 
-    ``stop`` is an absolute ps_norm threshold (0 disables it).  tau0
-    seeds the first line search; afterwards the trial step is twice the
+    ``stop`` is an absolute ps_norm threshold (0 disables it).  The first
+    line search starts at tau = 1; afterwards the trial step is twice the
     last accepted one, so the search stays near its acceptance boundary.
     A collapsing conformal factor (e^lambda below 1e-8 of its initial
-    maximum) aborts the run with the final state flagged degenerate.
+    maximum) ends the run, stopped_by "degenerate", after that state.
     """
     state = _state_from_patch(source, 0.0)
     elam_floor = 1e-8 * float(np.max(state.bundle.elam))
     states = [state.summary()]
     rejections = Counter()
     stopped = "max_iters"
-    tau_try = tau0
+    tau_try = 1.0
     for _ in range(max_iters):
         if stop > 0.0 and state.ps <= stop:
             stopped = "threshold"
             break
-        state = step(state, tau_try, precondition)
+        state = step(state, tau_try)
         rejections.update(state.rejections)
+        states.append(state.summary())
         if state.stalled:
             stopped = "stalled"
-            states.append(state.summary())
             break
         if float(np.min(state.bundle.elam)) < elam_floor:
-            states.append(replace(state, degenerate=True).summary())
             stopped = "degenerate"
             break
-        states.append(state.summary())
         tau_try = 2.0 * state.tau
     else:
         if stop > 0.0 and state.ps <= stop:

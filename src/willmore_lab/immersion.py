@@ -5,19 +5,24 @@ Each catalog factory returns its analytic jet (position plus first and
 second derivatives) on the grid's nodes, evaluated once by
 ``make_surface``; the patch carries that value.  Finite-difference jets
 are the fallback for perturbed patches and are tested against the
-analytic ones.  All derived quantities follow the conformal-frame
-conventions:
+analytic ones.  All quantities follow the conformal-frame conventions:
 
-    e^lambda = |d1 Phi|,   e_i = e^-lambda d_i Phi,
+    e^lambda = |d1 Phi|,   e_i = e^-lambda d_i Phi,   e_z = (e_1 - i e_2)/2,
     h^a_ij   = e^-2lambda  n_a . d_ij Phi,
     H        = 1/2 sum_a (h^a_11 + h^a_22) n_a,
     H0       = 1/2 sum_a (h^a_11 - h^a_22 + 2 i h^a_12) n_a,
     K        = -e^-2lambda Laplace(lambda)   (and via the Gauss equation).
 
+A bundle field is what ``frames`` and ``second_fundamental`` build.
+Anything computed from fields (here the complex frame, both curvature
+routes, |H|^2 and |B|^2) is an entry read as ``bundle.derived(fn)``:
+computed once per bundle, and never stale, since ``dataclasses.replace``
+starts an empty memo.
+
 The normal frame is deterministic: constant ambient seed vectors are
 Gram-Schmidt-projected when they stay uniformly transverse, and the
 final normal is the Hodge dual of the wedge of everything accepted so
-far, which makes the full frame {e1, e2, n_1, ..., n_{m-2}} positively
+far, which makes the full frame {t1, t2, n_1, ..., n_{m-2}} positively
 oriented by construction (so star(n ^ e1) = e2 holds on the nose).
 """
 
@@ -46,6 +51,10 @@ __all__ = [
     "frames",
     "second_fundamental",
     "make_bundle",
+    "complex_frame",
+    "gaussian_curvature",
+    "norm_H2",
+    "norm_B2",
     "willmore_energy",
     "CATALOG",
 ]
@@ -316,11 +325,6 @@ class Surface:
     exempt: frozenset[str] | None = frozenset()
     expected_f: Callable[[dict], float] | None = None
 
-    @property
-    def willmore(self) -> bool:
-        """Willmore surfaces have their Willmore residual divQ_inf thresholded."""
-        return self.exempt is not None and "divQ_inf" not in self.exempt
-
 
 def _check_surface(kind: str, m: int, params: dict) -> Surface:
     """The catalog record of kind; ValueError unless m and params fit it."""
@@ -411,20 +415,16 @@ class _FirstOrder:
 
     normal_frame has shape (m-2, n, n, m); gauss holds n = n_1 ^ ... ^ n_{m-2}
     as blade rows over (n, n).  t1/t2 are the exactly orthonormalized
-    tangents used for projections (they agree with e1/e2 up to the
-    conformality defect).
+    tangents used for projections (they agree with e_i = e^-lambda d_i Phi
+    up to the conformality defect).
     """
 
     patch: ImmersionPatch
     jet: Jet
     lam: np.ndarray
     elam: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
     t1: np.ndarray
     t2: np.ndarray
-    ez: np.ndarray
-    ezstar: np.ndarray
     normal_frame: np.ndarray
     gauss: mv.BladeRows
     conformal_defect: float
@@ -460,19 +460,18 @@ class _FirstOrder:
 
 @dataclass(frozen=True)
 class GeometryBundle(_FirstOrder):
-    """Derived conformal-frame geometry: the first-order fields plus h
-    (shape (n, n, m-2, 2, 2)), H, H0, both curvature routes and e^{2 lambda}.
+    """Conformal-frame geometry: the first-order fields plus h
+    (shape (n, n, m-2, 2, 2)), H, H0 and area_density = e^{2 lambda}.
 
-    ``derived(fn)`` evaluates fn(bundle) at most once per bundle (Q, grad H,
-    grad n, L, the surface scale, ...).  ``dataclasses.replace`` starts an empty
-    memo; memoized arrays are shared and must not be mutated.
+    ``derived(fn)`` evaluates fn(bundle) at most once per bundle (the complex
+    frame, K, |H|^2, Q, grad n, L, the surface scale, ...).
+    ``dataclasses.replace`` starts an empty memo; memoized arrays are shared
+    and must not be mutated.
     """
 
     h: np.ndarray
     H: np.ndarray
     H0: np.ndarray
-    K_lambda: np.ndarray
-    K_gauss: np.ndarray
     area_density: np.ndarray
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -517,8 +516,6 @@ def frames(patch: ImmersionPatch) -> _FirstOrder:
     m = patch.m
     lam, defect = conformal_factor(patch.grid, jet)
     elam = np.exp(lam)
-    e1 = jet.d1 / elam[..., None]
-    e2 = jet.d2 / elam[..., None]
     t1, t2 = _orthonormal_tangents(jet)
 
     accepted: list[np.ndarray] = []
@@ -546,28 +543,13 @@ def frames(patch: ImmersionPatch) -> _FirstOrder:
     n_last = n_last / np.sqrt(dg.component_sum(n_last * n_last))[..., None]
 
     normal_frame = np.stack(accepted + [n_last])
-    gauss = mv.field_wedge_vectors(*normal_frame)
-
-    return _FirstOrder(
-        patch=patch,
-        jet=jet,
-        lam=lam,
-        elam=elam,
-        e1=e1,
-        e2=e2,
-        t1=t1,
-        t2=t2,
-        ez=0.5 * (e1 - 1j * e2),
-        ezstar=0.5 * (e1 + 1j * e2),
-        normal_frame=normal_frame,
-        gauss=gauss,
-        conformal_defect=defect,
-    )
+    return _FirstOrder(patch=patch, jet=jet, lam=lam, elam=elam, t1=t1, t2=t2, normal_frame=normal_frame,
+                       gauss=mv.field_wedge_vectors(*normal_frame), conformal_defect=defect)
 
 
 def second_fundamental(patch: ImmersionPatch, first_order: _FirstOrder | None = None) -> GeometryBundle:
     """Complete the first-order geometry (``frames(patch)`` by default) with
-    h, H, H0 and both curvature routes."""
+    h, H, H0 and e^{2 lambda}."""
     first = frames(patch) if first_order is None else first_order
     jet = first.jet
     m = patch.m
@@ -583,12 +565,8 @@ def second_fundamental(patch: ImmersionPatch, first_order: _FirstOrder | None = 
     H0coef = 0.5 * (h[..., 0, 0] - h[..., 1, 1] + 2j * h[..., 0, 1])
     H = np.einsum("...a,a...k->...k", Hcoef, first.normal_frame)
     H0 = np.einsum("...a,a...k->...k", H0coef, first.normal_frame.astype(complex))
-    K_lambda = -dg.laplace(patch.grid, first.lam) / e2lam
-    normB2 = np.sum(h**2, axis=(-1, -2, -3))
-    normH2 = dg.component_sum(H * H)
-    K_gauss = 2.0 * normH2 - 0.5 * normB2
     return GeometryBundle(**{f.name: getattr(first, f.name) for f in fields(_FirstOrder)},
-                          h=h, H=H, H0=H0, K_lambda=K_lambda, K_gauss=K_gauss, area_density=e2lam)
+                          h=h, H=H, H0=H0, area_density=e2lam)
 
 
 def make_bundle(patch: ImmersionPatch) -> GeometryBundle:
@@ -596,7 +574,31 @@ def make_bundle(patch: ImmersionPatch) -> GeometryBundle:
     return second_fundamental(patch)
 
 
+def complex_frame(bundle: GeometryBundle) -> tuple[np.ndarray, np.ndarray]:
+    """(e_z, e_{z*}) = ((e_1 - i e_2)/2, (e_1 + i e_2)/2) with e_i = e^-lambda d_i Phi."""
+    e1 = bundle.jet.d1 / bundle.elam[..., None]
+    e2 = bundle.jet.d2 / bundle.elam[..., None]
+    return 0.5 * (e1 - 1j * e2), 0.5 * (e1 + 1j * e2)
+
+
+def norm_H2(bundle: GeometryBundle) -> np.ndarray:
+    """|H|^2, shape (n, n)."""
+    return dg.component_sum(bundle.H * bundle.H)
+
+
+def norm_B2(bundle: GeometryBundle) -> np.ndarray:
+    """|B|^2 = sum_a,i,j (h^a_ij)^2, shape (n, n)."""
+    return np.sum(bundle.h**2, axis=(-1, -2, -3))
+
+
+def gaussian_curvature(bundle: GeometryBundle) -> tuple[np.ndarray, np.ndarray]:
+    """Both curvature routes (K_lambda, K_gauss): K_lambda = -e^-2lambda Laplace(lambda)
+    and, by the Gauss equation, K_gauss = 2 |H|^2 - |B|^2 / 2."""
+    K_lambda = -dg.laplace(bundle.grid, bundle.lam) / bundle.area_density
+    return K_lambda, 2.0 * bundle.derived(norm_H2) - 0.5 * bundle.derived(norm_B2)
+
+
 def willmore_energy(bundle: GeometryBundle) -> float:
     """Trapezoidal quadrature of |H|^2 e^{2 lambda} over the grid square."""
-    density = dg.component_sum(bundle.H * bundle.H) * bundle.area_density
+    density = bundle.derived(norm_H2) * bundle.area_density
     return float(dg.integrate(bundle.grid, density))

@@ -162,13 +162,11 @@ def check_report(
     return failures
 
 
-def refinement_ratios(
-    reports: list[dict[str, float]], floor: float = 1e-12
-) -> list[dict[str, object]]:
+def refinement_ratios(reports: list[dict[str, float]]) -> list[dict[str, object]]:
     """Richardson ratios between consecutive grid reports.
 
-    Exactly-zero keys (both values below the floor) yield the FLOOR
-    sentinel instead of a meaningless quotient.
+    Exactly-zero keys (both values below 1e-12) yield the FLOOR sentinel
+    instead of a meaningless quotient.
     """
     out: list[dict[str, object]] = []
     for coarse, fine in zip(reports, reports[1:]):
@@ -177,7 +175,7 @@ def refinement_ratios(
             if key not in coarse or key in INFORMATIONAL_KEYS:
                 continue
             a, b = coarse[key], fine[key]
-            if max(abs(a), abs(b)) < floor:
+            if max(abs(a), abs(b)) < 1e-12:
                 row[key] = FLOOR
             elif abs(b) < 1e-300:
                 row[key] = np.inf

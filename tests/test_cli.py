@@ -126,6 +126,10 @@ class TestInputBoundary:
     def test_surface_value_not_json(self, capsys, tmp_path):
         assert "rho=abc" in self.check_rejected(capsys, tmp_path, "sphere:rho=abc")
 
+    def test_surface_parameter_repeated(self, capsys, tmp_path):
+        for surface in ("sphere:rho=1,rho=2", "perturbed-catenoid:seed=1,seed=2"):
+            assert "given twice" in self.check_rejected(capsys, tmp_path, surface)
+
     def test_surface_parameter_unknown(self, capsys, tmp_path):
         # the name and the parameter values are checked against the catalog too,
         # the perturbation's bump parameters by the same rule, and the jets on the grid
@@ -200,6 +204,27 @@ class TestInputBoundary:
                                (stub, "2", "stub.bin"), (good, "1", "p=1")):
             argv = ["lorentz", "--field", str(field), "--p", p, "--q", "inf"]
             assert word in self.check_rejected(capsys, tmp_path, argv=argv)
+
+    def test_field_file_not_finite(self, capsys, tmp_path):
+        path = tmp_path / "bad.bin"
+        for sample in (np.nan, np.inf, -np.inf):
+            values = np.ones((33, 33))
+            values[3, 4] = sample
+            dg.write_field(path, Grid(0.5, 33), values)
+            argv = ["lorentz", "--field", str(path), "--p", "2", "--q", "1"]
+            assert "bad.bin" in self.check_rejected(capsys, tmp_path, argv=argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--surface", "plane", "--n", "33", "--out", "{gone}/x.json"],
+        ["verify", "--surface", "plane", "--n", "33", "--out", "-", "--csv", "{gone}/x.csv"],
+        ["wente", "--n", "33", "--samples", "1", "--out", "{gone}/w.csv"],
+        ["flow", "--surface", "perturbed-catenoid", "--n", "33", "--max-iters", "1", "--checkpoint", "{gone}/c.bin"],
+    ], ids=["verify-out", "verify-csv", "wente-out", "flow-checkpoint"])
+    def test_output_path_not_writable(self, capsys, tmp_path, argv):
+        # the command runs, then cannot open its output file in a missing directory
+        gone = tmp_path / "missing"
+        err = self.check_rejected(capsys, tmp_path, argv=[a.format(gone=gone) for a in argv])
+        assert str(gone) in err
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
     def test_thread_count_not_integer(self, capsys, tmp_path, monkeypatch, threads):

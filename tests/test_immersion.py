@@ -1,6 +1,6 @@
 """Surface catalog and conformal-frame geometry against closed forms."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -67,6 +67,33 @@ class TestEachValueOnce:
         assert len(calls) == 1
 
 
+class TestDerivedEntries:
+    """Bundle fields hold the geometry; what is computed from them is a derived
+    entry, so a bundle made by dataclasses.replace computes it from its own fields."""
+
+    def test_no_field_holds_a_derived_value(self):
+        names = {f.name for f in fields(im.GeometryBundle)}
+        assert names.isdisjoint({"e1", "e2", "ez", "ezstar", "K_lambda", "K_gauss"})
+
+    def test_replaced_H_gives_fresh_curvature_and_H2(self):
+        b = im.make_bundle(im.make_surface("sphere", G65, rho=1.0))
+        K_gauss = b.derived(im.gaussian_curvature)[1]
+        b2 = replace(b, H=2.0 * b.H)
+        assert np.array_equal(b2.derived(im.norm_H2), 4.0 * b.derived(im.norm_H2))
+        K2_lambda, K2_gauss = b2.derived(im.gaussian_curvature)
+        assert np.array_equal(K2_gauss, 2.0 * b2.derived(im.norm_H2) - 0.5 * b.derived(im.norm_B2))
+        assert np.max(np.abs(K2_gauss - 7.0)) < 1e-12  # 2 |2H|^2 - |B|^2 / 2 = 8 - 1
+        assert np.max(np.abs(K_gauss - 1.0)) < 1e-12
+        assert np.array_equal(K2_lambda, b.derived(im.gaussian_curvature)[0])  # lambda is unchanged
+
+    def test_complex_frame_pairing(self):
+        # e_a . e_b = delta_{a b*} / 2 on a conformal patch
+        ez, ezstar = im.make_bundle(im.make_surface("sphere", G65, rho=1.0)).derived(im.complex_frame)
+        assert np.max(np.abs(np.sum(ez * ez, axis=-1))) < 1e-14
+        assert np.max(np.abs(np.sum(ez * ezstar, axis=-1) - 0.5)) < 1e-14
+        assert np.array_equal(ezstar, np.conj(ez))
+
+
 class TestCatalogClosedForms:
     def test_plane(self):
         b = im.make_bundle(im.make_surface("plane", G65))
@@ -82,9 +109,10 @@ class TestCatalogClosedForms:
         assert b.lam[32, 32] == pytest.approx(np.log(2.0), abs=1e-13)
         assert np.max(np.abs(np.linalg.norm(b.H, axis=-1) - 1.0)) < 1e-12
         assert np.max(np.abs(b.H0)) < 1e-12          # umbilic
-        assert np.max(np.abs(b.K_gauss - 1.0)) < 1e-12
+        K_lambda, K_gauss = b.derived(im.gaussian_curvature)
+        assert np.max(np.abs(K_gauss - 1.0)) < 1e-12
         win = G65.interior()
-        assert np.max(np.abs(b.K_lambda - 1.0)[win]) < 1e-3
+        assert np.max(np.abs(K_lambda - 1.0)[win]) < 1e-3
         # h coefficients are -sigma/rho on the diagonal
         assert np.max(np.abs(np.abs(b.h[..., 0, 0, 0]) - 1.0)) < 1e-12
         assert np.max(np.abs(b.h[..., 0, 0, 1])) < 1e-12
@@ -92,7 +120,7 @@ class TestCatalogClosedForms:
     def test_sphere_radius_scaling(self):
         b = im.make_bundle(im.make_surface("sphere", G65, rho=2.0))
         assert np.max(np.abs(np.linalg.norm(b.H, axis=-1) - 0.5)) < 1e-12
-        assert np.max(np.abs(b.K_gauss - 0.25)) < 1e-12
+        assert np.max(np.abs(b.derived(im.gaussian_curvature)[1] - 0.25)) < 1e-12
 
     def test_cylinder(self):
         b = im.make_bundle(im.make_surface("cylinder", G65, rho=1.0))
@@ -100,7 +128,7 @@ class TestCatalogClosedForms:
         assert np.max(np.abs(np.linalg.norm(b.H, axis=-1) - 0.5)) < 1e-13
         assert np.max(np.abs(np.linalg.norm(np.abs(b.H0), axis=-1) - 0.5)) < 1e-13
         assert np.max(np.abs(b.H0.imag)) < 1e-13     # purely real Weingarten vector
-        assert np.max(np.abs(b.K_gauss)) < 1e-13
+        assert np.max(np.abs(b.derived(im.gaussian_curvature)[1])) < 1e-13
         # principal curvatures {1/rho, 0}
         eigs = np.linalg.eigvalsh(b.h[..., 0, :, :])
         assert np.max(np.abs(np.sort(np.abs(eigs), axis=-1)[..., 0])) < 1e-12
@@ -244,7 +272,8 @@ class TestSecondFundamental:
             g = Grid(0.5, n)
             b = im.make_bundle(im.make_surface("clifford_torus_patch", g))
             win = g.interior()
-            errs.append(np.max(np.abs(b.K_gauss - b.K_lambda)[win]))
+            K_lambda, K_gauss = b.derived(im.gaussian_curvature)
+            errs.append(np.max(np.abs(K_gauss - K_lambda)[win]))
         assert 3.4 <= errs[0] / errs[1] <= 4.6
 
     def test_projection_routes_agree(self):
@@ -270,7 +299,8 @@ class TestSecondFundamental:
         assert np.max(np.abs(b2.gauss.dense() - b1.gauss.dense())) < 1e-12
         assert np.max(np.abs(b2.H - b1.H)) < 1e-12
         assert np.max(np.abs(b2.H0 - b1.H0)) < 1e-12
-        assert np.max(np.abs(b2.K_gauss - b1.K_gauss)) < 1e-12
+        K1, K2 = (b.derived(im.gaussian_curvature)[1] for b in (b1, b2))
+        assert np.max(np.abs(K2 - K1)) < 1e-12
         assert im.willmore_energy(b2) == pytest.approx(im.willmore_energy(b1), abs=1e-12)
 
 

@@ -106,5 +106,6 @@ def test_refinement_ratios_with_floor_sentinel():
 
 
 def test_willmore_flags():
-    assert im.CATALOG["clifford_torus_patch"].willmore
-    assert not im.CATALOG["cylinder"].willmore
+    # Willmore surfaces have their Willmore residual divQ_inf thresholded
+    assert "divQ_inf" not in im.CATALOG["clifford_torus_patch"].exempt
+    assert "divQ_inf" in im.CATALOG["cylinder"].exempt

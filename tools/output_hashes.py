@@ -16,11 +16,14 @@ The outputs are:
   --max-iters 500, for K = 1, 0, 3, 4, 7;
 * ``wente --n 129 --samples 3 --seed 5`` CSV and JSON (timestamp removed);
 * for 37 (surface, m) bundles at n = 65 (the catalog at m = 3..6 and the
-  perturbed catenoid, sphere and plane at m = 3, 4, 6): every
-  ``GeometryBundle`` array and jet array (dtype, shape, strides and bytes,
+  perturbed catenoid, sphere and plane at m = 3, 4, 6): each array of
+  ``BUNDLE_ARRAYS`` and every jet array (dtype, shape, strides and bytes,
   signed zeros included), Q, S, R, the S/R defects and system residuals,
   the phi identity, the tangency identities and the Gauss-map energy.
-  Blade-row fields are hashed through ``.dense()``.
+  Blade-row fields are hashed through ``.dense()``.  A name of
+  ``BUNDLE_ARRAYS`` that is no bundle field is read from the immersion
+  function that computes it (``DERIVED_ARRAYS``), so a quantity that moves
+  between a field and a derived entry keeps its line in the listing.
 
 Runs single-process with WILLMORE_LAB_THREADS=2 unless it is set.
 """
@@ -41,6 +44,13 @@ from pathlib import Path
 
 import numpy as np
 
+# the geometry arrays of a bundle, in listing order
+BUNDLE_ARRAYS = ("lam", "elam", "t1", "t2", "ez", "ezstar", "normal_frame", "gauss",
+                 "h", "H", "H0", "K_lambda", "K_gauss", "area_density")
+# name -> (immersion function of the bundle, index into the tuple it returns)
+DERIVED_ARRAYS = {"ez": ("complex_frame", 0), "ezstar": ("complex_frame", 1),
+                  "K_lambda": ("gaussian_curvature", 0), "K_gauss": ("gaussian_curvature", 1)}
+
 CATALOG = ("plane", "sphere", "cylinder", "catenoid", "enneper", "clifford_torus_patch", "graph_perturbation")
 
 
@@ -56,6 +66,16 @@ def _array_bytes(x) -> bytes:
 
 def _float_bytes(*values) -> bytes:
     return b"".join(struct.pack("<d", float(v)) for v in values)
+
+
+def _bundle_array(bundle, name):
+    """The bundle field name, else the value its immersion function computes."""
+    if name in {f.name for f in dataclasses.fields(bundle)}:
+        return getattr(bundle, name)
+    from willmore_lab import immersion
+
+    fn, index = DERIVED_ARRAYS[name]
+    return getattr(immersion, fn)(bundle)[index]
 
 
 def _cli_runs():
@@ -116,10 +136,8 @@ def main() -> int:
             patch = perturb_normal(patch, seed=0, amplitude=0.05)
         bundle = make_bundle(patch)
         case = f"{surface} m={m}"
-        for f in dataclasses.fields(bundle):
-            value = getattr(bundle, f.name)
-            if hasattr(value, "shape") or hasattr(value, "dense"):
-                print(_sha(_array_bytes(value)), f"{case} bundle.{f.name}")
+        for name in BUNDLE_ARRAYS:
+            print(_sha(_array_bytes(_bundle_array(bundle, name))), f"{case} bundle.{name}")
         for f in dataclasses.fields(bundle.jet):
             print(_sha(_array_bytes(getattr(bundle.jet, f.name))), f"{case} jet.{f.name}")
         print(_sha(_array_bytes(bundle.derived(conservation.assemble_Q))), f"{case} Q")
