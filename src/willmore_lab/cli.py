@@ -4,8 +4,11 @@ Wente batches, Lorentz-norm queries, and flow runs.
 Reports are JSON (schema version 1) with CSV companions; identical
 invocations with the same seed produce byte-identical output apart from
 the timestamp field.  Independent (surface, grid) items are dispatched
-in parallel, capped by the WILLMORE_LAB_THREADS environment variable;
-report assembly stays single-threaded and ordered.
+in parallel, capped by the WILLMORE_LAB_THREADS environment variable.
+The same pool runs the stage groups inside each report (see
+``reports.residual_report``), so a worker whose report is done helps with
+the stages of another; report keys keep their order and every value its
+bits, whatever the thread count.
 """
 
 from __future__ import annotations
@@ -95,6 +98,21 @@ def _read_thresholds(path) -> dict:
     return {**DEFAULT_THRESHOLDS, **overrides}
 
 
+def _check_writable(paths: list[str]) -> None:
+    """OSError unless every path opens for appending, which leaves an existing
+    file as it is; the files this made are removed again."""
+    made = []
+    try:
+        for path in paths:
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                made.append(path)
+    finally:
+        for path in made:
+            os.remove(path)
+
+
 def _write_json(path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path in (None, "-"):
@@ -114,7 +132,7 @@ def _write_rows_csv(path, rows: list[dict]) -> None:
 
 def _report_items(args) -> list[dict]:
     def work(patch):
-        report = rp.residual_report(patch)
+        report = rp.residual_report(patch, pool)
         return {
             "surface": patch.label,
             "kind": args.kind,
@@ -341,6 +359,11 @@ def main(argv: list[str] | None = None) -> int:
             lo._check_exponents(args.p, args.q)
             args.grid, args.values = read_field(args.field)
         args.workers = _max_workers()
+        if hasattr(args, "out"):  # all or nothing: no output is written unless every one can be
+            outs = [args.out, getattr(args, "csv", None), getattr(args, "checkpoint", None)]
+            if args.command in ("flow", "wente") and args.out:
+                outs.append(args.out + ".json")
+            _check_writable([p for p in outs if p and not (args.command == "verify" and p == "-")])
     except (OSError, ValueError) as exc:
         error = exc
     else:

@@ -28,6 +28,7 @@ oriented by construction (so star(n ^ e1) = e2 holds on the nose).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from typing import Any, Callable
@@ -463,8 +464,9 @@ class GeometryBundle(_FirstOrder):
     """Conformal-frame geometry: the first-order fields plus h
     (shape (n, n, m-2, 2, 2)), H, H0 and area_density = e^{2 lambda}.
 
-    ``derived(fn)`` evaluates fn(bundle) at most once per bundle (the complex
-    frame, K, |H|^2, Q, grad n, L, the surface scale, ...).
+    ``derived(fn)`` evaluates fn(bundle) once per bundle (the complex frame,
+    K, |H|^2, Q, grad n, L, the surface scale, ...), also when several
+    threads ask for it at once: the first computes it and the others wait.
     ``dataclasses.replace`` starts an empty memo; memoized arrays are shared
     and must not be mutated.
     """
@@ -474,11 +476,16 @@ class GeometryBundle(_FirstOrder):
     H0: np.ndarray
     area_density: np.ndarray
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _locks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def derived(self, fn: Callable[["GeometryBundle"], Any]) -> Any:
         """fn(self), computed once per bundle; the function object is the key."""
         if fn not in self._memo:
-            self._memo[fn] = fn(self)
+            # one lock per key (setdefault is atomic), so an entry that reads
+            # another entry never waits on an unrelated computation
+            with self._locks.setdefault(fn, threading.Lock()):
+                if fn not in self._memo:
+                    self._memo[fn] = fn(self)
         return self._memo[fn]
 
 

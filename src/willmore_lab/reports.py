@@ -30,6 +30,8 @@ driven.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
+
 import numpy as np
 
 from . import confwillmore as cwmod
@@ -96,21 +98,11 @@ DEFAULT_THRESHOLDS: dict[str, float] = {
 FLOOR = "floor"
 
 
-def residual_report(source: ImmersionPatch | GeometryBundle) -> dict[str, float]:
-    """Run the full conservation / conformal-Willmore residual suite."""
-    bundle = source if isinstance(source, GeometryBundle) else make_bundle(source)
+def _conformal_chain(bundle: GeometryBundle) -> dict[str, float]:
+    """The extracted f and its equations, then the S/R system built from its L."""
     grid = bundle.grid
     scale = bundle.derived(cons.surface_scale)
-
     report: dict[str, float] = {}
-    dot, wedge = cons.tangency_identities(bundle)
-    report["dot_identity"] = dot
-    report["wedge_identity"] = wedge
-    report["divQ_inf"] = dg.interior_sup(grid, cons.willmore_residual(bundle))
-
-    report["L_defect"] = bundle.derived(cons.recover_L).defect
-    report["L0_consistency"] = cons.assemble_L0(bundle)
-
     cdata = cwmod.extract_A_f(bundle)
     report["f_inf"] = dg.interior_sup(grid, cdata.f)
     report["f_holo_defect"] = cdata.holomorphy_defect
@@ -125,16 +117,54 @@ def residual_report(source: ImmersionPatch | GeometryBundle) -> dict[str, float]
     report["srS_resid"] = srS
     report["srR_resid"] = srR
     report["phi_identity"] = cons.phi_identity_residual(bundle, sr.S, sr.R)
-
-    a4, a5 = cwmod.frame_derivative_residuals(bundle)
-    report["a4_resid"] = a4
-    report["a5_resid"] = a5
-    report["codazzi_resid"] = cwmod.codazzi_residual(bundle)
-
-    report["gradn_energy"] = cwmod.gauss_map_energy(bundle)
-    report["conformal_defect"] = bundle.conformal_defect
-    report["willmore_energy"] = willmore_energy(bundle)
     return report
+
+
+def _conservation(bundle: GeometryBundle) -> dict[str, float]:
+    """Tangency of Q, the Willmore residual and the recovery of L."""
+    dot, wedge = cons.tangency_identities(bundle)
+    return {
+        "dot_identity": dot,
+        "wedge_identity": wedge,
+        "divQ_inf": dg.interior_sup(bundle.grid, cons.willmore_residual(bundle)),
+        "L_defect": bundle.derived(cons.recover_L).defect,
+        "L0_consistency": cons.assemble_L0(bundle),
+    }
+
+
+def _frame(bundle: GeometryBundle) -> dict[str, float]:
+    """Frame derivative and Codazzi identities, and the informational energies."""
+    a4, a5 = cwmod.frame_derivative_residuals(bundle)
+    return {
+        "a4_resid": a4,
+        "a5_resid": a5,
+        "codazzi_resid": cwmod.codazzi_residual(bundle),
+        "gradn_energy": cwmod.gauss_map_energy(bundle),
+        "conformal_defect": bundle.conformal_defect,
+        "willmore_energy": willmore_energy(bundle),
+    }
+
+
+def residual_report(source: ImmersionPatch | GeometryBundle, pool: Executor | None = None) -> dict[str, float]:
+    """Run the full conservation / conformal-Willmore residual suite.
+
+    The three stage groups are independent.  With a pool, the conservation
+    and frame groups go to it while the conformal chain, the longest, runs
+    here; a group still queued after the chain runs here too.  So this only
+    waits on running groups, which submit nothing: a pool of any size,
+    1 included, cannot deadlock.  Keys and values do not depend on the pool.
+    """
+    bundle = source if isinstance(source, GeometryBundle) else make_bundle(source)
+    side = (_conservation, _frame)
+    futures = {group: pool.submit(group, bundle) for group in side} if pool is not None else {}
+    try:
+        conformal = _conformal_chain(bundle)
+        inline = {group: group(bundle) for group in side if group not in futures or futures[group].cancel()}
+        conservation, frame = (inline[g] if g in inline else futures[g].result() for g in side)
+    finally:  # when a stage raised, no worker starts a group of this report any more
+        for fut in futures.values():
+            fut.cancel()
+    return {**conservation, **conformal, **frame}
 
 
 def check_report(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -71,6 +72,17 @@ class TestVerify:
             payload = json.loads(out.read_text())
             payload.pop("timestamp")
             outs.append(json.dumps(payload, sort_keys=True))
+        assert outs[0] == outs[1]
+
+    def test_output_independent_of_thread_count(self, tmp_path, monkeypatch):
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WILLMORE_LAB_THREADS", threads)
+            out, rows = tmp_path / f"{threads}.json", tmp_path / f"{threads}.csv"
+            run_cli(["verify", "--surface", "graph_perturbation", "--m", "6", "--n", "33", "--n", "65",
+                     "--out", str(out), "--csv", str(rows)])
+            text = re.sub(r'\n *"timestamp": "[^"]*",?', "", out.read_text())
+            outs.append((text, rows.read_bytes()))
         assert outs[0] == outs[1]
 
     def test_even_n_rejected(self, capsys, tmp_path):
@@ -219,12 +231,18 @@ class TestInputBoundary:
         ["verify", "--surface", "plane", "--n", "33", "--out", "-", "--csv", "{gone}/x.csv"],
         ["wente", "--n", "33", "--samples", "1", "--out", "{gone}/w.csv"],
         ["flow", "--surface", "perturbed-catenoid", "--n", "33", "--max-iters", "1", "--checkpoint", "{gone}/c.bin"],
-    ], ids=["verify-out", "verify-csv", "wente-out", "flow-checkpoint"])
+        ["verify", "--surface", "plane", "--n", "33", "--out", "{tmp}/part.json", "--csv", "{gone}/x.csv"],
+        ["flow", "--surface", "perturbed-catenoid", "--n", "33", "--max-iters", "1", "--out", "{tmp}/t.csv",
+         "--checkpoint", "{gone}/c.bin"],
+    ], ids=["verify-out", "verify-csv", "wente-out", "flow-checkpoint", "verify-out-then-csv",
+            "flow-out-then-checkpoint"])
     def test_output_path_not_writable(self, capsys, tmp_path, argv):
-        # the command runs, then cannot open its output file in a missing directory
+        # an output file in a missing directory is rejected before the command
+        # runs, and no other output of the run is left behind
         gone = tmp_path / "missing"
-        err = self.check_rejected(capsys, tmp_path, argv=[a.format(gone=gone) for a in argv])
+        err = self.check_rejected(capsys, tmp_path, argv=[a.format(gone=gone, tmp=tmp_path) for a in argv])
         assert str(gone) in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
     def test_thread_count_not_integer(self, capsys, tmp_path, monkeypatch, threads):

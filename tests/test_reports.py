@@ -1,5 +1,11 @@
 """Report contract: stable keys, exemption semantics, ratio sentinels."""
 
+import contextlib
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -7,9 +13,25 @@ from willmore_lab import confwillmore as cw
 from willmore_lab import conservation as cons
 from willmore_lab import immersion as im
 from willmore_lab import reports as rp
-from willmore_lab.diskgrid import Grid
+from willmore_lab.diskgrid import Grid, SolverError
 
+G33 = Grid(0.5, 33)
 G65 = Grid(0.5, 65)
+
+
+@contextlib.contextmanager
+def pool_of(workers):
+    """A pool of ``workers`` threads (None: no pool).  Closing it cancels queued
+    tasks, so a report stuck waiting on one fails its timeout and the test
+    run goes on."""
+    if not workers:
+        yield None
+        return
+    pool = ThreadPoolExecutor(workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +44,12 @@ def test_all_contract_keys_present(sphere_report):
         assert key in sphere_report, key
     for key in ("gradn_energy", "conformal_defect", "willmore_energy"):
         assert key in sphere_report
+    # the insertion order is part of the contract: tools/output_hashes.py hashes .values()
+    assert list(sphere_report) == [
+        "dot_identity", "wedge_identity", "divQ_inf", "L_defect", "L0_consistency", "f_inf", "f_holo_defect",
+        "cw_resid_f", "cw_resid_zero", "cwbis_resid", "S_defect", "R_defect", "srS_resid", "srR_resid",
+        "phi_identity", "a4_resid", "a5_resid", "codazzi_resid", "gradn_energy", "conformal_defect",
+        "willmore_energy"]
 
 
 def counting(monkeypatch, name):
@@ -40,11 +68,69 @@ def counting(monkeypatch, name):
     return calls
 
 
-def test_report_computes_shared_quantities_once(monkeypatch):
+@pytest.mark.parametrize("workers", [None, 2], ids=["no-pool", "pool-2"])
+def test_report_computes_shared_quantities_once(monkeypatch, workers):
     names = ("assemble_Q", "recover_L", "surface_scale", "dz_L0_closed_form", "_H0cH")
     calls = {name: counting(monkeypatch, name) for name in names}
-    rp.residual_report(im.make_surface("sphere", G65, rho=1.0))
+    with pool_of(workers) as pool:
+        rp.residual_report(im.make_surface("sphere", G65, rho=1.0), pool)
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 1)
+
+
+def test_derived_entry_computed_once_across_threads():
+    bundle = im.make_bundle(im.make_surface("sphere", G33))
+    start = threading.Barrier(2)
+    calls, results = [], []
+
+    def slow(b):
+        calls.append(b)
+        time.sleep(0.05)  # the other thread asks while this one computes
+        return object()
+
+    def ask():
+        start.wait(timeout=10)
+        results.append(bundle.derived(slow))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert len(results) == 2 and results[0] is results[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind, m", [("sphere", 3), ("graph_perturbation", 6)])
+def test_pooled_report_equals_inline(kind, m, workers):
+    patch = im.make_surface(kind, G33, m=m)
+    inline = rp.residual_report(patch)
+    with pool_of(workers) as pool:
+        # like the CLI, the report runs on a worker of the pool it hands its stages to
+        pooled = pool.submit(rp.residual_report, patch, pool).result(timeout=120)
+    assert list(pooled) == list(inline)
+    assert [np.float64(v).tobytes() for v in pooled.values()] == [np.float64(v).tobytes() for v in inline.values()]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pooled_report_propagates_stage_error(monkeypatch, workers):
+    def failing(bundle):
+        raise SolverError("codazzi stage failed", 1.0)
+
+    monkeypatch.setattr(cw, "codazzi_residual", failing)
+    patch = im.make_surface("sphere", G33)
+    with pytest.raises(SolverError, match="codazzi stage failed"):
+        rp.residual_report(patch)
+    with pool_of(workers) as pool:
+        with pytest.raises(SolverError, match="codazzi stage failed"):
+            pool.submit(rp.residual_report, patch, pool).result(timeout=120)
+        assert pool.submit(len, "ok").result(timeout=10) == 2
 
 
 def test_report_accepts_bundle_or_patch(sphere_report):
