@@ -1,10 +1,13 @@
 """Command-line orchestration: verification suites, refinement studies,
 Wente batches, Lorentz-norm queries, and flow runs.
 
-Reports are JSON (schema version 1) with CSV companions; identical
-invocations with the same seed produce byte-identical output apart from
-the timestamp field.  Independent (surface, grid) items are dispatched
-in parallel, capped by the WILLMORE_LAB_THREADS environment variable.
+Each command computes its results and ``main`` writes them where
+``_outputs`` says: a JSON payload (schema version 1), a CSV table and, for
+``flow``, a binary checkpoint, each to a file or to standard output
+(``-``).  Identical invocations with the same seed produce byte-identical
+output apart from the timestamp field.  Independent (surface, grid) items
+are dispatched in parallel, capped by the WILLMORE_LAB_THREADS environment
+variable.
 The same pool runs the stage groups inside each report (see
 ``reports.residual_report``), so a worker whose report is done helps with
 the stages of another; report keys keep their order and every value its
@@ -14,6 +17,7 @@ bits, whatever the thread count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -98,6 +102,47 @@ def _read_thresholds(path) -> dict:
     return {**DEFAULT_THRESHOLDS, **overrides}
 
 
+def _outputs(args) -> dict[str, str]:
+    """Where args.command writes each of its outputs: "json" (the payload), "table" (CSV rows)
+    and "checkpoint" (binary field) map to a path, "-" being standard output; ValueError if
+    two outputs, or the checkpoint, would go to standard output."""
+    out = getattr(args, "out", None)
+    if args.command == "verify":
+        paths = {"json": out or "-", "table": args.csv}
+    elif args.command == "refine":
+        paths = {"table": out} if out else {"json": "-"}
+    elif args.command in ("wente", "flow"):  # the JSON summary is the table's companion
+        paths = {"table": out, "checkpoint": getattr(args, "checkpoint", None),
+                 "json": out + ".json" if out and out != "-" else "-"}
+    else:
+        paths = {}
+    paths = {kind: path for kind, path in paths.items() if path}
+    stdout = [kind for kind, path in paths.items() if path == "-"]
+    if "checkpoint" in stdout:
+        raise ValueError("--checkpoint is a binary field and cannot go to standard output (-)")
+    if len(stdout) > 1:
+        raise ValueError(f"{args.command} would write both its JSON and its CSV table to standard output (-)")
+    return paths
+
+
+def _write_outputs(paths: dict[str, str], command: str, results: dict) -> None:
+    """Write each result of a cmd_* to its path from _outputs: results maps "json" to the payload
+    without its schema/command/timestamp header, "table" to (header, rows), "checkpoint" to
+    (grid, values)."""
+    for kind, path in paths.items():
+        if kind == "checkpoint":
+            write_field(path, *results[kind])
+            continue
+        with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="") as fh:
+            if kind == "json":
+                stamp = datetime.now(timezone.utc).isoformat()
+                payload = {"schema": SCHEMA_VERSION, "command": command, "timestamp": stamp, **results[kind]}
+                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            else:
+                header, rows = results[kind]
+                csv.writer(fh).writerows([header, *rows])
+
+
 def _check_writable(paths: list[str]) -> None:
     """OSError unless every path opens for appending, which leaves an existing
     file as it is; the files this made are removed again."""
@@ -111,23 +156,6 @@ def _check_writable(paths: list[str]) -> None:
     finally:
         for path in made:
             os.remove(path)
-
-
-def _write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path in (None, "-"):
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-
-
-def _write_rows_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["surface", "m", "n", "key", "value"])
-        for row in rows:
-            writer.writerow([row["surface"], row["m"], row["n"], row["key"], row["value"]])
 
 
 def _report_items(args) -> list[dict]:
@@ -147,7 +175,7 @@ def _report_items(args) -> list[dict]:
         return list(pool.map(work, args.patches))
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     items = _report_items(args)
     ok = True
     rows = []
@@ -155,57 +183,28 @@ def cmd_verify(args) -> int:
         failures = rp.check_report(item["keys"], args.kind, args.thresholds)
         item["failures"] = {k: {"value": v, "threshold": t} for k, (v, t) in sorted(failures.items())}
         ok = ok and not failures
-        rows.extend(
-            {"surface": item["surface"], "m": item["m"], "n": item["n"], "key": k, "value": f"{v:.17g}"}
-            for k, v in item["keys"].items()
-        )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "thresholds": args.thresholds,
-        "items": items,
-        "pass": ok,
-    }
-    _write_json(args.out, payload)
-    if args.csv:
-        _write_rows_csv(args.csv, rows)
-    if not ok:
-        for item in items:
-            for key, info in item["failures"].items():
-                print(
-                    f"FAIL {item['surface']} n={item['n']}: {key} = {info['value']:.3e} "
-                    f"> {info['threshold']:.3e}",
-                    file=sys.stderr,
-                )
-    return 0 if ok else 1
+        rows.extend([item["surface"], item["m"], item["n"], k, f"{v:.17g}"] for k, v in item["keys"].items())
+        for key, info in item["failures"].items():
+            print(f"FAIL {item['surface']} n={item['n']}: {key} = {info['value']:.3e} "
+                  f"> {info['threshold']:.3e}", file=sys.stderr)
+    payload = {"thresholds": args.thresholds, "items": items, "pass": ok}
+    return 0 if ok else 1, {"json": payload, "table": (["surface", "m", "n", "key", "value"], rows)}
 
 
-def cmd_refine(args) -> int:
+def cmd_refine(args) -> tuple[int, dict]:
     items = _report_items(args)
     ratios = rp.refinement_ratios([item["keys"] for item in items])
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["surface", "m", "n_coarse", "n_fine", "key", "ratio"])
-            for (coarse, fine), row in zip(zip(items, items[1:]), ratios):
-                for key in REPORT_KEYS:
-                    if key in row:
-                        val = row[key] if row[key] == FLOOR else f"{row[key]:.17g}"
-                        writer.writerow([coarse["surface"], coarse["m"], coarse["n"], fine["n"], key, val])
+    rows = [[coarse["surface"], coarse["m"], coarse["n"], fine["n"], key,
+             row[key] if row[key] == FLOOR else f"{row[key]:.17g}"]
+            for (coarse, fine), row in zip(zip(items, items[1:]), ratios) for key in REPORT_KEYS if key in row]
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "refine",
-        "timestamp": datetime.now(timezone.utc).isoformat(),
         "items": items,
         "ratios": [{k: (v if v == FLOOR else float(v)) for k, v in row.items()} for row in ratios],
     }
-    if not args.out:
-        _write_json("-", payload)
-    return 0
+    return 0, {"json": payload, "table": (["surface", "m", "n_coarse", "n_fine", "key", "ratio"], rows)}
 
 
-def cmd_wente(args) -> int:
+def cmd_wente(args) -> tuple[int, dict]:
     grid = Grid(args.s, args.n[0])
 
     def work(seed):
@@ -215,19 +214,9 @@ def cmd_wente(args) -> int:
         return seed, res.ratio_L2, res.ratio_L21
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(pool.map(work, range(args.samples)))
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "ratio_L2", "ratio_L21", "n"])
-            for seed, r2, r21 in rows:
-                writer.writerow([seed, f"{r2:.17g}", f"{r21:.17g}", grid.n])
-    r2s = [r[1] for r in rows]
-    r21s = [r[2] for r in rows]
+        samples = list(pool.map(work, range(args.samples)))
+    _, r2s, r21s = zip(*samples)
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "wente",
-        "timestamp": datetime.now(timezone.utc).isoformat(),
         "n": grid.n,
         "s": args.s,
         "samples": args.samples,
@@ -236,31 +225,24 @@ def cmd_wente(args) -> int:
         "max_ratio_L21": max(r21s),
         "mean_ratio_L21": float(np.mean(r21s)),
     }
-    _write_json("-" if not args.out else args.out + ".json", payload)
-    return 0
+    rows = [[seed, f"{r2:.17g}", f"{r21:.17g}", grid.n] for seed, r2, r21 in samples]
+    return 0, {"json": payload, "table": (["seed", "ratio_L2", "ratio_L21", "n"], rows)}
 
 
-def cmd_lorentz(args) -> int:
+def cmd_lorentz(args) -> tuple[int, dict]:
     norm = lo.lorentz_norm(lo.rearrange(args.grid, args.values[..., 0]), args.p, args.q)
     print(f"{norm:.12g}")
-    return 0
+    return 0, {}
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args) -> tuple[int, dict]:
     patch = args.patches[0]
     bundle = make_bundle(patch)
     stop = 0.0
     if args.stop_ratio > 0.0:
         stop = args.stop_ratio * bundle.derived(ps_norm)
     trace = flow_run(bundle, max_iters=args.max_iters, stop=stop)
-    if args.out:
-        trace.write_csv(args.out)
-    if args.checkpoint:
-        write_field(args.checkpoint, patch.grid, trace.final.patch.phi)
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "flow",
-        "timestamp": datetime.now(timezone.utc).isoformat(),
         "surface": patch.label,
         "iterations": len(trace.states) - 1,
         "stopped_by": trace.stopped_by,
@@ -270,8 +252,10 @@ def cmd_flow(args) -> int:
         "final_ps_norm": trace.final.ps,
         "final_conformal_defect": trace.final.conformal_defect,
     }
-    _write_json("-" if not args.out else args.out + ".json", payload)
-    return 0
+    rows = [[i, f"{s.energy:.17g}", f"{s.ps:.17g}", f"{s.conformal_defect:.17g}", f"{s.tau:.17g}"]
+            for i, s in enumerate(trace.states)]
+    return 0, {"json": payload, "table": (["iter", "energy", "ps_norm", "conformal_defect", "tau"], rows),
+               "checkpoint": (patch.grid, trace.final.patch.phi)}
 
 
 def _add_common(parser: argparse.ArgumentParser, surface: bool = True) -> None:
@@ -284,7 +268,7 @@ def _add_common(parser: argparse.ArgumentParser, surface: bool = True) -> None:
                         help="points per side (repeatable, odd)")
     parser.add_argument("--s", type=float, default=0.5, help="half-width of the grid square")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None, help="output path (JSON report / CSV table)")
+    parser.add_argument("--out", default=None, help="output path, - for standard output (JSON report / CSV table)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,16 +343,16 @@ def main(argv: list[str] | None = None) -> int:
             lo._check_exponents(args.p, args.q)
             args.grid, args.values = read_field(args.field)
         args.workers = _max_workers()
-        if hasattr(args, "out"):  # all or nothing: no output is written unless every one can be
-            outs = [args.out, getattr(args, "csv", None), getattr(args, "checkpoint", None)]
-            if args.command in ("flow", "wente") and args.out:
-                outs.append(args.out + ".json")
-            _check_writable([p for p in outs if p and not (args.command == "verify" and p == "-")])
+        paths = _outputs(args)
+        # all or nothing: no output is written unless every one can be
+        _check_writable([path for path in paths.values() if path != "-"])
     except (OSError, ValueError) as exc:
         error = exc
     else:
         try:
-            return args.func(args)
+            code, results = args.func(args)
+            _write_outputs(paths, args.command, results)
+            return code
         except OSError as exc:  # an output file that cannot be written
             error = exc
     print(f"{parser.prog}: error: {error}", file=sys.stderr)

@@ -26,7 +26,6 @@ zero Dirichlet data per ambient component and sum ||grad phi_k||_L2.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -167,14 +166,6 @@ class FlowTrace:
 
     def energies(self) -> np.ndarray:
         return np.array([s.energy for s in self.states])
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "energy", "ps_norm", "conformal_defect", "tau"])
-            for i, s in enumerate(self.states):
-                writer.writerow([i, f"{s.energy:.17g}", f"{s.ps:.17g}",
-                                 f"{s.conformal_defect:.17g}", f"{s.tau:.17g}"])
 
 
 def run(

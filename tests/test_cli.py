@@ -1,5 +1,7 @@
 """CLI orchestration: exit codes, report schema, determinism, file formats."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -244,6 +246,36 @@ class TestInputBoundary:
         assert str(gone) in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, stdout", [
+        (["verify", "--surface", "plane", "--n", "33", "--out", "r.json", "--csv", "-"], "surface,m,n,key,value"),
+        (["verify", "--surface", "plane", "--n", "33", "--out", "-"], "json"),
+        (["refine", "--surface", "plane", "--n", "33", "--n", "65", "--out", "-"],
+         "surface,m,n_coarse,n_fine,key,ratio"),
+        (["verify", "--surface", "plane", "--n", "33", "--csv", "-"], None),
+        (["verify", "--surface", "plane", "--n", "33", "--out", "-", "--csv", "-"], None),
+        (["wente", "--n", "33", "--samples", "1", "--out", "-"], None),
+        (["flow", "--surface", "perturbed-catenoid", "--n", "33", "--max-iters", "1", "--out", "-"], None),
+        (["flow", "--surface", "perturbed-catenoid", "--n", "33", "--max-iters", "1", "--checkpoint", "-"], None),
+    ], ids=["verify-csv", "verify-out", "refine-out", "verify-csv-no-out", "verify-out-and-csv", "wente-out",
+            "flow-out", "flow-checkpoint"])
+    def test_dash_is_standard_output(self, capsys, tmp_path, monkeypatch, argv, stdout):
+        # "-" is standard output for every path; a run that would send two outputs there,
+        # or the binary checkpoint, is rejected (stdout None) before the command runs
+        monkeypatch.chdir(tmp_path)
+        if stdout is None:
+            monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: pytest.fail("the command ran"))
+            assert "standard output (-)" in self.check_rejected(capsys, tmp_path, argv=argv)
+        else:
+            assert run_cli(argv) == 0
+            out = capsys.readouterr().out
+            if stdout == "json":
+                assert json.loads(out)["command"] == argv[0]
+            else:
+                rows = list(csv.reader(io.StringIO(out)))
+                assert ",".join(rows[0]) == stdout
+                assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
+        assert not (tmp_path / "-").exists() and not (tmp_path / "-.json").exists()
+
     @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
     def test_thread_count_not_integer(self, capsys, tmp_path, monkeypatch, threads):
         monkeypatch.setenv("WILLMORE_LAB_THREADS", threads)
@@ -296,6 +328,7 @@ class TestFlowCommand:
         assert all(b <= a for a, b in zip(energies, energies[1:]))
         summary = json.loads((tmp_path / "trace.csv.json").read_text())
         assert summary["final_energy"] <= summary["initial_energy"]
+        assert len(energies) == summary["iterations"] + 1  # one row per accepted state
 
     def test_initial_geometry_built_once(self, tmp_path, monkeypatch):
         calls = []

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from willmore_lab import cli
 from willmore_lab import conservation as cons
 from willmore_lab import flow as fl
 from willmore_lab import immersion as im
@@ -241,13 +242,17 @@ class TestRun:
             fl.run(perturbed_catenoid(), max_iters=2)
 
     def test_trace_csv(self, tmp_path):
-        patch = im.perturb_normal(im.make_surface("catenoid", G65), seed=0, amplitude=0.05)
-        trace = fl.run(patch, max_iters=5)
+        # the flow command writes the trace table: one row per accepted state, in full precision
+        trace = fl.run(perturbed_catenoid(), max_iters=5)
         path = tmp_path / "trace.csv"
-        trace.write_csv(path)
+        assert cli.main(["flow", "--surface", "perturbed-catenoid:seed=0,amplitude=0.05",
+                         "--n", "65", "--max-iters", "5", "--out", str(path)]) == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "iter,energy,ps_norm,conformal_defect,tau"
         assert len(lines) == len(trace.states) + 1
+        for i, (line, s) in enumerate(zip(lines[1:], trace.states)):
+            assert line.split(",") == [str(i), f"{s.energy:.17g}", f"{s.ps:.17g}",
+                                       f"{s.conformal_defect:.17g}", f"{s.tau:.17g}"]
 
 
 def test_flow_computes_no_report_only_entry(monkeypatch):

@@ -15,6 +15,11 @@ The outputs are:
   perturbed-catenoid:seed=K,amplitude=0.05, n = 65, --stop-ratio 0.2,
   --max-iters 500, for K = 1, 0, 3, 4, 7;
 * ``wente --n 129 --samples 3 --seed 5`` CSV and JSON (timestamp removed);
+* ``refine --surface sphere --n 65 --n 129``: the CSV of ``--out``, and the
+  JSON (timestamp removed) it prints without ``--out``;
+* the JSON (timestamp removed) printed by ``wente --n 65 --samples 2
+  --seed 3`` and by ``flow`` on perturbed-catenoid:seed=2, n = 65,
+  --max-iters 20, neither given ``--out``;
 * for 37 (surface, m) bundles at n = 65 (the catalog at m = 3..6 and the
   perturbed catenoid, sphere and plane at m = 3, 4, 6): each array of
   ``BUNDLE_ARRAYS`` and every jet array (dtype, shape, strides and bytes,
@@ -95,6 +100,13 @@ def _cli_runs():
                ("flow.csv", "flow.csv.json"))
     yield ("wente n=129", ["wente", "--n", "129", "--samples", "3", "--seed", "5", "--out", "{dir}/wente.csv"],
            ("wente.csv", "wente.csv.json"))
+    refine = ["refine", "--surface", "sphere", "--n", "65", "--n", "129"]
+    yield "refine sphere", [*refine, "--out", "{dir}/refine.csv"], ("refine.csv",)
+    yield "refine sphere", refine, ("stdout",)
+    yield "wente n=65", ["wente", "--n", "65", "--samples", "2", "--seed", "3"], ("stdout",)
+    yield ("flow perturbed-catenoid:seed=2",
+           ["flow", "--surface", "perturbed-catenoid:seed=2,amplitude=0.05", "--n", "65", "--max-iters", "20"],
+           ("stdout",))
 
 
 def _bundle_cases():
@@ -123,10 +135,12 @@ def main() -> int:
         for name, argv, files in _cli_runs():
             for f in files:
                 Path(tmp, f).unlink(missing_ok=True)
-            with contextlib.redirect_stderr(io.StringIO()):  # verify's FAIL lines
+            stdout = io.StringIO()
+            with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(stdout):
                 code = cli.main([a.format(dir=tmp) for a in argv])
             for f in files:
-                data = stamp.sub(b"", Path(tmp, f).read_bytes())
+                data = stdout.getvalue().encode() if f == "stdout" else Path(tmp, f).read_bytes()
+                data = stamp.sub(b"", data)
                 print(_sha(data), f"{name} {f} (exit {code})")
 
     for surface, m in _bundle_cases():
