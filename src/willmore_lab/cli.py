@@ -32,7 +32,7 @@ from . import reports as rp
 from .diskgrid import Grid, read_field, write_field
 from .flow import ps_norm, run as flow_run
 from .immersion import CATALOG, make_bundle, make_surface, perturb_normal
-from .reports import DEFAULT_THRESHOLDS, FLOOR, REPORT_KEYS
+from .reports import DEFAULT_THRESHOLDS, FLOOR
 
 __all__ = ["main"]
 
@@ -105,7 +105,7 @@ def _read_thresholds(path) -> dict:
 def _outputs(args) -> dict[str, str]:
     """Where args.command writes each of its outputs: "json" (the payload), "table" (CSV rows)
     and "checkpoint" (binary field) map to a path, "-" being standard output; ValueError if
-    two outputs, or the checkpoint, would go to standard output."""
+    two outputs would go to one file or to standard output, or the checkpoint to standard output."""
     out = getattr(args, "out", None)
     if args.command == "verify":
         paths = {"json": out or "-", "table": args.csv}
@@ -122,6 +122,11 @@ def _outputs(args) -> dict[str, str]:
         raise ValueError("--checkpoint is a binary field and cannot go to standard output (-)")
     if len(stdout) > 1:
         raise ValueError(f"{args.command} would write both its JSON and its CSV table to standard output (-)")
+    files: dict[str, str] = {}
+    for kind, path in paths.items():
+        first = files.setdefault(os.path.realpath(path), kind) if path != "-" else kind
+        if first != kind:
+            raise ValueError(f"{args.command} would write its {first} and its {kind} output to the same file {path}")
     return paths
 
 
@@ -196,7 +201,7 @@ def cmd_refine(args) -> tuple[int, dict]:
     ratios = rp.refinement_ratios([item["keys"] for item in items])
     rows = [[coarse["surface"], coarse["m"], coarse["n"], fine["n"], key,
              row[key] if row[key] == FLOOR else f"{row[key]:.17g}"]
-            for (coarse, fine), row in zip(zip(items, items[1:]), ratios) for key in REPORT_KEYS if key in row]
+            for (coarse, fine), row in zip(zip(items, items[1:]), ratios) for key in row]
     payload = {
         "items": items,
         "ratios": [{k: (v if v == FLOOR else float(v)) for k, v in row.items()} for row in ratios],

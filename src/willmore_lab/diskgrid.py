@@ -169,8 +169,7 @@ def dzstar(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 def integrate(grid: Grid, f: np.ndarray) -> float | np.ndarray:
     """Trapezoidal quadrature of f over the grid square."""
-    w = np.ones(grid.n)
-    w[0] = w[-1] = 0.5
+    w = _dct_weights(grid.n)
     W = np.outer(w, w) * grid.h**2
     return np.tensordot(W, f, axes=([0, 1], [0, 1]))
 

@@ -318,13 +318,12 @@ def _graph_jets(grid: Grid, m: int, seed: int, amplitude: float) -> Jet:
 class Surface:
     """Catalog record: the factory jets(grid, m, **params) returning the Jet on the
     grid's nodes, the parameter defaults
-    (whose types fix the accepted values: int >= 0, float finite > 0), the report
-    keys verify does not threshold (None: no key) and expected_f(params) (None: f = 0)."""
+    (whose types fix the accepted values: int >= 0, float finite > 0) and the report
+    keys verify does not threshold (None: no key)."""
 
     jets: Callable[..., Jet]
     params: dict[str, Any] = field(default_factory=dict)
     exempt: frozenset[str] | None = frozenset()
-    expected_f: Callable[[dict], float] | None = None
 
 
 def _check_surface(kind: str, m: int, params: dict) -> Surface:
@@ -371,7 +370,7 @@ def make_surface(kind: str, grid: Grid, m: int = 3, **params) -> ImmersionPatch:
 CATALOG: dict[str, Surface] = {
     "plane": Surface(_plane_jets),
     "sphere": Surface(_sphere_jets, {"rho": 1.0}),
-    "cylinder": Surface(_cylinder_jets, {"rho": 1.0}, frozenset({"divQ_inf", "L_defect"}), lambda p: 0.5 / p["rho"] ** 2),
+    "cylinder": Surface(_cylinder_jets, {"rho": 1.0}, frozenset({"divQ_inf", "L_defect"})),
     "catenoid": Surface(_catenoid_jets),
     "enneper": Surface(_enneper_jets),
     "clifford_torus_patch": Surface(_clifford_jets, exempt=frozenset({"f_holo_defect"})),

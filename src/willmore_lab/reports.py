@@ -21,8 +21,8 @@ like 1/(4 rho^3) on the cylinder are read off directly):
     f_holo_defect                 relative L2 of dz* f
     cw_resid_f, cw_resid_zero     conformal Willmore residual with f / with 0
 
-Informational keys (never thresholded): f_inf, cw_resid_zero,
-gradn_energy, conformal_defect, willmore_energy.  Expected-nonzero keys
+Keys without a ``DEFAULT_THRESHOLDS`` entry are informational: never
+thresholded and left out of refinement tables.  Expected-nonzero keys
 are declared per surface by the ``exempt`` field of its
 ``immersion.CATALOG`` record, so that verification semantics stay data
 driven.
@@ -40,8 +40,6 @@ from . import diskgrid as dg
 from .immersion import CATALOG, GeometryBundle, ImmersionPatch, make_bundle, willmore_energy
 
 __all__ = [
-    "REPORT_KEYS",
-    "INFORMATIONAL_KEYS",
     "DEFAULT_THRESHOLDS",
     "residual_report",
     "check_report",
@@ -49,31 +47,7 @@ __all__ = [
     "FLOOR",
 ]
 
-REPORT_KEYS = (
-    "dot_identity",
-    "wedge_identity",
-    "divQ_inf",
-    "L_defect",
-    "S_defect",
-    "R_defect",
-    "srS_resid",
-    "srR_resid",
-    "phi_identity",
-    "L0_consistency",
-    "cwbis_resid",
-    "a4_resid",
-    "a5_resid",
-    "codazzi_resid",
-    "f_inf",
-    "f_holo_defect",
-    "cw_resid_f",
-    "cw_resid_zero",
-)
-
-INFORMATIONAL_KEYS = frozenset(
-    {"f_inf", "cw_resid_zero", "gradn_energy", "conformal_defect", "willmore_energy"}
-)
-
+#: the thresholded keys, in the row order of refinement tables
 DEFAULT_THRESHOLDS: dict[str, float] = {
     "dot_identity": 1e-3,
     "wedge_identity": 1e-3,
@@ -185,7 +159,7 @@ def check_report(
         return {}
     failures: dict[str, tuple[float, float]] = {}
     for key, bound in thresholds.items():
-        if key in INFORMATIONAL_KEYS or key in exempt or key not in report:
+        if key not in DEFAULT_THRESHOLDS or key in exempt or key not in report:
             continue
         if not np.isfinite(report[key]) or report[key] > bound:
             failures[key] = (report[key], bound)
@@ -201,8 +175,8 @@ def refinement_ratios(reports: list[dict[str, float]]) -> list[dict[str, object]
     out: list[dict[str, object]] = []
     for coarse, fine in zip(reports, reports[1:]):
         row: dict[str, object] = {}
-        for key in REPORT_KEYS:
-            if key not in coarse or key in INFORMATIONAL_KEYS:
+        for key in DEFAULT_THRESHOLDS:
+            if key not in coarse:
                 continue
             a, b = coarse[key], fine[key]
             if max(abs(a), abs(b)) < 1e-12:

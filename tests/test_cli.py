@@ -276,6 +276,19 @@ class TestInputBoundary:
                 assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
         assert not (tmp_path / "-").exists() and not (tmp_path / "-.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--surface", "plane", "--n", "33", "--out", "r.txt", "--csv", "r.txt"],
+        ["verify", "--surface", "plane", "--n", "33", "--out", "r.txt", "--csv", "./r.txt"],
+        ["flow", "--surface", "perturbed-catenoid", "--n", "33", "--max-iters", "1", "--out", "t",
+         "--checkpoint", "t.json"],
+    ], ids=["verify-out-is-csv", "verify-out-is-dot-csv", "flow-json-is-checkpoint"])
+    def test_two_outputs_one_file(self, capsys, tmp_path, monkeypatch, argv):
+        # outputs whose paths resolve to one file are rejected before the command runs
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: pytest.fail("the command ran"))
+        assert "to the same file" in self.check_rejected(capsys, tmp_path, argv=argv)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
     def test_thread_count_not_integer(self, capsys, tmp_path, monkeypatch, threads):
         monkeypatch.setenv("WILLMORE_LAB_THREADS", threads)

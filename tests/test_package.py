@@ -2,6 +2,7 @@
 every function the benchmark's tracer wraps, and each benchmark workload
 still reaches every layer its traced run requires."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -24,18 +25,44 @@ def test_all_names_resolve(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_traced_layers_resolve(monkeypatch):
-    # the traced benchmark wraps each LAYERS function; one deleted from the package
-    # would break only that run, so its names are checked here (the file is only read)
+def _load_tracer(monkeypatch):
+    """perfbench/tracer.py as a module, read only: no bytecode is written next to it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    layers = [(module, fn) for _, module, fns in tracer.LAYERS for fn in fns]
+    return tracer
+
+
+def test_traced_layers_resolve(monkeypatch):
+    # the traced benchmark wraps each LAYERS function; one deleted from the package
+    # would break only that run, so its names are checked here (the file is only read)
+    layers = [(module, fn) for _, module, fns in _load_tracer(monkeypatch).LAYERS for fn in fns]
     assert layers
     missing = [(module, fn) for module, fn in layers
                if not callable(getattr(importlib.import_module(f"willmore_lab.{module}"), fn, None))]
     assert missing == []
+
+
+def test_required_bindings_resolve(monkeypatch):
+    # the benchmark's smoke test pins bindings made by "from .x import f", which the tracer
+    # must wrap too; one dropped by a refactor would fail only that slow test
+    tree = ast.parse((PERFBENCH / "test_smoke.py").read_text())
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["REQUIRED_BINDINGS"]]
+    bindings = ast.literal_eval(value)
+    assert bindings
+    traced = {}  # id of each LAYERS function -> its module
+    for _, module, fns in _load_tracer(monkeypatch).LAYERS:
+        for fn in fns:
+            traced[id(getattr(importlib.import_module(f"willmore_lab.{module}"), fn))] = module
+    unbound = []
+    for binding in sorted(bindings):
+        module, attr = binding.split(".")
+        obj = getattr(importlib.import_module(f"willmore_lab.{module}"), attr, None)
+        if traced.get(id(obj), module) == module:
+            unbound.append(binding)
+    assert unbound == []
 
 
 def _load_perfbench(monkeypatch):
