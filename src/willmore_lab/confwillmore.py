@@ -115,6 +115,108 @@ def _holomorphy_defect(grid, f: np.ndarray) -> float:
     return float(num / den)
 
 
+# LAPACK's dlamch('E') and dlamch('S'), as dsteqr uses them
+_EPS = 0.5 * np.finfo(float).eps
+_SAFMIN = np.finfo(float).tiny
+# dsyevd rescales a matrix whose largest entry lies outside about
+# [1e-146, 1e146], and dsteqr an unsplit one whose largest entry is below
+# about 1.2e-122; inside [2**-400, 2**480] neither does
+_UNSCALED = (2.0**-400, 2.0**480)
+# matrices per block: a block's temporaries (64 KiB each) are reused from the
+# heap and stay in cache, where whole-stack ones are mapped afresh each step
+_BLOCK = 8192
+
+
+def _pinv_psd2(G: np.ndarray, rcond: float) -> np.ndarray:
+    """``np.linalg.pinv(G, rcond, hermitian=True)`` for a stack of symmetric
+    positive semidefinite 2x2 matrices, bit for bit, signed zeros included.
+
+    The eigenpairs follow the path ``eigh`` takes on a 2x2 (LAPACK dsyevd,
+    then dsteqr; see ``_pinv_operands``).  The rest are numpy's own steps,
+    ending in one stacked ``np.matmul`` whose rounding (FMA or not) stays
+    numpy's.  A matrix with a negative diagonal, a non-finite entry or an
+    entry outside ``_UNSCALED`` (where LAPACK rescales) is handed to
+    ``np.linalg.pinv`` itself, in one call.
+    """
+    abc = G.reshape(-1, 4)[:, [0, 2, 3]]  # a, the lower entry b, c
+    vtT, su = np.empty((len(abc), 2, 2)), np.empty((len(abc), 2, 2))
+    fast = np.empty(len(abc), dtype=bool)
+    for start in range(0, len(abc), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        fast[block] = _pinv_operands(*abc[block].T.copy(), rcond, vtT[block], su[block])
+    res = np.matmul(vtT, np.swapaxes(su, -1, -2)).reshape(G.shape)
+    if not fast.all():
+        slow = ~fast.reshape(G.shape[:-2])
+        res[slow] = np.linalg.pinv(G[slow], rcond=rcond, hermitian=True)
+    return res
+
+
+def _pinv_operands(a, b, c, rcond, vtT, su) -> np.ndarray:
+    """Write numpy's pinv operands vt.T = u * sgn and (s * u.T).T for the
+    matrices [[a, b], [b, c]] into vtT and su, and return the mask of the
+    lanes where they are exact (elsewhere LAPACK would rescale first).
+
+    eigh's eigenpairs come from dsteqr's two split tests on b, which keep the
+    diagonal and the identity vectors, else from dlaev2's eigenvalues and
+    rotation (applied to the identity as dlasr does), then dsteqr's ascending
+    sort.  numpy's svd then sorts by |w| descending and moves the signs into
+    vt, and pinv inverts the singular values above rcond times the largest.
+    """
+    lo, hi = np.minimum(a, c), np.maximum(a, c)
+    inside = (hi >= _UNSCALED[0]) & (hi <= _UNSCALED[1]) & (np.abs(b) <= _UNSCALED[1])
+    fast = (lo >= 0) & (inside | ((hi == 0) & (b == 0)))
+    with np.errstate(all="ignore"):  # lanes that split or fall back may divide 0 by 0
+        # dsteqr: the split test, then QL's (|c| >= |a|) or QR's small-element test
+        split = np.abs(b) <= np.sqrt(a) * np.sqrt(c) * _EPS
+        split |= b * b <= np.where(c < a, (_EPS * _EPS * c) * a, (_EPS * _EPS * a) * c) + _SAFMIN
+        # dlaev2(a, b, c): rt1 >= 0 is the eigenvalue of larger modulus, and
+        # (cs1, sn1) its unit eigenvector; a + c > 0 on every unsplit lane
+        df, tb = a - c, b + b
+        adf, atb = np.abs(df), np.abs(tb)
+        big, small = np.maximum(adf, atb), np.minimum(adf, atb)
+        rt = big * np.sqrt(1.0 + (small / big) ** 2)
+        rt1 = 0.5 * ((a + c) + rt)
+        rt2 = (hi / rt1) * lo - (b / rt1) * b
+        cs = df + np.copysign(rt, df)
+        first = np.abs(cs) > atb
+        t = -np.where(first, tb, cs) / np.where(first, cs, tb)
+        x = 1.0 / np.sqrt(1.0 + t * t)
+        cs1, sn1 = np.where(first, t * x, x), np.where(first, x, t * x)
+        swap = df >= 0
+        cs1, sn1 = np.where(swap, -sn1, cs1), np.where(swap, cs1, sn1)
+        # dlasr rotates the identity (cs1, sn1 are nonzero on an unsplit lane,
+        # so its terms in 0.0 drop out); a split lane keeps the identity
+        z = [[cs1, -sn1], [sn1, cs1]]
+        z = [[np.where(split, float(i == k), z[i][k]) for k in range(2)] for i in range(2)]
+        d0, d1 = np.where(split, a, rt1), np.where(split, c, rt2)
+        # dsteqr sorts ascending, then numpy's stable argsort of |w|, reversed:
+        # q says the second of (d0, d1) comes first
+        q = np.where(d1 < d0, np.abs(d1) > np.abs(d0), np.abs(d0) <= np.abs(d1))
+        w = (np.where(q, d1, d0), np.where(q, d0, d1))
+        u = [[np.where(q, zi[1], zi[0]), np.where(q, zi[0], zi[1])] for zi in z]
+        s = [np.abs(wk) for wk in w]
+        sgn = [np.copysign(1.0, wk) for wk in w]
+        inv = [np.where(sk > rcond * s[0], 1.0 / sk, 0.0) for sk in s]
+    # numpy's pinv computes matmul(vt.T, s[..., None] * u.T): the caller's
+    # matmul sees these values with those strides
+    for i in range(2):
+        for k in range(2):
+            vtT[:, i, k] = u[i][k] * sgn[k]
+            su[:, i, k] = u[i][k] * inv[k]
+    return fast
+
+
+def _gram(M: np.ndarray) -> np.ndarray:
+    """The stacked 2x2 Gram matrices M^T M of M (..., k, 2), with the bits of
+    ``np.einsum("...ka,...kb->...ab", M, M)``: each entry adds its k terms in
+    index order (``component_sum``), at a fraction of einsum's time."""
+    G = np.empty(M.shape[:-2] + (2, 2))
+    for a, b in ((0, 0), (1, 0), (1, 1)):
+        G[..., a, b] = dg.component_sum(M[..., a] * M[..., b])
+    G[..., 0, 1] = G[..., 1, 0]
+    return G
+
+
 def extract_A_f(bundle: GeometryBundle, L: np.ndarray | None = None) -> ConformalData:
     """Extract the frame coefficient A and the holomorphic coordinate f.
 
@@ -123,7 +225,10 @@ def extract_A_f(bundle: GeometryBundle, L: np.ndarray | None = None) -> Conforma
     pointwise minimal-norm solution of the reality (integrability)
     constraint Im[dz*(dz L candidate)] = 0 and the candidate derivative
     Z0 + i e^{-lambda} f e_{z*} is integrated to a real potential by a
-    mean-zero Neumann solve, whose defect is reported.
+    mean-zero Neumann solve, whose defect is reported.  The pointwise
+    Gram matrices and their pseudo-inverses (``_gram``, ``_pinv_psd2``) are
+    bit-identical to numpy's einsum and hermitian ``np.linalg.pinv``; the
+    pseudo-inverse because it takes LAPACK's own 2x2 path.
     """
     grid = bundle.grid
     H0cH = bundle.derived(_H0cH)
@@ -139,13 +244,13 @@ def extract_A_f(bundle: GeometryBundle, L: np.ndarray | None = None) -> Conforma
     # the real and (negated) imaginary parts of H0
     M = np.stack([bundle.H0.real, -bundle.H0.imag], axis=-1)
     rhs = -2.0 * G.imag
-    MtM = np.einsum("...ka,...kb->...ab", M, M)
+    MtM = _gram(M)
     Mtr = np.einsum("...ka,...k->...a", M, rhs)
     # minimal-norm pointwise least squares; the rcond floor suppresses
     # rank inflation by discretization noise near umbilic points, and the
     # absolute gate returns f = 0 wherever H0 carries no usable signal
     # (umbilic patches leave f undetermined; zero is the minimal choice)
-    sol = np.einsum("...ab,...b->...a", np.linalg.pinv(MtM, rcond=1e-8, hermitian=True), Mtr)
+    sol = np.einsum("...ab,...b->...a", _pinv_psd2(MtM, 1e-8), Mtr)
     tr = MtM[..., 0, 0] + MtM[..., 1, 1]
     usable = tr > 1e-12 * max(float(np.max(tr)), 1.0)
     sol = np.where(usable[..., None], sol, 0.0)

@@ -352,17 +352,27 @@ def _check_value(kind: str, name: str, default: Any, value: Any) -> None:
         raise ValueError(f"surface {kind} parameter {name} must be finite and positive, got {value!r}")
 
 
+def _check_metric(label: str, phi: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> None:
+    """ValueError unless the samples phi and the metric |d_i Phi|^2 are finite
+    and the metric is a normal number (not zero or subnormal) at every node."""
+    with np.errstate(all="ignore"):  # an overflow or underflow is reported below
+        metric = [dg.component_sum(d * d) for d in (d1, d2)]
+    if not all(np.all(np.isfinite(x)) for x in (phi, *metric)):
+        raise ValueError(f"surface {label} is not finite on this grid: its samples or its metric |d_i Phi|^2 overflow")
+    if min(np.min(x) for x in metric) < np.finfo(float).tiny:
+        raise ValueError(f"surface {label} degenerates on this grid: its metric |d_i Phi|^2 is zero or subnormal")
+
+
 def make_surface(kind: str, grid: Grid, m: int = 3, **params) -> ImmersionPatch:
     """Construct the ``CATALOG`` surface ``kind`` on the given grid; parameters
     left out take their defaults, the others are checked by _check_surface.
-    ValueError if the samples or the metric |d_i Phi|^2 are not finite."""
+    ValueError if the samples or the metric |d_i Phi|^2 are not finite, or the
+    metric is zero or subnormal somewhere."""
     kind = kind.replace("-", "_")
     record = _check_surface(kind, m, params)
-    with np.errstate(all="ignore"):  # an overflow is reported by the check below
+    with np.errstate(all="ignore"):  # an overflow is reported by _check_metric
         jet = record.jets(grid, m, **{**record.params, **params})
-        metric = [dg.component_sum(d * d) for d in (jet.d1, jet.d2)]
-    if not all(np.all(np.isfinite(x)) for x in (jet.phi, *metric)):
-        raise ValueError(f"surface {kind} is not finite on this grid: its samples or its metric |d_i Phi|^2 overflow")
+    _check_metric(kind, jet.phi, jet.d1, jet.d2)
     label = kind if not params else kind + "(" + ",".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
     return ImmersionPatch(grid=grid, m=m, phi=jet.phi, jets=jet, label=label)
 
@@ -385,7 +395,8 @@ def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05
 
     The result has no analytic jets; geometry falls back to FD.  Used to
     produce off-critical starting points for the descent flow.  seed and
-    amplitude are checked like the catalog parameters (ValueError).
+    amplitude are checked like the catalog parameters, and the result like a
+    catalog surface, with its finite-difference metric (ValueError).
     """
     _check_value(f"perturbed-{patch.label}", "seed", 0, seed)
     _check_value(f"perturbed-{patch.label}", "amplitude", 0.05, amplitude)
@@ -400,9 +411,13 @@ def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05
         w = rng.uniform(grid.s / 3.0, grid.s / 2.0)
         c = rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
         g += c * np.exp(-((X1 - p1) ** 2 + (X2 - p2) ** 2) / w**2)
-    bump = amplitude * window * g
-    phi = patch.phi + bump[..., None] * bundle.normal_frame[0]
-    return patch.with_phi(phi, label=f"perturbed-{patch.label}(seed={seed},amp={amplitude})")
+    label = f"perturbed-{patch.label}(seed={seed},amp={amplitude})"
+    with np.errstate(all="ignore"):  # an overflow is reported by _check_metric
+        bump = amplitude * window * g
+        phi = patch.phi + bump[..., None] * bundle.normal_frame[0]
+        d1, d2 = dg.d1(grid, phi), dg.d2(grid, phi)
+    _check_metric(label, phi, d1, d2)
+    return patch.with_phi(phi, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +508,13 @@ def conformal_factor(grid: Grid, jet: Jet) -> tuple[np.ndarray, float]:
     a patch's jet on grid (``patch.jet()``, which ``frames`` already holds).
 
     The defect is the interior max of ||d1|-|d2||/e^lambda and
-    |d1 . d2|/e^2lambda; degenerate nodes raise.
+    |d1 . d2|/e^2lambda; a node where |d_i Phi| is at most 1e-12 of its
+    largest value on the patch raises (so does an all-zero jet).
     """
     n1 = np.sqrt(dg.component_sum(jet.d1 * jet.d1))
     n2 = np.sqrt(dg.component_sum(jet.d2 * jet.d2))
-    if np.min(n1) < 1e-12 or np.min(n2) < 1e-12:
+    floor = 1e-12 * max(np.max(n1), np.max(n2))
+    if np.min(n1) <= floor or np.min(n2) <= floor:
         i, j = np.unravel_index(int(np.argmin(n1 + n2)), n1.shape)
         raise DegenerateImmersionError(f"immersion degenerates near node ({i}, {j})")
     win = grid.interior()

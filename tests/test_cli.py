@@ -162,6 +162,25 @@ class TestInputBoundary:
         for rho in ("1e154", "1e200", "1e300", "8e307"):
             assert "metric" in self.check_rejected(capsys, tmp_path, f"sphere:rho={rho}")
 
+    def test_metric_underflow_rejected(self, capsys, tmp_path):
+        # the sphere's |d_i Phi|^2 is about (2 rho)^2: it underflows to zero at rho = 1e-200
+        assert "zero or subnormal" in self.check_rejected(capsys, tmp_path, "sphere:rho=1e-200")
+
+    def test_small_sphere_reports(self, capsys, tmp_path):
+        # a valid immersion however small: it gets a report whose keys FAIL (they are not
+        # scale covariant, as README says), not a traceback
+        out = tmp_path / "r.json"
+        rc = run_cli(["verify", "--surface", "sphere:rho=1e-13", "--n", "33", "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 1 and lines and all(line.startswith("FAIL sphere(rho=1e-13) n=33: ") for line in lines)
+        assert not json.loads(out.read_text())["pass"]
+
+    def test_huge_perturbation_rejected(self, capsys, tmp_path):
+        # the bumped patch's finite-difference metric overflows: rejected before the flow starts
+        argv = ["flow", "--surface", "perturbed-catenoid:amplitude=1e300", "--n", "33", "--max-iters", "3",
+                "--out", str(tmp_path / "r.json")]
+        assert "not finite" in self.check_rejected(capsys, tmp_path, argv=argv)
+
     def test_largest_finite_metric_gives_finite_keys(self, tmp_path):
         out = tmp_path / "r.json"
         with warnings.catch_warnings():

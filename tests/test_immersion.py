@@ -174,6 +174,16 @@ class TestConformalFactor:
         with pytest.raises(im.DegenerateImmersionError):
             im.conformal_factor(G65, patch.jet())
 
+    def test_degeneracy_gate_is_relative(self):
+        # a sphere of radius 1e-13 is a valid immersion; one node at 1e-13 of the rest is not
+        jet = im.make_surface("sphere", G65, rho=1e-13).jet()
+        lam, _ = im.conformal_factor(G65, jet)
+        assert np.all(np.isfinite(lam))
+        d1 = jet.d1.copy()
+        d1[3, 4] *= 1e-13
+        with pytest.raises(im.DegenerateImmersionError, match=r"\(3, 4\)"):
+            im.conformal_factor(G65, replace(jet, d1=d1))
+
 
 class TestFrames:
     @pytest.mark.parametrize("kind,params,m", [
@@ -344,6 +354,17 @@ class TestConstructionInterfaces:
             im.make_surface("plane", G65, m=2)
         with pytest.raises(ValueError):
             im.make_surface("plane", G65, m=7)
+
+    def test_metric_underflow_rejected(self):
+        # the sphere's |d_i Phi|^2 is about (2 rho)^2: zero at rho = 1e-200, subnormal at 1e-155
+        for rho in (1e-200, 1e-155):
+            with pytest.raises(ValueError, match="zero or subnormal"):
+                im.make_surface("sphere", G65, rho=rho)
+
+    def test_perturbation_checked_like_a_surface(self):
+        base = im.make_surface("catenoid", G65)
+        with pytest.raises(ValueError, match="not finite"):
+            im.perturb_normal(base, seed=0, amplitude=1e300)
 
     def test_perturb_normal(self):
         base = im.make_surface("catenoid", G65)

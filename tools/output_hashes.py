@@ -23,8 +23,9 @@ The outputs are:
 * for 37 (surface, m) bundles at n = 65 (the catalog at m = 3..6 and the
   perturbed catenoid, sphere and plane at m = 3, 4, 6): each array of
   ``BUNDLE_ARRAYS`` and every jet array (dtype, shape, strides and bytes,
-  signed zeros included), Q, S, R, the S/R defects and system residuals,
-  the phi identity, the tangency identities and the Gauss-map energy.
+  signed zeros included), the A, f and L arrays of ``extract_A_f``, Q, S, R,
+  the S/R defects and system residuals, the phi identity, the tangency
+  identities and the Gauss-map energy.
   Blade-row fields are hashed through ``.dense()``.  A name of
   ``BUNDLE_ARRAYS`` that is no bundle field is read from the immersion
   function that computes it (``DERIVED_ARRAYS``), so a quantity that moves
@@ -155,8 +156,10 @@ def main() -> int:
         for f in dataclasses.fields(bundle.jet):
             print(_sha(_array_bytes(getattr(bundle.jet, f.name))), f"{case} jet.{f.name}")
         print(_sha(_array_bytes(bundle.derived(conservation.assemble_Q))), f"{case} Q")
-        L = confwillmore.extract_A_f(bundle).L
-        sr = conservation.build_S_R(bundle, L)
+        conf = confwillmore.extract_A_f(bundle)
+        for name in ("A", "f", "L"):
+            print(_sha(_array_bytes(getattr(conf, name))), f"{case} extract_A_f.{name}")
+        sr = conservation.build_S_R(bundle, conf.L)
         print(_sha(_array_bytes(sr.S)), f"{case} S")
         print(_sha(_array_bytes(sr.R)), f"{case} R")
         print(_sha(_float_bytes(sr.S_defect, sr.R_defect)), f"{case} S/R defects")
