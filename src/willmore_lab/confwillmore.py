@@ -8,16 +8,12 @@ structure
     dz L = A e_{z*} - 2 i pi_n(dz H),
     A    = -2 i e^lambda (H0* . H) + i e^{-lambda} f,
 
-with f a holomorphic function of z = x1 + i x2.  Two extraction routes
-are provided:
-
-* ``extract_A_f(bundle, L)`` reads A off a supplied potential with the
-  pairing A = 2 <dz L, e_z> (e_a . e_b = delta_{a b*} / 2).
-* ``extract_A_f(bundle)`` determines f directly from the integrability
-  requirement that dz L integrate to a real-valued map: the pointwise
-  minimal-norm solution of Im(dz* dz L) = 0.  This is the route that
-  applies off the conservation shell (e.g. the CMC cylinder, where the
-  system potential is a constant while grad_perp L = Q has no solution).
+with f a holomorphic function of z = x1 + i x2.  ``extract_A_f(bundle)``
+determines f from the integrability requirement that dz L integrate to a
+real-valued map: the pointwise minimal-norm solution of Im(dz* dz L) = 0.
+This applies off the conservation shell too (e.g. the CMC cylinder, where
+the system potential is a constant while grad_perp L = Q has no
+solution).  The candidate dz L is then integrated to the potential L.
 
 The conformal Willmore residual evaluates
 
@@ -97,12 +93,12 @@ def codazzi_residual(bundle: GeometryBundle) -> float:
 @dataclass(frozen=True)
 class ConformalData:
     """Frame coefficient A, quadratic-differential coordinate f, and the
-    potential realizing them (integrated when f was extracted)."""
+    potential integrated from them."""
 
     A: np.ndarray                 # complex (n, n)
     f: np.ndarray                 # complex (n, n)
     holomorphy_defect: float      # ||dz* f||_L2 / ||f||_L2 on the interior window
-    L: np.ndarray | None          # potential used / integrated (real, (n, n, m))
+    L: np.ndarray                 # integrated potential (real, (n, n, m))
     L_defect: float               # || grad L - candidate ||_L2 (integration defect)
 
 
@@ -217,12 +213,10 @@ def _gram(M: np.ndarray) -> np.ndarray:
     return G
 
 
-def extract_A_f(bundle: GeometryBundle, L: np.ndarray | None = None) -> ConformalData:
+def extract_A_f(bundle: GeometryBundle) -> ConformalData:
     """Extract the frame coefficient A and the holomorphic coordinate f.
 
-    With a supplied potential L: A := 2 <dz L, e_z> and
-    f := -i e^lambda (A + 2 i e^lambda H0* . H).  Without one, f is the
-    pointwise minimal-norm solution of the reality (integrability)
+    f is the pointwise minimal-norm solution of the reality (integrability)
     constraint Im[dz*(dz L candidate)] = 0 and the candidate derivative
     Z0 + i e^{-lambda} f e_{z*} is integrated to a real potential by a
     mean-zero Neumann solve, whose defect is reported.  The pointwise
@@ -232,12 +226,6 @@ def extract_A_f(bundle: GeometryBundle, L: np.ndarray | None = None) -> Conforma
     """
     grid = bundle.grid
     H0cH = bundle.derived(_H0cH)
-    if L is not None:
-        dzL = dg.dz(grid, L)
-        A = 2.0 * np.sum(dzL * bundle.derived(complex_frame)[0], axis=-1)
-        f = -1j * bundle.elam * (A + 2j * bundle.elam * H0cH)
-        return ConformalData(A, f, _holomorphy_defect(grid, f), L, 0.0)
-
     Z0 = bundle.derived(dz_L0_closed_form)
     G = dg.dzstar(grid, Z0)
     # Im[G + i f H0 / 2] = 0: columns of the pointwise design matrix are

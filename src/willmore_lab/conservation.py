@@ -209,14 +209,11 @@ def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
     return SRData(resS.u, R, resS.defect / scale, resR.defect / scale)
 
 
-def sr_system_residual(
-    bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows, sign_exponent: str = "ambient"
-) -> tuple[float, float]:
+def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -> tuple[float, float]:
     """Normalized interior sup-residuals of the S/R elliptic system.
 
-    ``sign_exponent="ambient"`` uses (-1)^m in front of the contraction
-    term (the reading validated for m = 3, 4, 5); "flipped" computes the
-    opposite sign, kept as a diagnostic control.
+    The contraction term star(grad n . grad_perp R) carries the sign (-1)^m
+    (the reading validated for m = 3, 4, 5).
     """
     grid, m = bundle.grid, bundle.m
     scale = bundle.derived(surface_scale)
@@ -228,7 +225,7 @@ def sr_system_residual(
     bullet = mv.field_bullet(ggauss, gperpR)
     del gperpR  # bounds the peak memory of the R-side terms below
     contraction = bullet._replace(rows=sum(np.moveaxis(bullet.rows, 1, 0)))
-    sign = (-1.0) ** m if sign_exponent == "ambient" else -((-1.0) ** m)
+    sign = (-1.0) ** m
     blades = mv.grade_masks(m, 2)  # every term of the R equation is a 2-vector
     gs = gstarn.part(blades)
     rhs_R = sign * mv.field_hodge(contraction).part(blades) - sum(gs[:, j] * gperpS[j] for j in range(2))

@@ -2,10 +2,11 @@
 first/second-order geometry.
 
 Each catalog factory returns its analytic jet (position plus first and
-second derivatives) on the grid's nodes, evaluated once by
-``make_surface``; the patch carries that value.  Finite-difference jets
-are the fallback for perturbed patches and are tested against the
-analytic ones.  All quantities follow the conformal-frame conventions:
+second derivatives, all m ambient components) on the grid's nodes,
+evaluated once by ``make_surface``; the patch carries that value.
+Finite-difference jets are the fallback for perturbed patches and are
+tested against the analytic ones.  All quantities follow the
+conformal-frame conventions:
 
     e^lambda = |d1 Phi|,   e_i = e^-lambda d_i Phi,   e_z = (e_1 - i e_2)/2,
     h^a_ij   = e^-2lambda  n_a . d_ij Phi,
@@ -13,11 +14,12 @@ analytic ones.  All quantities follow the conformal-frame conventions:
     H0       = 1/2 sum_a (h^a_11 - h^a_22 + 2 i h^a_12) n_a,
     K        = -e^-2lambda Laplace(lambda)   (and via the Gauss equation).
 
-A bundle field is what ``frames`` and ``second_fundamental`` build.
-Anything computed from fields (here the complex frame, both curvature
-routes, |H|^2 and |B|^2) is an entry read as ``bundle.derived(fn)``:
-computed once per bundle, and never stale, since ``dataclasses.replace``
-starts an empty memo.
+``GeometryBundle`` is the one geometry record: ``make_bundle`` builds it
+from the fields that ``frames`` and ``second_fundamental`` return as
+dicts keyed by field name.  Anything computed from fields (here the
+complex frame, both curvature routes, |H|^2 and |B|^2) is an entry read
+as ``bundle.derived(fn)``: computed once per bundle, and never stale,
+since ``dataclasses.replace`` starts an empty memo.
 
 The normal frame is deterministic: constant ambient seed vectors are
 Gram-Schmidt-projected when they stay uniformly transverse, and the
@@ -29,7 +31,7 @@ oriented by construction (so star(n ^ e1) = e2 holds on the nose).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 from typing import Any, Callable
 
@@ -124,30 +126,13 @@ def fd_jet(grid: Grid, phi: np.ndarray) -> Jet:
     )
 
 
-def _pad(m: int, *arrays: np.ndarray) -> list[np.ndarray]:
-    """Zero-pad trailing ambient components from 3 to m."""
-    out = []
-    for a in arrays:
-        if m == a.shape[-1]:
-            out.append(a)
-        else:
-            padded = np.zeros(a.shape[:-1] + (m,))
-            padded[..., : a.shape[-1]] = a
-            out.append(padded)
-    return out
-
-
-def _jet3(m, phi, d1, d2, d11, d12, d22) -> Jet:
-    return Jet(*_pad(m, phi, d1, d2, d11, d12, d22))
-
-
 # ---------------------------------------------------------------------------
 # Catalog surfaces
 # ---------------------------------------------------------------------------
 
 def _plane_jets(grid: Grid, m: int) -> Jet:
     X1, X2 = grid.nodes()
-    shp = X1.shape + (3,)
+    shp = X1.shape + (m,)
     phi = np.zeros(shp)
     phi[..., 0], phi[..., 1] = X1, X2
     d1 = np.zeros(shp)
@@ -155,47 +140,47 @@ def _plane_jets(grid: Grid, m: int) -> Jet:
     d2 = np.zeros(shp)
     d2[..., 1] = 1.0
     z = np.zeros(shp)
-    return _jet3(m, phi, d1, d2, z, z.copy(), z.copy())
+    return Jet(phi, d1, d2, z, z.copy(), z.copy())
 
 
 def _sphere_jets(grid: Grid, m: int, rho: float) -> Jet:
     # inverse stereographic projection, e^lambda = 2 rho / (1 + |x|^2)
     X1, X2 = grid.nodes()
     u = 1.0 + X1**2 + X2**2
-    shp = X1.shape + (3,)
-    phi = np.empty(shp)
+    shp = X1.shape + (m,)
+    phi = np.zeros(shp)
     phi[..., 0] = 2.0 * rho * X1 / u
     phi[..., 1] = 2.0 * rho * X2 / u
     phi[..., 2] = rho * (1.0 - 2.0 / u)
-    d1 = np.empty(shp)
+    d1 = np.zeros(shp)
     d1[..., 0] = 2.0 * rho * (u - 2.0 * X1**2) / u**2
     d1[..., 1] = -4.0 * rho * X1 * X2 / u**2
     d1[..., 2] = 4.0 * rho * X1 / u**2
-    d2 = np.empty(shp)
+    d2 = np.zeros(shp)
     d2[..., 0] = -4.0 * rho * X1 * X2 / u**2
     d2[..., 1] = 2.0 * rho * (u - 2.0 * X2**2) / u**2
     d2[..., 2] = 4.0 * rho * X2 / u**2
-    d11 = np.empty(shp)
+    d11 = np.zeros(shp)
     d11[..., 0] = 2.0 * rho * (8.0 * X1**3 - 6.0 * X1 * u) / u**3
     d11[..., 1] = -4.0 * rho * X2 * (u - 4.0 * X1**2) / u**3
     d11[..., 2] = 4.0 * rho * (u - 4.0 * X1**2) / u**3
-    d22 = np.empty(shp)
+    d22 = np.zeros(shp)
     d22[..., 0] = -4.0 * rho * X1 * (u - 4.0 * X2**2) / u**3
     d22[..., 1] = 2.0 * rho * (8.0 * X2**3 - 6.0 * X2 * u) / u**3
     d22[..., 2] = 4.0 * rho * (u - 4.0 * X2**2) / u**3
-    d12 = np.empty(shp)
+    d12 = np.zeros(shp)
     d12[..., 0] = 4.0 * rho * X2 * (4.0 * X1**2 - u) / u**3
     d12[..., 1] = 4.0 * rho * X1 * (4.0 * X2**2 - u) / u**3
     d12[..., 2] = -16.0 * rho * X1 * X2 / u**3
-    return _jet3(m, phi, d1, d2, d11, d12, d22)
+    return Jet(phi, d1, d2, d11, d12, d22)
 
 
 def _cylinder_jets(grid: Grid, m: int, rho: float) -> Jet:
     X1, X2 = grid.nodes()
     t = X1 / rho
     c, s = np.cos(t), np.sin(t)
-    shp = X1.shape + (3,)
-    phi = np.empty(shp)
+    shp = X1.shape + (m,)
+    phi = np.zeros(shp)
     phi[..., 0], phi[..., 1], phi[..., 2] = rho * c, rho * s, X2
     d1 = np.zeros(shp)
     d1[..., 0], d1[..., 1] = -s, c
@@ -204,15 +189,15 @@ def _cylinder_jets(grid: Grid, m: int, rho: float) -> Jet:
     d11 = np.zeros(shp)
     d11[..., 0], d11[..., 1] = -c / rho, -s / rho
     z = np.zeros(shp)
-    return _jet3(m, phi, d1, d2, d11, z, z.copy())
+    return Jet(phi, d1, d2, d11, z, z.copy())
 
 
 def _catenoid_jets(grid: Grid, m: int) -> Jet:
     X1, X2 = grid.nodes()
     c1, s1 = np.cos(X1), np.sin(X1)
     ch, sh = np.cosh(X2), np.sinh(X2)
-    shp = X1.shape + (3,)
-    phi = np.empty(shp)
+    shp = X1.shape + (m,)
+    phi = np.zeros(shp)
     phi[..., 0], phi[..., 1], phi[..., 2] = ch * c1, ch * s1, X2
     d1 = np.zeros(shp)
     d1[..., 0], d1[..., 1] = -ch * s1, ch * c1
@@ -224,38 +209,37 @@ def _catenoid_jets(grid: Grid, m: int) -> Jet:
     d12[..., 0], d12[..., 1] = -sh * s1, sh * c1
     d22 = np.zeros(shp)
     d22[..., 0], d22[..., 1] = ch * c1, ch * s1
-    return _jet3(m, phi, d1, d2, d11, d12, d22)
+    return Jet(phi, d1, d2, d11, d12, d22)
 
 
 def _enneper_jets(grid: Grid, m: int) -> Jet:
     # Phi = (u - u^3/3 + u v^2, -(v - v^3/3 + v u^2), u^2 - v^2), e^lambda = 1 + u^2 + v^2
     U, V = grid.nodes()
-    shp = U.shape + (3,)
-    phi = np.empty(shp)
+    shp = U.shape + (m,)
+    phi = np.zeros(shp)
     phi[..., 0] = U - U**3 / 3.0 + U * V**2
     phi[..., 1] = -(V - V**3 / 3.0 + V * U**2)
     phi[..., 2] = U**2 - V**2
-    d1 = np.empty(shp)
+    d1 = np.zeros(shp)
     d1[..., 0] = 1.0 - U**2 + V**2
     d1[..., 1] = -2.0 * U * V
     d1[..., 2] = 2.0 * U
-    d2 = np.empty(shp)
+    d2 = np.zeros(shp)
     d2[..., 0] = 2.0 * U * V
     d2[..., 1] = -(1.0 - V**2 + U**2)
     d2[..., 2] = -2.0 * V
-    d11 = np.empty(shp)
+    d11 = np.zeros(shp)
     d11[..., 0] = -2.0 * U
     d11[..., 1] = -2.0 * V
     d11[..., 2] = 2.0
-    d12 = np.empty(shp)
+    d12 = np.zeros(shp)
     d12[..., 0] = 2.0 * V
     d12[..., 1] = -2.0 * U
-    d12[..., 2] = 0.0
-    d22 = np.empty(shp)
+    d22 = np.zeros(shp)
     d22[..., 0] = 2.0 * U
     d22[..., 1] = 2.0 * V
     d22[..., 2] = -2.0
-    return _jet3(m, phi, d1, d2, d11, d12, d22)
+    return Jet(phi, d1, d2, d11, d12, d22)
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -273,12 +257,12 @@ def _clifford_jets(grid: Grid, m: int) -> Jet:
     vpp = -sv * vp             # d2v/dt2
     c1, s1 = np.cos(X1), np.sin(X1)
     r = _SQRT2 + cv
-    shp = X1.shape + (3,)
-    phi = np.empty(shp)
+    shp = X1.shape + (m,)
+    phi = np.zeros(shp)
     phi[..., 0], phi[..., 1], phi[..., 2] = r * c1, r * s1, sv
     d1 = np.zeros(shp)
     d1[..., 0], d1[..., 1] = -r * s1, r * c1
-    d2 = np.empty(shp)
+    d2 = np.zeros(shp)
     d2[..., 0] = -sv * vp * c1
     d2[..., 1] = -sv * vp * s1
     d2[..., 2] = cv * vp
@@ -286,11 +270,11 @@ def _clifford_jets(grid: Grid, m: int) -> Jet:
     d11[..., 0], d11[..., 1] = -r * c1, -r * s1
     d12 = np.zeros(shp)
     d12[..., 0], d12[..., 1] = sv * vp * s1, -sv * vp * c1
-    d22 = np.empty(shp)
+    d22 = np.zeros(shp)
     d22[..., 0] = -(cv * vp**2 + sv * vpp) * c1
     d22[..., 1] = -(cv * vp**2 + sv * vpp) * s1
     d22[..., 2] = cv * vpp - sv * vp**2
-    return _jet3(m, phi, d1, d2, d11, d12, d22)
+    return Jet(phi, d1, d2, d11, d12, d22)
 
 
 def _graph_jets(grid: Grid, m: int, seed: int, amplitude: float) -> Jet:
@@ -400,7 +384,7 @@ def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05
     """
     _check_value(f"perturbed-{patch.label}", "seed", 0, seed)
     _check_value(f"perturbed-{patch.label}", "amplitude", 0.05, amplitude)
-    bundle = frames(patch)
+    normal = frames(patch)["normal_frame"][0]
     grid = patch.grid
     X1, X2 = grid.nodes()
     window = np.cos(np.pi * X1 / (2 * grid.s)) ** 2 * np.cos(np.pi * X2 / (2 * grid.s)) ** 2
@@ -414,7 +398,7 @@ def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05
     label = f"perturbed-{patch.label}(seed={seed},amp={amplitude})"
     with np.errstate(all="ignore"):  # an overflow is reported by _check_metric
         bump = amplitude * window * g
-        phi = patch.phi + bump[..., None] * bundle.normal_frame[0]
+        phi = patch.phi + bump[..., None] * normal
         d1, d2 = dg.d1(grid, phi), dg.d2(grid, phi)
     _check_metric(label, phi, d1, d2)
     return patch.with_phi(phi, label=label)
@@ -425,13 +409,21 @@ def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _FirstOrder:
-    """First-order conformal-frame geometry of an immersion patch.
+class GeometryBundle:
+    """Conformal-frame geometry of an immersion patch: the fields ``frames``
+    and ``second_fundamental`` build.
 
     normal_frame has shape (m-2, n, n, m); gauss holds n = n_1 ^ ... ^ n_{m-2}
     as blade rows over (n, n).  t1/t2 are the exactly orthonormalized
     tangents used for projections (they agree with e_i = e^-lambda d_i Phi
-    up to the conformality defect).
+    up to the conformality defect).  h has shape (n, n, m-2, 2, 2), and
+    area_density = e^{2 lambda}.
+
+    ``derived(fn)`` evaluates fn(bundle) once per bundle (the complex frame,
+    K, |H|^2, Q, grad n, L, the surface scale, ...), also when several
+    threads ask for it at once: the first computes it and the others wait.
+    ``dataclasses.replace`` starts an empty memo; memoized arrays are shared
+    and must not be mutated.
     """
 
     patch: ImmersionPatch
@@ -443,6 +435,12 @@ class _FirstOrder:
     normal_frame: np.ndarray
     gauss: mv.BladeRows
     conformal_defect: float
+    h: np.ndarray
+    H: np.ndarray
+    H0: np.ndarray
+    area_density: np.ndarray
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _locks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def grid(self) -> Grid:
@@ -467,30 +465,9 @@ class _FirstOrder:
     def project_normal_frame(self, X: np.ndarray) -> np.ndarray:
         """pi_n(X) via expansion over the normal frame (cross-check route)."""
         out = np.zeros_like(X)
-        for a in range(self.m - 2):
-            na = self.normal_frame[a]
+        for na in self.normal_frame:
             out = out + np.sum(X * na, axis=-1)[..., None] * na
         return out
-
-
-@dataclass(frozen=True)
-class GeometryBundle(_FirstOrder):
-    """Conformal-frame geometry: the first-order fields plus h
-    (shape (n, n, m-2, 2, 2)), H, H0 and area_density = e^{2 lambda}.
-
-    ``derived(fn)`` evaluates fn(bundle) once per bundle (the complex frame,
-    K, |H|^2, Q, grad n, L, the surface scale, ...), also when several
-    threads ask for it at once: the first computes it and the others wait.
-    ``dataclasses.replace`` starts an empty memo; memoized arrays are shared
-    and must not be mutated.
-    """
-
-    h: np.ndarray
-    H: np.ndarray
-    H0: np.ndarray
-    area_density: np.ndarray
-    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _locks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def derived(self, fn: Callable[["GeometryBundle"], Any]) -> Any:
         """fn(self), computed once per bundle; the function object is the key."""
@@ -533,8 +510,10 @@ def _orthonormal_tangents(jet: Jet) -> tuple[np.ndarray, np.ndarray]:
 _SEED_ACCEPT = 0.35
 
 
-def frames(patch: ImmersionPatch) -> _FirstOrder:
-    """First-order geometry: conformal frame, normal frame, Gauss map."""
+def frames(patch: ImmersionPatch) -> dict[str, Any]:
+    """First-order geometry, keyed by ``GeometryBundle`` field: patch, jet,
+    lam, elam, the tangents t1 and t2, normal_frame, the Gauss map gauss
+    and conformal_defect."""
     jet = patch.jet()
     m = patch.m
     lam, defect = conformal_factor(patch.grid, jet)
@@ -566,35 +545,31 @@ def frames(patch: ImmersionPatch) -> _FirstOrder:
     n_last = n_last / np.sqrt(dg.component_sum(n_last * n_last))[..., None]
 
     normal_frame = np.stack(accepted + [n_last])
-    return _FirstOrder(patch=patch, jet=jet, lam=lam, elam=elam, t1=t1, t2=t2, normal_frame=normal_frame,
-                       gauss=mv.field_wedge_vectors(*normal_frame), conformal_defect=defect)
+    return dict(patch=patch, jet=jet, lam=lam, elam=elam, t1=t1, t2=t2, normal_frame=normal_frame,
+                gauss=mv.field_wedge_vectors(*normal_frame), conformal_defect=defect)
 
 
-def second_fundamental(patch: ImmersionPatch, first_order: _FirstOrder | None = None) -> GeometryBundle:
-    """Complete the first-order geometry (``frames(patch)`` by default) with
-    h, H, H0 and e^{2 lambda}."""
-    first = frames(patch) if first_order is None else first_order
-    jet = first.jet
-    m = patch.m
-    e2lam = first.elam**2
+def second_fundamental(jet: Jet, elam: np.ndarray, normal_frame: np.ndarray) -> dict[str, np.ndarray]:
+    """h, H, H0 and area_density = e^{2 lambda} of jet in the conformal frame
+    (elam, normal_frame) that ``frames`` builds."""
+    e2lam = elam**2
     second = ((jet.d11, jet.d12), (jet.d12, jet.d22))
-    h = np.empty(patch.phi.shape[:-1] + (m - 2, 2, 2))
-    for a in range(m - 2):
-        na = first.normal_frame[a]
+    h = np.empty(elam.shape + (len(normal_frame), 2, 2))
+    for a, na in enumerate(normal_frame):
         for i in range(2):
             for j in range(2):
                 h[..., a, i, j] = dg.component_sum(na * second[i][j]) / e2lam
     Hcoef = 0.5 * (h[..., 0, 0] + h[..., 1, 1])
     H0coef = 0.5 * (h[..., 0, 0] - h[..., 1, 1] + 2j * h[..., 0, 1])
-    H = np.einsum("...a,a...k->...k", Hcoef, first.normal_frame)
-    H0 = np.einsum("...a,a...k->...k", H0coef, first.normal_frame.astype(complex))
-    return GeometryBundle(**{f.name: getattr(first, f.name) for f in fields(_FirstOrder)},
-                          h=h, H=H, H0=H0, area_density=e2lam)
+    H = np.einsum("...a,a...k->...k", Hcoef, normal_frame)
+    H0 = np.einsum("...a,a...k->...k", H0coef, normal_frame.astype(complex))
+    return dict(h=h, H=H, H0=H0, area_density=e2lam)
 
 
 def make_bundle(patch: ImmersionPatch) -> GeometryBundle:
-    """Full geometry bundle in one step."""
-    return second_fundamental(patch)
+    """The geometry bundle of patch: ``frames``, then ``second_fundamental``."""
+    first = frames(patch)
+    return GeometryBundle(**first, **second_fundamental(first["jet"], first["elam"], first["normal_frame"]))
 
 
 def complex_frame(bundle: GeometryBundle) -> tuple[np.ndarray, np.ndarray]:

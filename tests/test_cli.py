@@ -167,13 +167,15 @@ class TestInputBoundary:
         assert "zero or subnormal" in self.check_rejected(capsys, tmp_path, "sphere:rho=1e-200")
 
     def test_small_sphere_reports(self, capsys, tmp_path):
-        # a valid immersion however small: it gets a report whose keys FAIL (they are not
-        # scale covariant, as README says), not a traceback
+        # a valid immersion however small, or a grid so fine that h^2 underflows: it gets a
+        # report whose keys FAIL (they are not scale covariant, as README says), not a traceback
         out = tmp_path / "r.json"
-        rc = run_cli(["verify", "--surface", "sphere:rho=1e-13", "--n", "33", "--out", str(out)])
-        lines = capsys.readouterr().err.splitlines()
-        assert rc == 1 and lines and all(line.startswith("FAIL sphere(rho=1e-13) n=33: ") for line in lines)
-        assert not json.loads(out.read_text())["pass"]
+        for args, label in ((["--surface", "sphere:rho=1e-13"], "sphere(rho=1e-13)"),
+                            (["--surface", "sphere", "--s", "1e-300"], "sphere")):
+            rc = run_cli(["verify", *args, "--n", "33", "--out", str(out)])
+            lines = capsys.readouterr().err.splitlines()
+            assert rc == 1 and lines and all(line.startswith(f"FAIL {label} n=33: ") for line in lines)
+            assert not json.loads(out.read_text())["pass"]
 
     def test_huge_perturbation_rejected(self, capsys, tmp_path):
         # the bumped patch's finite-difference metric overflows: rejected before the flow starts

@@ -18,6 +18,7 @@ import pytest
 from willmore_lab import conservation as cons
 from willmore_lab import diskgrid as dg
 from willmore_lab import immersion as im
+from willmore_lab import multivec as mv
 from willmore_lab.diskgrid import Grid, interior_sup
 
 G65 = Grid(0.5, 65)
@@ -206,14 +207,20 @@ class TestSRSystem:
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_sign_exponent_is_ambient_dimension(self, m):
-        # (-1)^m is consistent at O(h^2); the flipped sign is O(1) wrong
+        # (-1)^m is consistent at O(h^2).  The flipped sign changes the R
+        # residual by twice the contraction term star(grad n . grad_perp R),
+        # which is O(1): over 100x the residual with (-1)^m
         b = bundle("sphere", G129, m=m, rho=1.0)
-        rec = cons.recover_L(b)
-        sr = cons.build_S_R(b, rec.L)
-        _, good = cons.sr_system_residual(b, sr.S, sr.R, sign_exponent="ambient")
-        _, bad = cons.sr_system_residual(b, sr.S, sr.R, sign_exponent="flipped")
+        sr = cons.build_S_R(b, cons.recover_L(b).L)
+        _, good = cons.sr_system_residual(b, sr.S, sr.R)
+        grad_n = mv.field_slotwise(partial(dg.grad, G129), b.gauss)
+        bullet = mv.field_bullet(grad_n, mv.field_slotwise(partial(dg.grad_perp, G129), sr.R))
+        blades = mv.grade_masks(m, 2)
+        term = mv.field_hodge(bullet._replace(rows=bullet.rows[:, 0] + bullet.rows[:, 1]))
+        term = mv.BladeRows(m, blades, term.part(blades))
+        size = interior_sup(G129, np.sqrt(mv.field_inner(term, term))) / cons.surface_scale(b)
         assert good < 5e-3
-        assert bad > 100.0 * good
+        assert size > 100.0 * good
 
     def test_clifford_nontrivial_potential(self):
         # L != 0, S != 0 here: exercises every term of the system

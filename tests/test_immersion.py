@@ -196,7 +196,7 @@ class TestFrames:
     ])
     def test_frame_orthonormality(self, kind, params, m):
         b = im.frames(im.make_surface(kind, G65, m=m, **params))
-        vecs = [b.t1, b.t2] + [b.normal_frame[a] for a in range(m - 2)]
+        vecs = [b["t1"], b["t2"]] + [b["normal_frame"][a] for a in range(m - 2)]
         for i in range(len(vecs)):
             for j in range(len(vecs)):
                 gram = np.sum(vecs[i] * vecs[j], axis=-1)
@@ -212,15 +212,15 @@ class TestFrames:
     def test_gauss_map_orientation(self, kind, params, m):
         # star(n ^ e1) = e2 and star(n ^ e2) = -e1, exactly by construction
         b = im.frames(im.make_surface(kind, G65, m=m, **params))
-        s1 = mv.mv_field_vector_part(mv.field_hodge(mv.field_wedge(b.gauss, mv.vector_field_to_mv(b.t1))))
-        s2 = mv.mv_field_vector_part(mv.field_hodge(mv.field_wedge(b.gauss, mv.vector_field_to_mv(b.t2))))
-        assert np.max(np.abs(s1 - b.t2)) < 1e-10
-        assert np.max(np.abs(s2 + b.t1)) < 1e-10
+        s1 = mv.mv_field_vector_part(mv.field_hodge(mv.field_wedge(b["gauss"], mv.vector_field_to_mv(b["t1"]))))
+        s2 = mv.mv_field_vector_part(mv.field_hodge(mv.field_wedge(b["gauss"], mv.vector_field_to_mv(b["t2"]))))
+        assert np.max(np.abs(s1 - b["t2"])) < 1e-10
+        assert np.max(np.abs(s2 + b["t1"])) < 1e-10
 
     def test_sphere_normal_is_radial(self):
         p = im.make_surface("sphere", G65, rho=1.0)
         b = im.frames(p)
-        radial = np.abs(np.sum(b.normal_frame[0] * p.phi, axis=-1))
+        radial = np.abs(np.sum(b["normal_frame"][0] * p.phi, axis=-1))
         assert np.max(np.abs(radial - 1.0)) < 1e-12
 
     def test_frame_error_when_tangents_exhaust_seeds(self):
@@ -294,18 +294,16 @@ class TestSecondFundamental:
 
     def test_normal_frame_rotation_invariance(self):
         # smooth SO(2) rotation of {n_1, n_2}: H, H0, K, energy unchanged
-        p = im.make_surface("graph_perturbation", G65, m=4, seed=3, amplitude=0.05)
-        base = im.frames(p)
-        b1 = im.second_fundamental(p, base)
+        b1 = im.make_bundle(im.make_surface("graph_perturbation", G65, m=4, seed=3, amplitude=0.05))
         X1, X2 = G65.nodes()
         theta = 0.7 * np.sin(X1) * np.cos(2.0 * X2)
         c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
         rot = np.stack(
-            [c * base.normal_frame[0] + s * base.normal_frame[1],
-             -s * base.normal_frame[0] + c * base.normal_frame[1]]
+            [c * b1.normal_frame[0] + s * b1.normal_frame[1],
+             -s * b1.normal_frame[0] + c * b1.normal_frame[1]]
         )
         gauss = mv.field_wedge(mv.vector_field_to_mv(rot[0]), mv.vector_field_to_mv(rot[1]))
-        b2 = im.second_fundamental(p, replace(base, normal_frame=rot, gauss=gauss))
+        b2 = replace(b1, normal_frame=rot, gauss=gauss, **im.second_fundamental(b1.jet, b1.elam, rot))
         assert np.max(np.abs(b2.gauss.dense() - b1.gauss.dense())) < 1e-12
         assert np.max(np.abs(b2.H - b1.H)) < 1e-12
         assert np.max(np.abs(b2.H0 - b1.H0)) < 1e-12
@@ -382,6 +380,25 @@ class TestConstructionInterfaces:
         assert moved.jets is None and base.jets is not None
 
 
+@pytest.mark.parametrize("m", [4, 5, 6])
+@pytest.mark.parametrize("kind,params", [(k, p) for k, p in ALL_KINDS if k != "graph_perturbation"])
+def test_catalog_jets_hold_m_components(kind, params, m):
+    """A factory allocates all m components: the first three are the m = 3 jet
+    bit for bit, and the others are +0.0 (no sign bit set)."""
+    grid = Grid(0.5, 9)
+    base = im.make_surface(kind, grid, m=3, **params).jets
+    # freed blocks of the jet arrays' size, holding -1.0, so that an array the
+    # factory leaves uninitialized shows it
+    poison = [np.full((9, 9, m), -1.0) for _ in range(24)]
+    del poison
+    jet = im.make_surface(kind, grid, m=m, **params).jets
+    for f in fields(im.Jet):
+        a, b = getattr(jet, f.name), getattr(base, f.name)
+        assert a.shape == (9, 9, m)
+        assert a[..., :3].tobytes() == b.tobytes(), f.name
+        assert np.all(a[..., 3:] == 0.0) and not np.any(np.signbit(a[..., 3:])), f.name
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 @pytest.mark.parametrize("kind,params", ALL_KINDS)
 def test_frames_match_the_dense_blade_chains(kind, params, m):
@@ -398,13 +415,14 @@ def test_frames_match_the_dense_blade_chains(kind, params, m):
         return mv.field_wedge(mv.BladeRows.from_dense(a), mv.BladeRows.from_dense(b)).dense()
 
     b = im.frames(im.make_surface(kind, G65, m=m, **params))
-    w = embed(b.t1)
-    for v in [b.t2, *b.normal_frame[:-1]]:
+    normal_frame = b["normal_frame"]
+    w = embed(b["t1"])
+    for v in [b["t2"], *normal_frame[:-1]]:
         w = wedge(w, embed(v))
     n_last = (w[..., ::-1] * mv._hodge_signs(m))[..., 1 << np.arange(m)]
     n_last = n_last / np.sqrt(dg.component_sum(n_last * n_last))[..., None]
-    gauss = embed(b.normal_frame[0])
-    for v in b.normal_frame[1:]:
+    gauss = embed(normal_frame[0])
+    for v in normal_frame[1:]:
         gauss = wedge(gauss, embed(v))
-    assert b.normal_frame[-1].tobytes() == n_last.tobytes()
-    assert b.gauss.dense().tobytes() == gauss.tobytes()
+    assert normal_frame[-1].tobytes() == n_last.tobytes()
+    assert b["gauss"].dense().tobytes() == gauss.tobytes()
