@@ -276,8 +276,16 @@ def _add_common(parser: argparse.ArgumentParser, surface: bool = True) -> None:
     parser.add_argument("--out", default=None, help="output path, - for standard output (JSON report / CSV table)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so ``main`` reports them in its one line
+    (subparsers are built from this class too); --help still exits 0."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="willmore-lab",
         description="Verification suites for divergence-form Willmore conservation laws",
     )
@@ -317,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "n", None) is None:
-        args.n = [65]
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "n", None) is None:
+            args.n = [65]
         if args.command in ("flow", "wente") and len(args.n) > 1:
             raise ValueError(f"{args.command} takes one --n, got {args.n}")
         if args.command == "refine" and len(args.n) < 2:

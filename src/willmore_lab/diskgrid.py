@@ -11,7 +11,8 @@ independent Poisson problem solved in the same transform call.
 Derivatives are centered in the interior and one-sided second order on
 the edge rings; ``laplace`` is the composition ``div(grad(f))`` so that
 ``div o grad = laplace`` holds exactly at the stencil level.  The
-Dirichlet Poisson solver uses the classical 5-point operator,
+Dirichlet Poisson solver takes zero boundary data, the only Dirichlet
+problem the package poses, and uses the classical 5-point operator,
 diagonalized by a type-I discrete sine transform; Neumann problems use
 ghost-point elimination diagonalized by a type-I cosine transform, with
 mean-zero normalization and the compatibility defect reported.
@@ -231,11 +232,11 @@ def _five_point_residual(grid: Grid, u: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(num / np.maximum(np.maximum(rhs_sup, u_sup / h**2), 1e-30)))
 
 
-def poisson_dirichlet(grid: Grid, rhs: np.ndarray, bc: np.ndarray | float = 0.0) -> np.ndarray:
-    """Solve the 5-point Laplace(u) = rhs with u = bc on the boundary.
+def poisson_dirichlet(grid: Grid, rhs: np.ndarray) -> np.ndarray:
+    """Solve the 5-point Laplace(u) = rhs with zero Dirichlet data.
 
     rhs is (n, n, ...), real or complex; every trailing index is an
-    independent problem, and an array bc has the shape of rhs.  Direct
+    independent problem, and the boundary ring of u is +0.0.  Direct
     DST-I solve over axes (0, 1).  The relative interior residual of
     every trailing slice, normalized by that slice's data, is checked
     against 1e-10; a SolverError carrying the worst one is raised if any
@@ -244,15 +245,7 @@ def poisson_dirichlet(grid: Grid, rhs: np.ndarray, bc: np.ndarray | float = 0.0)
     n, h = grid.n, grid.h
     rhs = np.asarray(rhs)
     u = np.zeros(rhs.shape, dtype=np.result_type(rhs, float))
-    if np.ndim(bc) == 0:
-        u += bc
-    else:
-        u[0], u[-1], u[:, 0], u[:, -1] = bc[0], bc[-1], bc[:, 0], bc[:, -1]
     f = rhs[1:-1, 1:-1].astype(u.dtype, copy=True)
-    f[0] -= u[0, 1:-1] / h**2
-    f[-1] -= u[-1, 1:-1] / h**2
-    f[:, 0] -= u[1:-1, 0] / h**2
-    f[:, -1] -= u[1:-1, -1] / h**2
     fhat = sfft.dstn(f, type=1, axes=(0, 1), overwrite_x=True)
     _divide_modes(fhat, _dirichlet_eigs(n, h))
     u[1:-1, 1:-1] = sfft.idstn(fhat, type=1, axes=(0, 1), overwrite_x=True)

@@ -130,45 +130,41 @@ def fd_jet(grid: Grid, phi: np.ndarray) -> Jet:
 # Catalog surfaces
 # ---------------------------------------------------------------------------
 
+def _zero_fields(grid: Grid, m: int) -> list[np.ndarray]:
+    """Six fresh +0.0 (n, n, m) arrays in Jet field order: an R^3 jet fills
+    components 0..2 and leaves the rest zero."""
+    return [np.zeros((grid.n, grid.n, m)) for _ in range(6)]
+
+
 def _plane_jets(grid: Grid, m: int) -> Jet:
     X1, X2 = grid.nodes()
-    shp = X1.shape + (m,)
-    phi = np.zeros(shp)
+    phi, d1, d2, d11, d12, d22 = _zero_fields(grid, m)
     phi[..., 0], phi[..., 1] = X1, X2
-    d1 = np.zeros(shp)
     d1[..., 0] = 1.0
-    d2 = np.zeros(shp)
     d2[..., 1] = 1.0
-    z = np.zeros(shp)
-    return Jet(phi, d1, d2, z, z.copy(), z.copy())
+    return Jet(phi, d1, d2, d11, d12, d22)
 
 
 def _sphere_jets(grid: Grid, m: int, rho: float) -> Jet:
     # inverse stereographic projection, e^lambda = 2 rho / (1 + |x|^2)
     X1, X2 = grid.nodes()
     u = 1.0 + X1**2 + X2**2
-    shp = X1.shape + (m,)
-    phi = np.zeros(shp)
+    phi, d1, d2, d11, d12, d22 = _zero_fields(grid, m)
     phi[..., 0] = 2.0 * rho * X1 / u
     phi[..., 1] = 2.0 * rho * X2 / u
     phi[..., 2] = rho * (1.0 - 2.0 / u)
-    d1 = np.zeros(shp)
     d1[..., 0] = 2.0 * rho * (u - 2.0 * X1**2) / u**2
     d1[..., 1] = -4.0 * rho * X1 * X2 / u**2
     d1[..., 2] = 4.0 * rho * X1 / u**2
-    d2 = np.zeros(shp)
     d2[..., 0] = -4.0 * rho * X1 * X2 / u**2
     d2[..., 1] = 2.0 * rho * (u - 2.0 * X2**2) / u**2
     d2[..., 2] = 4.0 * rho * X2 / u**2
-    d11 = np.zeros(shp)
     d11[..., 0] = 2.0 * rho * (8.0 * X1**3 - 6.0 * X1 * u) / u**3
     d11[..., 1] = -4.0 * rho * X2 * (u - 4.0 * X1**2) / u**3
     d11[..., 2] = 4.0 * rho * (u - 4.0 * X1**2) / u**3
-    d22 = np.zeros(shp)
     d22[..., 0] = -4.0 * rho * X1 * (u - 4.0 * X2**2) / u**3
     d22[..., 1] = 2.0 * rho * (8.0 * X2**3 - 6.0 * X2 * u) / u**3
     d22[..., 2] = 4.0 * rho * (u - 4.0 * X2**2) / u**3
-    d12 = np.zeros(shp)
     d12[..., 0] = 4.0 * rho * X2 * (4.0 * X1**2 - u) / u**3
     d12[..., 1] = 4.0 * rho * X1 * (4.0 * X2**2 - u) / u**3
     d12[..., 2] = -16.0 * rho * X1 * X2 / u**3
@@ -179,35 +175,24 @@ def _cylinder_jets(grid: Grid, m: int, rho: float) -> Jet:
     X1, X2 = grid.nodes()
     t = X1 / rho
     c, s = np.cos(t), np.sin(t)
-    shp = X1.shape + (m,)
-    phi = np.zeros(shp)
+    phi, d1, d2, d11, d12, d22 = _zero_fields(grid, m)
     phi[..., 0], phi[..., 1], phi[..., 2] = rho * c, rho * s, X2
-    d1 = np.zeros(shp)
     d1[..., 0], d1[..., 1] = -s, c
-    d2 = np.zeros(shp)
     d2[..., 2] = 1.0
-    d11 = np.zeros(shp)
     d11[..., 0], d11[..., 1] = -c / rho, -s / rho
-    z = np.zeros(shp)
-    return Jet(phi, d1, d2, d11, z, z.copy())
+    return Jet(phi, d1, d2, d11, d12, d22)
 
 
 def _catenoid_jets(grid: Grid, m: int) -> Jet:
     X1, X2 = grid.nodes()
     c1, s1 = np.cos(X1), np.sin(X1)
     ch, sh = np.cosh(X2), np.sinh(X2)
-    shp = X1.shape + (m,)
-    phi = np.zeros(shp)
+    phi, d1, d2, d11, d12, d22 = _zero_fields(grid, m)
     phi[..., 0], phi[..., 1], phi[..., 2] = ch * c1, ch * s1, X2
-    d1 = np.zeros(shp)
     d1[..., 0], d1[..., 1] = -ch * s1, ch * c1
-    d2 = np.zeros(shp)
     d2[..., 0], d2[..., 1], d2[..., 2] = sh * c1, sh * s1, 1.0
-    d11 = np.zeros(shp)
     d11[..., 0], d11[..., 1] = -ch * c1, -ch * s1
-    d12 = np.zeros(shp)
     d12[..., 0], d12[..., 1] = -sh * s1, sh * c1
-    d22 = np.zeros(shp)
     d22[..., 0], d22[..., 1] = ch * c1, ch * s1
     return Jet(phi, d1, d2, d11, d12, d22)
 
@@ -215,27 +200,21 @@ def _catenoid_jets(grid: Grid, m: int) -> Jet:
 def _enneper_jets(grid: Grid, m: int) -> Jet:
     # Phi = (u - u^3/3 + u v^2, -(v - v^3/3 + v u^2), u^2 - v^2), e^lambda = 1 + u^2 + v^2
     U, V = grid.nodes()
-    shp = U.shape + (m,)
-    phi = np.zeros(shp)
+    phi, d1, d2, d11, d12, d22 = _zero_fields(grid, m)
     phi[..., 0] = U - U**3 / 3.0 + U * V**2
     phi[..., 1] = -(V - V**3 / 3.0 + V * U**2)
     phi[..., 2] = U**2 - V**2
-    d1 = np.zeros(shp)
     d1[..., 0] = 1.0 - U**2 + V**2
     d1[..., 1] = -2.0 * U * V
     d1[..., 2] = 2.0 * U
-    d2 = np.zeros(shp)
     d2[..., 0] = 2.0 * U * V
     d2[..., 1] = -(1.0 - V**2 + U**2)
     d2[..., 2] = -2.0 * V
-    d11 = np.zeros(shp)
     d11[..., 0] = -2.0 * U
     d11[..., 1] = -2.0 * V
     d11[..., 2] = 2.0
-    d12 = np.zeros(shp)
     d12[..., 0] = 2.0 * V
     d12[..., 1] = -2.0 * U
-    d22 = np.zeros(shp)
     d22[..., 0] = 2.0 * U
     d22[..., 1] = 2.0 * V
     d22[..., 2] = -2.0
@@ -257,20 +236,14 @@ def _clifford_jets(grid: Grid, m: int) -> Jet:
     vpp = -sv * vp             # d2v/dt2
     c1, s1 = np.cos(X1), np.sin(X1)
     r = _SQRT2 + cv
-    shp = X1.shape + (m,)
-    phi = np.zeros(shp)
+    phi, d1, d2, d11, d12, d22 = _zero_fields(grid, m)
     phi[..., 0], phi[..., 1], phi[..., 2] = r * c1, r * s1, sv
-    d1 = np.zeros(shp)
     d1[..., 0], d1[..., 1] = -r * s1, r * c1
-    d2 = np.zeros(shp)
     d2[..., 0] = -sv * vp * c1
     d2[..., 1] = -sv * vp * s1
     d2[..., 2] = cv * vp
-    d11 = np.zeros(shp)
     d11[..., 0], d11[..., 1] = -r * c1, -r * s1
-    d12 = np.zeros(shp)
     d12[..., 0], d12[..., 1] = sv * vp * s1, -sv * vp * c1
-    d22 = np.zeros(shp)
     d22[..., 0] = -(cv * vp**2 + sv * vpp) * c1
     d22[..., 1] = -(cv * vp**2 + sv * vpp) * s1
     d22[..., 2] = cv * vpp - sv * vp**2
@@ -556,9 +529,9 @@ def second_fundamental(jet: Jet, elam: np.ndarray, normal_frame: np.ndarray) -> 
     second = ((jet.d11, jet.d12), (jet.d12, jet.d22))
     h = np.empty(elam.shape + (len(normal_frame), 2, 2))
     for a, na in enumerate(normal_frame):
-        for i in range(2):
-            for j in range(2):
-                h[..., a, i, j] = dg.component_sum(na * second[i][j]) / e2lam
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            h[..., a, i, j] = dg.component_sum(na * second[i][j]) / e2lam
+        h[..., a, 1, 0] = h[..., a, 0, 1]
     Hcoef = 0.5 * (h[..., 0, 0] + h[..., 1, 1])
     H0coef = 0.5 * (h[..., 0, 0] - h[..., 1, 1] + 2j * h[..., 0, 1])
     H = np.einsum("...a,a...k->...k", Hcoef, normal_frame)

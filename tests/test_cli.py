@@ -249,6 +249,23 @@ class TestInputBoundary:
             argv = ["lorentz", "--field", str(path), "--p", "2", "--q", "1"]
             assert "bad.bin" in self.check_rejected(capsys, tmp_path, argv=argv)
 
+    @pytest.mark.parametrize("argv, word", [
+        (["verify", "--surface", "plane", "--n", "abc"], "--n"),
+        (["verify", "--n", "33"], "--surface"),
+        (["bogus", "--n", "33"], "bogus"),
+        (["verify", "--surface", "plane", "--n", "33", "--bogus"], "--bogus"),
+        (["verify", "--surface", "plane", "--n", "33", "--m", "x"], "--m"),
+    ], ids=["n-not-int", "surface-missing", "unknown-command", "unknown-option", "m-not-int"])
+    def test_argparse_errors(self, capsys, tmp_path, argv, word):
+        # usage errors take the same one-line path as every other bad input
+        assert word in self.check_rejected(capsys, tmp_path, argv=[*argv, "--out", str(tmp_path / "r.json")])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["verify", "--help"])
+        assert exit_info.value.code == 0 and "--surface" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--surface", "plane", "--n", "33", "--out", "{gone}/x.json"],
         ["verify", "--surface", "plane", "--n", "33", "--out", "-", "--csv", "{gone}/x.csv"],

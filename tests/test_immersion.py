@@ -384,7 +384,8 @@ class TestConstructionInterfaces:
 @pytest.mark.parametrize("kind,params", [(k, p) for k, p in ALL_KINDS if k != "graph_perturbation"])
 def test_catalog_jets_hold_m_components(kind, params, m):
     """A factory allocates all m components: the first three are the m = 3 jet
-    bit for bit, and the others are +0.0 (no sign bit set)."""
+    bit for bit, the others are +0.0 (no sign bit set), and no two of the six
+    arrays share memory (graph_perturbation adds its bumps in place)."""
     grid = Grid(0.5, 9)
     base = im.make_surface(kind, grid, m=3, **params).jets
     # freed blocks of the jet arrays' size, holding -1.0, so that an array the
@@ -397,6 +398,8 @@ def test_catalog_jets_hold_m_components(kind, params, m):
         assert a.shape == (9, 9, m)
         assert a[..., :3].tobytes() == b.tobytes(), f.name
         assert np.all(a[..., 3:] == 0.0) and not np.any(np.signbit(a[..., 3:])), f.name
+    arrays = [getattr(jet, f.name) for f in fields(im.Jet)]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
