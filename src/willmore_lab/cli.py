@@ -11,7 +11,7 @@ variable.
 The same pool runs the stage groups inside each report (see
 ``reports.residual_report``), so a worker whose report is done helps with
 the stages of another; report keys keep their order and every value its
-bits, whatever the thread count.
+bits, whatever the thread count.  ``main`` sets glibc's allocator policy first.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from functools import cache
 
 import numpy as np
 
@@ -49,6 +51,19 @@ def _max_workers() -> int:
     if workers < 1:
         raise ValueError(f"WILLMORE_LAB_THREADS must be a positive integer, got {env!r}")
     return workers
+
+
+@cache
+def _allocator_policy() -> None:
+    """Keep large temporaries on glibc's heap, not unmapped and faulted in again; no mallopt, no-op.
+    All three or none: glibc can refuse only the first, and one threshold alone stops the dynamic ones."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, 32 << 20) == 1:  # M_MMAP_THRESHOLD
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def _parse_surface(arg: str) -> tuple[str, dict]:
@@ -324,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _allocator_policy()  # before any worker pool starts
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

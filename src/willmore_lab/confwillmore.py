@@ -32,7 +32,7 @@ import numpy as np
 
 from . import diskgrid as dg
 from . import multivec as mv
-from .conservation import _H0cH, _grad_gauss, _pin_grad_H, assemble_Q, dz_L0_closed_form, surface_scale
+from .conservation import _div_Q, _dz_H, _H0cH, _grad_gauss, _pin_grad_H, assemble_Q, dz_L0_closed_form, surface_scale
 from .immersion import GeometryBundle, complex_frame, norm_H2
 
 __all__ = [
@@ -85,8 +85,8 @@ def codazzi_residual(bundle: GeometryBundle) -> float:
     e2lam = bundle.area_density
     H0cH = bundle.derived(_H0cH)
     lhs = dg.dzstar(grid, e2lam * H0cH) / e2lam
-    rhs = np.sum(bundle.H * dg.dz(grid, bundle.H), axis=-1)
-    rhs = rhs + np.sum(np.conj(bundle.H0) * dg.dzstar(grid, bundle.H), axis=-1)
+    dzH, dzstarH = bundle.derived(_dz_H)
+    rhs = np.sum(bundle.H * dzH, axis=-1) + np.sum(np.conj(bundle.H0) * dzstarH, axis=-1)
     return dg.interior_sup(grid, lhs - rhs) / bundle.derived(surface_scale)
 
 
@@ -286,7 +286,7 @@ def eq13_residual(bundle: GeometryBundle, f: np.ndarray | float, L: np.ndarray) 
     win = grid.interior()
     Q = bundle.derived(assemble_Q)
     lapL = dg.laplace(grid, L)
-    lapL0 = dg.curl(grid, Q) + 1j * dg.div(grid, Q)
+    lapL0 = dg.curl(grid, Q) + 1j * bundle.derived(_div_Q)
     f_arr = np.asarray(f, dtype=complex)
     resid = lapL - lapL0 - 2j * f_arr[..., None] * bundle.H0
     return dg.l2norm(grid, resid[win]) / bundle.derived(surface_scale)

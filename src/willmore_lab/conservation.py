@@ -76,6 +76,12 @@ def _grad_H(bundle: GeometryBundle) -> np.ndarray:
     return dg.grad(bundle.grid, bundle.H)
 
 
+def _dz_H(bundle: GeometryBundle) -> tuple[np.ndarray, np.ndarray]:
+    """(dz H, dz* H) from the memoized grad H, formed as ``dg.dz`` and ``dg.dzstar`` form them."""
+    gradH = bundle.derived(_grad_H)
+    return 0.5 * (gradH[0] - 1j * gradH[1]), 0.5 * (gradH[0] + 1j * gradH[1])
+
+
 def _pin_grad_H(bundle: GeometryBundle) -> np.ndarray:
     """pi_n(grad H), shape (2, n, n, m)."""
     gradH = bundle.derived(_grad_H)
@@ -100,14 +106,17 @@ def assemble_Q(bundle: GeometryBundle) -> np.ndarray:
     return tang + star
 
 
+def _div_Q(bundle: GeometryBundle) -> np.ndarray:
+    return dg.div(bundle.grid, bundle.derived(assemble_Q))
+
+
 def willmore_residual(bundle: GeometryBundle) -> np.ndarray:
     """Euler-Lagrange density -(1/2) e^{-2 lambda} div Q of the Willmore
     energy, shape (n, n, m): the classical Willmore operator
     Lap_perp H + A~(H) - 2 |H|^2 H, which vanishes at O(h^2) exactly on
     Willmore patches.
     """
-    divQ = dg.div(bundle.grid, bundle.derived(assemble_Q))
-    return -0.5 * divQ / bundle.area_density[..., None]
+    return -0.5 * bundle.derived(_div_Q) / bundle.area_density[..., None]
 
 
 def tangency_identities(bundle: GeometryBundle) -> tuple[float, float]:
@@ -155,11 +164,9 @@ def recover_L(bundle: GeometryBundle) -> LRecovery:
 
 def dz_L0_closed_form(bundle: GeometryBundle) -> np.ndarray:
     """Closed complex form of dz L0: -2i e^lam (H0* . H) e_{z*} - 2i pi_n(dz H)."""
-    grid = bundle.grid
-    dzH = dg.dz(grid, bundle.H)
-    H0cH = bundle.derived(_H0cH)
     ezstar = bundle.derived(complex_frame)[1]
-    return -2j * (bundle.elam * H0cH)[..., None] * ezstar - 2j * bundle.project_normal(dzH)
+    dzH = bundle.derived(_dz_H)[0]
+    return -2j * (bundle.elam * bundle.derived(_H0cH))[..., None] * ezstar - 2j * bundle.project_normal(dzH)
 
 
 def assemble_L0(bundle: GeometryBundle) -> float:

@@ -15,7 +15,9 @@ Dirichlet Poisson solver takes zero boundary data, the only Dirichlet
 problem the package poses, and uses the classical 5-point operator,
 diagonalized by a type-I discrete sine transform; Neumann problems use
 ghost-point elimination diagonalized by a type-I cosine transform, with
-mean-zero normalization and the compatibility defect reported.
+mean-zero normalization and the compatibility defect reported.  Both
+transforms are pocketfft's type-I recipe on numpy.fft (``_pass``), fused
+with the mode divisions, and keep scipy.fft's bits.
 
 ``component_sum`` sums the short trailing axis of ambient components
 (m <= 6) by adding ``P[..., k]`` in index order.  numpy's ``np.sum`` over
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 __all__ = [
     "Grid",
@@ -205,6 +206,41 @@ def interior_sup(grid: Grid, f: np.ndarray) -> float:
 # Poisson solvers
 # ---------------------------------------------------------------------------
 
+def _pass(v: np.ndarray, sine: bool, factor: float = 1.0) -> np.ndarray:
+    """pocketfft's type-I pass over the lines y = factor * v[t, :, j] of v (b, n, p), as (b, p, n):
+    numpy.fft.rfft of [0, y, 0, -y[::-1]], whose imaginary parts 1..n are minus the DST-I (callers
+    fold that sign into the next factor), or of [y, y[n-2:0:-1]], whose real parts are the DCT-I."""
+    b, n, p = v.shape
+    e = np.empty((b, p, 2 * n + 2 if sine else 2 * n - 2))
+    body, y = (e[..., 1:n + 1] if sine else e[..., :n]), v.transpose(0, 2, 1)
+    if factor == 1.0:
+        body[...] = y  # strided copies run ~2x faster than strided ufuncs
+    else:
+        np.multiply(y, factor, out=body)
+    if not sine:
+        e[..., n:] = e[..., n - 2:0:-1]
+        return np.fft.rfft(e).real[..., :n]
+    e[..., ::n + 1] = 0.0
+    if factor == -1.0:
+        e[..., n + 2:] = y[..., ::-1]
+    else:
+        np.negative(e[..., n:0:-1], out=e[..., n + 2:])
+    return np.fft.rfft(e).imag[..., 1:n + 1]
+
+
+def _slabs(*arrays: np.ndarray):
+    """Matching (b, n0, n1) views (never copies) of arrays (n0, n1, ...) with common trailing axes:
+    real, then imaginary parts, b trailing slices at a time so the transform buffers stay in cache."""
+    nd = max(arrays[0].ndim, 3)
+    views = [(a if a.ndim > 2 else a[..., None]).transpose(*range(2, nd), 0, 1) for a in arrays]
+    *outer, k, n0, n1 = views[0].shape
+    step = max(1, (1 << 15) // (n0 * n1))
+    for part in ("real", "imag")[:1 + np.iscomplexobj(arrays[0])]:
+        for idx in np.ndindex(*outer):
+            for t in range(0, k, step):
+                yield [getattr(v, part)[idx][t:t + step] for v in views]
+
+
 @lru_cache(maxsize=8)
 def _dirichlet_eigs(n: int, h: float) -> np.ndarray:
     k = np.arange(1, n - 1)
@@ -212,24 +248,22 @@ def _dirichlet_eigs(n: int, h: float) -> np.ndarray:
     return lam[:, None] + lam[None, :]
 
 
-def _divide_modes(x: np.ndarray, table: np.ndarray) -> None:
-    """x /= table in place, the per-mode table broadcast over x's trailing axes.
-
-    Complex x is divided through its real view, so each part gets the bits
-    a real field would (numpy's complex-by-real division does not).
-    """
-    parts = x[..., None].view(x.real.dtype)
-    parts /= table.reshape(table.shape + (1,) * (parts.ndim - 2))
-
-
 def _five_point_residual(grid: Grid, u: np.ndarray, rhs: np.ndarray) -> float:
     """Worst relative interior residual over the trailing slices, each normalized by its own data."""
-    h = grid.h
-    lap = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2] - 4.0 * u[1:-1, 1:-1]) / h**2
-    lap -= rhs[1:-1, 1:-1]
+    n, h2 = grid.n, grid.h**2
+    # h^2 times the residual, on rows 1..n-2 of the flat C-order u: shifted slices of it are
+    # contiguous, 3x faster than the interior window; the window then drops the wrapped edge columns
+    f, k = u.reshape(-1), u.size // (n * n)
+    lo, hi, row = n * k, (n - 1) * n * k, n * k
+    lap = f[lo + row:hi + row] + f[lo - row:hi - row]
+    lap += f[lo + k:hi + k]
+    lap += f[lo - k:hi - k]
+    lap -= 4.0 * f[lo:hi]
+    lap -= h2 * np.ravel(rhs)[lo:hi]
+    lap = lap.reshape((n - 2, n) + u.shape[2:])[:, 1:-1]
     # one leading axis at a time: a max over axis=(0, 1) loops over the short trailing axis, ~20x slower
     num, rhs_sup, u_sup = (np.abs(a).max(axis=0).max(axis=0) for a in (lap, rhs, u))
-    return float(np.max(num / np.maximum(np.maximum(rhs_sup, u_sup / h**2), 1e-30)))
+    return float(np.max(num / np.maximum(np.maximum(h2 * rhs_sup, u_sup), 1e-30 * h2)))
 
 
 def poisson_dirichlet(grid: Grid, rhs: np.ndarray) -> np.ndarray:
@@ -245,10 +279,11 @@ def poisson_dirichlet(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     n, h = grid.n, grid.h
     rhs = np.asarray(rhs)
     u = np.zeros(rhs.shape, dtype=np.result_type(rhs, float))
-    f = rhs[1:-1, 1:-1].astype(u.dtype, copy=True)
-    fhat = sfft.dstn(f, type=1, axes=(0, 1), overwrite_x=True)
-    _divide_modes(fhat, _dirichlet_eigs(n, h))
-    u[1:-1, 1:-1] = sfft.idstn(fhat, type=1, axes=(0, 1), overwrite_x=True)
+    fct = float(np.longdouble(1) / (4 * (n - 1) ** 2))  # idstn's factor, rounded as pocketfft rounds it
+    with np.errstate(all="ignore"):  # non-finite data is the residual check's to report
+        for src, dst in _slabs(rhs[1:-1, 1:-1].astype(u.dtype, copy=False), u[1:-1, 1:-1]):
+            modes = _pass(_pass(src, True), True, -1.0) / _dirichlet_eigs(n, h)  # -dstn(src) / eigenvalue
+            np.negative(_pass(_pass(modes, True, -1.0), True, -fct), out=dst)  # idstn
     res = _five_point_residual(grid, u, rhs)
     if not res <= 1e-10:
         raise SolverError("Dirichlet Poisson solve failed", res)
@@ -298,13 +333,17 @@ def poisson_neumann(
     b[:, -1] -= 2.0 * np.asarray(flux_n) / h
     w = _dct_weights(n)
     c = (n - 1.0) / (2.0 * w)  # <w_k, v_k> per mode
-    beta = sfft.dctn(b, type=1, axes=(0, 1), overwrite_x=True)
-    _divide_modes(beta, 4.0 * np.outer(c, c))
-    compat = np.abs(beta[0, 0])
-    _divide_modes(beta, _neumann_eigs(n, h))
-    beta[0, 0] = 0.0
-    _divide_modes(beta, 4.0 * np.outer(w, w))
-    u = sfft.dctn(beta, type=1, axes=(0, 1), overwrite_x=True)
+    norm, eigs, weights = 4.0 * np.outer(c, c), _neumann_eigs(n, h), 4.0 * np.outer(w, w)
+    u, beta00 = np.empty_like(b), np.empty((1, 1) + b.shape[2:], b.dtype)
+    with np.errstate(all="ignore"):  # non-finite data gives a non-finite u and no numpy warning
+        for src, dst, zero in _slabs(b, u, beta00):
+            beta = _pass(_pass(src, False), False) / norm  # dctn(src), mode by mode
+            zero[...] = beta[:, :1, :1]
+            beta /= eigs
+            beta[:, 0, 0] = 0.0
+            beta /= weights
+            dst[...] = _pass(_pass(beta, False), False)
+    compat = np.abs(beta00[0, 0])
     return u, (compat if compat.ndim else float(compat))
 
 

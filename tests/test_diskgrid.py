@@ -158,7 +158,9 @@ class TestPoissonDirichlet:
         assert np.array_equal(u.real, dg.poisson_dirichlet(g, rhs.real))
         assert np.array_equal(u.imag, dg.poisson_dirichlet(g, rhs.imag))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_slice_raises(self):
+        # the solver reports a non-finite slice by its residual check, without a numpy warning
         g = Grid(0.5, 33)
         rhs = np.random.default_rng(4).normal(size=(33, 33, 3))
         for bad in (np.nan, np.inf):
@@ -204,6 +206,104 @@ def test_stacked_solves_equal_per_slice_calls(complex_data):
         assert np.array_equal(res.u, np.stack([p.u for p in parts], axis=-1))
         assert res.defect == pytest.approx(np.sqrt(sum(p.defect**2 for p in parts)), rel=1e-14)
         assert res.compat_defect == max(p.compat_defect for p in parts)
+
+
+def _type1_matrix(n, sine):
+    """Dense unnormalized DST-I or DCT-I matrix of length n."""
+    j = np.arange(n)
+    if sine:
+        return 2.0 * np.sin(np.pi * np.outer(j + 1, j + 1) / (n + 1))
+    M = 2.0 * np.cos(np.pi * np.outer(j, j) / (n - 1))
+    M[:, [0, -1]] /= 2.0
+    return M
+
+
+def _type1(x, sine, inverse=False):
+    """scipy.fft's type-1 dstn or dctn over axes (0, 1) (idstn or idctn if inverse) from the
+    solvers' passes, composed as they compose them: axis 0 first, the inverse factor rounded
+    from long double on that pass, the DST's sign folded into the next pass's factor."""
+    out, s, d = np.empty_like(x), (-1.0 if sine else 1.0), (1 if sine else -1)
+    fct = float(np.longdouble(1) / (4 * (x.shape[0] + d) * (x.shape[1] + d))) if inverse else 1.0
+    with np.errstate(all="ignore"):
+        for src, dst in dg._slabs(x, out):
+            np.multiply(dg._pass(dg._pass(src, sine), sine, s * fct), s, out=dst)
+    return out
+
+
+def _divide_modes(x, table):
+    """x /= table over axes (0, 1), complex x part by part."""
+    parts = x[..., None].view(x.real.dtype)
+    parts /= table.reshape(table.shape + (1,) * (parts.ndim - 2))
+
+
+class TestType1Transforms:
+    """The type-I sine/cosine passes the Poisson solvers are built from."""
+
+    @pytest.mark.parametrize("n", [5, 9, 33])
+    def test_dense_sums(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, n + 2, 3)) + 1j * rng.normal(size=(n, n + 2, 3))
+        for sine, inverse in ((True, False), (True, True), (False, False), (False, True)):
+            M0, M1 = _type1_matrix(n, sine), _type1_matrix(n + 2, sine)
+            want = np.einsum("ia,jb,abk->ijk", M0, M1, x)
+            if inverse:
+                want /= 4.0 * (n + 1) * (n + 3) if sine else 4.0 * (n - 1) * (n + 1)
+            for part in (x.real, x):
+                got = _type1(part, sine, inverse)
+                ref = want.real if part is not x else want
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", list(range(5, 67, 2)) + [129, 257])
+    def test_scipy_bits(self, n):
+        sfft = pytest.importorskip("scipy.fft")
+        rng = np.random.default_rng(n)
+        routes = (((True, False), sfft.dstn), ((True, True), sfft.idstn),
+                  ((False, False), sfft.dctn), ((False, True), sfft.idctn))
+        x2, x3 = rng.normal(size=(n, n)), rng.normal(size=(n, n, 3))
+        # 15 slots with the trailing axis outermost in memory, as the m = 6 bivector solves
+        # pass them (3 at n = 257, to keep the suite's time); the output keeps the strides
+        view = np.moveaxis(rng.normal(size=(15 if n < 257 else 3, n, n)), 0, -1)
+        # two trailing axes whose memory order is not C order
+        x4 = rng.normal(size=(n, n, 2, 3)).transpose(0, 1, 3, 2)
+        for x in (x2, x2 + 1j * x2[::-1], x3, x3 + 1j * x3[::-1], view, view + 1j * view[::-1], x4):
+            for (sine, inverse), scipy_route in routes:
+                got = _type1(x, sine, inverse)
+                want = scipy_route(x, type=1, axes=(0, 1))
+                assert got.dtype == want.dtype and got.strides == x.strides
+                assert got.tobytes() == want.tobytes()
+
+    def test_scipy_inverse_factor_rounding(self):
+        # pocketfft rounds 1/(4 * 126 * 178) from long double, which differs from the double quotient
+        sfft = pytest.importorskip("scipy.fft")
+        x = np.random.default_rng(0).normal(size=(125, 177))
+        assert _type1(x, True, True).tobytes() == sfft.idstn(x, type=1, axes=(0, 1)).tobytes()
+        assert _type1(x, False, True).tobytes() == sfft.idctn(x, type=1, axes=(0, 1)).tobytes()
+
+    @pytest.mark.parametrize("n", [33, 65, 129])
+    def test_solvers_keep_scipy_bits(self, n):
+        # the fused solvers against the transform, divide, transform route on scipy.fft
+        sfft = pytest.importorskip("scipy.fft")
+        g, rng = Grid(0.5, n), np.random.default_rng(n)
+        x3 = rng.normal(size=(n, n, 3))
+        view = np.moveaxis(rng.normal(size=(6, n, n)), 0, -1)
+        for rhs in (x3, x3[..., 0] + 1j * x3[..., 1], view, view + 1j * view[::-1]):
+            u = np.zeros(rhs.shape, dtype=rhs.dtype)
+            fhat = sfft.dstn(rhs[1:-1, 1:-1].astype(rhs.dtype), type=1, axes=(0, 1), overwrite_x=True)
+            _divide_modes(fhat, dg._dirichlet_eigs(n, g.h))
+            u[1:-1, 1:-1] = sfft.idstn(fhat, type=1, axes=(0, 1), overwrite_x=True)
+            assert dg.poisson_dirichlet(g, rhs).tobytes() == u.tobytes()
+            w = dg._dct_weights(n)
+            c = (n - 1.0) / (2.0 * w)
+            beta = sfft.dctn(np.array(rhs), type=1, axes=(0, 1), overwrite_x=True)
+            _divide_modes(beta, 4.0 * np.outer(c, c))
+            compat = np.abs(beta[0, 0])
+            _divide_modes(beta, dg._neumann_eigs(n, g.h))
+            beta[0, 0] = 0.0
+            _divide_modes(beta, 4.0 * np.outer(w, w))
+            got, got_compat = dg.poisson_neumann(g, rhs)
+            want = sfft.dctn(beta, type=1, axes=(0, 1), overwrite_x=True)
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+            assert np.asarray(got_compat).tobytes() == compat.tobytes()
 
 
 class TestNeumannAndPotentials:

@@ -5,8 +5,10 @@ still reaches every layer its traced run requires."""
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,3 +100,14 @@ def test_traced_workload_reaches_its_layers(workload, monkeypatch, tmp_path):
             assert cli.main(list(op.argv)) in (0, 1)
     seen = {span.name for span in tracer.spans}
     assert [name for name in run.WORKLOADS[workload].must_call if name not in seen] == []
+
+
+def test_cli_import_loads_no_scipy():
+    # the solvers' transforms run on numpy.fft: scipy is no runtime dependency
+    src = Path(willmore_lab.__file__).resolve().parents[1]
+    code = ("import willmore_lab.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
