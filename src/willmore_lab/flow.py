@@ -17,7 +17,10 @@ is measured and recorded, never repaired.  A trial step costs one
 geometry bundle and its energy, which alone decide acceptance; Q and
 ps_norm are computed once, for accepted states only.  Q travels in the
 accepted bundle's memo (``GeometryBundle.derived``), so the next step's
-direction reuses it.
+direction reuses it.  A run keeps the running state and one trial at a
+time; its trace keeps per-state scalars and the final patch only, so
+its memory does not grow with the number of iterations (``step``
+returns full states, for a caller that wants the iterates).
 
 The stationarity measure ps_norm is an H^{-1}-type proxy for the dual
 norm in the Palais-Smale definition: solve Lap phi_k = (div Q)_k with
@@ -75,16 +78,17 @@ def descent_velocity(bundle: GeometryBundle) -> np.ndarray:
 class FlowState:
     """Snapshot of one accepted flow iterate.
 
-    Working states carry their geometry bundle, whose memo holds the Q
-    that ps was computed from (the next step's direction reuses it);
-    states stored in a FlowTrace are stripped summaries (bundle None) to
-    keep long runs light.  ``step`` rebuilds what is missing.
+    Working states carry their patch and geometry bundle, whose memo
+    holds the Q that ps was computed from (the next step's direction
+    reuses it).  ``summary`` drops the bundle, and ``step`` rebuilds it
+    from the patch.  States stored in a FlowTrace carry no bundle, and
+    all but the final one no patch either (see FlowTrace).
     ``rejections`` names, in trial order, why each line-search trial of
     the step that produced this state was rejected: "energy" (no strict
     decrease) or the class name of the exception the trial raised.
     """
 
-    patch: ImmersionPatch
+    patch: ImmersionPatch | None
     energy: float
     ps: float
     conformal_defect: float
@@ -148,6 +152,11 @@ def step(state: FlowState, tau0: float) -> FlowState:
 class FlowTrace:
     """Accepted states of one descent run, energies non-increasing.
 
+    Every state keeps its scalars (energy, ps, conformal defect, tau,
+    stalled, rejections); only the final state keeps its patch, so a
+    trace holds one patch however long the run.  ``step`` returns the
+    iterates themselves.
+
     ``rejections`` counts the run's rejected line-search trials by reason
     (see FlowState.rejections); it is kept in memory only.
     """
@@ -184,7 +193,7 @@ def run(
     """
     state = _state_from_patch(source, 0.0)
     elam_floor = 1e-8 * float(np.max(state.bundle.elam))
-    states = [state.summary()]
+    states = []
     rejections = Counter()
     stopped = "max_iters"
     tau_try = 1.0
@@ -192,9 +201,9 @@ def run(
         if stop > 0.0 and state.ps <= stop:
             stopped = "threshold"
             break
+        states.append(replace(state, patch=None, bundle=None))
         state = step(state, tau_try)
         rejections.update(state.rejections)
-        states.append(state.summary())
         if state.stalled:
             stopped = "stalled"
             break
@@ -205,6 +214,7 @@ def run(
     else:
         if stop > 0.0 and state.ps <= stop:
             stopped = "threshold"
+    states.append(state.summary())
     energies = [s.energy for s in states]
     if any(b > a for a, b in zip(energies, energies[1:])):
         raise RuntimeError("energy trace must be non-increasing")

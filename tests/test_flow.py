@@ -1,5 +1,7 @@
 """Willmore descent flow: monotonicity, stationarity, and controls."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -196,16 +198,57 @@ class TestRun:
         assert len(assemble_calls) == len(trace.states)
         assert len(ps_calls) == len(trace.states)
 
-    def test_matches_eager_reference_line_search(self):
+    def test_matches_eager_reference_line_search(self, monkeypatch):
+        # the trace keeps scalars and the final patch; the iterates come from step
+        iterates = []
+        step = fl.step
+
+        def recording_step(*args, **kwargs):
+            iterates.append(step(*args, **kwargs))
+            return iterates[-1]
+
+        monkeypatch.setattr(fl, "step", recording_step)
         patch = perturbed_catenoid()
         trace = fl.run(patch, max_iters=10)
         ref = eager_run(patch, max_iters=10)
-        assert len(trace.states) == len(ref)
+        assert len(trace.states) == len(ref) == len(iterates) + 1
         for got, want in zip(trace.states, ref):
             assert got.energy == want["energy"]
             assert got.ps == want["ps"]
             assert got.tau == want["tau"]
+        for got, want in zip(iterates, ref[1:]):
+            assert got.energy == want["energy"] and got.tau == want["tau"]
             assert np.array_equal(got.patch.phi, want["patch"].phi)
+        assert np.array_equal(trace.final.patch.phi, ref[-1]["patch"].phi)
+
+    def test_trace_memory_does_not_grow_with_length(self, monkeypatch):
+        # a trace retains per-state scalars and one patch: 25 more iterations
+        # must not retain even one more phi array
+        last = []
+        step = fl.step
+
+        def recording_step(*args, **kwargs):
+            last[:] = [step(*args, **kwargs)]
+            return last[0]
+
+        monkeypatch.setattr(fl, "step", recording_step)
+        patch = perturbed_catenoid()
+        fl.run(patch, max_iters=2)  # warm the caches
+        retained = {}
+        for iters in (5, 30):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                trace = fl.run(patch, max_iters=iters)
+                gc.collect()
+                retained[iters] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(trace.states) == iters + 1
+            assert trace.final.patch is last[0].patch
+            assert all(s.patch is None and s.bundle is None for s in trace.states[:-1])
+            del trace
+        assert abs(retained[30] - retained[5]) < patch.phi.nbytes
 
     def test_rejections_account_for_every_trial(self, monkeypatch):
         in_step = []
