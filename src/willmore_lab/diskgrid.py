@@ -170,10 +170,14 @@ def dzstar(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float | np.ndarray:
-    """Trapezoidal quadrature of f over the grid square."""
+    """Trapezoidal quadrature of f over the grid square; trailing axes are kept.
+
+    A weighted ``np.sum``, not a BLAS product: OpenBLAS splits long dot
+    products over its threads, so their bits depend on its thread count.
+    """
     w = _dct_weights(grid.n)
     W = np.outer(w, w) * grid.h**2
-    return np.tensordot(W, f, axes=([0, 1], [0, 1]))
+    return np.sum(W.reshape(W.shape + (1,) * (f.ndim - 2)) * f, axis=(0, 1))
 
 
 def l2norm(grid: Grid, f: np.ndarray) -> float:

@@ -439,3 +439,25 @@ def test_console_entry_point(tmp_path):
     proc = run("sphere:rho=1e308")
     assert proc.returncode == 2 and proc.stderr.startswith("willmore-lab: error: ")
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_output_independent_of_blas_threads(tmp_path):
+    # OpenBLAS splits long products over its threads, which changes their
+    # rounding; no report or flow value may depend on how many threads it runs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = (["verify", "--surface", "catenoid", "--m", "3", "--n", "129", "--out", "v.json", "--csv", "v.csv"],
+            ["flow", "--surface", "perturbed-catenoid:seed=0,amplitude=0.05", "--n", "129",
+             "--max-iters", "2", "--out", "f.csv"])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, WILLMORE_LAB_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        for argv in runs:
+            proc = subprocess.run([sys.executable, "-m", "willmore_lab.cli", *argv],
+                                  capture_output=True, text=True, env=env, cwd=cwd)
+            assert proc.returncode == 0, proc.stderr
+        outs.append({name: re.sub(r'\n *"timestamp": "[^"]*",?', "", (cwd / name).read_text())
+                     for name in ("v.json", "v.csv", "f.csv", "f.csv.json")})
+    assert outs[0] == outs[1]
