@@ -17,6 +17,7 @@ L^{2,1} norm of grad u is the sum of the componentwise norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,9 +38,18 @@ __all__ = [
 class RearrangedProfile:
     """Non-increasing rearrangement of |f| on (0, |domain|)."""
 
-    t: np.ndarray          # right endpoints of the cell-sized pieces, increasing
+    t: np.ndarray          # right endpoints h^2 k (k = 1, 2, ...) of the cell-sized pieces, read-only
     fstar: np.ndarray      # non-increasing rearranged values
     fstarstar: np.ndarray  # running averages (1/t) int_0^t f*
+
+
+@lru_cache(maxsize=4)
+def _pieces(h2: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Piece counts k = 1..size and right endpoints t = h^2 k, read-only: shared by every profile of one size."""
+    counts = np.arange(1.0, size + 1.0)
+    t = h2 * counts
+    counts.flags.writeable = t.flags.writeable = False
+    return counts, t
 
 
 def rearrange(grid: Grid, f: np.ndarray, exclude: np.ndarray | None = None) -> RearrangedProfile:
@@ -50,16 +60,14 @@ def rearrange(grid: Grid, f: np.ndarray, exclude: np.ndarray | None = None) -> R
     analytically); equimeasurability is exact by construction.
     """
     values = np.abs(np.asarray(f, dtype=float))
-    if exclude is not None:
-        values = values[~exclude]
-    else:
-        values = values.ravel()
-    if not np.all(np.isfinite(values)):
+    values = values.ravel() if exclude is None else values[~exclude]
+    values.sort()  # a fresh array either way; NaN and inf sort last
+    if values.size and not np.isfinite(values[-1]):
         raise ValueError("rearrangement requires finite samples")
-    fstar = np.sort(values)[::-1]
-    counts = np.arange(1, fstar.size + 1)
-    t = grid.h**2 * counts
-    fstarstar = np.cumsum(fstar) / counts
+    fstar = values[::-1]
+    counts, t = _pieces(grid.h**2, fstar.size)
+    fstarstar = np.cumsum(fstar)
+    fstarstar /= counts
     return RearrangedProfile(t, fstar, fstarstar)
 
 
@@ -70,28 +78,39 @@ def _check_exponents(p: float, q: float) -> None:
         raise ValueError(f"Lorentz exponent q={q} outside [1, inf]")
 
 
+@lru_cache(maxsize=8)
+def _piece_weights(h2: float, size: int, p: float, q: float) -> np.ndarray:
+    """t^{1/p} per piece for q = inf, else the exact integrals t_k^{q/p} - t_{k-1}^{q/p}; read-only."""
+    t = _pieces(h2, size)[1]
+    if np.isinf(q):
+        weights = t ** (1.0 / p)
+    else:
+        tq = t ** (q / p)
+        weights = np.empty_like(tq)
+        weights[0] = tq[0]
+        weights[1:] = tq[1:] - tq[:-1]
+    weights.flags.writeable = False
+    return weights
+
+
 def lorentz_norm(profile: RearrangedProfile, p: float, q: float) -> float:
     """Lorentz norm ||t^{1/p} f**||_{L^q(dt/t)} of a rearranged profile.
 
     p must lie in (1, inf); q in [1, inf] (numpy.inf for the weak norm).
     """
     _check_exponents(p, q)
-    t, fss = profile.t, profile.fstarstar
+    fss = profile.fstarstar
+    # piecewise: f** frozen per piece, int t^{q/p - 1} dt exact; t[0] is h^2
+    weights = _piece_weights(float(profile.t[0]), profile.t.size, p, q)
     if np.isinf(q):
-        return float(np.max(t ** (1.0 / p) * fss))
-    # piecewise: f** frozen per piece, int t^{q/p - 1} dt exact
-    a = q / p
-    tq = t**a
-    weights = np.empty_like(tq)
-    weights[0] = tq[0]
-    weights[1:] = tq[1:] - tq[:-1]
-    return float((np.sum(fss**q * weights) / a) ** (1.0 / q))
+        return float(np.max(weights * fss))
+    return float((np.sum(fss**q * weights) / (q / p)) ** (1.0 / q))
 
 
-def _grad_norms(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """grad f, its pointwise magnitude |grad f| and ||grad f||_L2."""
-    G = dg.grad(grid, f)
-    mag = np.hypot(G[0], G[1])
+def _grad_norms(grid: Grid, f: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, float]:
+    """grad f as the pair (d1 f, d2 f), its pointwise magnitude |grad f| and ||grad f||_L2."""
+    G = dg.d1(grid, f), dg.d2(grid, f)
+    mag = np.hypot(*G)
     return G, mag, float(dg.l2norm(grid, mag))
 
 
@@ -112,11 +131,12 @@ def wente_solve(grid: Grid, a: np.ndarray, b: np.ndarray) -> WenteResult:
     the grid square; the constants estimated here are the square's, not
     the disk's.
     """
-    Ga, Ga_mag, na_l2 = _grad_norms(grid, a)
-    Gb, Gb_mag, nb_l2 = _grad_norms(grid, b)
-    nb_weak = lorentz_norm(rearrange(grid, Gb_mag), 2.0, np.inf)
-    del Ga_mag, Gb_mag  # held through the solve, they would raise the sample's peak memory
-    u = dg.poisson_dirichlet(grid, -Ga[0] * Gb[1] + Ga[1] * Gb[0])
+    Ga, mag, na_l2 = _grad_norms(grid, a)
+    Gb, mag, nb_l2 = _grad_norms(grid, b)
+    nb_weak = lorentz_norm(rearrange(grid, mag), 2.0, np.inf)
+    rhs = -Ga[0] * Gb[1] + Ga[1] * Gb[0]
+    del Ga, Gb, mag  # held through the solve, they would set the sample's peak memory
+    u = dg.poisson_dirichlet(grid, rhs)
     Gu, _, nu_l2 = _grad_norms(grid, u)
     nu_l21 = sum(lorentz_norm(rearrange(grid, Gu[j]), 2.0, 1.0) for j in range(2))
     den2 = na_l2 * nb_weak
