@@ -443,21 +443,25 @@ def test_console_entry_point(tmp_path):
 
 def test_output_independent_of_blas_threads(tmp_path):
     # OpenBLAS splits long products over its threads, which changes their
-    # rounding; no report or flow value may depend on how many threads it runs
+    # rounding; no report, flow or Wente value may depend on how many threads it
+    # runs, and no Wente value on the number of workers either
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = (["verify", "--surface", "catenoid", "--m", "3", "--n", "129", "--out", "v.json", "--csv", "v.csv"],
             ["flow", "--surface", "perturbed-catenoid:seed=0,amplitude=0.05", "--n", "129",
-             "--max-iters", "2", "--out", "f.csv"])
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, WILLMORE_LAB_THREADS="2",
+             "--max-iters", "2", "--out", "f.csv"],
+            ["wente", "--n", "129", "--samples", "3", "--out", "w.csv"])
+
+    def outputs(blas, workers, argvs):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, WILLMORE_LAB_THREADS=workers,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        cwd = tmp_path / threads
+        cwd = tmp_path / f"{blas}-{workers}"
         cwd.mkdir()
-        for argv in runs:
+        for argv in argvs:
             proc = subprocess.run([sys.executable, "-m", "willmore_lab.cli", *argv],
                                   capture_output=True, text=True, env=env, cwd=cwd)
             assert proc.returncode == 0, proc.stderr
-        outs.append({name: re.sub(r'\n *"timestamp": "[^"]*",?', "", (cwd / name).read_text())
-                     for name in ("v.json", "v.csv", "f.csv", "f.csv.json")})
-    assert outs[0] == outs[1]
+        return {path.name: re.sub(r'\n *"timestamp": "[^"]*",?', "", path.read_text()) for path in cwd.iterdir()}
+
+    outs = [outputs(blas, "2", runs) for blas in ("1", "2")]
+    assert len(outs[0]) == 6 and outs[0] == outs[1]
+    assert outputs("1", "1", runs[2:]) == {name: outs[0][name] for name in ("w.csv", "w.csv.json")}
