@@ -362,8 +362,12 @@ def main(argv: list[str] | None = None) -> int:
         if any(a >= b for a, b in zip(args.n, args.n[1:])):
             raise ValueError(f"--n values must be increasing, got {args.n}")
         if hasattr(args, "s"):
-            for n in args.n:
-                Grid(args.s, n)
+            grids = [Grid(args.s, n) for n in args.n]
+            # the Dirichlet eigenvalues reach 8/h^2, which overflows on a finer grid; verify, whose
+            # keys such a grid makes NaN or huge, reports them (README)
+            if args.command == "wente" and grids[0].h**2 < 8.0 / np.finfo(float).max:
+                raise ValueError(f"wente --s {args.s} --n {args.n[0]}: grid step too small, "
+                                 f"h^2 = {grids[0].h**2:.3g} makes the Poisson eigenvalues 8/h^2 overflow")
         if hasattr(args, "surface"):
             # workers only run reports: every patch is built, and checked, here
             args.kind, args.params = _parse_surface(args.surface)

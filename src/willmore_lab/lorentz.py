@@ -107,11 +107,20 @@ def lorentz_norm(profile: RearrangedProfile, p: float, q: float) -> float:
     return float((np.sum(fss**q * weights) / (q / p)) ** (1.0 / q))
 
 
-def _grad_norms(grid: Grid, f: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, float]:
-    """grad f as the pair (d1 f, d2 f), its pointwise magnitude |grad f| and ||grad f||_L2."""
+def _grad_norms(grid: Grid, f: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, float, int]:
+    """grad f 2^-e as the pair (d1, d2), its pointwise magnitude and its L2 norm, and e.
+
+    e brings sup |grad f| 2^-e into [1/2, 1) (e = 0 if that sup is 0 or not finite).  Scaling by a
+    power of 2 is exact, so quotients of these norms keep their bits, while the sums of squares and
+    products taken from them stay far from overflow and underflow at any scale of f or of the grid.
+    """
     G = dg.d1(grid, f), dg.d2(grid, f)
     mag = np.hypot(*G)
-    return G, mag, float(dg.l2norm(grid, mag))
+    sup = np.max(mag)
+    e = int(np.frexp(sup)[1]) if np.isfinite(sup) else 0
+    for X in (*G, mag):
+        np.ldexp(X, -e, out=X)
+    return G, mag, float(dg.l2norm(grid, mag)), e
 
 
 @dataclass(frozen=True)
@@ -121,7 +130,7 @@ class WenteResult:
     u: np.ndarray
     ratio_L2: float      # ||grad u||_L2 / (||grad a||_L2 ||grad b||_{2,inf})
     ratio_L21: float     # ||grad u||_{2,1} / (||grad a||_L2 ||grad b||_L2)
-    degenerate: bool     # a zero denominator was flagged; ratios reported as 0
+    degenerate: bool     # a denominator is zero (a or b has no gradient) or not finite; ratios reported as 0
 
 
 def wente_solve(grid: Grid, a: np.ndarray, b: np.ndarray) -> WenteResult:
@@ -129,21 +138,25 @@ def wente_solve(grid: Grid, a: np.ndarray, b: np.ndarray) -> WenteResult:
 
     u solves the zero-Dirichlet problem Lap u = grad a . grad_perp b on
     the grid square; the constants estimated here are the square's, not
-    the disk's.
+    the disk's.  The solve runs on the gradients scaled by powers of 2, an
+    exact scaling undone on u and the ratios, so no scale of a, b or the
+    grid flips the verdict: ``degenerate`` flags only a zero denominator (a
+    or b without gradient) or a non-finite one.
     """
-    Ga, mag, na_l2 = _grad_norms(grid, a)
-    Gb, mag, nb_l2 = _grad_norms(grid, b)
+    Ga, mag, na_l2, ea = _grad_norms(grid, a)
+    Gb, mag, nb_l2, eb = _grad_norms(grid, b)
     nb_weak = lorentz_norm(rearrange(grid, mag), 2.0, np.inf)
     rhs = -Ga[0] * Gb[1] + Ga[1] * Gb[0]
     del Ga, Gb, mag  # held through the solve, they would set the sample's peak memory
-    u = dg.poisson_dirichlet(grid, rhs)
-    Gu, _, nu_l2 = _grad_norms(grid, u)
+    u = dg.poisson_dirichlet(grid, rhs)  # the solution for a 2^-ea and b 2^-eb
+    Gu, _, nu_l2, eu = _grad_norms(grid, u)
     nu_l21 = sum(lorentz_norm(rearrange(grid, Gu[j]), 2.0, 1.0) for j in range(2))
+    np.ldexp(u, ea + eb, out=u)
     den2 = na_l2 * nb_weak
     den21 = na_l2 * nb_l2
-    if den2 < 1e-14 or den21 < 1e-14:
+    if not (0.0 < den2 < np.inf and 0.0 < den21 < np.inf):
         return WenteResult(u, 0.0, 0.0, True)
-    return WenteResult(u, nu_l2 / den2, nu_l21 / den21, False)
+    return WenteResult(u, float(np.ldexp(nu_l2 / den2, eu)), float(np.ldexp(nu_l21 / den21, eu)), False)
 
 
 def random_band_limited(grid: Grid, seed: int, kmax: int = 4) -> np.ndarray:

@@ -177,6 +177,19 @@ class TestInputBoundary:
             assert rc == 1 and lines and all(line.startswith(f"FAIL {label} n=33: ") for line in lines)
             assert not json.loads(out.read_text())["pass"]
 
+    def test_wente_grid_too_fine_rejected(self, capsys, tmp_path):
+        # at n = 33, h^2 is subnormal for s = 1e-154 and 8/h^2 overflows for s = 3.3e-153; for
+        # s = 3.4e-153 it does not, and the ratios, which do not depend on s, are those of s = 0.5
+        for s in ("1e-154", "3.3e-153"):
+            argv = ["wente", "--s", s, "--n", "33", "--samples", "2", "--out", str(tmp_path / "r.json")]
+            assert "h^2" in self.check_rejected(capsys, tmp_path, argv=argv)
+            assert not (tmp_path / "r.json.json").exists()
+        rows = []
+        for s in ("3.4e-153", "0.5"):
+            assert run_cli(["wente", "--s", s, "--n", "33", "--samples", "2", "--out", str(tmp_path / "w.csv")]) == 0
+            rows.append(np.loadtxt(tmp_path / "w.csv", delimiter=",", skiprows=1))
+        np.testing.assert_allclose(rows[0], rows[1], rtol=1e-12)
+
     def test_huge_perturbation_rejected(self, capsys, tmp_path):
         # the bumped patch's finite-difference metric overflows: rejected before the flow starts
         argv = ["flow", "--surface", "perturbed-catenoid:amplitude=1e300", "--n", "33", "--max-iters", "3",

@@ -58,10 +58,18 @@ class TestRearrange:
         assert np.max(rel) < 0.02
 
     def test_nonfinite_rejected(self):
-        f = np.ones((65, 65))
-        f[3, 3] = np.inf
-        with pytest.raises(ValueError):
-            lo.rearrange(G65, f)
+        for sample in (np.inf, -np.inf, np.nan):
+            f = np.ones((65, 65))
+            f[3, 3] = sample
+            with pytest.raises(ValueError):
+                lo.rearrange(G65, f)
+            # only kept cells count: an excluded non-finite sample is dropped before the check
+            exclude = np.zeros((65, 65), dtype=bool)
+            exclude[3, 3] = True
+            assert np.all(lo.rearrange(G65, f, exclude=exclude).fstar == 1.0)
+            exclude[3, 3], exclude[5, 5] = False, True
+            with pytest.raises(ValueError):
+                lo.rearrange(G65, f, exclude=exclude)
 
 
 class TestLorentzNorm:
@@ -158,12 +166,20 @@ class TestWente:
         assert res.ratio_L2 > 0.0
 
     def test_scale_invariance_of_ratios(self):
+        # the ratios are homogeneous of degree 0 in a and in b: no scale may flag them degenerate,
+        # and a power-of-2 scale, exact on the data, keeps their bits
         a = lo.random_band_limited(G65, 5)
         b = lo.random_band_limited(G65, 6)
         base = lo.wente_solve(G65, a, b)
-        scaled = lo.wente_solve(G65, 3.7 * a, 0.2 * b)
-        assert scaled.ratio_L2 == pytest.approx(base.ratio_L2, rel=1e-10)
-        assert scaled.ratio_L21 == pytest.approx(base.ratio_L21, rel=1e-10)
+        for ca, cb in ((3.7, 0.2), (1e-12, 1e-12), (1e-8, 1e-8), (1.0, 1.0), (1e8, 1e8), (1e150, 1e150),
+                       (1e-300, 1e300), (2.0**-500, 2.0**-30), (2.0**-1000, 2.0**1000)):
+            scaled = lo.wente_solve(G65, ca * a, cb * b)
+            assert not scaled.degenerate
+            assert scaled.ratio_L2 == pytest.approx(base.ratio_L2, rel=1e-10)
+            assert scaled.ratio_L21 == pytest.approx(base.ratio_L21, rel=1e-10)
+            if np.frexp(ca)[0] == np.frexp(cb)[0] == 0.5:
+                assert (scaled.ratio_L2, scaled.ratio_L21) == (base.ratio_L2, base.ratio_L21)
+                assert np.array_equal(scaled.u, ca * cb * base.u)
 
     def test_ratios_finite_over_seeds(self):
         for seed in range(20):
