@@ -82,13 +82,7 @@ def _check_exponents(p: float, q: float) -> None:
 def _piece_weights(h2: float, size: int, p: float, q: float) -> np.ndarray:
     """t^{1/p} per piece for q = inf, else the exact integrals t_k^{q/p} - t_{k-1}^{q/p}; read-only."""
     t = _pieces(h2, size)[1]
-    if np.isinf(q):
-        weights = t ** (1.0 / p)
-    else:
-        tq = t ** (q / p)
-        weights = np.empty_like(tq)
-        weights[0] = tq[0]
-        weights[1:] = tq[1:] - tq[:-1]
+    weights = t ** (1.0 / p) if np.isinf(q) else np.diff(t ** (q / p), prepend=0.0)
     weights.flags.writeable = False
     return weights
 
