@@ -137,13 +137,19 @@ def wente_solve(grid: Grid, a: np.ndarray, b: np.ndarray) -> WenteResult:
     grid flips the verdict: ``degenerate`` flags only a zero denominator (a
     or b without gradient) or a non-finite one.
     """
-    Ga, mag, na_l2, ea = _grad_norms(grid, a)
+    # each field is dropped once used up: the CLI pool runs two samples at once, so what one
+    # holds outside its solve adds to the other's peak memory
     Gb, mag, nb_l2, eb = _grad_norms(grid, b)
     nb_weak = lorentz_norm(rearrange(grid, mag), 2.0, np.inf)
+    del mag
+    Ga, mag, na_l2, ea = _grad_norms(grid, a)
+    del mag
     rhs = -Ga[0] * Gb[1] + Ga[1] * Gb[0]
-    del Ga, Gb, mag  # held through the solve, they would set the sample's peak memory
+    del Ga, Gb
     u = dg.poisson_dirichlet(grid, rhs)  # the solution for a 2^-ea and b 2^-eb
-    Gu, _, nu_l2, eu = _grad_norms(grid, u)
+    del rhs
+    Gu, mag, nu_l2, eu = _grad_norms(grid, u)
+    del mag
     nu_l21 = sum(lorentz_norm(rearrange(grid, Gu[j]), 2.0, 1.0) for j in range(2))
     np.ldexp(u, ea + eb, out=u)
     den2 = na_l2 * nb_weak
