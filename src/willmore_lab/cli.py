@@ -228,9 +228,9 @@ def cmd_wente(args) -> tuple[int, dict]:
     grid = Grid(args.s, args.n[0])
 
     def work(seed):
-        a = lo.random_band_limited(grid, 2 * seed + args.seed)
-        b = lo.random_band_limited(grid, 2 * seed + 1 + args.seed)
-        res = lo.wente_solve(grid, a, b)
+        # the fields go straight to wente_solve, which frees each once its gradient exists
+        res = lo.wente_solve(grid, lo.random_band_limited(grid, 2 * seed + args.seed),
+                             lo.random_band_limited(grid, 2 * seed + 1 + args.seed))
         return seed, res.ratio_L2, res.ratio_L21
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:

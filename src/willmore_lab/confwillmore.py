@@ -58,20 +58,34 @@ def frame_derivative_residuals(bundle: GeometryBundle) -> tuple[float, float]:
     grid = bundle.grid
     scale = bundle.derived(surface_scale)
     ez, ezstar = bundle.derived(complex_frame)
-    dzsl = dg.dzstar(grid, bundle.lam)
+    dzsl = dg.dzstar(grid, bundle.lam)[..., None]
     half_elam = 0.5 * bundle.elam[..., None]
-    r_ez = dg.dzstar(grid, ez) - (-dzsl[..., None] * ez + half_elam * bundle.H)
-    r_ezs = dg.dzstar(grid, ezstar) - (dzsl[..., None] * ezstar + half_elam * bundle.H0)
-    res_a4 = max(dg.interior_sup(grid, r_ez), dg.interior_sup(grid, r_ezs)) / scale
+    # each derivative is taken before its prediction is built, predictions are summed in place
+    # and each residual is reduced as soon as it is formed
+    sups = []
+    for e, coef, Hs in ((ez, -dzsl, bundle.H), (ezstar, dzsl, bundle.H0)):
+        res = dg.dzstar(grid, e)
+        pred = coef * e
+        pred += half_elam * Hs
+        res -= pred
+        del pred
+        sups.append(dg.interior_sup(grid, res))
+        del res
+    res_a4 = max(sups) / scale
     res_a5 = 0.0
     for a in range(bundle.m - 2):
         na = bundle.normal_frame[a]
-        H0a = np.sum(bundle.H0 * na, axis=-1)
-        Ha = dg.component_sum(bundle.H * na)
-        dzs_na = dg.dzstar(grid, na)
-        pred = -bundle.elam[..., None] * (H0a[..., None] * ez + Ha[..., None] * ezstar)
-        pred = pred + bundle.project_normal(dzs_na)
-        res_a5 = max(res_a5, dg.interior_sup(grid, dzs_na - pred))
+        res = dg.dzstar(grid, na)
+        pin = bundle.project_normal(res)
+        pred = np.sum(bundle.H0 * na, axis=-1)[..., None] * ez
+        pred += dg.component_sum(bundle.H * na)[..., None] * ezstar
+        np.multiply(-bundle.elam[..., None], pred, out=pred)
+        pred += pin
+        del pin
+        res -= pred
+        del pred
+        res_a5 = max(res_a5, dg.interior_sup(grid, res))
+        del res
     return res_a4, res_a5 / scale
 
 
@@ -225,15 +239,14 @@ def extract_A_f(bundle: GeometryBundle) -> ConformalData:
     pseudo-inverse because it takes LAPACK's own 2x2 path.
     """
     grid = bundle.grid
-    H0cH = bundle.derived(_H0cH)
     Z0 = bundle.derived(dz_L0_closed_form)
-    G = dg.dzstar(grid, Z0)
-    # Im[G + i f H0 / 2] = 0: columns of the pointwise design matrix are
-    # the real and (negated) imaginary parts of H0
+    # Im[G + i f H0 / 2] = 0 with G = dz* Z0: columns of the pointwise design
+    # matrix are the real and (negated) imaginary parts of H0
+    rhs = -2.0 * dg.dzstar(grid, Z0).imag
     M = np.stack([bundle.H0.real, -bundle.H0.imag], axis=-1)
-    rhs = -2.0 * G.imag
     MtM = _gram(M)
     Mtr = np.einsum("...ka,...k->...a", M, rhs)
+    del M, rhs
     # minimal-norm pointwise least squares; the rcond floor suppresses
     # rank inflation by discretization noise near umbilic points, and the
     # absolute gate returns f = 0 wherever H0 carries no usable signal
@@ -243,10 +256,14 @@ def extract_A_f(bundle: GeometryBundle) -> ConformalData:
     usable = tr > 1e-12 * max(float(np.max(tr)), 1.0)
     sol = np.where(usable[..., None], sol, 0.0)
     f = sol[..., 0] + 1j * sol[..., 1]
-    candidate = Z0 + 1j * (f / bundle.elam)[..., None] * bundle.derived(complex_frame)[1]
-    gradL = np.stack([2.0 * candidate.real, -2.0 * candidate.imag])
+    candidate = 1j * (f / bundle.elam)[..., None] * bundle.derived(complex_frame)[1]
+    np.add(Z0, candidate, out=candidate)
+    gradL = np.empty((2,) + candidate.shape)
+    np.multiply(2.0, candidate.real, out=gradL[0])
+    np.multiply(-2.0, candidate.imag, out=gradL[1])
+    del candidate
     res = dg.grad_potential(grid, gradL)
-    A = -2j * bundle.elam * H0cH + 1j * f / bundle.elam
+    A = -2j * bundle.elam * bundle.derived(_H0cH) + 1j * f / bundle.elam
     return ConformalData(A, f, _holomorphy_defect(grid, f), res.u, res.defect)
 
 
@@ -284,11 +301,11 @@ def eq13_residual(bundle: GeometryBundle, f: np.ndarray | float, L: np.ndarray) 
     """
     grid = bundle.grid
     win = grid.interior()
-    Q = bundle.derived(assemble_Q)
-    lapL = dg.laplace(grid, L)
-    lapL0 = dg.curl(grid, Q) + 1j * bundle.derived(_div_Q)
+    resid = 1j * bundle.derived(_div_Q)
+    np.add(dg.curl(grid, bundle.derived(assemble_Q)), resid, out=resid)  # Lap L0
+    np.subtract(dg.laplace(grid, L), resid, out=resid)
     f_arr = np.asarray(f, dtype=complex)
-    resid = lapL - lapL0 - 2j * f_arr[..., None] * bundle.H0
+    resid -= 2j * f_arr[..., None] * bundle.H0
     return dg.l2norm(grid, resid[win]) / bundle.derived(surface_scale)
 
 

@@ -201,44 +201,66 @@ def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
     """
     grid, m = bundle.grid, bundle.m
     jet = bundle.jet
-    TS = np.stack([dg.component_sum(jet.d1 * L), dg.component_sum(jet.d2 * L)])
-    resS = dg.grad_potential(grid, TS)
+    resS = dg.grad_potential(grid, np.stack([dg.component_sum(jet.d1 * L), dg.component_sum(jet.d2 * L)]))
     blades = mv.grade_masks(m, 2)
     # blade axis outermost in memory: the solver's defect sums run in memory
     # order, so this layout fixes the bits of R_defect
     TR = np.empty((len(blades), 2) + L.shape[:-1])
     for j, (dphi, gp) in enumerate(((jet.d1, -jet.d2), (jet.d2, jet.d1))):
-        TR[:, j] = (mv.field_wedge_vectors(dphi, L).part(blades)
-                    + 2.0 * mv.field_wedge_vectors(gp, bundle.H).part(blades))
+        wH = mv.field_wedge_vectors(gp, bundle.H).part(blades)
+        np.multiply(2.0, wH, out=wH)
+        np.add(mv.field_wedge_vectors(dphi, L).part(blades), wH, out=TR[:, j])
+        del wH
     resR = dg.grad_potential(grid, np.moveaxis(TR, 0, -1))
     R = mv.BladeRows(m, blades, np.moveaxis(resR.u, -1, 0))
     scale = bundle.derived(surface_scale)
     return SRData(resS.u, R, resS.defect / scale, resR.defect / scale)
 
 
+def _add_up(terms) -> np.ndarray:
+    """``sum(terms)`` bit for bit: 0 + the first term into a new array, then
+    each later term added into it in place as it is formed."""
+    terms = iter(terms)
+    total = 0 + next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
 def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -> tuple[float, float]:
     """Normalized interior sup-residuals of the S/R elliptic system.
 
     The contraction term star(grad n . grad_perp R) carries the sign (-1)^m
-    (the reading validated for m = 3, 4, 5).
+    (the reading validated for m = 3, 4, 5).  Each field is dropped after
+    its last use, and each residual is reduced as soon as it is formed.
     """
     grid, m = bundle.grid, bundle.m
     scale = bundle.derived(surface_scale)
-    gstarn = mv.field_slotwise(partial(dg.grad, grid), mv.field_hodge(bundle.gauss))
-    ggauss = bundle.derived(_grad_gauss)
-    gperpR = mv.field_slotwise(partial(dg.grad_perp, grid), R)
-    gperpS = dg.grad_perp(grid, S)
-    res_S = dg.laplace(grid, S) - sum(mv.field_inner(gstarn, gperpR))
-    bullet = mv.field_bullet(ggauss, gperpR)
-    del gperpR  # bounds the peak memory of the R-side terms below
-    contraction = bullet._replace(rows=sum(np.moveaxis(bullet.rows, 1, 0)))
-    sign = (-1.0) ** m
     blades = mv.grade_masks(m, 2)  # every term of the R equation is a 2-vector
-    gs = gstarn.part(blades)
-    rhs_R = sign * mv.field_hodge(contraction).part(blades) - sum(gs[:, j] * gperpS[j] for j in range(2))
-    res_R = mv.BladeRows(m, blades, mv.field_slotwise(partial(dg.laplace, grid), R).part(blades) - rhs_R)
-    norm_R = np.sqrt(mv.field_inner(res_R, res_R))
-    return dg.interior_sup(grid, res_S) / scale, dg.interior_sup(grid, norm_R) / scale
+    gstarn = mv.field_slotwise(partial(dg.grad, grid), mv.field_hodge(bundle.gauss))
+    gperpR = mv.field_slotwise(partial(dg.grad_perp, grid), R)
+    res = dg.laplace(grid, S)
+    res -= sum(mv.field_inner(gstarn, gperpR))
+    res_S = dg.interior_sup(grid, res) / scale
+    # read only, so the rows themselves when every 2-blade is held
+    gs = gstarn.rows if np.array_equal(gstarn.slots, blades) else gstarn.part(blades)
+    gperpS = dg.grad_perp(grid, S)
+    sterm = _add_up(gs[:, j] * gperpS[j] for j in range(2))
+    del gstarn, gs, gperpS
+    bullet = mv.field_bullet(bundle.derived(_grad_gauss), gperpR)
+    del gperpR
+    contraction = bullet._replace(rows=_add_up(np.moveaxis(bullet.rows, 1, 0)))
+    del bullet
+    rhs = mv.field_hodge(contraction).part(blades)
+    del contraction
+    np.multiply((-1.0) ** m, rhs, out=rhs)
+    rhs -= sterm
+    del sterm
+    res = mv.field_slotwise(partial(dg.laplace, grid), R).part(blades)
+    res -= rhs
+    del rhs
+    res = mv.BladeRows(m, blades, res)
+    return res_S, dg.interior_sup(grid, np.sqrt(mv.field_inner(res, res))) / scale
 
 
 def phi_identity_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -> float:
@@ -250,10 +272,18 @@ def phi_identity_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows
     """
     grid = bundle.grid
     jet = bundle.jet
-    gperp_phi = np.stack([-jet.d2, jet.d1])
     gR = mv.field_slotwise(partial(dg.grad, grid), R)
+    gperp_phi = np.stack([-jet.d2, jet.d1])
+    bullet = mv.field_bullet(gR, mv.vector_field_to_mv(gperp_phi))
+    del gR
+    vec = mv.mv_field_vector_part(bullet)
+    del bullet
+    contraction = _add_up(vec)
+    del vec
     gS = dg.grad(grid, S)
-    contraction = sum(mv.mv_field_vector_part(mv.field_bullet(gR, mv.vector_field_to_mv(gperp_phi))))
-    sterm = sum(gS[j][..., None] * gperp_phi[j] for j in range(2))
-    resid = dg.laplace(grid, jet.phi) - 0.5 * (contraction - sterm)
+    contraction -= _add_up(gS[j][..., None] * gperp_phi[j] for j in range(2))
+    del gS, gperp_phi
+    np.multiply(0.5, contraction, out=contraction)
+    resid = dg.laplace(grid, jet.phi)
+    resid -= contraction
     return dg.interior_sup(grid, resid) / bundle.derived(surface_scale)

@@ -368,6 +368,7 @@ def _potential(grid: Grid, rhs, fw, fe, fs, fn, target, reconstruct) -> Potentia
     """Neumann-solve Laplace(u) = rhs with fluxes (fw, fe, fs, fn); the defect
     compares reconstruct(u) with target, the compat defect is the worst slice's."""
     u, compat = poisson_neumann(grid, rhs, fw, fe, fs, fn)
+    del rhs  # solved: only u and the target are needed for the defect
     return PotentialResult(u, l2norm(grid, reconstruct(u) - target), float(np.max(compat)))
 
 

@@ -428,7 +428,7 @@ class GeometryBundle:
         out = np.zeros_like(X)
         for t in (self.t1, self.t2):
             P = X * t
-            out = out + (dg.component_sum(P) if np.isrealobj(P) else np.sum(P, axis=-1))[..., None] * t
+            out += (dg.component_sum(P) if np.isrealobj(P) else np.sum(P, axis=-1))[..., None] * t
         return out
 
     def project_normal(self, X: np.ndarray) -> np.ndarray:

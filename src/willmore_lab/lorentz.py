@@ -91,8 +91,11 @@ def lorentz_norm(profile: RearrangedProfile, p: float, q: float) -> float:
     """Lorentz norm ||t^{1/p} f**||_{L^q(dt/t)} of a rearranged profile.
 
     p must lie in (1, inf); q in [1, inf] (numpy.inf for the weak norm).
+    The norm of an empty profile (every sample excluded) is 0.0.
     """
     _check_exponents(p, q)
+    if not profile.t.size:
+        return 0.0
     fss = profile.fstarstar
     # piecewise: f** frozen per piece, int t^{q/p - 1} dt exact; t[0] is h^2
     weights = _piece_weights(float(profile.t[0]), profile.t.size, p, q)
@@ -137,13 +140,15 @@ def wente_solve(grid: Grid, a: np.ndarray, b: np.ndarray) -> WenteResult:
     grid flips the verdict: ``degenerate`` flags only a zero denominator (a
     or b without gradient) or a non-finite one.
     """
-    # each field is dropped once used up: the CLI pool runs two samples at once, so what one
-    # holds outside its solve adds to the other's peak memory
+    # each field is dropped once used up, a and b too (freed if the caller kept no reference):
+    # the CLI pool runs two samples at once, so what one holds outside its solve adds to the
+    # other's peak memory
     Gb, mag, nb_l2, eb = _grad_norms(grid, b)
+    del b
     nb_weak = lorentz_norm(rearrange(grid, mag), 2.0, np.inf)
     del mag
     Ga, mag, na_l2, ea = _grad_norms(grid, a)
-    del mag
+    del a, mag
     rhs = -Ga[0] * Gb[1] + Ga[1] * Gb[0]
     del Ga, Gb
     u = dg.poisson_dirichlet(grid, rhs)  # the solution for a 2^-ea and b 2^-eb

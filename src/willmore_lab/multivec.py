@@ -265,25 +265,31 @@ def field_hodge(a: BladeRows) -> BladeRows:
     return BladeRows(a.m, slots, a.rows[::-1] * signs)
 
 
+def _fold8(shape: tuple[int, ...], slot_rows) -> np.ndarray:
+    """Sum of the rows of (slot, row) pairs, taken in slot order, as numpy sums
+    a (..., 2**m) axis with 2**m >= 8: slot j goes into accumulator j % 8 and
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) lands on a +0 start."""
+    r = [0.0] * 8
+    for slot, row in slot_rows:
+        r[slot & 7] = r[slot & 7] + row
+    return np.zeros(shape) + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
 def blade_sum(x: BladeRows) -> np.ndarray:
     """Sum over the blade axis, ``np.sum(x.dense(), axis=-1)`` bit for bit for
-    real rows and 2**m >= 8 slots: numpy adds slot j into accumulator j % 8
-    in index order and ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    onto a +0 start.  A slot not held would add +0, which moves no value
-    (only the sign of a zero, and the +0 start fixes that), so it is skipped."""
-    r = [0.0] * 8
-    for slot, row in zip(x.slots.tolist(), x.rows):
-        r[slot & 7] = r[slot & 7] + row
-    return np.zeros(x.rows.shape[1:]) + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    real rows: a slot not held would add +0, which moves no value (only the
+    sign of a zero, and the +0 start fixes that), so it is skipped."""
+    return _fold8(x.rows.shape[1:], zip(x.slots.tolist(), x.rows))
 
 
 def field_inner(a: BladeRows, b: BladeRows) -> np.ndarray:
     """Pointwise blade-orthonormal inner product <a, b>: the blade sum of the
-    products of the slots both fields hold (field shapes broadcast)."""
+    products of the slots both fields hold (field shapes broadcast), each
+    product added into its accumulator as soon as it is formed."""
     _check_pair(a, b)
     common, ia, ib = np.intersect1d(a.slots, b.slots, assume_unique=True, return_indices=True)
-    products = np.moveaxis(a.rows[ia], 0, -1) * np.moveaxis(b.rows[ib], 0, -1)
-    return blade_sum(BladeRows(a.m, common, np.moveaxis(products, -1, 0)))
+    shape = np.broadcast_shapes(a.rows.shape[1:], b.rows.shape[1:])
+    return _fold8(shape, ((slot, a.rows[i] * b.rows[j]) for slot, i, j in zip(common.tolist(), ia, ib)))
 
 
 def field_wedge_vectors(*vectors: np.ndarray) -> BladeRows:

@@ -85,6 +85,7 @@ def _conformal_chain(bundle: GeometryBundle) -> dict[str, float]:
     report["cwbis_resid"] = cwmod.eq13_residual(bundle, cdata.f, cdata.L)
 
     sr = cons.build_S_R(bundle, cdata.L)
+    del cdata  # used up: the S/R stages below set the chain's peak memory
     report["S_defect"] = sr.S_defect
     report["R_defect"] = sr.R_defect
     srS, srR = cons.sr_system_residual(bundle, sr.S, sr.R)

@@ -514,3 +514,26 @@ class TestBladeSum:
         a, b = (self.field((2, 9, 9, 64), rng, 0.4) for _ in range(2))
         assert same_bits(mv.field_inner(rows(a), rows(b)), np.sum(a * b, axis=-1))
         assert same_bits(mv.field_inner(rows(a), rows(b[1])), np.sum(a * b[1], axis=-1))  # field shapes broadcast
+
+    @staticmethod
+    def product_stack_inner(a, b):
+        """The product-stack route: every common slot's product stacked, then blade_sum."""
+        common, ia, ib = np.intersect1d(a.slots, b.slots, assume_unique=True, return_indices=True)
+        products = np.moveaxis(a.rows[ia], 0, -1) * np.moveaxis(b.rows[ib], 0, -1)
+        return mv.blade_sum(mv.BladeRows(a.m, common, np.moveaxis(products, -1, 0)))
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_inner_matches_the_product_stack(self, m):
+        rng = np.random.default_rng(100 + m)
+        for lead_a, lead_b in (((2, 9, 9), (2, 9, 9)), ((2, 9, 9), (9, 9)), ((9, 1), (1, 7)), ((5,), (5,))):
+            for fa, fb in ((1.0, 1.0), (0.5, 0.7), (0.2, 1.0), (0.0, 0.6)):
+                a = self.field(lead_a + (1 << m,), rng, fa)
+                b = self.field(lead_b + (1 << m,), rng, fb)
+                a[..., 1::4] = -0.0                  # held -0 rows meet live and dead slots of b
+                b[..., 2::5] *= -1.0
+                b[(0,) * len(lead_b)] = -0.0         # a node of b with -0 in every slot
+                x = mv.BladeRows(m, np.flatnonzero(rng.random(1 << m) < 0.8), None)
+                x = x._replace(rows=np.moveaxis(a, -1, 0)[x.slots])  # partial slot set, -0 rows kept
+                for left, right in ((x, rows(b)), (rows(a), rows(b)), (x, x)):
+                    assert same_bits(mv.field_inner(left, right), self.product_stack_inner(left, right)), (
+                        lead_a, lead_b, fa, fb)

@@ -1,9 +1,11 @@
 """Report contract: stable keys, exemption semantics, ratio sentinels."""
 
 import contextlib
+import gc
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -128,6 +130,24 @@ def test_pooled_report_propagates_stage_error(monkeypatch, workers):
         with pytest.raises(SolverError, match="codazzi stage failed"):
             pool.submit(rp.residual_report, patch, pool).result(timeout=120)
         assert pool.submit(len, "ok").result(timeout=10) == 2
+
+
+def test_report_peak_memory():
+    # stages drop their temporaries after last use, so the memo plus one stage sets the peak:
+    # an m = 6, n = 65 graph report peaks at 46.6 fields (n, n, m) above its bundle (61.7
+    # when the stages held theirs to the end)
+    patch = im.make_surface("graph_perturbation", G65, m=6)
+    rp.residual_report(patch)  # warm the table and solver caches
+    bundle = im.make_bundle(patch)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rp.residual_report(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (G65.n**2 * 6 * 8) < 52.0
 
 
 def test_report_accepts_bundle_or_patch(sphere_report):
