@@ -10,7 +10,9 @@ structure
 
 with f a holomorphic function of z = x1 + i x2.  ``extract_A_f(bundle)``
 determines f from the integrability requirement that dz L integrate to a
-real-valued map: the pointwise minimal-norm solution of Im(dz* dz L) = 0.
+real-valued map: the polynomial in z that solves Im(dz* dz L) = 0 in the
+least-squares sense over the interior window, every direction without
+signal above the discretization noise dropped.
 This applies off the conservation shell too (e.g. the CMC cylinder, where
 the system potential is a constant while grad_perp L = Q has no
 solution).  The candidate dz L is then integrated to the potential L.
@@ -125,137 +127,72 @@ def _holomorphy_defect(grid, f: np.ndarray) -> float:
     return float(num / den)
 
 
-# LAPACK's dlamch('E') and dlamch('S'), as dsteqr uses them
-_EPS = 0.5 * np.finfo(float).eps
-_SAFMIN = np.finfo(float).tiny
-# dsyevd rescales a matrix whose largest entry lies outside about
-# [1e-146, 1e146], and dsteqr an unsplit one whose largest entry is below
-# about 1.2e-122; inside [2**-400, 2**480] neither does
-_UNSCALED = (2.0**-400, 2.0**480)
-# matrices per block: a block's temporaries (64 KiB each) are reused from the
-# heap and stay in cache, where whole-stack ones are mapped afresh each step
-_BLOCK = 8192
+#: degree d of the polynomial f = sum_{j<=d} c_j (z/s)^j, and the gate constant gamma of its fit
+_DEGREE = 4
+_GATE = 10.0
 
 
-def _pinv_psd2(G: np.ndarray, rcond: float) -> np.ndarray:
-    """``np.linalg.pinv(G, rcond, hermitian=True)`` for a stack of symmetric
-    positive semidefinite 2x2 matrices, bit for bit, signed zeros included.
+def _exponent(x: np.ndarray) -> int:
+    """e bringing max |x| 2^-e into [1/2, 1) (e = 0 if that max is 0 or not finite)."""
+    sup = np.max(np.abs(x))
+    return int(np.frexp(sup)[1]) if np.isfinite(sup) else 0
 
-    The eigenpairs follow the path ``eigh`` takes on a 2x2 (LAPACK dsyevd,
-    then dsteqr; see ``_pinv_operands``).  The rest are numpy's own steps,
-    ending in one stacked ``np.matmul`` whose rounding (FMA or not) stays
-    numpy's.  A matrix with a negative diagonal, a non-finite entry or an
-    entry outside ``_UNSCALED`` (where LAPACK rescales) is handed to
-    ``np.linalg.pinv`` itself, in one call.
+
+def _fit_f(grid: dg.Grid, H0: np.ndarray, rhs: np.ndarray, scale: float) -> np.ndarray:
+    """The least-squares polynomial f = sum_{j<=d} c_j w^j, w = z/s, of Re(f H0) = rhs over the
+    interior window, every ambient component a row, evaluated on the whole grid.
+
+    With u_j = w^j H0 the normal matrix and right-hand side come from the complex moments
+    P_p = sum w^p (H0 . H0), Q_jk = sum w^j w*^k |H0|^2 and r_j = sum w^j (H0 . rhs), summed by
+    numpy (no BLAS product, so no dependence on the thread count).  H0 and rhs are scaled by
+    powers of 2 first, an exact scaling undone on the coefficients.  A direction whose singular
+    value is not above gamma h^2 sqrt(nodes) scale carries no signal above the discretization
+    noise and is dropped; nodes, not node x component rows, so zero-padded components cannot
+    change f.  f is NaN everywhere if the moments are not finite.
     """
-    abc = G.reshape(-1, 4)[:, [0, 2, 3]]  # a, the lower entry b, c
-    vtT, su = np.empty((len(abc), 2, 2)), np.empty((len(abc), 2, 2))
-    fast = np.empty(len(abc), dtype=bool)
-    for start in range(0, len(abc), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        fast[block] = _pinv_operands(*abc[block].T.copy(), rcond, vtT[block], su[block])
-    res = np.matmul(vtT, np.swapaxes(su, -1, -2)).reshape(G.shape)
-    if not fast.all():
-        slow = ~fast.reshape(G.shape[:-2])
-        res[slow] = np.linalg.pinv(G[slow], rcond=rcond, hermitian=True)
-    return res
-
-
-def _pinv_operands(a, b, c, rcond, vtT, su) -> np.ndarray:
-    """Write numpy's pinv operands vt.T = u * sgn and (s * u.T).T for the
-    matrices [[a, b], [b, c]] into vtT and su, and return the mask of the
-    lanes where they are exact (elsewhere LAPACK would rescale first).
-
-    eigh's eigenpairs come from dsteqr's two split tests on b, which keep the
-    diagonal and the identity vectors, else from dlaev2's eigenvalues and
-    rotation (applied to the identity as dlasr does), then dsteqr's ascending
-    sort.  numpy's svd then sorts by |w| descending and moves the signs into
-    vt, and pinv inverts the singular values above rcond times the largest.
-    """
-    lo, hi = np.minimum(a, c), np.maximum(a, c)
-    inside = (hi >= _UNSCALED[0]) & (hi <= _UNSCALED[1]) & (np.abs(b) <= _UNSCALED[1])
-    fast = (lo >= 0) & (inside | ((hi == 0) & (b == 0)))
-    with np.errstate(all="ignore"):  # lanes that split or fall back may divide 0 by 0
-        # dsteqr: the split test, then QL's (|c| >= |a|) or QR's small-element test
-        split = np.abs(b) <= np.sqrt(a) * np.sqrt(c) * _EPS
-        split |= b * b <= np.where(c < a, (_EPS * _EPS * c) * a, (_EPS * _EPS * a) * c) + _SAFMIN
-        # dlaev2(a, b, c): rt1 >= 0 is the eigenvalue of larger modulus, and
-        # (cs1, sn1) its unit eigenvector; a + c > 0 on every unsplit lane
-        df, tb = a - c, b + b
-        adf, atb = np.abs(df), np.abs(tb)
-        big, small = np.maximum(adf, atb), np.minimum(adf, atb)
-        rt = big * np.sqrt(1.0 + (small / big) ** 2)
-        rt1 = 0.5 * ((a + c) + rt)
-        rt2 = (hi / rt1) * lo - (b / rt1) * b
-        cs = df + np.copysign(rt, df)
-        first = np.abs(cs) > atb
-        t = -np.where(first, tb, cs) / np.where(first, cs, tb)
-        x = 1.0 / np.sqrt(1.0 + t * t)
-        cs1, sn1 = np.where(first, t * x, x), np.where(first, x, t * x)
-        swap = df >= 0
-        cs1, sn1 = np.where(swap, -sn1, cs1), np.where(swap, cs1, sn1)
-        # dlasr rotates the identity (cs1, sn1 are nonzero on an unsplit lane,
-        # so its terms in 0.0 drop out); a split lane keeps the identity
-        z = [[cs1, -sn1], [sn1, cs1]]
-        z = [[np.where(split, float(i == k), z[i][k]) for k in range(2)] for i in range(2)]
-        d0, d1 = np.where(split, a, rt1), np.where(split, c, rt2)
-        # dsteqr sorts ascending, then numpy's stable argsort of |w|, reversed:
-        # q says the second of (d0, d1) comes first
-        q = np.where(d1 < d0, np.abs(d1) > np.abs(d0), np.abs(d0) <= np.abs(d1))
-        w = (np.where(q, d1, d0), np.where(q, d0, d1))
-        u = [[np.where(q, zi[1], zi[0]), np.where(q, zi[0], zi[1])] for zi in z]
-        s = [np.abs(wk) for wk in w]
-        sgn = [np.copysign(1.0, wk) for wk in w]
-        inv = [np.where(sk > rcond * s[0], 1.0 / sk, 0.0) for sk in s]
-    # numpy's pinv computes matmul(vt.T, s[..., None] * u.T): the caller's
-    # matmul sees these values with those strides
-    for i in range(2):
-        for k in range(2):
-            vtT[:, i, k] = u[i][k] * sgn[k]
-            su[:, i, k] = u[i][k] * inv[k]
-    return fast
-
-
-def _gram(M: np.ndarray) -> np.ndarray:
-    """The stacked 2x2 Gram matrices M^T M of M (..., k, 2), with the bits of
-    ``np.einsum("...ka,...kb->...ab", M, M)``: each entry adds its k terms in
-    index order (``component_sum``), at a fraction of einsum's time."""
-    G = np.empty(M.shape[:-2] + (2, 2))
-    for a, b in ((0, 0), (1, 0), (1, 1)):
-        G[..., a, b] = dg.component_sum(M[..., a] * M[..., b])
-    G[..., 0, 1] = G[..., 1, 0]
-    return G
+    d = _DEGREE
+    win = grid.interior()
+    t = np.linspace(-1.0, 1.0, grid.n)  # x / s, free of s's range
+    w = t[:, None] + 1j * t
+    eH, er = _exponent(H0[win].view(float)), _exponent(rhs[win])
+    H0w = np.ldexp(H0[win].view(float), -eH).view(complex)
+    rhsw = np.ldexp(rhs[win], -er)
+    g = dg.component_sum(H0w.real**2 + H0w.imag**2).ravel()
+    hh = dg.component_sum(H0w * H0w).ravel()
+    hr = dg.component_sum(H0w * rhsw).ravel()
+    del H0w, rhsw
+    W = w[win].ravel() ** np.arange(2 * d + 1)[:, None]
+    P = np.sum(W * hh, axis=-1)
+    r = np.sum(W[: d + 1] * hr, axis=-1)
+    gWbar = g * np.conj(W[: d + 1])
+    Q = np.array([np.sum(Wj * gWbar, axis=-1) for Wj in W[: d + 1]])
+    # real unknowns (Re c, Im c): sum Re u_j Re u_k = Re(P_{j+k} + Q_jk) / 2, and so on
+    j = np.arange(d + 1)
+    Pjk = P[j[:, None] + j]
+    N = 0.5 * np.block([[(Pjk + Q).real, (Q - Pjk).imag], [(Q - Pjk).imag.T, (Q - Pjk).real]])
+    b = np.concatenate([r.real, -r.imag])
+    if not (np.isfinite(N).all() and np.isfinite(b).all()):
+        return np.full(w.shape, np.nan, dtype=complex)
+    lam, V = np.linalg.eigh(N)
+    sigma = np.ldexp(np.sqrt(np.maximum(lam, 0.0)), eH)  # of the unscaled design matrix
+    keep = sigma > _GATE * grid.h**2 * np.sqrt(g.size) * scale
+    x = np.ldexp(V[:, keep] @ ((b @ V[:, keep]) / lam[keep]), er - eH)
+    return np.polyval((x[: d + 1] + 1j * x[d + 1 :])[::-1], w)
 
 
 def extract_A_f(bundle: GeometryBundle) -> ConformalData:
     """Extract the frame coefficient A and the holomorphic coordinate f.
 
-    f is the pointwise minimal-norm solution of the reality (integrability)
-    constraint Im[dz*(dz L candidate)] = 0 and the candidate derivative
+    f is the polynomial in z of degree ``_DEGREE`` that solves the reality
+    (integrability) constraint Im[dz*(dz L candidate)] = 0 in the least-squares
+    sense over the interior window (``_fit_f``), and the candidate derivative
     Z0 + i e^{-lambda} f e_{z*} is integrated to a real potential by a
-    mean-zero Neumann solve, whose defect is reported.  The pointwise
-    Gram matrices and their pseudo-inverses (``_gram``, ``_pinv_psd2``) are
-    bit-identical to numpy's einsum and hermitian ``np.linalg.pinv``; the
-    pseudo-inverse because it takes LAPACK's own 2x2 path.
+    mean-zero Neumann solve, whose defect is reported.
     """
     grid = bundle.grid
     Z0 = bundle.derived(dz_L0_closed_form)
-    # Im[G + i f H0 / 2] = 0 with G = dz* Z0: columns of the pointwise design
-    # matrix are the real and (negated) imaginary parts of H0
-    rhs = -2.0 * dg.dzstar(grid, Z0).imag
-    M = np.stack([bundle.H0.real, -bundle.H0.imag], axis=-1)
-    MtM = _gram(M)
-    Mtr = np.einsum("...ka,...k->...a", M, rhs)
-    del M, rhs
-    # minimal-norm pointwise least squares; the rcond floor suppresses
-    # rank inflation by discretization noise near umbilic points, and the
-    # absolute gate returns f = 0 wherever H0 carries no usable signal
-    # (umbilic patches leave f undetermined; zero is the minimal choice)
-    sol = np.einsum("...ab,...b->...a", _pinv_psd2(MtM, 1e-8), Mtr)
-    tr = MtM[..., 0, 0] + MtM[..., 1, 1]
-    usable = tr > 1e-12 * max(float(np.max(tr)), 1.0)
-    sol = np.where(usable[..., None], sol, 0.0)
-    f = sol[..., 0] + 1j * sol[..., 1]
+    # Im[G + i f H0 / 2] = 0 with G = dz* Z0, that is Re(f H0) = -2 Im G
+    f = _fit_f(grid, bundle.H0, -2.0 * dg.dzstar(grid, Z0).imag, bundle.derived(surface_scale))
     candidate = 1j * (f / bundle.elam)[..., None] * bundle.derived(complex_frame)[1]
     np.add(Z0, candidate, out=candidate)
     gradL = np.empty((2,) + candidate.shape)

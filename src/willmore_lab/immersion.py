@@ -340,7 +340,7 @@ CATALOG: dict[str, Surface] = {
     "cylinder": Surface(_cylinder_jets, {"rho": 1.0}, frozenset({"divQ_inf", "L_defect"})),
     "catenoid": Surface(_catenoid_jets),
     "enneper": Surface(_enneper_jets),
-    "clifford_torus_patch": Surface(_clifford_jets, exempt=frozenset({"f_holo_defect"})),
+    "clifford_torus_patch": Surface(_clifford_jets),
     # negative control: only approximately conformal, so every identity has
     # a conformality-defect floor and nothing is thresholded
     "graph_perturbation": Surface(_graph_jets, {"seed": 0, "amplitude": 0.05}, exempt=None),

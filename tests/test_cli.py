@@ -171,7 +171,8 @@ class TestInputBoundary:
         # report whose keys FAIL (they are not scale covariant, as README says), not a traceback
         out = tmp_path / "r.json"
         for args, label in ((["--surface", "sphere:rho=1e-13"], "sphere(rho=1e-13)"),
-                            (["--surface", "sphere", "--s", "1e-300"], "sphere")):
+                            (["--surface", "sphere", "--s", "1e-300"], "sphere"),
+                            (["--surface", "enneper", "--s", "1e-320"], "enneper")):
             rc = run_cli(["verify", *args, "--n", "33", "--out", str(out)])
             lines = capsys.readouterr().err.splitlines()
             assert rc == 1 and lines and all(line.startswith(f"FAIL {label} n=33: ") for line in lines)
@@ -197,12 +198,14 @@ class TestInputBoundary:
         assert "not finite" in self.check_rejected(capsys, tmp_path, argv=argv)
 
     def test_largest_finite_metric_gives_finite_keys(self, tmp_path):
+        # no numpy warning either: a NaN made inside the report and dropped would raise here
         out = tmp_path / "r.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_cli(["verify", "--surface", "sphere:rho=1e153", "--n", "33", "--out", str(out)])
-        keys = json.loads(out.read_text())["items"][0]["keys"]
-        assert keys and all(np.isfinite(v) for v in keys.values())
+        for surface in ("sphere:rho=1e153", "cylinder:rho=1e154"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                run_cli(["verify", "--surface", surface, "--n", "33", "--out", str(out)])
+            keys = json.loads(out.read_text())["items"][0]["keys"]
+            assert keys and all(np.isfinite(v) for v in keys.values())
 
     def test_grid_and_dimension(self, capsys, tmp_path):
         # checked in main, not in a worker thread

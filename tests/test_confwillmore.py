@@ -7,6 +7,7 @@ import pytest
 from willmore_lab import confwillmore as cw
 from willmore_lab import conservation as cons
 from willmore_lab import immersion as im
+from willmore_lab import reports as rp
 from willmore_lab.diskgrid import Grid, dz, interior_sup
 
 G65 = Grid(0.5, 65)
@@ -112,6 +113,14 @@ class TestExtraction:
         H0cH = np.sum(np.conj(b.H0) * b.H, axis=-1)
         f = -1j * b.elam * (A + 2j * b.elam * H0cH)
         assert interior_sup(G129, f) < 5e-3
+
+    @pytest.mark.parametrize("kind", ["clifford_torus_patch", "sphere"])
+    def test_zero_padding_keeps_f(self, kind):
+        # the fit's gate counts nodes, not node x component rows
+        for grid in (G65, G129):
+            f3 = cw.extract_A_f(bundle(kind, grid, m=3)).f
+            for m in (4, 6):
+                assert np.array_equal(cw.extract_A_f(bundle(kind, grid, m=m)).f.view(np.int64), f3.view(np.int64))
 
     def test_integrated_potential_solves_the_system(self):
         # the integrated L_sys from the extraction satisfies the
@@ -234,96 +243,37 @@ def test_gauss_map_energy_positive_and_stable():
     assert abs(vals[0] - vals[1]) < 1e-3 * vals[1]
 
 
-class TestPseudoInverse:
-    """``_pinv_psd2`` is ``np.linalg.pinv(G, 1e-8, hermitian=True)`` bit for bit."""
+SR_KEYS = ("S_defect", "R_defect", "srS_resid", "srR_resid", "phi_identity")
 
-    N = 20000
 
-    def setup_method(self):
-        self.rng = np.random.default_rng(16)
+def fd_report(kind, n):
+    patch = im.make_surface(kind, Grid(0.5, n))
+    return rp.residual_report(patch.with_phi(patch.phi + 0.0))
 
-    def check(self, G, monkeypatch, fallback_calls=0):
-        """Compare the bits; return the stack size of each np.linalg.pinv call made."""
-        ref = np.linalg.pinv(G, rcond=1e-8, hermitian=True)
-        calls = []
-        pinv = np.linalg.pinv
 
-        def counted(stack, **kwargs):
-            calls.append(len(stack))
-            return pinv(stack, **kwargs)
+class TestHolomorphicFit:
+    """f as one polynomial fit: the S/R chain built from its L refines at second order."""
 
-        monkeypatch.setattr(np.linalg, "pinv", counted)
-        out = cw._pinv_psd2(G, 1e-8)
-        monkeypatch.undo()
-        assert out.shape == ref.shape
-        differ = np.any(out.view(np.int64) != ref.view(np.int64), axis=(-1, -2))  # signed zeros count
-        assert not differ.any(), G[differ][:3]
-        assert len(calls) == fallback_calls
-        return calls
+    def test_clifford_sr_keys_refine(self):
+        r65, r129 = (rp.residual_report(im.make_surface("clifford_torus_patch", g)) for g in (G65, G129))
+        for key in SR_KEYS:
+            assert 3.4 <= r65[key] / r129[key] <= 4.6, key
 
-    def gram(self, rows, scale):
-        M = self.rng.normal(size=(self.N, rows, 2)) * scale
-        return np.einsum("...ka,...kb->...ab", M, M)
+    @pytest.mark.parametrize("kind", ["sphere", "catenoid", "cylinder", "clifford_torus_patch"])
+    def test_fd_jets_pass_and_refine(self, kind, monkeypatch):
+        coarse, fine = fd_report(kind, 129), fd_report(kind, 257)
+        assert rp.check_report(coarse, kind) == {} and rp.check_report(fine, kind) == {}
+        for key in SR_KEYS:
+            assert coarse[key] / fine[key] >= 3.4, key
+        # raising the degree by 4 changes no verdict
+        monkeypatch.setattr(cw, "_DEGREE", cw._DEGREE + 4)
+        assert rp.check_report(fd_report(kind, 129), kind) == {} and rp.check_report(fd_report(kind, 257), kind) == {}
 
-    @pytest.mark.parametrize("rows", [2, 3, 4, 6])
-    def test_gram_over_twelve_decades(self, rows, monkeypatch):
-        self.check(self.gram(rows, 10.0 ** self.rng.uniform(-6, 6, size=(self.N, 1, 1))), monkeypatch)
+    def test_raising_the_degree_keeps_the_catalog_verdicts(self, monkeypatch):
+        def verdicts():
+            return {kind: set(rp.check_report(rp.residual_report(im.make_surface(kind, G65)), kind))
+                    for kind in im.CATALOG}
 
-    def test_rank_one_and_near_cutoff(self, monkeypatch):
-        scale = 10.0 ** self.rng.uniform(-6, 6, self.N)
-        v = self.rng.normal(size=(self.N, 2)) * scale[:, None]
-        self.check(np.einsum("...a,...b->...ab", v, v), monkeypatch)
-        # eigenvalues l and l * 1e-8 * (1 +- d), d in 1e-4..1, in a random frame
-        small = scale * 1e-8 * (1 + self.rng.choice([-1, 1], self.N) * 10.0 ** self.rng.uniform(-4, 0, self.N))
-        th = self.rng.uniform(0, 2 * np.pi, self.N)
-        R = np.stack([np.stack([np.cos(th), -np.sin(th)], -1), np.stack([np.sin(th), np.cos(th)], -1)], -2)
-        G = np.einsum("...ik,...k,...jk->...ij", R, np.stack([scale, small], -1), R)
-        G[..., 0, 1] = G[..., 1, 0]
-        self.check(G, monkeypatch)
-
-    def test_diagonal_ties_and_tiny_off_diagonal(self, monkeypatch):
-        d = 10.0 ** self.rng.uniform(-6, 6, size=(self.N, 2))
-        d[::3, 1] = d[::3, 0]  # equal-diagonal ties
-        G = np.zeros((self.N, 2, 2))
-        G[:, 0, 0], G[:, 1, 1] = d[:, 0], d[:, 1]
-        self.check(G, monkeypatch)
-        off = np.sqrt(d[:, 0] * d[:, 1]) * self.rng.choice([1e-17, 1e-16, 2e-16, 1e-15], self.N)
-        G[:, 0, 1] = G[:, 1, 0] = off * self.rng.choice([-1, 1], self.N)
-        self.check(G, monkeypatch)
-        self.check(np.zeros((7, 2, 2)), monkeypatch)
-
-    def test_wide_diagonal_ratios(self, monkeypatch):
-        # c/a down to 1e-300 and |b|/sqrt(ac) down to 1e-200: dsteqr's second split test, whose
-        # safe-minimum term decides once b^2 underflows
-        a = 10.0 ** self.rng.uniform(-100, 100, self.N)
-        c = a * 10.0 ** -self.rng.uniform(0, 300, self.N)
-        b = np.sqrt(a) * np.sqrt(c) * self.rng.uniform(-1, 1, self.N)
-        b *= 10.0 ** -self.rng.choice([0, 8, 16, 17, 30, 200], self.N)
-        G = np.empty((self.N, 2, 2))
-        G[:, 0, 0], G[:, 1, 1], G[:, 0, 1], G[:, 1, 0] = a, c, b, b
-        self.check(G, monkeypatch)
-        self.check(G[:, ::-1, ::-1].copy(), monkeypatch)
-
-    def test_extraction_gram_of_graph_perturbation(self, monkeypatch):
-        H0 = bundle("graph_perturbation", Grid(0.5, 129), m=4).H0
-        M = np.stack([H0.real, -H0.imag], axis=-1)
-        self.check(np.einsum("...ka,...kb->...ab", M, M), monkeypatch)
-
-    @pytest.mark.parametrize("m", [3, 6])
-    def test_extraction_matches_the_numpy_route(self, m, monkeypatch):
-        # A, f and L of extract_A_f keep their bits with einsum and np.linalg.pinv put back
-        b = bundle("graph_perturbation", Grid(0.5, 65), m=m)
-        fast = cw.extract_A_f(b)
-        monkeypatch.setattr(cw, "_gram", lambda M: np.einsum("...ka,...kb->...ab", M, M))
-        monkeypatch.setattr(cw, "_pinv_psd2", lambda G, rcond: np.linalg.pinv(G, rcond=rcond, hermitian=True))
-        ref = cw.extract_A_f(b)
-        for name in ("A", "f", "L"):
-            x, y = getattr(fast, name), getattr(ref, name)
-            assert np.array_equal(x.view(np.int64), y.view(np.int64)), name
-
-    @pytest.mark.parametrize("scale", [1e150, 1e-130])
-    def test_rescaled_range_goes_to_numpy(self, scale, monkeypatch):
-        # where LAPACK rescales, the masked matrices take one np.linalg.pinv call
-        G = self.gram(3, 1.0)[:100]
-        G[::4] *= scale
-        assert self.check(G, monkeypatch, fallback_calls=1) == [25]
+        chosen = verdicts()
+        monkeypatch.setattr(cw, "_DEGREE", cw._DEGREE + 4)
+        assert verdicts() == chosen

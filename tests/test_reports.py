@@ -174,10 +174,10 @@ def test_exemptions_per_surface():
     # every thresholded key fails unless the surface's record exempts it
     report = {key: 2.0 * bound for key, bound in rp.DEFAULT_THRESHOLDS.items()}
     every = set(rp.DEFAULT_THRESHOLDS)
-    fully_checked = ("plane", "sphere", "catenoid", "enneper", "perturbed_sphere", "unknown-surface")
+    fully_checked = ("plane", "sphere", "catenoid", "enneper", "clifford_torus_patch", "perturbed_sphere",
+                     "unknown-surface")
     expected = dict.fromkeys(fully_checked, every)
-    expected.update(clifford_torus_patch=every - {"f_holo_defect"},
-                    cylinder=every - {"divQ_inf", "L_defect"}, graph_perturbation=set())
+    expected.update(cylinder=every - {"divQ_inf", "L_defect"}, graph_perturbation=set())
     for kind, keys in expected.items():
         assert set(rp.check_report(report, kind)) == keys, kind
 
