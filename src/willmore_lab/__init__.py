@@ -13,13 +13,11 @@ from .immersion import (
     perturb_normal,
     willmore_energy,
 )
-from .multivec import MultiVector
 
 __all__ = [
     "Grid",
     "GeometryBundle",
     "ImmersionPatch",
-    "MultiVector",
     "make_bundle",
     "make_surface",
     "perturb_normal",

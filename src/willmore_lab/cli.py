@@ -375,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "field"):
             lo._check_exponents(args.p, args.q)
             args.grid, args.values = read_field(args.field)
+            if args.values.shape[-1] != 1:
+                raise ValueError(f"field file {args.field}: holds {args.values.shape[-1]} values per node, "
+                                 "lorentz takes one")
         args.workers = _max_workers()
         paths = _outputs(args)
         # all or nothing: no output is written unless every one can be

@@ -8,15 +8,15 @@ permutation parity against that ordering.
 
 Operations provided, with the conventions used throughout the package:
 
-* ``wedge``      -- exterior product, graded-anticommutative.
-* ``inner``      -- blade-orthonormal inner product (Gram/determinant
-                    extension of the Euclidean dot product).
-* ``hodge``      -- Hodge star, ``star(blade) = sign * complementary blade``.
-* ``interior``   -- interior multiplication, the adjoint of wedge:
-                    ``<g interior b, a> = <g, b ^ a>`` for all a.
-* ``bullet``     -- first-order contraction, defined inductively:
-                    ``a . b = a interior b`` for 1-vector b, and
-                    ``a . (b ^ c) = (a . b) ^ c + (-1)^{pq} (a . c) ^ b``.
+* ``field_wedge``    -- exterior product, graded-anticommutative.
+* ``field_inner``    -- blade-orthonormal inner product (Gram/determinant
+                        extension of the Euclidean dot product).
+* ``field_hodge``    -- Hodge star, ``star(blade) = sign * complementary blade``.
+* ``field_interior`` -- interior multiplication, the adjoint of wedge:
+                        ``<g interior b, a> = <g, b ^ a>`` for all a.
+* ``field_bullet``   -- first-order contraction, defined inductively:
+                        ``a . b = a interior b`` for 1-vector b, and
+                        ``a . (b ^ c) = (a . b) ^ c + (-1)^{pq} (a . c) ^ b``.
 
 Each operation is one per-blade rule (``_wedge_rule``, ``_interior_rule``,
 ``_bullet_rule``) that maps a pair of basis blades to its signed blade
@@ -26,16 +26,17 @@ immutable and pure.
 
 Fields are ``BladeRows``: one contiguous row per held blade slot, every
 other slot +0.  Every field operation takes and returns rows; dense
-(..., 2**m) arrays appear only in the point oracle ``MultiVector``, in
-``BladeRows.dense()`` and in ``BladeRows.from_dense``.  A bilinear product
-runs the kept table entries in table order on the rows (the plan for a pair
-of slot sets is cached), so each product slot sums the same terms in the
-same order as a loop over the whole table: the same bits.  ``blade_sum``
-sums over the blade axis in numpy's own order.  ``field_wedge_vectors``
-wedges vector fields (..., m) from their component rows, ``field_cross`` is
-the vector part of the star of such a wedge, and ``field_slotwise`` takes a
-finite difference of the held slots.  The Hodge star maps blade k to blade
-``full ^ k = full - k``: the held slots reversed and signed.
+(..., 2**m) arrays appear only in ``BladeRows.dense()`` and in
+``BladeRows.from_dense``; a single point is a 0-d field.  A bilinear
+product runs the kept table entries in table order on the rows (the plan
+for a pair of slot sets is cached), so each product slot sums the same
+terms in the same order as a loop over the whole table: the same bits.
+``blade_sum`` sums over the blade axis in numpy's own order.
+``field_wedge_vectors`` wedges vector fields (..., m) from their component
+rows, ``field_cross`` is the vector part of the star of such a wedge, and
+``field_slotwise`` takes a finite difference of the held slots.  The Hodge
+star maps blade k to blade ``full ^ k = full - k``: the held slots
+reversed and signed.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ import numpy as np
 __all__ = [
     "DimensionMismatchError",
     "GradeError",
-    "MultiVector",
-    "basis_vector",
-    "blade",
-    "from_vector",
     "field_wedge",
     "field_interior",
     "field_bullet",
@@ -74,7 +71,7 @@ class DimensionMismatchError(ValueError):
 
 
 class GradeError(ValueError):
-    """Requested contraction with a higher-grade second argument."""
+    """A product given operands of the wrong grade: ``field_cross`` of other than m - 1 vectors."""
 
 
 def _popcount(mask: int) -> int:
@@ -151,8 +148,7 @@ def _check_dim(m: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Field-level operations on blade rows.  Geometry modules use these; the
-# MultiVector class below wraps single points.
+# Field-level operations on blade rows.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1024)
@@ -349,143 +345,3 @@ def grade_masks(m: int, k: int) -> np.ndarray:
     """Blade masks of grade k, in increasing mask order."""
     return np.array([mask for mask in range(1 << m) if _popcount(mask) == k])
 
-
-# ---------------------------------------------------------------------------
-# Point-value wrapper
-# ---------------------------------------------------------------------------
-
-class MultiVector:
-    """Immutable multivector over an orthonormal basis of R^m.
-
-    Coefficients are stored densely, one slot per blade mask, so the
-    grade-k component occupies C(m, k) of the 2**m slots.
-    """
-
-    __slots__ = ("m", "coeffs")
-
-    def __init__(self, m: int, coeffs: np.ndarray):
-        _check_dim(m)
-        coeffs = np.array(coeffs, dtype=float)
-        if coeffs.shape != (1 << m,):
-            raise ValueError(f"expected {1 << m} blade coefficients, got {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("multivector coefficients must be finite")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiVector is immutable")
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def scalar(m: int, value: float) -> "MultiVector":
-        c = np.zeros(1 << m)
-        c[0] = value
-        return MultiVector(m, c)
-
-    # -- structure ----------------------------------------------------------
-
-    def grades(self) -> list[int]:
-        return sorted({_popcount(i) for i in np.nonzero(self.coeffs)[0]})
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.coeffs**2)))
-
-    # -- algebra -------------------------------------------------------------
-
-    def _binary(self, other: "MultiVector", rule) -> "MultiVector":
-        if not isinstance(other, MultiVector):
-            raise TypeError("expected a MultiVector")
-        if other.m != self.m:
-            raise DimensionMismatchError(f"ambient dimensions differ: {self.m} vs {other.m}")
-        rows = (BladeRows.from_dense(x.coeffs) for x in (self, other))
-        return MultiVector(self.m, _product(rule, *rows).dense())
-
-    def wedge(self, other: "MultiVector") -> "MultiVector":
-        return self._binary(other, _wedge_rule)
-
-    def interior(self, other: "MultiVector") -> "MultiVector":
-        """Interior multiplication self interior other (grades q, p -> q - p).
-
-        Contracting a homogeneous q-vector by a strictly higher-grade
-        p-vector is a grade error; mixed-grade arguments extend
-        bilinearly (blades that cannot absorb the contraction give 0).
-        """
-        if isinstance(other, MultiVector) and other.m == self.m:
-            gq = self.grades()
-            gp = other.grades()
-            if len(gq) == 1 and len(gp) == 1 and gp[0] > gq[0]:
-                raise GradeError(f"cannot contract grade {gq[0]} by grade {gp[0]}")
-        return self._binary(other, _interior_rule)
-
-    def bullet(self, other: "MultiVector") -> "MultiVector":
-        return self._binary(other, _bullet_rule)
-
-    def hodge(self) -> "MultiVector":
-        return MultiVector(self.m, field_hodge(BladeRows.from_dense(self.coeffs)).dense())
-
-    def inner(self, other: "MultiVector") -> float:
-        if other.m != self.m:
-            raise DimensionMismatchError(f"ambient dimensions differ: {self.m} vs {other.m}")
-        return float(np.dot(self.coeffs, other.coeffs))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "MultiVector") -> "MultiVector":
-        if other.m != self.m:
-            raise DimensionMismatchError("ambient dimensions differ")
-        return MultiVector(self.m, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "MultiVector") -> "MultiVector":
-        if other.m != self.m:
-            raise DimensionMismatchError("ambient dimensions differ")
-        return MultiVector(self.m, self.coeffs - other.coeffs)
-
-    def __mul__(self, c: float) -> "MultiVector":
-        return MultiVector(self.m, self.coeffs * float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "MultiVector":
-        return MultiVector(self.m, -self.coeffs)
-
-    def allclose(self, other: "MultiVector", tol: float = 1e-12) -> bool:
-        return self.m == other.m and bool(np.allclose(self.coeffs, other.coeffs, atol=tol, rtol=0.0))
-
-    def __repr__(self) -> str:
-        terms = []
-        for mask in np.nonzero(self.coeffs)[0]:
-            name = "1" if mask == 0 else "e" + "".join(str(i + 1) for i in range(self.m) if mask >> i & 1)
-            terms.append(f"{self.coeffs[mask]:+g}*{name}")
-        return f"MultiVector(m={self.m}, {' '.join(terms) or '0'})"
-
-
-def basis_vector(m: int, index: int) -> MultiVector:
-    """Unit 1-vector e_{index} with 1-based index."""
-    if not 1 <= index <= m:
-        raise ValueError(f"basis index {index} outside 1..{m}")
-    c = np.zeros(1 << m)
-    c[1 << (index - 1)] = 1.0
-    return MultiVector(m, c)
-
-
-def blade(m: int, indices: tuple[int, ...], coeff: float = 1.0) -> MultiVector:
-    """Blade e_{i1} ^ ... ^ e_{ik} from strictly increasing 1-based indices."""
-    if list(indices) != sorted(set(indices)):
-        raise ValueError("blade indices must be strictly increasing")
-    mask = 0
-    for i in indices:
-        if not 1 <= i <= m:
-            raise ValueError(f"blade index {i} outside 1..{m}")
-        mask |= 1 << (i - 1)
-    c = np.zeros(1 << m)
-    c[mask] = coeff
-    return MultiVector(m, c)
-
-
-def from_vector(v) -> MultiVector:
-    """1-vector with the given Euclidean components."""
-    v = np.asarray(v, dtype=float)
-    return MultiVector(v.size, vector_field_to_mv(v).dense())

@@ -348,45 +348,40 @@ def _oracle_bullet(m, a, b):
     return {k: v for k, v in out.items() if v != 0.0}
 
 
-def _tuple_of_mask(mask):
-    return tuple(i + 1 for i in range(8) if mask >> i & 1)
-
-
 def test_criterion_9_multivector_kernel_oracles():
     from itertools import combinations
 
     problems = []
     for m in (3, 4, 5, 6):
         blades = [c for k in range(m + 1) for c in combinations(range(1, m + 1), k)]
-        mv_of = {c: mv.blade(m, c) if c else mv.MultiVector.scalar(m, 1.0) for c in blades}
+        mask_of = {c: sum(1 << (i - 1) for i in c) for c in blades}
+        unit = np.eye(1 << m)  # node j of this 1-d field is the basis blade of mask j
+        basis = mv.BladeRows.from_dense(unit)
+        rows_of = {c: mv.BladeRows.from_dense(unit[mask_of[c]]) for c in blades}
         # interior adjointness on the full enumeration
         for g in blades:
-            for b in blades:
-                got = mv_of[g].interior(mv_of[b]) if len(b) <= len(g) else None
+            for b in [b for b in blades if len(b) <= len(g)]:
+                # <g interior b, alpha> for every alpha at once: the 0-d field broadcasts over the basis
+                got = mv.field_inner(mv.field_interior(rows_of[g], rows_of[b]), basis)
                 want = _oracle_interior(m, g, b)
-                if got is None:
-                    continue
                 for alpha in blades:
-                    lhs = got.inner(mv_of[alpha])
-                    rhs = want.get(alpha, 0.0)
-                    if abs(lhs - rhs) > 1e-12:
+                    if abs(got[mask_of[alpha]] - want.get(alpha, 0.0)) > 1e-12:
                         problems.append(f"m={m} interior({g},{b}) @ {alpha}")
         # double-star sign law on the full enumeration
         for b in blades:
             k = len(b)
-            got = mv_of[b].hodge().hodge()
-            want = (-1.0) ** (k * (m - k)) * mv_of[b]
-            if not got.allclose(want, tol=1e-12):
+            got = mv.field_hodge(mv.field_hodge(rows_of[b])).dense()
+            want = (-1.0) ** (k * (m - k)) * unit[mask_of[b]]
+            if not np.allclose(got, want, atol=1e-12, rtol=0.0):
                 problems.append(f"m={m} star&star {b}")
         # bullet recursion against the independent tuple recursion
         for a in blades:
             for b in blades:
-                got = mv_of[a].bullet(mv_of[b])
-                want = _oracle_bullet(m, a, b)
+                got = mv.field_bullet(rows_of[a], rows_of[b]).dense()
                 expect = np.zeros(1 << m)
-                for c, v in want.items():
-                    expect[sum(1 << (i - 1) for i in c)] = v
-                if not np.allclose(got.coeffs, expect, atol=1e-12):
+                for c, v in _oracle_bullet(m, a, b).items():
+                    expect[mask_of[c]] = v
+                if not np.allclose(got, expect, atol=1e-12):
                     problems.append(f"m={m} bullet({a},{b})")
     ok = not problems
     announce(9, ok, "interior adjointness, double-star sign law, and the bullet "

@@ -172,7 +172,8 @@ class TestInputBoundary:
         out = tmp_path / "r.json"
         for args, label in ((["--surface", "sphere:rho=1e-13"], "sphere(rho=1e-13)"),
                             (["--surface", "sphere", "--s", "1e-300"], "sphere"),
-                            (["--surface", "enneper", "--s", "1e-320"], "enneper")):
+                            (["--surface", "enneper", "--s", "1e-320"], "enneper"),
+                            (["--surface", "cylinder:rho=1e-200"], "cylinder(rho=1e-200)")):
             rc = run_cli(["verify", *args, "--n", "33", "--out", str(out)])
             lines = capsys.readouterr().err.splitlines()
             assert rc == 1 and lines and all(line.startswith(f"FAIL {label} n=33: ") for line in lines)
@@ -251,8 +252,10 @@ class TestInputBoundary:
         dg.write_field(good, Grid(0.5, 33), np.ones((33, 33)))
         short.write_bytes(good.read_bytes()[:-8])
         stub.write_bytes(good.read_bytes()[:5])
+        vector = tmp_path / "vector.bin"  # three values per node, as a flow checkpoint holds
+        dg.write_field(vector, Grid(0.5, 33), np.ones((33, 33, 3)))
         for field, p, word in ((tmp_path / "missing.bin", "2", "missing.bin"), (short, "2", "short.bin"),
-                               (stub, "2", "stub.bin"), (good, "1", "p=1")):
+                               (stub, "2", "stub.bin"), (good, "1", "p=1"), (vector, "2", "vector.bin")):
             argv = ["lorentz", "--field", str(field), "--p", p, "--q", "inf"]
             assert word in self.check_rejected(capsys, tmp_path, argv=argv)
 
