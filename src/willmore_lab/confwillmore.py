@@ -34,7 +34,7 @@ import numpy as np
 
 from . import diskgrid as dg
 from . import multivec as mv
-from .conservation import _div_Q, _dz_H, _H0cH, _grad_gauss, _pin_grad_H, assemble_Q, dz_L0_closed_form, surface_scale
+from .conservation import _div_Q, _grad_H, _H0cH, _grad_gauss, _pin_grad_H, assemble_Q, dz_L0_closed_form, surface_scale
 from .immersion import GeometryBundle, complex_frame, norm_H2
 
 __all__ = [
@@ -101,7 +101,8 @@ def codazzi_residual(bundle: GeometryBundle) -> float:
     e2lam = bundle.area_density
     H0cH = bundle.derived(_H0cH)
     lhs = dg.dzstar(grid, e2lam * H0cH) / e2lam
-    dzH, dzstarH = bundle.derived(_dz_H)
+    gradH = bundle.derived(_grad_H)  # dz H and dz* H as dg.dz and dg.dzstar form them
+    dzH, dzstarH = 0.5 * (gradH[0] - 1j * gradH[1]), 0.5 * (gradH[0] + 1j * gradH[1])
     rhs = np.sum(bundle.H * dzH, axis=-1) + np.sum(np.conj(bundle.H0) * dzstarH, axis=-1)
     return dg.interior_sup(grid, lhs - rhs) / bundle.derived(surface_scale)
 

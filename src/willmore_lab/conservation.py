@@ -76,12 +76,6 @@ def _grad_H(bundle: GeometryBundle) -> np.ndarray:
     return dg.grad(bundle.grid, bundle.H)
 
 
-def _dz_H(bundle: GeometryBundle) -> tuple[np.ndarray, np.ndarray]:
-    """(dz H, dz* H) from the memoized grad H, formed as ``dg.dz`` and ``dg.dzstar`` form them."""
-    gradH = bundle.derived(_grad_H)
-    return 0.5 * (gradH[0] - 1j * gradH[1]), 0.5 * (gradH[0] + 1j * gradH[1])
-
-
 def _pin_grad_H(bundle: GeometryBundle) -> np.ndarray:
     """pi_n(grad H), shape (2, n, n, m)."""
     gradH = bundle.derived(_grad_H)
@@ -165,7 +159,8 @@ def recover_L(bundle: GeometryBundle) -> LRecovery:
 def dz_L0_closed_form(bundle: GeometryBundle) -> np.ndarray:
     """Closed complex form of dz L0: -2i e^lam (H0* . H) e_{z*} - 2i pi_n(dz H)."""
     ezstar = bundle.derived(complex_frame)[1]
-    dzH = bundle.derived(_dz_H)[0]
+    gradH = bundle.derived(_grad_H)
+    dzH = 0.5 * (gradH[0] - 1j * gradH[1])  # as dg.dz forms it, from the memoized grad H
     return -2j * (bundle.elam * bundle.derived(_H0cH))[..., None] * ezstar - 2j * bundle.project_normal(dzH)
 
 

@@ -114,34 +114,46 @@ class Grid:
 # Finite differences
 # ---------------------------------------------------------------------------
 
+def _diff(f: np.ndarray, h: float, out: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Writes d f / dx_{axis+1} into out: centered interior, one-sided second order on the edges."""
+    f, v = np.swapaxes(f, 0, axis), np.swapaxes(out, 0, axis)
+    np.subtract(f[2:], f[:-2], out=v[1:-1])
+    v[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
+    v[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
+    v /= 2.0 * h
+    return out
+
+
+def _grad(f: np.ndarray, h: float, perp: bool) -> np.ndarray:
+    """(d1 f, d2 f), or (-d2 f, d1 f) with perp, written into one array laid out as np.stack lays out two
+    derivatives of f: components outermost, each in f's memory order (reductions run in memory order)."""
+    a = np.empty_like(f, dtype=np.result_type(f, float))
+    out = np.lib.stride_tricks.as_strided(np.empty(2 * a.size, a.dtype), (2,) + a.shape, (a.nbytes,) + a.strides)
+    for axis in (0, 1):
+        _diff(f, h, out[axis ^ perp], axis)
+    if perp:
+        np.negative(out[0], out=out[0])
+    return out
+
+
 def d1(grid: Grid, f: np.ndarray) -> np.ndarray:
     """d/dx1, centered interior, one-sided second order on the edges."""
-    h = grid.h
-    out = np.empty_like(np.asarray(f), dtype=np.result_type(f, float))
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return out
+    return _diff(f, grid.h, np.empty_like(f, dtype=np.result_type(f, float)))
 
 
 def d2(grid: Grid, f: np.ndarray) -> np.ndarray:
     """d/dx2, centered interior, one-sided second order on the edges."""
-    h = grid.h
-    out = np.empty_like(np.asarray(f), dtype=np.result_type(f, float))
-    out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * h)
-    out[:, 0] = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / (2.0 * h)
-    out[:, -1] = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / (2.0 * h)
-    return out
+    return _diff(f, grid.h, np.empty_like(f, dtype=np.result_type(f, float)), 1)
 
 
 def grad(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Gradient (d1 f, d2 f), stacked on a new leading axis."""
-    return np.stack([d1(grid, f), d2(grid, f)])
+    return _grad(f, grid.h, False)
 
 
 def grad_perp(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Rotated gradient (-d2 f, d1 f)."""
-    return np.stack([-d2(grid, f), d1(grid, f)])
+    return _grad(f, grid.h, True)
 
 
 def div(grid: Grid, G: np.ndarray) -> np.ndarray:
@@ -202,7 +214,7 @@ def interior_sup(grid: Grid, f: np.ndarray) -> float:
     """Sup of |f| on the default interior window; components fold in by the Euclidean norm."""
     v = np.abs(f[grid.interior()])
     if v.ndim > 2:
-        v = np.linalg.norm(v, axis=-1)
+        v = np.sqrt(component_sum(v * v))
     return float(np.max(v))
 
 
@@ -369,7 +381,9 @@ def _potential(grid: Grid, rhs, fw, fe, fs, fn, target, reconstruct) -> Potentia
     compares reconstruct(u) with target, the compat defect is the worst slice's."""
     u, compat = poisson_neumann(grid, rhs, fw, fe, fs, fn)
     del rhs  # solved: only u and the target are needed for the defect
-    return PotentialResult(u, l2norm(grid, reconstruct(u) - target), float(np.max(compat)))
+    defect = reconstruct(u)
+    defect -= target  # in place: no third array of the target's size
+    return PotentialResult(u, l2norm(grid, defect), float(np.max(compat)))
 
 
 def grad_potential(grid: Grid, G: np.ndarray) -> PotentialResult:

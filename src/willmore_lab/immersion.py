@@ -396,7 +396,8 @@ class GeometryBundle:
     K, |H|^2, Q, grad n, L, the surface scale, ...), also when several
     threads ask for it at once: the first computes it and the others wait.
     ``dataclasses.replace`` starts an empty memo; memoized arrays are shared
-    and must not be mutated.
+    and must not be mutated.  ``drop(fn)`` forgets an entry: on a bundle it
+    built itself, ``reports.residual_report`` drops each one no stage left reads.
     """
 
     patch: ImmersionPatch
@@ -451,6 +452,10 @@ class GeometryBundle:
                 if fn not in self._memo:
                     self._memo[fn] = fn(self)
         return self._memo[fn]
+
+    def drop(self, fn: Callable[["GeometryBundle"], Any]) -> None:
+        """Forget fn's entry, if held; a later ``derived(fn)`` computes it again."""
+        self._memo.pop(fn, None)
 
 
 def conformal_factor(grid: Grid, jet: Jet) -> tuple[np.ndarray, float]:

@@ -1,11 +1,9 @@
-"""Residual reports with a stable key contract, per-surface expectations,
-and refinement-ratio tables.
+"""Residual reports with a stable key contract, per-surface expectations, and refinement-ratio tables.
 
-Report keys (values are dimensionless; identity residuals are interior
-sup-norms divided by the surface scale sup e^{2 lambda}(1+|H|^2+|B|^2),
-except divQ_inf which is the absolute interior sup of the
-Euler-Lagrange-normalized Willmore residual so that catalog magnitudes
-like 1/(4 rho^3) on the cylinder are read off directly):
+Report keys (values are dimensionless; identity residuals are interior sup-norms divided by the
+surface scale sup e^{2 lambda}(1+|H|^2+|B|^2), except divQ_inf which is the absolute interior sup
+of the Euler-Lagrange-normalized Willmore residual so that catalog magnitudes like 1/(4 rho^3) on
+the cylinder are read off directly):
 
     dot_identity, wedge_identity  tangency identities of Q
     divQ_inf                      Willmore residual sup (EL normalization)
@@ -21,15 +19,15 @@ like 1/(4 rho^3) on the cylinder are read off directly):
     f_holo_defect                 relative L2 of dz* f
     cw_resid_f, cw_resid_zero     conformal Willmore residual with f / with 0
 
-Keys without a ``DEFAULT_THRESHOLDS`` entry are informational: never
-thresholded and left out of refinement tables.  Expected-nonzero keys
-are declared per surface by the ``exempt`` field of its
-``immersion.CATALOG`` record, so that verification semantics stay data
-driven.
+Keys without a ``DEFAULT_THRESHOLDS`` entry are informational: never thresholded and left out of
+refinement tables.  Expected-nonzero keys are declared per surface by the ``exempt`` field of its
+``immersion.CATALOG`` record, so that verification semantics stay data driven.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import Counter, namedtuple
 from concurrent.futures import Executor
 
 import numpy as np
@@ -41,6 +39,7 @@ from .immersion import CATALOG, GeometryBundle, ImmersionPatch, make_bundle, wil
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
+    "STAGES",
     "residual_report",
     "check_report",
     "refinement_ratios",
@@ -72,80 +71,87 @@ DEFAULT_THRESHOLDS: dict[str, float] = {
 FLOOR = "floor"
 
 
-def _conformal_chain(bundle: GeometryBundle) -> dict[str, float]:
-    """The extracted f and its equations, then the S/R system built from its L."""
-    grid = bundle.grid
-    scale = bundle.derived(cons.surface_scale)
-    report: dict[str, float] = {}
-    cdata = cwmod.extract_A_f(bundle)
-    report["f_inf"] = dg.interior_sup(grid, cdata.f)
-    report["f_holo_defect"] = cdata.holomorphy_defect
-    report["cw_resid_f"] = dg.interior_sup(grid, cwmod.conformal_willmore_residual(bundle, cdata.f)) / scale
-    report["cw_resid_zero"] = dg.interior_sup(grid, cwmod.conformal_willmore_residual(bundle, 0.0)) / scale
-    report["cwbis_resid"] = cwmod.eq13_residual(bundle, cdata.f, cdata.L)
-
-    sr = cons.build_S_R(bundle, cdata.L)
-    del cdata  # used up: the S/R stages below set the chain's peak memory
-    report["S_defect"] = sr.S_defect
-    report["R_defect"] = sr.R_defect
-    srS, srR = cons.sr_system_residual(bundle, sr.S, sr.R)
-    report["srS_resid"] = srS
-    report["srR_resid"] = srR
-    report["phi_identity"] = cons.phi_identity_residual(bundle, sr.S, sr.R)
-    return report
+#: a row of STAGES: fn(bundle, chain) returns the values of keys (a tuple if more than one) and may compute or read
+#: the derived entries named (of conservation or confwillmore); chain carries L, then S and R, down the stages
+Stage = namedtuple("Stage", "name group fn entries keys")
+_Q = ("assemble_Q", "_grad_H", "_pin_grad_H", "_grad_gauss")  # Q and what it reads
+_Z0 = ("dz_L0_closed_form", "complex_frame", "_H0cH")  # dz L0's closed form and what it reads but grad H
 
 
-def _conservation(bundle: GeometryBundle) -> dict[str, float]:
-    """Tangency of Q, the Willmore residual and the recovery of L."""
-    dot, wedge = cons.tangency_identities(bundle)
-    return {
-        "dot_identity": dot,
-        "wedge_identity": wedge,
-        "divQ_inf": dg.interior_sup(bundle.grid, cons.willmore_residual(bundle)),
-        "L_defect": bundle.derived(cons.recover_L).defect,
-        "L0_consistency": cons.assemble_L0(bundle),
-    }
+def _fit(bundle: GeometryBundle, chain: dict) -> tuple:
+    """The extracted f and its equations; chain["L"] is the potential integrated with f."""
+    grid, scale, cdata = bundle.grid, bundle.derived(cons.surface_scale), cwmod.extract_A_f(bundle)
+    chain["L"] = cdata.L
+    cw = (dg.interior_sup(grid, cwmod.conformal_willmore_residual(bundle, f)) / scale for f in (cdata.f, 0.0))
+    return dg.interior_sup(grid, cdata.f), cdata.holomorphy_defect, *cw, cwmod.eq13_residual(bundle, cdata.f, cdata.L)
 
 
-def _frame(bundle: GeometryBundle) -> dict[str, float]:
-    """Frame derivative and Codazzi identities, and the informational energies."""
-    a4, a5 = cwmod.frame_derivative_residuals(bundle)
-    return {
-        "a4_resid": a4,
-        "a5_resid": a5,
-        "codazzi_resid": cwmod.codazzi_residual(bundle),
-        "gradn_energy": cwmod.gauss_map_energy(bundle),
-        "conformal_defect": bundle.conformal_defect,
-        "willmore_energy": willmore_energy(bundle),
-    }
+def _potentials(bundle: GeometryBundle, chain: dict) -> tuple:
+    sr = chain["sr"] = cons.build_S_R(bundle, chain.pop("L"))
+    return sr.S_defect, sr.R_defect
+
+
+#: the stages in the order they run without a pool: the conservation and frame stages run before
+#: build_S_R, so the entries that only they read are gone before the S/R stages set the peak memory
+STAGES = (
+    Stage("fit_f", "conformal", _fit, _Z0 + _Q + ("_cw_lhs", "_div_Q"),
+          ("f_inf", "f_holo_defect", "cw_resid_f", "cw_resid_zero", "cwbis_resid")),
+    Stage("tangency", "conservation", lambda b, c: cons.tangency_identities(b), _Q,
+          ("dot_identity", "wedge_identity")),
+    Stage("divQ", "conservation", lambda b, c: dg.interior_sup(b.grid, cons.willmore_residual(b)), _Q + ("_div_Q",),
+          ("divQ_inf",)),
+    Stage("L", "conservation", lambda b, c: b.derived(cons.recover_L).defect, _Q + ("recover_L",), ("L_defect",)),
+    Stage("L0", "conservation", lambda b, c: cons.assemble_L0(b), _Q + _Z0, ("L0_consistency",)),
+    Stage("frame", "frame", lambda b, c: cwmod.frame_derivative_residuals(b), ("complex_frame",),
+          ("a4_resid", "a5_resid")),
+    Stage("codazzi", "frame", lambda b, c: cwmod.codazzi_residual(b), ("_H0cH", "_grad_H"), ("codazzi_resid",)),
+    Stage("energies", "frame", lambda b, c: (cwmod.gauss_map_energy(b), b.conformal_defect, willmore_energy(b)),
+          ("_grad_gauss",), ("gradn_energy", "conformal_defect", "willmore_energy")),
+    Stage("S_R", "conformal", _potentials, (), ("S_defect", "R_defect")),
+    Stage("sr", "conformal", lambda b, c: cons.sr_system_residual(b, c["sr"].S, c["sr"].R), ("_grad_gauss",),
+          ("srS_resid", "srR_resid")),
+    Stage("phi", "conformal", lambda b, c: cons.phi_identity_residual(b, c["sr"].S, c["sr"].R), (), ("phi_identity",)),
+)
+GROUPS = ("conservation", "conformal", "frame")  # in report key order
 
 
 def residual_report(source: ImmersionPatch | GeometryBundle, pool: Executor | None = None) -> dict[str, float]:
-    """Run the full conservation / conformal-Willmore residual suite.
+    """Run the full conservation / conformal-Willmore residual suite, ``STAGES`` in order.
 
-    The three stage groups are independent.  With a pool, the conservation
-    and frame groups go to it while the conformal chain, the longest, runs
-    here; a group still queued after the chain runs here too.  So this only
-    waits on running groups, which submit nothing: a pool of any size,
-    1 included, cannot deadlock.  Keys and values do not depend on the pool.
+    With a pool, the conservation and frame groups go to it while the conformal group runs here; a
+    group still queued then runs here too.  So this only waits on running groups, which submit nothing:
+    a pool of any size, 1 included, cannot deadlock.  A bundle the report builds drops each derived
+    entry once no stage that may read it is left.  Keys and values do not depend on the pool.
     """
     bundle = source if isinstance(source, GeometryBundle) else make_bundle(source)
-    side = (_conservation, _frame)
-    futures = {group: pool.submit(group, bundle) for group in side} if pool is not None else {}
+    # stages left that may read each entry; none are counted on a bundle passed in, which keeps its memo
+    # (its counts go below zero)
+    readers = Counter(name for stage in STAGES for name in stage.entries if bundle is not source)
+    lock, chain, values = threading.Lock(), {}, {}
+
+    def run(groups) -> None:
+        for stage in (stage for stage in STAGES if stage.group in groups):
+            out = stage.fn(bundle, chain)
+            values.update(zip(stage.keys, out if len(stage.keys) > 1 else (out,)))
+            with lock:
+                readers.subtract(stage.entries)
+                for name in [name for name in stage.entries if readers[name] == 0]:
+                    # looked up now: a tracer or a test may have bound a wrapper in the function's place
+                    bundle.drop(getattr(cons, name, None) or getattr(cwmod, name))
+
+    side = {group: pool.submit(run, (group,)) for group in ("conservation", "frame")} if pool is not None else {}
     try:
-        conformal = _conformal_chain(bundle)
-        inline = {group: group(bundle) for group in side if group not in futures or futures[group].cancel()}
-        conservation, frame = (inline[g] if g in inline else futures[g].result() for g in side)
+        run([group for group in GROUPS if group not in side])
+        for fut in [fut for group, fut in side.items() if not fut.cancel() or run((group,))]:
+            fut.result()  # a group still queued was cancelled and has run above (run returns None)
     finally:  # when a stage raised, no worker starts a group of this report any more
-        for fut in futures.values():
+        for fut in side.values():
             fut.cancel()
-    return {**conservation, **conformal, **frame}
+    return {key: values[key] for group in GROUPS for stage in STAGES if stage.group == group for key in stage.keys}
 
 
 def check_report(
-    report: dict[str, float],
-    kind: str,
-    thresholds: dict[str, float] | None = None,
+    report: dict[str, float], kind: str, thresholds: dict[str, float] | None = None
 ) -> dict[str, tuple[float, float]]:
     """Threshold check honoring the exemptions of the catalog record of kind.
 
@@ -154,17 +160,11 @@ def check_report(
     are fully thresholded; a record with ``exempt=None`` (the
     graph_perturbation control) is not thresholded at all.
     """
-    thresholds = dict(DEFAULT_THRESHOLDS if thresholds is None else thresholds)
     exempt = CATALOG[kind].exempt if kind in CATALOG else frozenset()
-    if exempt is None:
-        return {}
-    failures: dict[str, tuple[float, float]] = {}
-    for key, bound in thresholds.items():
-        if key not in DEFAULT_THRESHOLDS or key in exempt or key not in report:
-            continue
-        if not np.isfinite(report[key]) or report[key] > bound:
-            failures[key] = (report[key], bound)
-    return failures
+    thresholds = DEFAULT_THRESHOLDS if thresholds is None else thresholds
+    return {key: (report[key], bound) for key, bound in thresholds.items()
+            if exempt is not None and key in DEFAULT_THRESHOLDS and key not in exempt and key in report
+            and (not np.isfinite(report[key]) or report[key] > bound)}
 
 
 def refinement_ratios(reports: list[dict[str, float]]) -> list[dict[str, object]]:

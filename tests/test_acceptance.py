@@ -374,6 +374,16 @@ def test_criterion_9_multivector_kernel_oracles():
             want = (-1.0) ** (k * (m - k)) * unit[mask_of[b]]
             if not np.allclose(got, want, atol=1e-12, rtol=0.0):
                 problems.append(f"m={m} star&star {b}")
+        # the star's defining law a ^ star(b) = <a, b> e_1 ^ ... ^ e_m for every pair of same-grade
+        # blades (the double-star law holds for either orientation; this one pins it)
+        full = (1 << m) - 1
+        starred = mv.field_hodge(basis)  # node j: star of the basis blade of mask j
+        for a in blades:
+            got = mv.field_wedge(rows_of[a], starred).dense()
+            for b in [b for b in blades if len(b) == len(a)]:
+                want = _oracle_inner(a, b) * unit[full]
+                if not np.allclose(got[mask_of[b]], want, atol=1e-12, rtol=0.0):
+                    problems.append(f"m={m} {a}^star{b}")
         # bullet recursion against the independent tuple recursion
         for a in blades:
             for b in blades:
@@ -384,7 +394,7 @@ def test_criterion_9_multivector_kernel_oracles():
                 if not np.allclose(got, expect, atol=1e-12):
                     problems.append(f"m={m} bullet({a},{b})")
     ok = not problems
-    announce(9, ok, "interior adjointness, double-star sign law, and the bullet "
-                    "recursion match brute-force oracles on full blade enumerations, m = 3..6"
+    announce(9, ok, "interior adjointness, double-star sign law, the star's defining law a ^ star b = <a, b> vol, "
+                    "and the bullet recursion match brute-force oracles on full blade enumerations, m = 3..6"
                     + ("" if ok else "; first failures: " + "; ".join(problems[:5])))
     assert ok, problems[:20]

@@ -1,6 +1,8 @@
 """Grid calculus and elliptic solvers: stencil identities, manufactured
 solutions, and convergence order."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,34 @@ class TestOperators:
         win = g.interior()
         resid = 4.0 * dg.dzstar(g, dg.dz(g, f)) - dg.laplace(g, f)
         assert np.max(np.abs(resid[win])) < 1e-11
+
+    def test_derivatives_keep_the_formula_bits_and_the_stack_layout(self):
+        # d1 and d2 write into their result, and grad and grad_perp write both components into one
+        # array: bits as the stencil formula reads, layout as np.stack lays out the two derivatives
+        # (reductions run in memory order), for real and complex fields in any memory order
+        def formula(f, h):
+            out = np.empty_like(f, dtype=np.result_type(f, float))
+            out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+            out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+            out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+            return out
+
+        def same(a, b):
+            return a.dtype == b.dtype and a.strides == b.strides and a.tobytes() == b.tobytes()
+
+        g = Grid(0.5, 17)
+        X = np.random.default_rng(3).normal(size=(5, 17, 17))
+        X[1, 3:6] = -0.0
+        fields = [smooth_field(g), X.transpose(1, 2, 0).copy(), np.moveaxis(X, 0, -1), X.transpose(2, 1, 0),
+                  (1.0 - 2.0j) * np.moveaxis(X, 0, -1), np.moveaxis(X, 0, -1).real]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in fields:
+                d1 = formula(f, g.h)
+                d2 = np.swapaxes(formula(np.swapaxes(f, 0, 1), g.h), 0, 1)
+                assert same(dg.d1(g, f), d1) and same(dg.d2(g, f), d2)
+                assert same(dg.grad(g, f), np.stack([d1, d2]))
+                assert same(dg.grad_perp(g, f), np.stack([-d2, d1]))
 
     def test_operators_broadcast_trailing_axes(self):
         g = Grid(0.5, 33)
@@ -445,6 +475,22 @@ class TestComponentSum:
                 # a strided trailing axis (components stacked in front) sums the same way
                 Y = np.moveaxis(np.moveaxis(X, -1, 0).copy(), 0, -1)
                 assert np.array_equal(dg.component_sum(Y), np.sum(Y, axis=-1))
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_interior_sup_folds_components_as_linalg_norm(self, m):
+        # on a 5 x 5 grid the interior window is the centre node, so each call checks one fold bit for
+        # bit: a field, a stack of two rows per node, components outermost as blade rows hold them,
+        # complex values, and signed zeros
+        g = Grid(0.5, 5)
+        rng = np.random.default_rng(m)
+        for _ in range(50):
+            X = rng.normal(size=(5, 5, 2, m)) * 10.0 ** rng.integers(-100, 100, (5, 5, 2, m))
+            X[..., rng.integers(m)] = -0.0
+            X[2, 2, rng.integers(2), rng.integers(m)] *= rng.integers(2)
+            rows = np.moveaxis(np.moveaxis(X[:, :, 0], -1, 0).copy(), 0, -1)
+            for f in (X[:, :, 0], X, rows, X[:, :, 0] + 1j * X[:, :, 1], np.full((5, 5, m), -0.0)):
+                want = np.max(np.linalg.norm(np.abs(f[g.interior()]), axis=-1))
+                assert np.float64(dg.interior_sup(g, f)).tobytes() == want.tobytes()
 
     def test_negative_zeros_sum_to_positive_zero(self):
         P = np.full((5, 5, 3), -0.0)

@@ -100,12 +100,6 @@ class TestWedge:
             lhs = mv.field_wedge(mv.field_wedge(a, b), c).dense()
             assert close(lhs, mv.field_wedge(a, mv.field_wedge(b, c)).dense(), tol=1e-8)
 
-    def test_embedding_keeps_signed_zeros(self):
-        v = np.random.default_rng(61).normal(size=(4, 4, 5))
-        v[..., 2] = -0.0
-        assert same_bits(mv.vector_field_to_mv(v).dense(), loop_embed(v))
-        assert same_bits(mv.vector_field_to_mv(v[0, 0]).dense(), loop_embed(v[0, 0]))
-
     def test_dimension_mismatch(self):
         with pytest.raises(mv.DimensionMismatchError):
             mv.field_wedge(rows(blade(3, 1)), rows(blade(4, 1)))

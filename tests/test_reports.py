@@ -52,10 +52,10 @@ def test_all_contract_keys_present(sphere_report):
 
 
 def counting(monkeypatch, name):
-    """Wrap every package binding of conservation.<name>; returns the list
-    its calls append to."""
+    """Wrap every package binding of the conservation or confwillmore function
+    name; returns the list its calls append to."""
     calls = []
-    inner = getattr(cons, name)
+    inner = getattr(cons, name, None) or getattr(cw, name)
 
     def wrapper(*args, **kwargs):
         calls.append(name)
@@ -67,13 +67,59 @@ def counting(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("workers", [None, 2], ids=["no-pool", "pool-2"])
+#: the derived entries a report-built bundle drops once no stage left may read them
+DROPPED = ("complex_frame", "_H0cH", "dz_L0_closed_form", "_grad_H", "_pin_grad_H", "assemble_Q", "_div_Q",
+           "recover_L", "_cw_lhs", "_grad_gauss")
+
+
+def entry(name):
+    return getattr(cons, name, None) or getattr(cw, name)
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2], ids=["no-pool", "pool-1", "pool-2"])
 def test_report_computes_shared_quantities_once(monkeypatch, workers):
-    names = ("assemble_Q", "recover_L", "surface_scale", "dz_L0_closed_form", "_H0cH")
+    # an entry dropped while a stage may still read it would be computed a second time
+    names = DROPPED + ("surface_scale",)
     calls = {name: counting(monkeypatch, name) for name in names}
     with pool_of(workers) as pool:
         rp.residual_report(im.make_surface("sphere", G65, rho=1.0), pool)
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 1)
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 4], ids=["no-pool", "pool-1", "pool-2", "pool-4"])
+def test_report_drops_entries_of_the_bundle_it_builds_only(monkeypatch, workers):
+    # reader counts are shared by the pool's workers: with more workers than cores and a short
+    # switch interval, a lost update would leave an entry held or drop it while a stage still reads it
+    built = []
+
+    def make_bundle(patch):
+        built.append(im.make_bundle(patch))
+        return built[-1]
+
+    monkeypatch.setattr(rp, "make_bundle", make_bundle)
+    patch = im.make_surface("graph_perturbation", G33, m=4)
+    given = im.make_bundle(patch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with pool_of(workers) as pool:
+            reports = [pool.submit(rp.residual_report, source, pool).result(timeout=120) if pool else
+                       rp.residual_report(source) for source in (patch, given)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1]
+    assert len(built) == 1
+    assert [name for name in DROPPED if entry(name) in built[0]._memo] == []
+    assert [name for name in DROPPED if entry(name) not in given._memo] == []
+
+
+def test_stage_table_writes_every_key_once(sphere_report):
+    keys = [key for stage in rp.STAGES for key in stage.keys]
+    assert sorted(keys) == sorted(sphere_report)
+    assert {key: keys.count(key) for key in rp.DEFAULT_THRESHOLDS} == dict.fromkeys(rp.DEFAULT_THRESHOLDS, 1)
+    assert {stage.group for stage in rp.STAGES} == set(rp.GROUPS)
+    # every entry a stage names is a derived entry the report can drop
+    assert {name for stage in rp.STAGES for name in stage.entries} == set(DROPPED)
 
 
 def test_derived_entry_computed_once_across_threads():
@@ -148,6 +194,24 @@ def test_report_peak_memory():
     finally:
         tracemalloc.stop()
     assert (peak - start) / (G65.n**2 * 6 * 8) < 52.0
+
+
+def test_report_built_from_patch_peak_memory():
+    # a bundle the report builds drops each derived entry once no stage left reads it, and the
+    # conservation and frame stages run before build_S_R: an m = 6, n = 129 graph report built from
+    # its patch peaks at 46.0 fields (n, n, m) (57.7 when the memo was held to the end)
+    grid = Grid(0.5, 129)
+    patch = im.make_surface("graph_perturbation", grid, m=6)
+    rp.residual_report(patch)  # warm the table and solver caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rp.residual_report(patch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (grid.n**2 * 6 * 8) < 53.0
 
 
 def test_report_accepts_bundle_or_patch(sphere_report):
