@@ -23,10 +23,10 @@ print("== Non-increasing rearrangement of 1/|x| on the square ==")
 grid = Grid(0.5, 513)
 X1, X2 = grid.nodes()
 r = np.hypot(X1, X2)
-origin = r < 1e-14          # singular cell excluded, bounded analytically
+origin = r < 1e-14          # singular cell indexed out, bounded analytically
 f = np.zeros_like(r)
 f[~origin] = 1.0 / r[~origin]
-profile = lo.rearrange(grid, f, exclude=origin)
+profile = lo.rearrange(grid, f[~origin])
 sel = (profile.t > 0.02) & (profile.t < 0.2)
 fit = profile.fstar[sel] * np.sqrt(profile.t[sel] / np.pi)
 print(f"level sets are disks: f*(t) sqrt(t/pi) = 1 within "

@@ -133,12 +133,6 @@ _DEGREE = 4
 _GATE = 10.0
 
 
-def _exponent(x: np.ndarray) -> int:
-    """e bringing max |x| 2^-e into [1/2, 1) (e = 0 if that max is 0 or not finite)."""
-    sup = np.max(np.abs(x))
-    return int(np.frexp(sup)[1]) if np.isfinite(sup) else 0
-
-
 def _fit_f(grid: dg.Grid, H0: np.ndarray, rhs: np.ndarray, scale: float) -> np.ndarray:
     """The least-squares polynomial f = sum_{j<=d} c_j w^j, w = z/s, of Re(f H0) = rhs over the
     interior window, every ambient component a row, evaluated on the whole grid.
@@ -155,7 +149,7 @@ def _fit_f(grid: dg.Grid, H0: np.ndarray, rhs: np.ndarray, scale: float) -> np.n
     win = grid.interior()
     t = np.linspace(-1.0, 1.0, grid.n)  # x / s, free of s's range
     w = t[:, None] + 1j * t
-    eH, er = _exponent(H0[win].view(float)), _exponent(rhs[win])
+    eH, er = dg.exponent(H0[win].view(float)), dg.exponent(rhs[win])
     H0w = np.ldexp(H0[win].view(float), -eH).view(complex)
     rhsw = np.ldexp(rhs[win], -er)
     g = dg.component_sum(H0w.real**2 + H0w.imag**2).ravel()

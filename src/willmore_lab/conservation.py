@@ -31,11 +31,11 @@ validated facts wired into this module (each is also a test):
 Potentials are fixed mean-zero; every off-shell input degrades to a
 reported defect rather than an error.  Q, grad H, pi_n(grad H), grad n,
 L, the surface scale and the closed form of dz L0 are computed once per
-bundle and shared through ``GeometryBundle.derived``.  Multivector
-fields (n, R and their derivatives and products) are
-``multivec.BladeRows`` end to end, and residual norms sum over the blade
-axis in numpy's order (``blade_sum``); wedges of vector fields start from
-the component rows.
+bundle and shared through ``GeometryBundle.derived``; grad star n is the
+star of the memoized grad n.  Multivector fields (n, R and their
+derivatives and products) are ``multivec.BladeRows`` end to end, and
+residual norms sum over the blade axis in numpy's order
+(``blade_sum``); wedges of vector fields start from the component rows.
 """
 
 from __future__ import annotations
@@ -212,16 +212,6 @@ def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
     return SRData(resS.u, R, resS.defect / scale, resR.defect / scale)
 
 
-def _add_up(terms) -> np.ndarray:
-    """``sum(terms)`` bit for bit: 0 + the first term into a new array, then
-    each later term added into it in place as it is formed."""
-    terms = iter(terms)
-    total = 0 + next(terms)
-    for term in terms:
-        total += term
-    return total
-
-
 def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -> tuple[float, float]:
     """Normalized interior sup-residuals of the S/R elliptic system.
 
@@ -232,7 +222,7 @@ def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -
     grid, m = bundle.grid, bundle.m
     scale = bundle.derived(surface_scale)
     blades = mv.grade_masks(m, 2)  # every term of the R equation is a 2-vector
-    gstarn = mv.field_slotwise(partial(dg.grad, grid), mv.field_hodge(bundle.gauss))
+    gstarn = mv.field_hodge(bundle.derived(_grad_gauss))  # grad(star n), up to the sign of an exact zero
     gperpR = mv.field_slotwise(partial(dg.grad_perp, grid), R)
     res = dg.laplace(grid, S)
     res -= sum(mv.field_inner(gstarn, gperpR))
@@ -240,11 +230,12 @@ def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -
     # read only, so the rows themselves when every 2-blade is held
     gs = gstarn.rows if np.array_equal(gstarn.slots, blades) else gstarn.part(blades)
     gperpS = dg.grad_perp(grid, S)
-    sterm = _add_up(gs[:, j] * gperpS[j] for j in range(2))
+    sterm = gs[:, 0] * gperpS[0]
+    sterm += gs[:, 1] * gperpS[1]
     del gstarn, gs, gperpS
     bullet = mv.field_bullet(bundle.derived(_grad_gauss), gperpR)
     del gperpR
-    contraction = bullet._replace(rows=_add_up(np.moveaxis(bullet.rows, 1, 0)))
+    contraction = bullet._replace(rows=bullet.rows[:, 0] + bullet.rows[:, 1])
     del bullet
     rhs = mv.field_hodge(contraction).part(blades)
     del contraction
@@ -273,11 +264,13 @@ def phi_identity_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows
     del gR
     vec = mv.mv_field_vector_part(bullet)
     del bullet
-    contraction = _add_up(vec)
+    contraction = vec[0] + vec[1]
     del vec
     gS = dg.grad(grid, S)
-    contraction -= _add_up(gS[j][..., None] * gperp_phi[j] for j in range(2))
-    del gS, gperp_phi
+    sterm = gS[0][..., None] * gperp_phi[0]
+    sterm += gS[1][..., None] * gperp_phi[1]
+    contraction -= sterm  # the formed sum: subtracting its terms one by one rounds differently
+    del gS, gperp_phi, sterm
     np.multiply(0.5, contraction, out=contraction)
     resid = dg.laplace(grid, jet.phi)
     resid -= contraction

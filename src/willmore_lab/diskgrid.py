@@ -17,7 +17,8 @@ diagonalized by a type-I discrete sine transform; Neumann problems use
 ghost-point elimination diagonalized by a type-I cosine transform, with
 mean-zero normalization and the compatibility defect reported.  Both
 transforms are pocketfft's type-I recipe on numpy.fft (``_pass``), fused
-with the mode divisions, and keep scipy.fft's bits.
+with the mode divisions, and keep scipy.fft's bits; both divide by one
+eigenvalue table.  ``exponent`` is the package's one power-of-two rule.
 
 ``component_sum`` sums the short trailing axis of ambient components
 (m <= 6) by adding ``P[..., k]`` in index order.  numpy's ``np.sum`` over
@@ -51,6 +52,7 @@ __all__ = [
     "integrate",
     "l2norm",
     "component_sum",
+    "exponent",
     "interior_sup",
     "poisson_dirichlet",
     "poisson_neumann",
@@ -210,6 +212,12 @@ def component_sum(P: np.ndarray) -> np.ndarray:
     return out
 
 
+def exponent(x) -> int:
+    """e bringing max |x| 2^-e into [1/2, 1), an exact scaling (e = 0 if that max is 0 or not finite)."""
+    sup = np.max(np.abs(x))
+    return int(np.frexp(sup)[1]) if np.isfinite(sup) else 0
+
+
 def interior_sup(grid: Grid, f: np.ndarray) -> float:
     """Sup of |f| on the default interior window; components fold in by the Euclidean norm."""
     v = np.abs(f[grid.interior()])
@@ -258,10 +266,12 @@ def _slabs(*arrays: np.ndarray):
 
 
 @lru_cache(maxsize=8)
-def _dirichlet_eigs(n: int, h: float) -> np.ndarray:
-    k = np.arange(1, n - 1)
-    lam = (2.0 * np.cos(np.pi * k / (n - 1)) - 2.0) / h**2
-    return lam[:, None] + lam[None, :]
+def _eigs(n: int, h: float) -> np.ndarray:
+    """5-point Laplacian eigenvalues of cosine mode (k1, k2), zero mode 1.0; [1:-1, 1:-1]: the sine modes."""
+    lam = (2.0 * np.cos(np.pi * np.arange(n) / (n - 1)) - 2.0) / h**2
+    lam2 = lam[:, None] + lam[None, :]
+    lam2[0, 0] = 1.0
+    return lam2
 
 
 def _five_point_residual(grid: Grid, u: np.ndarray, rhs: np.ndarray) -> float:
@@ -298,21 +308,12 @@ def poisson_dirichlet(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     fct = float(np.longdouble(1) / (4 * (n - 1) ** 2))  # idstn's factor, rounded as pocketfft rounds it
     with np.errstate(all="ignore"):  # non-finite data is the residual check's to report
         for src, dst in _slabs(rhs[1:-1, 1:-1].astype(u.dtype, copy=False), u[1:-1, 1:-1]):
-            modes = _pass(_pass(src, True), True, -1.0) / _dirichlet_eigs(n, h)  # -dstn(src) / eigenvalue
+            modes = _pass(_pass(src, True), True, -1.0) / _eigs(n, h)[1:-1, 1:-1]  # -dstn(src) / eigenvalue
             np.negative(_pass(_pass(modes, True, -1.0), True, -fct), out=dst)  # idstn
     res = _five_point_residual(grid, u, rhs)
     if not res <= 1e-10:
         raise SolverError("Dirichlet Poisson solve failed", res)
     return u
-
-
-@lru_cache(maxsize=8)
-def _neumann_eigs(n: int, h: float) -> np.ndarray:
-    k = np.arange(n)
-    lam = (2.0 * np.cos(np.pi * k / (n - 1)) - 2.0) / h**2
-    lam2 = lam[:, None] + lam[None, :]
-    lam2[0, 0] = 1.0  # zero mode handled separately
-    return lam2
 
 
 def _dct_weights(n: int) -> np.ndarray:
@@ -349,7 +350,7 @@ def poisson_neumann(
     b[:, -1] -= 2.0 * np.asarray(flux_n) / h
     w = _dct_weights(n)
     c = (n - 1.0) / (2.0 * w)  # <w_k, v_k> per mode
-    norm, eigs, weights = 4.0 * np.outer(c, c), _neumann_eigs(n, h), 4.0 * np.outer(w, w)
+    norm, eigs, weights = 4.0 * np.outer(c, c), _eigs(n, h), 4.0 * np.outer(w, w)
     u, beta00 = np.empty_like(b), np.empty((1, 1) + b.shape[2:], b.dtype)
     with np.errstate(all="ignore"):  # non-finite data gives a non-finite u and no numpy warning
         for src, dst, zero in _slabs(b, u, beta00):
@@ -468,8 +469,8 @@ def write_field(path, grid: Grid, data: np.ndarray) -> None:
 def read_field(path) -> tuple[Grid, np.ndarray]:
     """Read a binary field; returns (grid, values) with values (n, n, arity).
 
-    A header or payload that does not match, or a sample that is not finite,
-    raises ValueError naming the file.
+    A header or payload that does not match, a header that is no valid grid,
+    or a sample that is not finite raises ValueError naming the file.
     """
     with open(path, "rb") as fh:
         header, payload = fh.read(_HEADER.size), fh.read()
@@ -479,4 +480,7 @@ def read_field(path) -> tuple[Grid, np.ndarray]:
     values = np.frombuffer(payload, dtype="<f8").reshape(n, n, arity).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"field file {path}: holds a sample that is not finite")
-    return Grid(s, n), values
+    try:
+        return Grid(s, n), values
+    except ValueError as exc:
+        raise ValueError(f"field file {path}: {exc}") from None

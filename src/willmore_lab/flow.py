@@ -30,7 +30,7 @@ zero Dirichlet data per ambient component and sum ||grad phi_k||_L2.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,15 +155,16 @@ class FlowTrace:
     Every state keeps its scalars (energy, ps, conformal defect, tau,
     stalled, rejections); only the final state keeps its patch, so a
     trace holds one patch however long the run.  ``step`` returns the
-    iterates themselves.
-
-    ``rejections`` counts the run's rejected line-search trials by reason
-    (see FlowState.rejections); it is kept in memory only.
+    iterates themselves.  The states are the one record of rejected
+    trials; ``rejections`` counts them.
     """
 
     states: tuple[FlowState, ...]
     stopped_by: str   # "threshold" | "stalled" | "max_iters" | "degenerate"
-    rejections: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def rejections(self) -> dict[str, int]:
+        return dict(Counter(r for s in self.states for r in s.rejections))
 
     @property
     def initial(self) -> FlowState:
@@ -194,7 +195,6 @@ def run(
     state = _state_from_patch(source, 0.0)
     elam_floor = 1e-8 * float(np.max(state.bundle.elam))
     states = []
-    rejections = Counter()
     stopped = "max_iters"
     tau_try = 1.0
     for _ in range(max_iters):
@@ -203,7 +203,6 @@ def run(
             break
         states.append(replace(state, patch=None, bundle=None))
         state = step(state, tau_try)
-        rejections.update(state.rejections)
         if state.stalled:
             stopped = "stalled"
             break
@@ -218,4 +217,4 @@ def run(
     energies = [s.energy for s in states]
     if any(b > a for a, b in zip(energies, energies[1:])):
         raise RuntimeError("energy trace must be non-increasing")
-    return FlowTrace(tuple(states), stopped, dict(rejections))
+    return FlowTrace(tuple(states), stopped)

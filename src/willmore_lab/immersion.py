@@ -424,17 +424,13 @@ class GeometryBundle:
     def m(self) -> int:
         return self.patch.m
 
-    def project_tangent(self, X: np.ndarray) -> np.ndarray:
-        """Tangential part of an ambient (possibly complex) vector field."""
-        out = np.zeros_like(X)
+    def project_normal(self, X: np.ndarray) -> np.ndarray:
+        """pi_n(X) of an ambient (possibly complex) vector field: X minus its parts along t1, t2."""
+        tang = np.zeros_like(X)
         for t in (self.t1, self.t2):
             P = X * t
-            out += (dg.component_sum(P) if np.isrealobj(P) else np.sum(P, axis=-1))[..., None] * t
-        return out
-
-    def project_normal(self, X: np.ndarray) -> np.ndarray:
-        """pi_n(X): removal of the tangential components."""
-        return X - self.project_tangent(X)
+            tang += (dg.component_sum(P) if np.isrealobj(P) else np.sum(P, axis=-1))[..., None] * t
+        return X - tang
 
     def project_normal_frame(self, X: np.ndarray) -> np.ndarray:
         """pi_n(X) via expansion over the normal frame (cross-check route)."""

@@ -52,16 +52,15 @@ def _pieces(h2: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     return counts, t
 
 
-def rearrange(grid: Grid, f: np.ndarray, exclude: np.ndarray | None = None) -> RearrangedProfile:
+def rearrange(grid: Grid, f: np.ndarray) -> RearrangedProfile:
     """Sort |f| into its non-increasing rearrangement, cell area h^2.
 
-    ``exclude`` is an optional boolean mask of nodes to drop (used for
-    singular test functions whose singular cell is accounted for
-    analytically); equimeasurability is exact by construction.
+    Each sample of f, of any shape, is one cell: drop nodes by indexing them
+    out, ``f[~mask]`` (a singular cell accounted for analytically, say);
+    equimeasurability is exact by construction.
     """
-    values = np.abs(np.asarray(f, dtype=float))
-    values = values.ravel() if exclude is None else values[~exclude]
-    values.sort()  # a fresh array either way; NaN and inf sort last
+    values = np.abs(np.asarray(f, dtype=float)).ravel()
+    values.sort()  # np.abs made a fresh array; NaN and inf sort last
     if values.size and not np.isfinite(values[-1]):
         raise ValueError("rearrangement requires finite samples")
     fstar = values[::-1]
@@ -91,7 +90,7 @@ def lorentz_norm(profile: RearrangedProfile, p: float, q: float) -> float:
     """Lorentz norm ||t^{1/p} f**||_{L^q(dt/t)} of a rearranged profile.
 
     p must lie in (1, inf); q in [1, inf] (numpy.inf for the weak norm).
-    The norm of an empty profile (every sample excluded) is 0.0.
+    The norm of an empty profile (every sample dropped) is 0.0.
     """
     _check_exponents(p, q)
     if not profile.t.size:
@@ -113,8 +112,7 @@ def _grad_norms(grid: Grid, f: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray
     """
     G = dg.d1(grid, f), dg.d2(grid, f)
     mag = np.hypot(*G)
-    sup = np.max(mag)
-    e = int(np.frexp(sup)[1]) if np.isfinite(sup) else 0
+    e = dg.exponent(mag)
     for X in (*G, mag):
         np.ldexp(X, -e, out=X)
     return G, mag, float(dg.l2norm(grid, mag)), e

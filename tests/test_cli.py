@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -254,8 +255,14 @@ class TestInputBoundary:
         stub.write_bytes(good.read_bytes()[:5])
         vector = tmp_path / "vector.bin"  # three values per node, as a flow checkpoint holds
         dg.write_field(vector, Grid(0.5, 33), np.ones((33, 33, 3)))
+        # headers (n, s, arity) that are no valid grid, with payloads of the size they announce
+        even, wide = tmp_path / "even.bin", tmp_path / "wide.bin"
+        even.write_bytes(struct.pack("<qdq", 4, 0.5, 1) + np.ones(16).tobytes())
+        wide.write_bytes(struct.pack("<qdq", 33, 2.0, 1) + good.read_bytes()[24:])
         for field, p, word in ((tmp_path / "missing.bin", "2", "missing.bin"), (short, "2", "short.bin"),
-                               (stub, "2", "stub.bin"), (good, "1", "p=1"), (vector, "2", "vector.bin")):
+                               (stub, "2", "stub.bin"), (good, "1", "p=1"), (vector, "2", "vector.bin"),
+                               (even, "2", "even.bin: points per side n=4"),
+                               (wide, "2", "wide.bin: half-width s=2.0")):
             argv = ["lorentz", "--field", str(field), "--p", p, "--q", "inf"]
             assert word in self.check_rejected(capsys, tmp_path, argv=argv)
 

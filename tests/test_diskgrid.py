@@ -266,6 +266,12 @@ def _divide_modes(x, table):
     parts /= table.reshape(table.shape + (1,) * (parts.ndim - 2))
 
 
+def _laplace_eigs(n, h):
+    """5-point Laplacian eigenvalues of cosine mode (k1, k2), k = 0..n-1, from their formula."""
+    lam = (2.0 * np.cos(np.pi * np.arange(n) / (n - 1)) - 2.0) / h**2
+    return lam[:, None] + lam[None, :]
+
+
 class TestType1Transforms:
     """The type-I sine/cosine passes the Poisson solvers are built from."""
 
@@ -316,10 +322,13 @@ class TestType1Transforms:
         g, rng = Grid(0.5, n), np.random.default_rng(n)
         x3 = rng.normal(size=(n, n, 3))
         view = np.moveaxis(rng.normal(size=(6, n, n)), 0, -1)
+        eigs = _laplace_eigs(n, g.h)  # the sine modes are k = 1..n-2
+        neumann_eigs = eigs.copy()
+        neumann_eigs[0, 0] = 1.0  # the zero mode is projected out, not divided
         for rhs in (x3, x3[..., 0] + 1j * x3[..., 1], view, view + 1j * view[::-1]):
             u = np.zeros(rhs.shape, dtype=rhs.dtype)
             fhat = sfft.dstn(rhs[1:-1, 1:-1].astype(rhs.dtype), type=1, axes=(0, 1), overwrite_x=True)
-            _divide_modes(fhat, dg._dirichlet_eigs(n, g.h))
+            _divide_modes(fhat, eigs[1:-1, 1:-1])
             u[1:-1, 1:-1] = sfft.idstn(fhat, type=1, axes=(0, 1), overwrite_x=True)
             assert dg.poisson_dirichlet(g, rhs).tobytes() == u.tobytes()
             w = dg._dct_weights(n)
@@ -327,7 +336,7 @@ class TestType1Transforms:
             beta = sfft.dctn(np.array(rhs), type=1, axes=(0, 1), overwrite_x=True)
             _divide_modes(beta, 4.0 * np.outer(c, c))
             compat = np.abs(beta[0, 0])
-            _divide_modes(beta, dg._neumann_eigs(n, g.h))
+            _divide_modes(beta, neumann_eigs)
             beta[0, 0] = 0.0
             _divide_modes(beta, 4.0 * np.outer(w, w))
             got, got_compat = dg.poisson_neumann(g, rhs)
@@ -459,6 +468,16 @@ class TestFieldIO:
         _, values = dg.read_field(path)
         assert values.shape == (33, 33, 2)
         assert np.array_equal(values[..., 0] + 1j * values[..., 1], data)
+
+
+@pytest.mark.parametrize("x, e", [(0.0, 0), (0.75, 0), (1.0, 1), (-3.0, 2), (5e-324, -1073),
+                                  (np.inf, 0), (np.nan, 0)])
+def test_exponent(x, e):
+    # max |x| 2^-e lies in [1/2, 1), and e = 0 where that max is 0 or not finite
+    assert dg.exponent(x) == e
+    assert dg.exponent(np.array([[0.0, x], [-0.0, 0.5 * x]])) == e
+    sup = np.ldexp(abs(x), -e)
+    assert sup == 0.0 or not np.isfinite(sup) or 0.5 <= sup < 1.0
 
 
 class TestComponentSum:

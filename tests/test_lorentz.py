@@ -55,7 +55,7 @@ class TestRearrange:
         exclude = r < 1e-14
         f = np.zeros_like(r)
         f[~exclude] = 1.0 / r[~exclude]
-        prof = lo.rearrange(g, f, exclude=exclude)
+        prof = lo.rearrange(g, f[~exclude])
         sel = (prof.t > 0.01) & (prof.t < 0.2)  # comfortably inside the disk range
         rel = np.abs(prof.fstar[sel] - np.sqrt(np.pi / prof.t[sel])) / np.sqrt(np.pi / prof.t[sel])
         assert np.max(rel) < 0.02
@@ -66,13 +66,13 @@ class TestRearrange:
             f[3, 3] = sample
             with pytest.raises(ValueError):
                 lo.rearrange(G65, f)
-            # only kept cells count: an excluded non-finite sample is dropped before the check
+            # only kept cells count: a non-finite sample indexed out is never checked
             exclude = np.zeros((65, 65), dtype=bool)
             exclude[3, 3] = True
-            assert np.all(lo.rearrange(G65, f, exclude=exclude).fstar == 1.0)
+            assert np.all(lo.rearrange(G65, f[~exclude]).fstar == 1.0)
             exclude[3, 3], exclude[5, 5] = False, True
             with pytest.raises(ValueError):
-                lo.rearrange(G65, f, exclude=exclude)
+                lo.rearrange(G65, f[~exclude])
 
 
 class TestLorentzNorm:
@@ -87,8 +87,8 @@ class TestLorentzNorm:
 
     @pytest.mark.parametrize("q", [1.0, np.inf])
     def test_empty_profile_has_zero_norm(self, q):
-        # every sample excluded: the norm of nothing is 0.0, not an IndexError
-        prof = lo.rearrange(G65, np.ones((65, 65)), exclude=np.ones((65, 65), dtype=bool))
+        # every sample indexed out: the norm of nothing is 0.0, not an IndexError
+        prof = lo.rearrange(G65, np.ones((65, 65))[~np.ones((65, 65), dtype=bool)])
         assert prof.t.size == 0
         assert lo.lorentz_norm(prof, 2.0, q) == 0.0
 
@@ -112,7 +112,7 @@ class TestLorentzNorm:
         exclude = r < 1e-14
         f = np.zeros_like(r)
         f[~exclude] = 1.0 / r[~exclude]
-        norm = lo.lorentz_norm(lo.rearrange(g, f, exclude=exclude), 2.0, np.inf)
+        norm = lo.lorentz_norm(lo.rearrange(g, f[~exclude]), 2.0, np.inf)
         assert abs(norm - 2.0 * np.sqrt(np.pi)) < 0.02 * 2.0 * np.sqrt(np.pi)
 
     def test_homogeneity(self):
