@@ -179,20 +179,16 @@ def _check_writable(paths: list[str]) -> None:
 
 
 def _report_items(args) -> list[dict]:
-    def work(patch):
-        report = rp.residual_report(patch, pool)
-        return {
-            "surface": patch.label,
-            "kind": args.kind,
-            "params": args.params,
-            "m": args.m,
-            "n": patch.grid.n,
-            "s": args.s,
-            "keys": {k: float(v) for k, v in sorted(report.items())},
-        }
+    def work(item):
+        # the report gets the one reference to its patch, so the patch and its jet go once the bundle exists
+        report = rp.residual_report(item.pop("patch"), pool)
+        item["keys"] = {k: float(v) for k, v in sorted(report.items())}
+        return item
 
+    items = [{"surface": patch.label, "kind": args.kind, "params": args.params, "m": args.m, "n": patch.grid.n,
+              "s": args.s, "patch": patch} for patch in vars(args).pop("patches")]
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        return list(pool.map(work, args.patches))
+        return list(pool.map(work, items))
 
 
 def cmd_verify(args) -> tuple[int, dict]:
@@ -257,11 +253,10 @@ def cmd_lorentz(args) -> tuple[int, dict]:
 
 def cmd_flow(args) -> tuple[int, dict]:
     patch = args.patches[0]
-    bundle = make_bundle(patch)
-    stop = 0.0
-    if args.stop_ratio > 0.0:
-        stop = args.stop_ratio * bundle.derived(ps_norm)
-    trace = flow_run(bundle, max_iters=args.max_iters, stop=stop)
+    bundles = [make_bundle(patch)]
+    stop = args.stop_ratio * bundles[0].derived(ps_norm) if args.stop_ratio > 0.0 else 0.0
+    # the run gets the one reference to the initial bundle, so the bundle goes with the initial state
+    trace = flow_run(bundles.pop(), max_iters=args.max_iters, stop=stop)
     payload = {
         "surface": patch.label,
         "iterations": len(trace.states) - 1,

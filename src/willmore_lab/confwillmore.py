@@ -29,6 +29,7 @@ f = 0 residual converges to 1/(4 rho^3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -79,7 +80,7 @@ def frame_derivative_residuals(bundle: GeometryBundle) -> tuple[float, float]:
         na = bundle.normal_frame[a]
         res = dg.dzstar(grid, na)
         pin = bundle.project_normal(res)
-        pred = np.sum(bundle.H0 * na, axis=-1)[..., None] * ez
+        pred = dg.component_sum(bundle.H0 * na)[..., None] * ez
         pred += dg.component_sum(bundle.H * na)[..., None] * ezstar
         np.multiply(-bundle.elam[..., None], pred, out=pred)
         pred += pin
@@ -103,7 +104,7 @@ def codazzi_residual(bundle: GeometryBundle) -> float:
     lhs = dg.dzstar(grid, e2lam * H0cH) / e2lam
     gradH = bundle.derived(_grad_H)  # dz H and dz* H as dg.dz and dg.dzstar form them
     dzH, dzstarH = 0.5 * (gradH[0] - 1j * gradH[1]), 0.5 * (gradH[0] + 1j * gradH[1])
-    rhs = np.sum(bundle.H * dzH, axis=-1) + np.sum(np.conj(bundle.H0) * dzstarH, axis=-1)
+    rhs = dg.component_sum(bundle.H * dzH) + dg.component_sum(np.conj(bundle.H0) * dzstarH)
     return dg.interior_sup(grid, lhs - rhs) / bundle.derived(surface_scale)
 
 
@@ -126,6 +127,13 @@ def _holomorphy_defect(grid, f: np.ndarray) -> float:
     if den < 1e-12:
         return 0.0
     return float(num / den)
+
+
+def _index_order_sum(P: np.ndarray) -> np.ndarray:
+    """The complex component sum of P taken in index order on each plane, raveled."""
+    out = np.empty(P.shape[:-1], complex)
+    out.real, out.imag = dg.component_sum(P.real), dg.component_sum(P.imag)
+    return out.ravel()
 
 
 #: degree d of the polynomial f = sum_{j<=d} c_j (z/s)^j, and the gate constant gamma of its fit
@@ -153,14 +161,16 @@ def _fit_f(grid: dg.Grid, H0: np.ndarray, rhs: np.ndarray, scale: float) -> np.n
     H0w = np.ldexp(H0[win].view(float), -eH).view(complex)
     rhsw = np.ldexp(rhs[win], -er)
     g = dg.component_sum(H0w.real**2 + H0w.imag**2).ravel()
-    hh = dg.component_sum(H0w * H0w).ravel()
-    hr = dg.component_sum(H0w * rhsw).ravel()
+    hh, hr = _index_order_sum(H0w * H0w), _index_order_sum(H0w * rhsw)
     del H0w, rhsw
-    W = w[win].ravel() ** np.arange(2 * d + 1)[:, None]
-    P = np.sum(W * hh, axis=-1)
-    r = np.sum(W[: d + 1] * hr, axis=-1)
-    gWbar = g * np.conj(W[: d + 1])
-    Q = np.array([np.sum(Wj * gWbar, axis=-1) for Wj in W[: d + 1]])
+    # the power rows w^p one at a time (an integer array exponent, as a table of powers takes it), each
+    # moment a numpy sum over one row; the rows up to d are kept for r and Q
+    wv = w[win].ravel()
+    W = [wv ** np.array([p]) for p in range(d + 1)]
+    P = np.array([np.sum(Wp * hh) for Wp in chain(W, (wv ** np.array([p]) for p in range(d + 1, 2 * d + 1)))])
+    r = np.array([np.sum(Wj * hr) for Wj in W])
+    Q = np.array([[np.sum(Wj * gWk) for Wj in W] for gWk in (g * np.conj(Wk) for Wk in W)]).T
+    del W
     # real unknowns (Re c, Im c): sum Re u_j Re u_k = Re(P_{j+k} + Q_jk) / 2, and so on
     j = np.arange(d + 1)
     Pjk = P[j[:, None] + j]

@@ -88,7 +88,7 @@ def _grad_gauss(bundle: GeometryBundle) -> mv.BladeRows:
 
 
 def _H0cH(bundle: GeometryBundle) -> np.ndarray:
-    return np.sum(np.conj(bundle.H0) * bundle.H, axis=-1)
+    return dg.component_sum(np.conj(bundle.H0) * bundle.H)
 
 
 def assemble_Q(bundle: GeometryBundle) -> np.ndarray:

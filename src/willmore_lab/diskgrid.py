@@ -21,12 +21,12 @@ with the mode divisions, and keep scipy.fft's bits; both divide by one
 eigenvalue table.  ``exponent`` is the package's one power-of-two rule.
 
 ``component_sum`` sums the short trailing axis of ambient components
-(m <= 6) by adding ``P[..., k]`` in index order.  numpy's ``np.sum`` over
-that axis runs an inner loop only m long and is 5-8x slower on these
-grids; for real P with at most 7 components both give the same bits, so
-the geometry modules use it for every real ambient dot product and norm.
-Complex sums with m >= 4 stay on ``np.sum``, whose pairwise order gives
-other bits; blade-axis sums (2**m slots) are ``multivec.blade_sum``.
+(m <= 6) in numpy's order, one full-field add per component.  numpy's
+``np.sum`` over that axis runs an inner loop only m long and is 3-8x
+slower on these grids; both give the same bits for real and complex P
+with at most 7 components, so the geometry modules use it for every
+ambient dot product and norm.  Blade-axis sums (2**m slots) are
+``multivec.blade_sum``.
 """
 
 from __future__ import annotations
@@ -200,15 +200,26 @@ def l2norm(grid: Grid, f: np.ndarray) -> float:
 
 
 def component_sum(P: np.ndarray) -> np.ndarray:
-    """Sum over the trailing axis, adding P[..., k] to zero in index order.
+    """Sum over the trailing axis, ``np.sum(P, axis=-1)`` bit for bit for real
+    and complex P with at most 7 components.
 
-    For real P with at most 7 components this is ``np.sum(P, axis=-1)`` bit
-    for bit; the zero start makes a sum of negative zeros +0, as numpy's
-    does.  ``np.sqrt(component_sum(X * X))`` is ``np.linalg.norm(X, axis=-1)``.
+    numpy adds P[..., k] to zero in index order, except for complex P with at
+    least 4 components along a contiguous trailing axis, whose pairwise loop
+    adds ((P0 + P1) + (P2 + P3)), then P4 onward, then zero.  The zero makes a
+    sum of negative zeros +0.  ``np.sqrt(component_sum(X * X))`` is
+    ``np.linalg.norm(X, axis=-1)``.
     """
-    out = P[..., 0] + 0.0
-    for k in range(1, P.shape[-1]):
+    m = P.shape[-1]
+    if m < 4 or np.isrealobj(P) or P.strides[-1] != P.itemsize:
+        out = P[..., 0] + 0.0
+        for k in range(1, m):
+            out += P[..., k]
+        return out
+    out = P[..., 0] + P[..., 1]
+    out += P[..., 2] + P[..., 3]
+    for k in range(4, m):
         out += P[..., k]
+    out += 0.0
     return out
 
 

@@ -193,6 +193,7 @@ def run(
     maximum) ends the run, stopped_by "degenerate", after that state.
     """
     state = _state_from_patch(source, 0.0)
+    del source  # a bundle passed in is the initial state's, and goes with it after the first step
     elam_floor = 1e-8 * float(np.max(state.bundle.elam))
     states = []
     stopped = "max_iters"

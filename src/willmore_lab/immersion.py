@@ -73,14 +73,15 @@ class FrameError(RuntimeError):
 
 @dataclass(frozen=True)
 class Jet:
-    """Position and derivatives of Phi at the grid nodes, shape (n, n, m)."""
+    """Position and derivatives of Phi at the grid nodes, shape (n, n, m).  The
+    second order is None in the bundle a report builds (``reports.residual_report``)."""
 
     phi: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    d11: np.ndarray
-    d12: np.ndarray
-    d22: np.ndarray
+    d11: np.ndarray | None
+    d12: np.ndarray | None
+    d22: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -148,26 +149,29 @@ def _plane_jets(grid: Grid, m: int) -> Jet:
 def _sphere_jets(grid: Grid, m: int, rho: float) -> Jet:
     # inverse stereographic projection, e^lambda = 2 rho / (1 + |x|^2)
     X1, X2 = grid.nodes()
-    u = 1.0 + X1**2 + X2**2
+    X1sq, X2sq = X1**2, X2**2
+    x3 = grid.axis() ** 3  # X1**3 and X2**3, same bits, from n values: numpy's pow is slow on negative bases
+    u = 1.0 + X1sq + X2sq
+    u2, u3 = u**2, u**3
     phi, d1, d2, d11, d12, d22 = _zero_fields(grid, m)
     phi[..., 0] = 2.0 * rho * X1 / u
     phi[..., 1] = 2.0 * rho * X2 / u
     phi[..., 2] = rho * (1.0 - 2.0 / u)
-    d1[..., 0] = 2.0 * rho * (u - 2.0 * X1**2) / u**2
-    d1[..., 1] = -4.0 * rho * X1 * X2 / u**2
-    d1[..., 2] = 4.0 * rho * X1 / u**2
-    d2[..., 0] = -4.0 * rho * X1 * X2 / u**2
-    d2[..., 1] = 2.0 * rho * (u - 2.0 * X2**2) / u**2
-    d2[..., 2] = 4.0 * rho * X2 / u**2
-    d11[..., 0] = 2.0 * rho * (8.0 * X1**3 - 6.0 * X1 * u) / u**3
-    d11[..., 1] = -4.0 * rho * X2 * (u - 4.0 * X1**2) / u**3
-    d11[..., 2] = 4.0 * rho * (u - 4.0 * X1**2) / u**3
-    d22[..., 0] = -4.0 * rho * X1 * (u - 4.0 * X2**2) / u**3
-    d22[..., 1] = 2.0 * rho * (8.0 * X2**3 - 6.0 * X2 * u) / u**3
-    d22[..., 2] = 4.0 * rho * (u - 4.0 * X2**2) / u**3
-    d12[..., 0] = 4.0 * rho * X2 * (4.0 * X1**2 - u) / u**3
-    d12[..., 1] = 4.0 * rho * X1 * (4.0 * X2**2 - u) / u**3
-    d12[..., 2] = -16.0 * rho * X1 * X2 / u**3
+    d1[..., 0] = 2.0 * rho * (u - 2.0 * X1sq) / u2
+    d1[..., 1] = -4.0 * rho * X1 * X2 / u2
+    d1[..., 2] = 4.0 * rho * X1 / u2
+    d2[..., 0] = -4.0 * rho * X1 * X2 / u2
+    d2[..., 1] = 2.0 * rho * (u - 2.0 * X2sq) / u2
+    d2[..., 2] = 4.0 * rho * X2 / u2
+    d11[..., 0] = 2.0 * rho * (8.0 * x3[:, None] - 6.0 * X1 * u) / u3
+    d11[..., 1] = -4.0 * rho * X2 * (u - 4.0 * X1sq) / u3
+    d11[..., 2] = 4.0 * rho * (u - 4.0 * X1sq) / u3
+    d22[..., 0] = -4.0 * rho * X1 * (u - 4.0 * X2sq) / u3
+    d22[..., 1] = 2.0 * rho * (8.0 * x3 - 6.0 * X2 * u) / u3
+    d22[..., 2] = 4.0 * rho * (u - 4.0 * X2sq) / u3
+    d12[..., 0] = 4.0 * rho * X2 * (4.0 * X1sq - u) / u3
+    d12[..., 1] = 4.0 * rho * X1 * (4.0 * X2sq - u) / u3
+    d12[..., 2] = -16.0 * rho * X1 * X2 / u3
     return Jet(phi, d1, d2, d11, d12, d22)
 
 
@@ -200,15 +204,17 @@ def _catenoid_jets(grid: Grid, m: int) -> Jet:
 def _enneper_jets(grid: Grid, m: int) -> Jet:
     # Phi = (u - u^3/3 + u v^2, -(v - v^3/3 + v u^2), u^2 - v^2), e^lambda = 1 + u^2 + v^2
     U, V = grid.nodes()
+    U2, V2 = U**2, V**2
+    x3 = grid.axis() ** 3  # U**3 and V**3 with their bits, as in _sphere_jets
     phi, d1, d2, d11, d12, d22 = _zero_fields(grid, m)
-    phi[..., 0] = U - U**3 / 3.0 + U * V**2
-    phi[..., 1] = -(V - V**3 / 3.0 + V * U**2)
-    phi[..., 2] = U**2 - V**2
-    d1[..., 0] = 1.0 - U**2 + V**2
+    phi[..., 0] = U - x3[:, None] / 3.0 + U * V2
+    phi[..., 1] = -(V - x3 / 3.0 + V * U2)
+    phi[..., 2] = U2 - V2
+    d1[..., 0] = 1.0 - U2 + V2
     d1[..., 1] = -2.0 * U * V
     d1[..., 2] = 2.0 * U
     d2[..., 0] = 2.0 * U * V
-    d2[..., 1] = -(1.0 - V**2 + U**2)
+    d2[..., 1] = -(1.0 - V2 + U2)
     d2[..., 2] = -2.0 * V
     d11[..., 0] = -2.0 * U
     d11[..., 1] = -2.0 * V
@@ -428,8 +434,7 @@ class GeometryBundle:
         """pi_n(X) of an ambient (possibly complex) vector field: X minus its parts along t1, t2."""
         tang = np.zeros_like(X)
         for t in (self.t1, self.t2):
-            P = X * t
-            tang += (dg.component_sum(P) if np.isrealobj(P) else np.sum(P, axis=-1))[..., None] * t
+            tang += dg.component_sum(X * t)[..., None] * t
         return X - tang
 
     def project_normal_frame(self, X: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 from collections import Counter, namedtuple
 from concurrent.futures import Executor
+from dataclasses import replace
 
 import numpy as np
 
@@ -79,11 +80,17 @@ _Z0 = ("dz_L0_closed_form", "complex_frame", "_H0cH")  # dz L0's closed form and
 
 
 def _fit(bundle: GeometryBundle, chain: dict) -> tuple:
-    """The extracted f and its equations; chain["L"] is the potential integrated with f."""
-    grid, scale, cdata = bundle.grid, bundle.derived(cons.surface_scale), cwmod.extract_A_f(bundle)
-    chain["L"] = cdata.L
-    cw = (dg.interior_sup(grid, cwmod.conformal_willmore_residual(bundle, f)) / scale for f in (cdata.f, 0.0))
-    return dg.interior_sup(grid, cdata.f), cdata.holomorphy_defect, *cw, cwmod.eq13_residual(bundle, cdata.f, cdata.L)
+    """The extracted f; chain["f"] is f and chain["L"] the potential integrated with it (A is not kept)."""
+    cdata = cwmod.extract_A_f(bundle)
+    chain["f"], chain["L"] = cdata.f, cdata.L
+    return dg.interior_sup(bundle.grid, cdata.f), cdata.holomorphy_defect
+
+
+def _cw(bundle: GeometryBundle, chain: dict) -> tuple:
+    """The conformal Willmore equation with f and with 0, and Lap(L - L0) = 2 i H0 f."""
+    grid, scale, f = bundle.grid, bundle.derived(cons.surface_scale), chain.pop("f")
+    cw = (dg.interior_sup(grid, cwmod.conformal_willmore_residual(bundle, fv)) / scale for fv in (f, 0.0))
+    return *cw, cwmod.eq13_residual(bundle, f, chain["L"])
 
 
 def _potentials(bundle: GeometryBundle, chain: dict) -> tuple:
@@ -91,20 +98,22 @@ def _potentials(bundle: GeometryBundle, chain: dict) -> tuple:
     return sr.S_defect, sr.R_defect
 
 
-#: the stages in the order they run without a pool: the conservation and frame stages run before
-#: build_S_R, so the entries that only they read are gone before the S/R stages set the peak memory
+#: the stages in the order they run without a pool: the f fit, then the frame and Codazzi stages, so the complex
+#: frame is gone before the conservation stages form Q, then the conformal Willmore stage, and build_S_R after all
+#: of them, so the entries that only they read are gone before the S/R stages.  The L0 stage lists dz L0 but not
+#: the complex frame and H0* . H it is formed from: the f fit lists those and forms dz L0 before it finishes
 STAGES = (
-    Stage("fit_f", "conformal", _fit, _Z0 + _Q + ("_cw_lhs", "_div_Q"),
-          ("f_inf", "f_holo_defect", "cw_resid_f", "cw_resid_zero", "cwbis_resid")),
+    Stage("fit_f", "conformal", _fit, _Z0 + ("_grad_H",), ("f_inf", "f_holo_defect")),
+    Stage("frame", "frame", lambda b, c: cwmod.frame_derivative_residuals(b), ("complex_frame",),
+          ("a4_resid", "a5_resid")),
+    Stage("codazzi", "frame", lambda b, c: cwmod.codazzi_residual(b), ("_H0cH", "_grad_H"), ("codazzi_resid",)),
     Stage("tangency", "conservation", lambda b, c: cons.tangency_identities(b), _Q,
           ("dot_identity", "wedge_identity")),
     Stage("divQ", "conservation", lambda b, c: dg.interior_sup(b.grid, cons.willmore_residual(b)), _Q + ("_div_Q",),
           ("divQ_inf",)),
     Stage("L", "conservation", lambda b, c: b.derived(cons.recover_L).defect, _Q + ("recover_L",), ("L_defect",)),
-    Stage("L0", "conservation", lambda b, c: cons.assemble_L0(b), _Q + _Z0, ("L0_consistency",)),
-    Stage("frame", "frame", lambda b, c: cwmod.frame_derivative_residuals(b), ("complex_frame",),
-          ("a4_resid", "a5_resid")),
-    Stage("codazzi", "frame", lambda b, c: cwmod.codazzi_residual(b), ("_H0cH", "_grad_H"), ("codazzi_resid",)),
+    Stage("L0", "conservation", lambda b, c: cons.assemble_L0(b), _Q + ("dz_L0_closed_form",), ("L0_consistency",)),
+    Stage("cw", "conformal", _cw, _Q + ("_cw_lhs", "_div_Q"), ("cw_resid_f", "cw_resid_zero", "cwbis_resid")),
     Stage("energies", "frame", lambda b, c: (cwmod.gauss_map_energy(b), b.conformal_defect, willmore_energy(b)),
           ("_grad_gauss",), ("gradn_energy", "conformal_defect", "willmore_energy")),
     Stage("S_R", "conformal", _potentials, (), ("S_defect", "R_defect")),
@@ -115,18 +124,28 @@ STAGES = (
 GROUPS = ("conservation", "conformal", "frame")  # in report key order
 
 
+def _first_order(bundle: GeometryBundle) -> GeometryBundle:
+    """The bundle without the second-order jet, which only ``second_fundamental`` reads: its jet keeps
+    phi, d1 and d2, and its patch holds no jet."""
+    jet = replace(bundle.jet, d11=None, d12=None, d22=None)
+    return replace(bundle, patch=replace(bundle.patch, jets=None), jet=jet)
+
+
 def residual_report(source: ImmersionPatch | GeometryBundle, pool: Executor | None = None) -> dict[str, float]:
     """Run the full conservation / conformal-Willmore residual suite, ``STAGES`` in order.
 
     With a pool, the conservation and frame groups go to it while the conformal group runs here; a
     group still queued then runs here too.  So this only waits on running groups, which submit nothing:
-    a pool of any size, 1 included, cannot deadlock.  A bundle the report builds drops each derived
-    entry once no stage that may read it is left.  Keys and values do not depend on the pool.
+    a pool of any size, 1 included, cannot deadlock.  A bundle the report builds holds no second-order
+    jet, and drops each derived entry once no stage that may read it is left; a patch no caller keeps
+    goes with its jet once that bundle exists.  Keys and values do not depend on the pool.
     """
-    bundle = source if isinstance(source, GeometryBundle) else make_bundle(source)
+    built = not isinstance(source, GeometryBundle)
+    bundle = _first_order(make_bundle(source)) if built else source
+    del source
     # stages left that may read each entry; none are counted on a bundle passed in, which keeps its memo
     # (its counts go below zero)
-    readers = Counter(name for stage in STAGES for name in stage.entries if bundle is not source)
+    readers = Counter(name for stage in STAGES for name in stage.entries if built)
     lock, chain, values = threading.Lock(), {}, {}
 
     def run(groups) -> None:

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from willmore_lab import diskgrid as dg
 from willmore_lab.diskgrid import Grid
@@ -514,3 +516,16 @@ class TestComponentSum:
     def test_negative_zeros_sum_to_positive_zero(self):
         P = np.full((5, 5, 3), -0.0)
         assert dg.component_sum(P).tobytes() == np.sum(P, axis=-1).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(min_value=1, max_value=7), complex_=st.booleans(),
+           layout=st.sampled_from(["C", "components outermost", "window", "transposed"]), data=st.data())
+    def test_equals_numpy_sum_bit_for_bit(self, m, complex_, layout, data):
+        # real and complex, any layout numpy's sum treats differently, signed zeros and wide magnitudes
+        floats = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+        size = 3 * 3 * m * (2 if complex_ else 1)
+        X = np.array(data.draw(st.lists(floats, min_size=size, max_size=size)))
+        X = (X.view(complex) if complex_ else X).reshape(3, 3, m)
+        X = {"C": X, "components outermost": np.moveaxis(np.moveaxis(X, -1, 0).copy(), 0, -1),
+             "window": X[1:, :2], "transposed": X.transpose(1, 0, 2)}[layout]
+        assert dg.component_sum(X).tobytes() == np.sum(X, axis=-1).tobytes()

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -251,31 +252,55 @@ class TestRun:
         assert abs(retained[30] - retained[5]) < patch.phi.nbytes
 
     def test_rejections_account_for_every_trial(self, monkeypatch):
-        in_step = []
-        step_builds = []
+        # each accepted state names why each trial its step built a bundle for was rejected: all but the last
+        in_step, builds, returned = [], [], []
         step, make_bundle = fl.step, fl.make_bundle
 
         def tracked_step(*args, **kwargs):
             in_step.append(True)
+            builds.append(0)
             try:
-                return step(*args, **kwargs)
+                returned.append(step(*args, **kwargs))
+                return returned[-1]
             finally:
                 in_step.pop()
 
         def tracked_make_bundle(patch):
             if in_step:
-                step_builds.append(patch)
+                builds[-1] += 1
             return make_bundle(patch)
 
         monkeypatch.setattr(fl, "step", tracked_step)
         monkeypatch.setattr(fl, "make_bundle", tracked_make_bundle)
         trace = fl.run(perturbed_catenoid(), max_iters=5)
         assert trace.stopped_by == "max_iters"
-        accepted = len(trace.states) - 1
-        assert accepted + sum(trace.rejections.values()) == len(step_builds)
+        assert not any(s.stalled for s in returned)
+        assert [s.rejections for s in trace.states[1:]] == [s.rejections for s in returned]
+        assert [len(s.rejections) for s in returned] == [b - 1 for b in builds]
+        assert any(s.rejections for s in returned)  # the line search did reject trials
         assert set(trace.rejections) <= {"energy", "DegenerateImmersionError", "FrameError",
                                          "SolverError", "ValueError"}
-        assert sum(trace.rejections.values()) == sum(len(s.rejections) for s in trace.states)
+
+    def test_initial_bundle_goes_after_the_first_step(self, monkeypatch, tmp_path):
+        # neither the flow command nor the run keeps the initial bundle once a step has replaced its state,
+        # so a trial holds two bundles (state and trial), not three
+        refs, alive = [], []
+        make_bundle, step = cli.make_bundle, fl.step
+
+        def recording_make_bundle(patch):
+            bundle = make_bundle(patch)
+            refs.append(weakref.ref(bundle))
+            return bundle
+
+        def checking_step(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_bundle", recording_make_bundle)
+        monkeypatch.setattr(fl, "step", checking_step)
+        assert cli.main(["flow", "--surface", "perturbed-catenoid:seed=0,amplitude=0.05", "--n", "65",
+                         "--stop-ratio", "0.2", "--max-iters", "3", "--out", str(tmp_path / "flow.csv")]) == 0
+        assert len(refs) == 1 and alive == [True, False, False]
 
     def test_energy_increase_raises(self, monkeypatch):
         def uphill(state, tau0):

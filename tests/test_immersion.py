@@ -380,6 +380,43 @@ class TestConstructionInterfaces:
         assert moved.jets is None and base.jets is not None
 
 
+def _sphere_closed_forms(X1, X2, rho):
+    """The sphere jet's components (phi, d1, d2, d11, d22, d12), each power written out."""
+    u = 1.0 + X1**2 + X2**2
+    return [
+        (2.0 * rho * X1 / u, 2.0 * rho * X2 / u, rho * (1.0 - 2.0 / u)),
+        (2.0 * rho * (u - 2.0 * X1**2) / u**2, -4.0 * rho * X1 * X2 / u**2, 4.0 * rho * X1 / u**2),
+        (-4.0 * rho * X1 * X2 / u**2, 2.0 * rho * (u - 2.0 * X2**2) / u**2, 4.0 * rho * X2 / u**2),
+        (2.0 * rho * (8.0 * X1**3 - 6.0 * X1 * u) / u**3, -4.0 * rho * X2 * (u - 4.0 * X1**2) / u**3,
+         4.0 * rho * (u - 4.0 * X1**2) / u**3),
+        (-4.0 * rho * X1 * (u - 4.0 * X2**2) / u**3, 2.0 * rho * (8.0 * X2**3 - 6.0 * X2 * u) / u**3,
+         4.0 * rho * (u - 4.0 * X2**2) / u**3),
+        (4.0 * rho * X2 * (4.0 * X1**2 - u) / u**3, 4.0 * rho * X1 * (4.0 * X2**2 - u) / u**3,
+         -16.0 * rho * X1 * X2 / u**3),
+    ]
+
+
+@pytest.mark.parametrize("s, n", [(0.5, 65), (0.5, 257), (0.3, 129), (0.7, 257)])
+def test_catalog_powers_keep_their_bits(s, n):
+    # the factories form each cube and repeated power once, the cubes on the n axis values; every jet value
+    # keeps its bits (with s = 0.5 every node cube is exact, so other half-widths are checked too)
+    grid = Grid(s, n)
+    X1, X2 = grid.nodes()
+    for rho in (1.0, 1e-3, 7.3):
+        jet = im.make_surface("sphere", grid, rho=rho).jets
+        got = [jet.phi, jet.d1, jet.d2, jet.d11, jet.d22, jet.d12]
+        for field, want in zip(got, _sphere_closed_forms(X1, X2, rho)):
+            assert field.tobytes() == np.stack(want, axis=-1).tobytes()
+    U, V = X1, X2
+    jet = im.make_surface("enneper", grid).jets
+    want = (U - U**3 / 3.0 + U * V**2, -(V - V**3 / 3.0 + V * U**2), U**2 - V**2)
+    assert jet.phi.tobytes() == np.stack(want, axis=-1).tobytes()
+    want = (1.0 - U**2 + V**2, -2.0 * U * V, 2.0 * U)
+    assert jet.d1.tobytes() == np.stack(want, axis=-1).tobytes()
+    want = (2.0 * U * V, -(1.0 - V**2 + U**2), -2.0 * V)
+    assert jet.d2.tobytes() == np.stack(want, axis=-1).tobytes()
+
+
 @pytest.mark.parametrize("m", [4, 5, 6])
 @pytest.mark.parametrize("kind,params", [(k, p) for k, p in ALL_KINDS if k != "graph_perturbation"])
 def test_catalog_jets_hold_m_components(kind, params, m):

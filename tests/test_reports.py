@@ -6,11 +6,13 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from willmore_lab import cli
 from willmore_lab import confwillmore as cw
 from willmore_lab import conservation as cons
 from willmore_lab import immersion as im
@@ -90,13 +92,13 @@ def test_report_computes_shared_quantities_once(monkeypatch, workers):
 def test_report_drops_entries_of_the_bundle_it_builds_only(monkeypatch, workers):
     # reader counts are shared by the pool's workers: with more workers than cores and a short
     # switch interval, a lost update would leave an entry held or drop it while a stage still reads it
-    built = []
+    built, first_order = [], rp._first_order
 
-    def make_bundle(patch):
-        built.append(im.make_bundle(patch))
+    def recording_first_order(bundle):
+        built.append(first_order(bundle))
         return built[-1]
 
-    monkeypatch.setattr(rp, "make_bundle", make_bundle)
+    monkeypatch.setattr(rp, "_first_order", recording_first_order)
     patch = im.make_surface("graph_perturbation", G33, m=4)
     given = im.make_bundle(patch)
     interval = sys.getswitchinterval()
@@ -212,6 +214,87 @@ def test_report_built_from_patch_peak_memory():
     finally:
         tracemalloc.stop()
     assert (peak - start) / (grid.n**2 * 6 * 8) < 53.0
+
+
+def test_report_built_from_patch_peak_memory_m3():
+    # a report builds its bundle from a patch no caller keeps: the bundle holds no second-order jet and the
+    # patch goes with its jet, the frame stages run before Q is formed, and the f fit forms its moments one
+    # power row at a time.  An m = 3, n = 129 report peaks at 32.0 fields (n, n, 3) above the state before
+    # the patch is made (41.1 with the jet held to the end and the f fit and its equations in one stage)
+    grid = Grid(0.5, 129)
+    rp.residual_report(im.make_surface("sphere", grid))  # warm the table and solver caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rp.residual_report(im.make_surface("sphere", grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (grid.n**2 * 3 * 8) < 37.0
+
+
+def spy_first_stage(monkeypatch, check):
+    """Call check(bundle) before the first stage of each report runs."""
+    first = rp.STAGES[0]
+
+    def fn(bundle, chain):
+        check(bundle)
+        return first.fn(bundle, chain)
+
+    monkeypatch.setattr(rp, "STAGES", (first._replace(fn=fn),) + rp.STAGES[1:])
+
+
+def test_report_built_bundle_sheds_the_second_order_jet(monkeypatch):
+    seen = []
+    spy_first_stage(monkeypatch, seen.append)
+    patch = im.make_surface("catenoid", G33)
+    given = im.make_bundle(patch)
+    assert rp.residual_report(patch) == rp.residual_report(given)
+    built = seen[0]
+    assert seen[1] is given
+    # only second_fundamental reads the second order; every other field holds what make_bundle computes
+    assert (built.jet.d11, built.jet.d12, built.jet.d22, built.patch.jets) == (None, None, None, None)
+    assert built.jet.phi is patch.phi and built.jet.d1 is patch.jets.d1 and built.jet.d2 is patch.jets.d2
+    assert all(np.array_equal(getattr(built, name), getattr(given, name)) for name in ("lam", "t1", "h", "H0"))
+    assert given.jet is patch.jets and given.patch is patch
+    assert all(getattr(given.jet, name) is not None for name in ("d11", "d12", "d22"))
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["analytic-jet", "fd-jet"])
+def test_second_order_jet_goes_before_the_stages(monkeypatch, perturbed):
+    # handed the one reference to its patch, a report frees the patch's jet (or the finite-difference
+    # jet make_bundle computes) before its first stage runs
+    refs, alive = [], []
+
+    def recording_make_bundle(patch):
+        bundle = im.make_bundle(patch)
+        refs.append(weakref.ref(bundle.jet.d11))
+        return bundle
+
+    monkeypatch.setattr(rp, "make_bundle", recording_make_bundle)
+    spy_first_stage(monkeypatch, lambda bundle: alive.append(refs[-1]() is not None))
+    patches = [im.make_surface("sphere", G33)]
+    if perturbed:
+        patches.append(im.perturb_normal(patches.pop(), seed=1))
+    rp.residual_report(patches.pop())
+    assert alive == [False]
+
+
+def test_cli_hands_each_patch_to_its_report(monkeypatch, tmp_path):
+    # verify makes every patch before any report starts, and holds none of them while the reports run
+    refs, alive = {}, []
+    patched = cli._patched
+
+    def recording_patched(*args):
+        patch = patched(*args)
+        refs[patch.grid.n] = weakref.ref(patch.jets.d11)
+        return patch
+
+    monkeypatch.setattr(cli, "_patched", recording_patched)
+    spy_first_stage(monkeypatch, lambda bundle: alive.append(refs[bundle.grid.n]() is not None))
+    assert cli.main(["verify", "--surface", "sphere", "--n", "65", "--n", "97", "--out", str(tmp_path / "v.json")]) == 0
+    assert sorted(refs) == [65, 97] and alive == [False, False]
 
 
 def test_report_accepts_bundle_or_patch(sphere_report):
