@@ -77,9 +77,8 @@ def _grad_H(bundle: GeometryBundle) -> np.ndarray:
 
 
 def _pin_grad_H(bundle: GeometryBundle) -> np.ndarray:
-    """pi_n(grad H), shape (2, n, n, m)."""
-    gradH = bundle.derived(_grad_H)
-    return np.stack([bundle.project_normal(gradH[0]), bundle.project_normal(gradH[1])])
+    """pi_n(grad H), shape (2, n, n, m), both components projected at once."""
+    return bundle.project_normal(bundle.derived(_grad_H))
 
 
 def _grad_gauss(bundle: GeometryBundle) -> mv.BladeRows:

@@ -189,9 +189,17 @@ def integrate(grid: Grid, f: np.ndarray) -> float | np.ndarray:
     A weighted ``np.sum``, not a BLAS product: OpenBLAS splits long dot
     products over its threads, so their bits depend on its thread count.
     """
-    w = _dct_weights(grid.n)
-    W = np.outer(w, w) * grid.h**2
+    W = _trapezoid_weights(grid.n, grid.h)
     return np.sum(W.reshape(W.shape + (1,) * (f.ndim - 2)) * f, axis=(0, 1))
+
+
+@lru_cache(maxsize=8)
+def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """The (n, n) trapezoid weights times h^2, read-only: cached and shared like ``_eigs``."""
+    w = _dct_weights(n)
+    W = np.outer(w, w) * h**2
+    W.flags.writeable = False
+    return W
 
 
 def l2norm(grid: Grid, f: np.ndarray) -> float:

@@ -16,7 +16,7 @@ conformal-frame conventions:
 
 ``GeometryBundle`` is the one geometry record: ``make_bundle`` builds it
 from the fields that ``frames`` and ``second_fundamental`` return as
-dicts keyed by field name.  Anything computed from fields (here the
+dicts keyed by field name.  Anything computed from fields (here H0, the
 complex frame, both curvature routes, |H|^2 and |B|^2) is an entry read
 as ``bundle.derived(fn)``: computed once per bundle, and never stale,
 since ``dataclasses.replace`` starts an empty memo.
@@ -54,6 +54,7 @@ __all__ = [
     "frames",
     "second_fundamental",
     "make_bundle",
+    "tracefree_H0",
     "complex_frame",
     "gaussian_curvature",
     "norm_H2",
@@ -107,7 +108,11 @@ class ImmersionPatch:
 def _fd_d11(grid: Grid, f: np.ndarray) -> np.ndarray:
     h2 = grid.h**2
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h2
+    mid = out[1:-1]  # (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h2, formed in place in that order
+    np.multiply(2.0, f[1:-1], out=mid)
+    np.subtract(f[2:], mid, out=mid)
+    mid += f[:-2]
+    mid /= h2
     out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h2
     out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h2
     return out
@@ -396,9 +401,12 @@ class GeometryBundle:
     as blade rows over (n, n).  t1/t2 are the exactly orthonormalized
     tangents used for projections (they agree with e_i = e^-lambda d_i Phi
     up to the conformality defect).  h has shape (n, n, m-2, 2, 2), and
-    area_density = e^{2 lambda}.
+    area_density = e^{2 lambda}.  ``H0`` is no field: it reads the derived
+    entry ``tracefree_H0``, so a bundle that never reads it (a flow trial's)
+    never forms it, and a bundle with a replaced h or normal frame forms it
+    anew.
 
-    ``derived(fn)`` evaluates fn(bundle) once per bundle (the complex frame,
+    ``derived(fn)`` evaluates fn(bundle) once per bundle (H0, the complex frame,
     K, |H|^2, Q, grad n, L, the surface scale, ...), also when several
     threads ask for it at once: the first computes it and the others wait.
     ``dataclasses.replace`` starts an empty memo; memoized arrays are shared
@@ -417,7 +425,6 @@ class GeometryBundle:
     conformal_defect: float
     h: np.ndarray
     H: np.ndarray
-    H0: np.ndarray
     area_density: np.ndarray
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _locks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -430,8 +437,13 @@ class GeometryBundle:
     def m(self) -> int:
         return self.patch.m
 
+    @property
+    def H0(self) -> np.ndarray:
+        return self.derived(tracefree_H0)
+
     def project_normal(self, X: np.ndarray) -> np.ndarray:
-        """pi_n(X) of an ambient (possibly complex) vector field: X minus its parts along t1, t2."""
+        """pi_n(X) of an ambient (possibly complex) vector field, or of a stack of them such as a
+        gradient (..., n, n, m): X minus its parts along t1, t2."""
         tang = np.zeros_like(X)
         for t in (self.t1, self.t2):
             tang += dg.component_sum(X * t)[..., None] * t
@@ -460,8 +472,10 @@ class GeometryBundle:
 
 
 def conformal_factor(grid: Grid, jet: Jet) -> tuple[np.ndarray, float]:
-    """Conformal factor lambda = log |d1 Phi| and the conformality defect of
-    a patch's jet on grid (``patch.jet()``, which ``frames`` already holds).
+    """Conformal factor |d1 Phi| and the conformality defect of a patch's jet
+    on grid (``patch.jet()``, which ``frames`` already holds).  ``frames``
+    takes lambda = log |d1 Phi| and divides d1 Phi by this |d1 Phi| itself:
+    exp(lambda) can differ from it in the last bit.
 
     The defect is the interior max of ||d1|-|d2||/e^lambda and
     |d1 . d2|/e^2lambda; a node where |d_i Phi| is at most 1e-12 of its
@@ -476,13 +490,14 @@ def conformal_factor(grid: Grid, jet: Jet) -> tuple[np.ndarray, float]:
     win = grid.interior()
     cross = np.abs(dg.component_sum(jet.d1 * jet.d2))
     defect = float(max(np.max(np.abs(n1 - n2)[win] / n1[win]), np.max(cross[win] / n1[win] ** 2)))
-    return np.log(n1), defect
+    return n1, defect
 
 
-def _orthonormal_tangents(jet: Jet) -> tuple[np.ndarray, np.ndarray]:
-    t1 = jet.d1 / np.sqrt(dg.component_sum(jet.d1 * jet.d1))[..., None]
+def _orthonormal_tangents(jet: Jet, n1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t1 = d1 Phi / n1 with n1 = |d1 Phi|, and t2 the unit part of d2 Phi orthogonal to t1."""
+    t1 = jet.d1 / n1[..., None]
     t2 = jet.d2 - dg.component_sum(jet.d2 * t1)[..., None] * t1
-    t2 = t2 / np.sqrt(dg.component_sum(t2 * t2))[..., None]
+    t2 /= np.sqrt(dg.component_sum(t2 * t2))[..., None]
     return t1, t2
 
 
@@ -495,9 +510,10 @@ def frames(patch: ImmersionPatch) -> dict[str, Any]:
     and conformal_defect."""
     jet = patch.jet()
     m = patch.m
-    lam, defect = conformal_factor(patch.grid, jet)
+    n1, defect = conformal_factor(patch.grid, jet)
+    lam = np.log(n1)
     elam = np.exp(lam)
-    t1, t2 = _orthonormal_tangents(jet)
+    t1, t2 = _orthonormal_tangents(jet, n1)
 
     accepted: list[np.ndarray] = []
     for comp in range(2, m):
@@ -521,7 +537,7 @@ def frames(patch: ImmersionPatch) -> dict[str, Any]:
     # last normal is the Hodge dual of everything so far; this fixes the
     # orientation so that star(n ^ e1) = e2 without any sign fix-up
     n_last = mv.field_cross(t1, t2, *accepted)
-    n_last = n_last / np.sqrt(dg.component_sum(n_last * n_last))[..., None]
+    n_last /= np.sqrt(dg.component_sum(n_last * n_last))[..., None]
 
     normal_frame = np.stack(accepted + [n_last])
     return dict(patch=patch, jet=jet, lam=lam, elam=elam, t1=t1, t2=t2, normal_frame=normal_frame,
@@ -529,8 +545,9 @@ def frames(patch: ImmersionPatch) -> dict[str, Any]:
 
 
 def second_fundamental(jet: Jet, elam: np.ndarray, normal_frame: np.ndarray) -> dict[str, np.ndarray]:
-    """h, H, H0 and area_density = e^{2 lambda} of jet in the conformal frame
-    (elam, normal_frame) that ``frames`` builds."""
+    """h, H and area_density = e^{2 lambda} of jet in the conformal frame
+    (elam, normal_frame) that ``frames`` builds; H0 is formed from h and the
+    normal frame on first read (``tracefree_H0``)."""
     e2lam = elam**2
     second = ((jet.d11, jet.d12), (jet.d12, jet.d22))
     h = np.empty(elam.shape + (len(normal_frame), 2, 2))
@@ -539,16 +556,21 @@ def second_fundamental(jet: Jet, elam: np.ndarray, normal_frame: np.ndarray) -> 
             h[..., a, i, j] = dg.component_sum(na * second[i][j]) / e2lam
         h[..., a, 1, 0] = h[..., a, 0, 1]
     Hcoef = 0.5 * (h[..., 0, 0] + h[..., 1, 1])
-    H0coef = 0.5 * (h[..., 0, 0] - h[..., 1, 1] + 2j * h[..., 0, 1])
     H = np.einsum("...a,a...k->...k", Hcoef, normal_frame)
-    H0 = np.einsum("...a,a...k->...k", H0coef, normal_frame.astype(complex))
-    return dict(h=h, H=H, H0=H0, area_density=e2lam)
+    return dict(h=h, H=H, area_density=e2lam)
 
 
 def make_bundle(patch: ImmersionPatch) -> GeometryBundle:
     """The geometry bundle of patch: ``frames``, then ``second_fundamental``."""
     first = frames(patch)
     return GeometryBundle(**first, **second_fundamental(first["jet"], first["elam"], first["normal_frame"]))
+
+
+def tracefree_H0(bundle: GeometryBundle) -> np.ndarray:
+    """H0 = 1/2 sum_a (h^a_11 - h^a_22 + 2 i h^a_12) n_a, complex, shape (n, n, m); read as ``bundle.H0``."""
+    h = bundle.h
+    H0coef = 0.5 * (h[..., 0, 0] - h[..., 1, 1] + 2j * h[..., 0, 1])
+    return np.einsum("...a,a...k->...k", H0coef, bundle.normal_frame.astype(complex))
 
 
 def complex_frame(bundle: GeometryBundle) -> tuple[np.ndarray, np.ndarray]:

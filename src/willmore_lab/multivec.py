@@ -33,10 +33,11 @@ for a pair of slot sets is cached), so each product slot sums the same
 terms in the same order as a loop over the whole table: the same bits.
 ``blade_sum`` sums over the blade axis in numpy's own order.
 ``field_wedge_vectors`` wedges vector fields (..., m) from their component
-rows, ``field_cross`` is the vector part of the star of such a wedge, and
-``field_slotwise`` takes a finite difference of the held slots.  The Hodge
-star maps blade k to blade ``full ^ k = full - k``: the held slots
-reversed and signed.
+rows, ``field_cross`` is the vector part of the star of such a wedge (a
+field's vector part, ``mv_field_vector_part``, writes its held grade-1 rows
+straight into one zeroed (..., m) array), and ``field_slotwise`` takes a
+finite difference of the held slots.  The Hodge star maps blade k to blade
+``full ^ k = full - k``: the held slots reversed and signed.
 """
 
 from __future__ import annotations
@@ -206,11 +207,17 @@ class BladeRows(NamedTuple):
         out[..., self.slots] = np.moveaxis(self.rows, 0, -1)
         return out
 
+    def _find(self, blades: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i, r): blades[i] is held, in rows[r]; the other blades are not held."""
+        r = np.searchsorted(self.slots, blades)
+        i = np.flatnonzero(np.append(self.slots, -1)[r] == blades)  # -1: no blade, where r is past every slot
+        return i, r[i]
+
     def part(self, blades: np.ndarray) -> np.ndarray:
         """Rows of the given blade masks, shape (len(blades), ...); +0 where not held."""
         out = np.zeros((len(blades),) + self.rows.shape[1:], dtype=self.rows.dtype)
-        held = np.isin(blades, self.slots)
-        out[held] = self.rows[np.searchsorted(self.slots, blades[held])]
+        i, r = self._find(blades)
+        out[i] = self.rows[r]
         return out
 
 
@@ -311,13 +318,15 @@ def field_wedge_vectors(*vectors: np.ndarray) -> BladeRows:
 def field_cross(*vectors: np.ndarray) -> np.ndarray:
     """Generalized cross product: the vector part of star(v_1 ^ ... ^ v_{m-1})
     of m - 1 fields (..., m), bit for bit the dense star of the dense wedge.
-    The wedge is held on every (m-1)-blade, so the star of one it lacks is
+    A wedge that lacks an (m-1)-blade gets a +0 row for it, so its star is
     0.0 * sign, a signed zero, as in the dense star."""
     w = field_wedge_vectors(*vectors)
     if len(vectors) != w.m - 1:
         raise GradeError(f"a cross product in R^{w.m} takes {w.m - 1} vectors, got {len(vectors)}")
     blades = grade_masks(w.m, w.m - 1)
-    return mv_field_vector_part(field_hodge(BladeRows(w.m, blades, w.part(blades))))
+    if not np.array_equal(w.slots, blades):
+        w = BladeRows(w.m, blades, w.part(blades))
+    return mv_field_vector_part(field_hodge(w))
 
 
 def field_slotwise(fn, a: BladeRows) -> BladeRows:
@@ -336,8 +345,13 @@ def vector_field_to_mv(v: np.ndarray) -> BladeRows:
 
 
 def mv_field_vector_part(a: BladeRows) -> np.ndarray:
-    """The grade-1 part of a blade field as a C-ordered (..., m) array."""
-    return np.stack(list(a.part(np.left_shift(1, np.arange(a.m)))), axis=-1)
+    """The grade-1 part of a blade field as a C-ordered (..., m) array: each
+    held grade-1 row is written into its component of one zeroed array."""
+    out = np.zeros(a.rows.shape[1:] + (a.m,), dtype=a.rows.dtype)
+    i, r = a._find(np.left_shift(1, np.arange(a.m)))
+    for k, row in zip(i.tolist(), r.tolist()):
+        out[..., k] = a.rows[row]
+    return out
 
 
 @lru_cache(maxsize=None)

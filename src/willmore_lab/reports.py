@@ -36,6 +36,7 @@ import numpy as np
 from . import confwillmore as cwmod
 from . import conservation as cons
 from . import diskgrid as dg
+from . import immersion as im
 from .immersion import CATALOG, GeometryBundle, ImmersionPatch, make_bundle, willmore_energy
 
 __all__ = [
@@ -73,10 +74,10 @@ FLOOR = "floor"
 
 
 #: a row of STAGES: fn(bundle, chain) returns the values of keys (a tuple if more than one) and may compute or read
-#: the derived entries named (of conservation or confwillmore); chain carries L, then S and R, down the stages
+#: the named derived entries (of conservation, confwillmore or immersion); chain carries L, then S and R, onward
 Stage = namedtuple("Stage", "name group fn entries keys")
 _Q = ("assemble_Q", "_grad_H", "_pin_grad_H", "_grad_gauss")  # Q and what it reads
-_Z0 = ("dz_L0_closed_form", "complex_frame", "_H0cH")  # dz L0's closed form and what it reads but grad H
+_Z0 = ("dz_L0_closed_form", "complex_frame", "_H0cH", "tracefree_H0")  # dz L0's closed form, what it reads but grad H
 
 
 def _fit(bundle: GeometryBundle, chain: dict) -> tuple:
@@ -101,19 +102,21 @@ def _potentials(bundle: GeometryBundle, chain: dict) -> tuple:
 #: the stages in the order they run without a pool: the f fit, then the frame and Codazzi stages, so the complex
 #: frame is gone before the conservation stages form Q, then the conformal Willmore stage, and build_S_R after all
 #: of them, so the entries that only they read are gone before the S/R stages.  The L0 stage lists dz L0 but not
-#: the complex frame and H0* . H it is formed from: the f fit lists those and forms dz L0 before it finishes
+#: the complex frame, H0 and H0* . H it is formed from: the f fit lists those and forms dz L0 before it finishes
 STAGES = (
     Stage("fit_f", "conformal", _fit, _Z0 + ("_grad_H",), ("f_inf", "f_holo_defect")),
-    Stage("frame", "frame", lambda b, c: cwmod.frame_derivative_residuals(b), ("complex_frame",),
+    Stage("frame", "frame", lambda b, c: cwmod.frame_derivative_residuals(b), ("complex_frame", "tracefree_H0"),
           ("a4_resid", "a5_resid")),
-    Stage("codazzi", "frame", lambda b, c: cwmod.codazzi_residual(b), ("_H0cH", "_grad_H"), ("codazzi_resid",)),
+    Stage("codazzi", "frame", lambda b, c: cwmod.codazzi_residual(b), ("_H0cH", "_grad_H", "tracefree_H0"),
+          ("codazzi_resid",)),
     Stage("tangency", "conservation", lambda b, c: cons.tangency_identities(b), _Q,
           ("dot_identity", "wedge_identity")),
     Stage("divQ", "conservation", lambda b, c: dg.interior_sup(b.grid, cons.willmore_residual(b)), _Q + ("_div_Q",),
           ("divQ_inf",)),
     Stage("L", "conservation", lambda b, c: b.derived(cons.recover_L).defect, _Q + ("recover_L",), ("L_defect",)),
     Stage("L0", "conservation", lambda b, c: cons.assemble_L0(b), _Q + ("dz_L0_closed_form",), ("L0_consistency",)),
-    Stage("cw", "conformal", _cw, _Q + ("_cw_lhs", "_div_Q"), ("cw_resid_f", "cw_resid_zero", "cwbis_resid")),
+    Stage("cw", "conformal", _cw, _Q + ("_cw_lhs", "_div_Q", "tracefree_H0"),
+          ("cw_resid_f", "cw_resid_zero", "cwbis_resid")),
     Stage("energies", "frame", lambda b, c: (cwmod.gauss_map_energy(b), b.conformal_defect, willmore_energy(b)),
           ("_grad_gauss",), ("gradn_energy", "conformal_defect", "willmore_energy")),
     Stage("S_R", "conformal", _potentials, (), ("S_defect", "R_defect")),
@@ -156,7 +159,7 @@ def residual_report(source: ImmersionPatch | GeometryBundle, pool: Executor | No
                 readers.subtract(stage.entries)
                 for name in [name for name in stage.entries if readers[name] == 0]:
                     # looked up now: a tracer or a test may have bound a wrapper in the function's place
-                    bundle.drop(getattr(cons, name, None) or getattr(cwmod, name))
+                    bundle.drop(getattr(cons, name, None) or getattr(cwmod, name, None) or getattr(im, name))
 
     side = {group: pool.submit(run, (group,)) for group in ("conservation", "frame")} if pool is not None else {}
     try:

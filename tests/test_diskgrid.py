@@ -482,6 +482,23 @@ def test_exponent(x, e):
     assert sup == 0.0 or not np.isfinite(sup) or 0.5 <= sup < 1.0
 
 
+@pytest.mark.parametrize("s, n", [(0.5, 9), (0.5, 65), (0.3, 33)])
+def test_integrate_reuses_read_only_weights(s, n):
+    # the (n, n) trapezoid weights are built once per (n, h), read-only; the sum keeps the bits of the
+    # weights formed on each call
+    g = Grid(s, n)
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    W = np.outer(w, w) * g.h**2
+    rng = np.random.default_rng(n)
+    for f in (rng.normal(size=(n, n)), rng.normal(size=(n, n, 3)), rng.normal(size=(n, n, 2, 4)) + 1j):
+        want = np.sum(W.reshape(W.shape + (1,) * (f.ndim - 2)) * f, axis=(0, 1))
+        assert np.asarray(dg.integrate(g, f)).tobytes() == np.asarray(want).tobytes()
+    cached = dg._trapezoid_weights(g.n, g.h)
+    assert cached is dg._trapezoid_weights(g.n, g.h) and not cached.flags.writeable
+    assert cached.tobytes() == W.tobytes()
+
+
 class TestComponentSum:
     """component_sum is np.sum over a short real trailing axis, bit for bit."""
 

@@ -325,8 +325,8 @@ class TestRun:
 
 
 def test_flow_computes_no_report_only_entry(monkeypatch):
-    # the flow reads H, |H|^2 and Q; the complex frame, K, |B|^2 and the surface
-    # scale serve reports only and stay uncomputed on every flow bundle
+    # the flow reads H, |H|^2 and Q; H0, the complex frame, K, |B|^2 and the
+    # surface scale serve reports only and stay uncomputed on every flow bundle
     computed = []
     derived = im.GeometryBundle.derived
 
@@ -339,5 +339,5 @@ def test_flow_computes_no_report_only_entry(monkeypatch):
     patch = im.perturb_normal(im.make_surface("catenoid", Grid(0.5, 33)), seed=0, amplitude=0.05)
     fl.run(patch, max_iters=2)
     assert cons.assemble_Q in computed and im.norm_H2 in computed
-    report_only = {im.complex_frame, im.gaussian_curvature, im.norm_B2, cons.surface_scale}
+    report_only = {im.tracefree_H0, im.complex_frame, im.gaussian_curvature, im.norm_B2, cons.surface_scale}
     assert report_only.isdisjoint(computed)

@@ -73,7 +73,19 @@ class TestDerivedEntries:
 
     def test_no_field_holds_a_derived_value(self):
         names = {f.name for f in fields(im.GeometryBundle)}
-        assert names.isdisjoint({"e1", "e2", "ez", "ezstar", "K_lambda", "K_gauss"})
+        assert names.isdisjoint({"H0", "e1", "e2", "ez", "ezstar", "K_lambda", "K_gauss"})
+
+    def test_H0_is_formed_on_first_read(self):
+        # bundle.H0 reads the entry tracefree_H0: absent until read, then the einsum second_fundamental
+        # formed, bit for bit and in its layout, and formed anew from the h of a replaced bundle
+        b = im.make_bundle(im.make_surface("graph_perturbation", G65, m=4, seed=3, amplitude=0.05))
+        assert im.tracefree_H0 not in b._memo
+        h = b.h
+        coef = 0.5 * (h[..., 0, 0] - h[..., 1, 1] + 2j * h[..., 0, 1])
+        want = np.einsum("...a,a...k->...k", coef, b.normal_frame.astype(complex))
+        assert b.H0.tobytes() == want.tobytes() and b.H0.strides == want.strides
+        assert b.H0 is b.derived(im.tracefree_H0)
+        assert np.array_equal(replace(b, h=2.0 * b.h).H0, 2.0 * b.H0)
 
     def test_replaced_H_gives_fresh_curvature_and_H2(self):
         b = im.make_bundle(im.make_surface("sphere", G65, rho=1.0))
@@ -177,8 +189,8 @@ class TestConformalFactor:
     def test_degeneracy_gate_is_relative(self):
         # a sphere of radius 1e-13 is a valid immersion; one node at 1e-13 of the rest is not
         jet = im.make_surface("sphere", G65, rho=1e-13).jet()
-        lam, _ = im.conformal_factor(G65, jet)
-        assert np.all(np.isfinite(lam))
+        speed, _ = im.conformal_factor(G65, jet)
+        assert np.all(np.isfinite(np.log(speed)))
         d1 = jet.d1.copy()
         d1[3, 4] *= 1e-13
         with pytest.raises(im.DegenerateImmersionError, match=r"\(3, 4\)"):

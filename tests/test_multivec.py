@@ -425,6 +425,59 @@ class TestVectorRows:
             mv.field_wedge_vectors(np.ones((3, 3, 4)), np.ones((3, 3, 5)))
 
 
+def isin_part(a, blades):
+    """Reference: ``BladeRows.part`` as np.isin found the held slots."""
+    out = np.zeros((len(blades),) + a.rows.shape[1:], dtype=a.rows.dtype)
+    held = np.isin(blades, a.slots)
+    out[held] = a.rows[np.searchsorted(a.slots, blades[held])]
+    return out
+
+
+def stacked_vector_part(a):
+    """Reference: the grade-1 rows of ``isin_part`` stacked on a trailing axis."""
+    return np.stack(list(isin_part(a, np.left_shift(1, np.arange(a.m)))), axis=-1)
+
+
+class TestPartLookup:
+    """``part`` and ``mv_field_vector_part`` look held slots up by searchsorted and write the vector
+    part into one zeroed array: bit for bit the np.isin + np.stack route, layout included."""
+
+    @staticmethod
+    def fields(m, rng):
+        """Blade rows over (4, 3) and over a 0-d field, real and complex, for assorted slot sets: some
+        grade-1 slots not held, slots only below or above the vectors, none held, a dead row (+0
+        everywhere) and a row that is -0 everywhere."""
+        full = (1 << m) - 1
+        for slots in ([1, 3, 6], [0, 1, 2, 4], [0, 3], [full], list(range(1 << m)), [], [2, full - 1, full]):
+            slots = np.array(slots, dtype=np.intp)
+            for lead in ((4, 3), ()):
+                for dtype in (float, complex):
+                    rows = rng.normal(size=(len(slots),) + lead).astype(dtype)
+                    if dtype is complex:
+                        rows += 1j * rng.normal(size=rows.shape)
+                    if len(slots) > 1:
+                        rows[0] = 0.0
+                        rows[-1] = -0.0
+                    yield mv.BladeRows(m, slots, rows)
+
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_part_matches_the_isin_route(self, m):
+        rng = np.random.default_rng(80 + m)
+        everything = np.arange(1 << m)
+        for a in self.fields(m, rng):
+            for blades in (everything, mv.grade_masks(m, 1), mv.grade_masks(m, m - 1), everything[::-1],
+                           np.array([(1 << m) - 1]), np.array([0, 0, 5]), everything[:0]):
+                assert same_bits(a.part(blades), isin_part(a, blades)), (a.slots, blades)
+
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_vector_part_matches_the_stacked_rows(self, m):
+        rng = np.random.default_rng(90 + m)
+        for a in self.fields(m, rng):
+            got, expect = mv.mv_field_vector_part(a), stacked_vector_part(a)
+            assert same_bits(got, expect) and got.strides == expect.strides, a.slots
+            assert got.flags.c_contiguous
+
+
 class TestSlotwise:
     """Finite differences of the held slots match the dense ones bit for bit, signed zeros included;
     every other slot is a zero of the dense difference (-0 under grad_perp's sign) and +0 in rows."""

@@ -53,8 +53,8 @@ import numpy as np
 # the geometry arrays of a bundle, in listing order
 BUNDLE_ARRAYS = ("lam", "elam", "t1", "t2", "ez", "ezstar", "normal_frame", "gauss",
                  "h", "H", "H0", "K_lambda", "K_gauss", "area_density")
-# name -> (immersion function of the bundle, index into the tuple it returns)
-DERIVED_ARRAYS = {"ez": ("complex_frame", 0), "ezstar": ("complex_frame", 1),
+# name -> (immersion function of the bundle, index into the tuple it returns; None: it returns the array)
+DERIVED_ARRAYS = {"H0": ("tracefree_H0", None), "ez": ("complex_frame", 0), "ezstar": ("complex_frame", 1),
                   "K_lambda": ("gaussian_curvature", 0), "K_gauss": ("gaussian_curvature", 1)}
 
 CATALOG = ("plane", "sphere", "cylinder", "catenoid", "enneper", "clifford_torus_patch", "graph_perturbation")
@@ -81,7 +81,8 @@ def _bundle_array(bundle, name):
     from willmore_lab import immersion
 
     fn, index = DERIVED_ARRAYS[name]
-    return getattr(immersion, fn)(bundle)[index]
+    value = bundle.derived(getattr(immersion, fn))
+    return value if index is None else value[index]
 
 
 def _cli_runs():
