@@ -26,7 +26,8 @@ validated facts wired into this module (each is also a test):
 
       Lap Phi = 1/2 (grad R . grad_perp Phi - grad S grad_perp Phi),
 
-  where . is the first-order contraction of multivec.bullet.
+  where . is the first-order contraction of multivec.bullet.  The
+  residual reads Lap S and Lap R as curl(grad_perp S), curl(grad_perp R).
 
 Potentials are fixed mean-zero; every off-shell input degrades to a
 reported defect rather than an error.  Q, grad H, pi_n(grad H), grad n,
@@ -215,23 +216,24 @@ def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -
     """Normalized interior sup-residuals of the S/R elliptic system.
 
     The contraction term star(grad n . grad_perp R) carries the sign (-1)^m
-    (the reading validated for m = 3, 4, 5).  Each field is dropped after
-    its last use, and each residual is reduced as soon as it is formed.
-    """
+    (the reading validated for m = 3, 4, 5).  Lap S and Lap R are the curls
+    of the rotated gradients the right-hand sides read.  Each field is
+    dropped after its last use, each residual reduced as soon as formed."""
     grid, m = bundle.grid, bundle.m
     scale = bundle.derived(surface_scale)
     blades = mv.grade_masks(m, 2)  # every term of the R equation is a 2-vector
     gstarn = mv.field_hodge(bundle.derived(_grad_gauss))  # grad(star n), up to the sign of an exact zero
     gperpR = mv.field_slotwise(partial(dg.grad_perp, grid), R)
-    res = dg.laplace(grid, S)
+    gperpS = dg.grad_perp(grid, S)
+    res = dg.curl(grid, gperpS)  # Lap S
     res -= sum(mv.field_inner(gstarn, gperpR))
     res_S = dg.interior_sup(grid, res) / scale
     # read only, so the rows themselves when every 2-blade is held
     gs = gstarn.rows if np.array_equal(gstarn.slots, blades) else gstarn.part(blades)
-    gperpS = dg.grad_perp(grid, S)
     sterm = gs[:, 0] * gperpS[0]
     sterm += gs[:, 1] * gperpS[1]
     del gstarn, gs, gperpS
+    lapR = mv.field_slotwise(partial(dg.curl, grid), gperpR).part(blades)  # now, so grad_perp R goes after the bullet
     bullet = mv.field_bullet(bundle.derived(_grad_gauss), gperpR)
     del gperpR
     contraction = bullet._replace(rows=bullet.rows[:, 0] + bullet.rows[:, 1])
@@ -241,10 +243,9 @@ def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -
     np.multiply((-1.0) ** m, rhs, out=rhs)
     rhs -= sterm
     del sterm
-    res = mv.field_slotwise(partial(dg.laplace, grid), R).part(blades)
-    res -= rhs
+    lapR -= rhs
     del rhs
-    res = mv.BladeRows(m, blades, res)
+    res = mv.BladeRows(m, blades, lapR)
     return res_S, dg.interior_sup(grid, np.sqrt(mv.field_inner(res, res))) / scale
 
 

@@ -241,7 +241,7 @@ def interior_sup(grid: Grid, f: np.ndarray) -> float:
     """Sup of |f| on the default interior window; components fold in by the Euclidean norm."""
     v = np.abs(f[grid.interior()])
     if v.ndim > 2:
-        v = np.sqrt(component_sum(v * v))
+        v = np.sqrt(component_sum(np.square(v, out=v)))
     return float(np.max(v))
 
 

@@ -567,10 +567,10 @@ def make_bundle(patch: ImmersionPatch) -> GeometryBundle:
 
 
 def tracefree_H0(bundle: GeometryBundle) -> np.ndarray:
-    """H0 = 1/2 sum_a (h^a_11 - h^a_22 + 2 i h^a_12) n_a, complex, shape (n, n, m); read as ``bundle.H0``."""
+    """H0 = 1/2 sum_a (h^a_11 - h^a_22 + 2 i h^a_12) n_a, complex, (n, n, m), as ``bundle.H0``; the n_a stay real."""
     h = bundle.h
     H0coef = 0.5 * (h[..., 0, 0] - h[..., 1, 1] + 2j * h[..., 0, 1])
-    return np.einsum("...a,a...k->...k", H0coef, bundle.normal_frame.astype(complex))
+    return np.einsum("...a,a...k->...k", H0coef, bundle.normal_frame)
 
 
 def complex_frame(bundle: GeometryBundle) -> tuple[np.ndarray, np.ndarray]:

@@ -215,6 +215,33 @@ class TestSRSystem:
         grad_star = mv.field_slotwise(partial(dg.grad, b.grid), mv.field_hodge(b.gauss))
         assert np.array_equal(star_grad.dense(), grad_star.dense())
 
+    @pytest.mark.parametrize("n", [33, 65])
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", sorted(im.CATALOG) + ["perturbed sphere"])
+    def test_laplacians_from_the_rotated_gradients_keep_the_bits(self, kind, m, n):
+        # the residual reads Lap S and Lap R as curl(grad_perp S) and curl(grad_perp R); the reference
+        # forms them with dg.laplace, as div(grad), and every other term as the residual does.  The
+        # routes differ at most in the sign of an exact zero, which no residual norm sees
+        grid = Grid(0.5, n)
+        if kind == "perturbed sphere":  # no analytic jet: the FD jet
+            b = im.make_bundle(im.perturb_normal(im.make_surface("sphere", grid, m=m), seed=2))
+        else:
+            b = bundle(kind, grid, m=m)
+        sr = cons.build_S_R(b, cons.recover_L(b).L)
+        S, R, scale, blades = sr.S, sr.R, cons.surface_scale(b), mv.grade_masks(m, 2)
+        gn = b.derived(cons._grad_gauss)
+        gstarn, gperpS = mv.field_hodge(gn), dg.grad_perp(grid, S)
+        gperpR = mv.field_slotwise(partial(dg.grad_perp, grid), R)
+        res_S = dg.laplace(grid, S) - sum(mv.field_inner(gstarn, gperpR))
+        gs = gstarn.part(blades)
+        bullet = mv.field_bullet(gn, gperpR)
+        contraction = mv.field_hodge(bullet._replace(rows=bullet.rows[:, 0] + bullet.rows[:, 1])).part(blades)
+        rhs = (-1.0) ** m * contraction - (gs[:, 0] * gperpS[0] + gs[:, 1] * gperpS[1])
+        res_R = mv.BladeRows(m, blades, mv.field_slotwise(partial(dg.laplace, grid), R).part(blades) - rhs)
+        want = interior_sup(grid, res_S) / scale, interior_sup(grid, np.sqrt(mv.field_inner(res_R, res_R))) / scale
+        got = cons.sr_system_residual(b, S, R)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_sign_exponent_is_ambient_dimension(self, m):
         # (-1)^m is consistent at O(h^2).  The flipped sign changes the R

@@ -518,7 +518,7 @@ class TestComponentSum:
     def test_interior_sup_folds_components_as_linalg_norm(self, m):
         # on a 5 x 5 grid the interior window is the centre node, so each call checks one fold bit for
         # bit: a field, a stack of two rows per node, components outermost as blade rows hold them,
-        # complex values, and signed zeros
+        # complex values, and signed zeros; |f| is squared in place, with the bits of |f| * |f|
         g = Grid(0.5, 5)
         rng = np.random.default_rng(m)
         for _ in range(50):
@@ -529,6 +529,24 @@ class TestComponentSum:
             for f in (X[:, :, 0], X, rows, X[:, :, 0] + 1j * X[:, :, 1], np.full((5, 5, m), -0.0)):
                 want = np.max(np.linalg.norm(np.abs(f[g.interior()]), axis=-1))
                 assert np.float64(dg.interior_sup(g, f)).tobytes() == want.tobytes()
+                v = np.abs(f[g.interior()])
+                assert want.tobytes() == np.max(np.sqrt(dg.component_sum(v * v))).tobytes()
+
+    def test_l2norm_keeps_its_bits(self):
+        # the sum of np.abs(f) ** 2 in f's memory order, bit for bit, on real and complex fields, stacked
+        # components, strided interior windows, signed zeros and non-finite samples
+        g = Grid(0.5, 33)
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(33, 33, 2, 4)) * 10.0 ** rng.integers(-100, 100, (33, 33, 2, 4))
+        X[..., 3] = -0.0
+        Z = X[:, :, 0] + 1j * X[:, :, 1]
+        win = g.interior()
+        nan, inf = X[:, :, 0].copy(), Z.copy()
+        nan[4, 5, 1], inf[6, 7, 2] = np.nan, complex(-np.inf, 1.0)
+        for f in (X[:, :, 0, 0], X, Z, X[win], Z[win], X[1::2, ::3, 1], np.moveaxis(X, -1, 0)[:, win[0], win[1]],
+                  np.full((33, 33, 3), -0.0), nan, inf):
+            want = np.sqrt(g.h**2 * np.sum(np.abs(f) ** 2))
+            assert np.float64(dg.l2norm(g, f)).tobytes() == want.tobytes()
 
     def test_negative_zeros_sum_to_positive_zero(self):
         P = np.full((5, 5, 3), -0.0)
