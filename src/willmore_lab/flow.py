@@ -115,8 +115,9 @@ def _accept(patch: ImmersionPatch, bundle: GeometryBundle, energy: float, tau: f
 
 
 def _state_from_patch(source: ImmersionPatch | GeometryBundle, tau: float) -> FlowState:
+    # a patch passed in is kept with its jets, which step rebuilds a bundle from; a bundle's patch has none
     bundle = source if isinstance(source, GeometryBundle) else make_bundle(source)
-    return _accept(bundle.patch, bundle, willmore_energy(bundle), tau)
+    return _accept(bundle.patch if bundle is source else source, bundle, willmore_energy(bundle), tau)
 
 
 def step(state: FlowState, tau0: float) -> FlowState:
@@ -191,6 +192,8 @@ def run(
     last accepted one, so the search stays near its acceptance boundary.
     A collapsing conformal factor (e^lambda below 1e-8 of its initial
     maximum) ends the run, stopped_by "degenerate", after that state.
+    From a bundle, the initial state carries its jet-less patch; a run never
+    rebuilds a state's bundle from its patch, so the trace is the same.
     """
     state = _state_from_patch(source, 0.0)
     del source  # a bundle passed in is the initial state's, and goes with it after the first step

@@ -75,7 +75,7 @@ class FrameError(RuntimeError):
 @dataclass(frozen=True)
 class Jet:
     """Position and derivatives of Phi at the grid nodes, shape (n, n, m).  The
-    second order is None in the bundle a report builds (``reports.residual_report``)."""
+    second order is None in every bundle's jet: ``make_bundle`` reads it once, to form h."""
 
     phi: np.ndarray
     d1: np.ndarray
@@ -87,8 +87,8 @@ class Jet:
 
 @dataclass(frozen=True)
 class ImmersionPatch:
-    """Sampled conformal immersion of the grid square into R^m; jets is the
-    catalog's analytic jet on the grid's nodes (None off the catalog)."""
+    """Sampled conformal immersion of the grid square into R^m; jets is the catalog's
+    analytic jet on the grid's nodes (None off the catalog, and in a bundle's patch)."""
 
     grid: Grid
     m: int
@@ -395,7 +395,8 @@ def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05
 @dataclass(frozen=True)
 class GeometryBundle:
     """Conformal-frame geometry of an immersion patch: the fields ``frames``
-    and ``second_fundamental`` build.
+    and ``second_fundamental`` build, with the first-order jet only and the
+    patch without its jets (``make_bundle``).
 
     normal_frame has shape (m-2, n, n, m); gauss holds n = n_1 ^ ... ^ n_{m-2}
     as blade rows over (n, n).  t1/t2 are the exactly orthonormalized
@@ -410,8 +411,8 @@ class GeometryBundle:
     K, |H|^2, Q, grad n, L, the surface scale, ...), also when several
     threads ask for it at once: the first computes it and the others wait.
     ``dataclasses.replace`` starts an empty memo; memoized arrays are shared
-    and must not be mutated.  ``drop(fn)`` forgets an entry: on a bundle it
-    built itself, ``reports.residual_report`` drops each one no stage left reads.
+    and must not be mutated.  ``drop(fn)`` forgets an entry: on the bundle it
+    builds, ``reports.residual_report`` drops each one no stage left reads.
     """
 
     patch: ImmersionPatch
@@ -505,9 +506,9 @@ _SEED_ACCEPT = 0.35
 
 
 def frames(patch: ImmersionPatch) -> dict[str, Any]:
-    """First-order geometry, keyed by ``GeometryBundle`` field: patch, jet,
-    lam, elam, the tangents t1 and t2, normal_frame, the Gauss map gauss
-    and conformal_defect."""
+    """First-order geometry, keyed by ``GeometryBundle`` field: patch, its
+    whole jet (``patch.jet()``), lam, elam, the tangents t1 and t2,
+    normal_frame, the Gauss map gauss and conformal_defect."""
     jet = patch.jet()
     m = patch.m
     n1, defect = conformal_factor(patch.grid, jet)
@@ -561,9 +562,12 @@ def second_fundamental(jet: Jet, elam: np.ndarray, normal_frame: np.ndarray) -> 
 
 
 def make_bundle(patch: ImmersionPatch) -> GeometryBundle:
-    """The geometry bundle of patch: ``frames``, then ``second_fundamental``."""
+    """The geometry bundle of patch: ``frames``, then ``second_fundamental`` of the whole jet.  The bundle
+    keeps the first order of the jet and the patch without its jets, so the second order goes with the patch."""
     first = frames(patch)
-    return GeometryBundle(**first, **second_fundamental(first["jet"], first["elam"], first["normal_frame"]))
+    second = second_fundamental(first["jet"], first["elam"], first["normal_frame"])
+    first.update(patch=replace(patch, jets=None), jet=replace(first["jet"], d11=None, d12=None, d22=None))
+    return GeometryBundle(**first, **second)
 
 
 def tracefree_H0(bundle: GeometryBundle) -> np.ndarray:

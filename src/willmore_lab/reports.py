@@ -29,7 +29,6 @@ from __future__ import annotations
 import threading
 from collections import Counter, namedtuple
 from concurrent.futures import Executor
-from dataclasses import replace
 
 import numpy as np
 
@@ -127,28 +126,18 @@ STAGES = (
 GROUPS = ("conservation", "conformal", "frame")  # in report key order
 
 
-def _first_order(bundle: GeometryBundle) -> GeometryBundle:
-    """The bundle without the second-order jet, which only ``second_fundamental`` reads: its jet keeps
-    phi, d1 and d2, and its patch holds no jet."""
-    jet = replace(bundle.jet, d11=None, d12=None, d22=None)
-    return replace(bundle, patch=replace(bundle.patch, jets=None), jet=jet)
-
-
-def residual_report(source: ImmersionPatch | GeometryBundle, pool: Executor | None = None) -> dict[str, float]:
-    """Run the full conservation / conformal-Willmore residual suite, ``STAGES`` in order.
+def residual_report(patch: ImmersionPatch, pool: Executor | None = None) -> dict[str, float]:
+    """Run the full conservation / conformal-Willmore residual suite on the bundle of patch, ``STAGES`` in order.
 
     With a pool, the conservation and frame groups go to it while the conformal group runs here; a
     group still queued then runs here too.  So this only waits on running groups, which submit nothing:
-    a pool of any size, 1 included, cannot deadlock.  A bundle the report builds holds no second-order
-    jet, and drops each derived entry once no stage that may read it is left; a patch no caller keeps
-    goes with its jet once that bundle exists.  Keys and values do not depend on the pool.
+    a pool of any size, 1 included, cannot deadlock.  The bundle drops each derived entry once no stage
+    that may read it is left; a patch no caller keeps goes with its jet once the bundle exists, which
+    holds no second-order jet (``make_bundle``).  Keys and values do not depend on the pool.
     """
-    built = not isinstance(source, GeometryBundle)
-    bundle = _first_order(make_bundle(source)) if built else source
-    del source
-    # stages left that may read each entry; none are counted on a bundle passed in, which keeps its memo
-    # (its counts go below zero)
-    readers = Counter(name for stage in STAGES for name in stage.entries if built)
+    bundle = make_bundle(patch)
+    del patch
+    readers = Counter(name for stage in STAGES for name in stage.entries)  # stages left that may read each entry
     lock, chain, values = threading.Lock(), {}, {}
 
     def run(groups) -> None:
@@ -192,8 +181,8 @@ def check_report(
 def refinement_ratios(reports: list[dict[str, float]]) -> list[dict[str, object]]:
     """Richardson ratios between consecutive grid reports.
 
-    Exactly-zero keys (both values below 1e-12) yield the FLOOR sentinel
-    instead of a meaningless quotient.
+    Exactly-zero keys (both values finite and below 1e-12) yield the FLOOR
+    sentinel instead of a meaningless quotient; a NaN on either grid yields NaN.
     """
     out: list[dict[str, object]] = []
     for coarse, fine in zip(reports, reports[1:]):
@@ -202,7 +191,9 @@ def refinement_ratios(reports: list[dict[str, float]]) -> list[dict[str, object]
             if key not in coarse:
                 continue
             a, b = coarse[key], fine[key]
-            if max(abs(a), abs(b)) < 1e-12:
+            if np.isnan(a) or np.isnan(b):
+                row[key] = np.nan
+            elif max(abs(a), abs(b)) < 1e-12:
                 row[key] = FLOOR
             elif abs(b) < 1e-300:
                 row[key] = np.inf

@@ -59,7 +59,22 @@ class TestEachValueOnce:
     def test_bundle_holds_the_catalog_jet(self):
         for kind, params in ALL_KINDS:
             p = im.make_surface(kind, G65, **params)
-            assert im.make_bundle(p).jet is p.jets, kind
+            b = im.make_bundle(p)
+            assert b.jet.phi is p.jets.phi and b.jet.d1 is p.jets.d1 and b.jet.d2 is p.jets.d2, kind
+            assert (b.jet.d11, b.jet.d12, b.jet.d22, b.patch.jets) == (None, None, None, None), kind
+
+    def test_bundle_sheds_the_second_order_jet(self):
+        # only second_fundamental reads the second order: a bundle keeps phi, d1 and d2 of the jet it was
+        # built from and a patch without jets, and h and H hold what the whole jet gives
+        catalog = im.make_surface("catenoid", G33)
+        patches = [catalog, catalog.with_phi(catalog.phi + 0.0), im.perturb_normal(catalog, seed=1)]
+        for patch in patches:
+            b, jet = im.make_bundle(patch), patch.jet()
+            assert (b.jet.d11, b.jet.d12, b.jet.d22, b.patch.jets) == (None, None, None, None), patch.label
+            assert b.patch.phi is patch.phi and b.patch.label == patch.label and b.patch.grid is patch.grid
+            assert all(np.array_equal(getattr(b.jet, name), getattr(jet, name)) for name in ("phi", "d1", "d2"))
+            want = im.second_fundamental(jet, b.elam, b.normal_frame)
+            assert all(getattr(b, name).tobytes() == want[name].tobytes() for name in ("h", "H", "area_density"))
 
     def test_fd_jet_once_per_bundle(self, monkeypatch):
         calls = []
@@ -336,7 +351,8 @@ class TestSecondFundamental:
 
     def test_normal_frame_rotation_invariance(self):
         # smooth SO(2) rotation of {n_1, n_2}: H, H0, K, energy unchanged
-        b1 = im.make_bundle(im.make_surface("graph_perturbation", G65, m=4, seed=3, amplitude=0.05))
+        patch = im.make_surface("graph_perturbation", G65, m=4, seed=3, amplitude=0.05)
+        b1 = im.make_bundle(patch)
         X1, X2 = G65.nodes()
         theta = 0.7 * np.sin(X1) * np.cos(2.0 * X2)
         c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
@@ -345,7 +361,8 @@ class TestSecondFundamental:
              -s * b1.normal_frame[0] + c * b1.normal_frame[1]]
         )
         gauss = mv.field_wedge(mv.vector_field_to_mv(rot[0]), mv.vector_field_to_mv(rot[1]))
-        b2 = replace(b1, normal_frame=rot, gauss=gauss, **im.second_fundamental(b1.jet, b1.elam, rot))
+        # h is rebuilt from the patch's jet: the bundle keeps no second order
+        b2 = replace(b1, normal_frame=rot, gauss=gauss, **im.second_fundamental(patch.jet(), b1.elam, rot))
         assert np.max(np.abs(b2.gauss.dense() - b1.gauss.dense())) < 1e-12
         assert np.max(np.abs(b2.H - b1.H)) < 1e-12
         assert np.max(np.abs(b2.H0 - b1.H0)) < 1e-12

@@ -1,6 +1,7 @@
 """Package surface: every name a module lists in __all__ resolves, so does
 every function the benchmark's tracer wraps, and each benchmark workload
-still reaches every layer its traced run requires."""
+still reaches every layer its traced run requires; the output hash tool
+hashes arrays by value only."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import willmore_lab
@@ -19,6 +21,7 @@ import willmore_lab
 MODULES = ["willmore_lab"] + [f"willmore_lab.{info.name}" for info in pkgutil.iter_modules(willmore_lab.__path__)]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
+OUTPUT_HASHES = PERFBENCH.parent / "tools" / "output_hashes.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -27,19 +30,19 @@ def test_all_names_resolve(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def _load_tracer(monkeypatch):
-    """perfbench/tracer.py as a module, read only: no bytecode is written next to it."""
+def _load(monkeypatch, path):
+    """The Python file at path as a module, read only: no bytecode is written next to it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    spec = importlib.util.spec_from_file_location(f"loaded_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_layers_resolve(monkeypatch):
     # the traced benchmark wraps each LAYERS function; one deleted from the package
     # would break only that run, so its names are checked here (the file is only read)
-    layers = [(module, fn) for _, module, fns in _load_tracer(monkeypatch).LAYERS for fn in fns]
+    layers = [(module, fn) for _, module, fns in _load(monkeypatch, TRACER).LAYERS for fn in fns]
     assert layers
     missing = [(module, fn) for module, fn in layers
                if not callable(getattr(importlib.import_module(f"willmore_lab.{module}"), fn, None))]
@@ -55,7 +58,7 @@ def test_required_bindings_resolve(monkeypatch):
     bindings = ast.literal_eval(value)
     assert bindings
     traced = {}  # id of each LAYERS function -> its module
-    for _, module, fns in _load_tracer(monkeypatch).LAYERS:
+    for _, module, fns in _load(monkeypatch, TRACER).LAYERS:
         for fn in fns:
             traced[id(getattr(importlib.import_module(f"willmore_lab.{module}"), fn))] = module
     unbound = []
@@ -65,6 +68,16 @@ def test_required_bindings_resolve(monkeypatch):
         if traced.get(id(obj), module) == module:
             unbound.append(binding)
     assert unbound == []
+
+
+def test_output_hashes_refuse_object_arrays(monkeypatch):
+    # the bytes of an object array are addresses, which differ between runs: a listing that hashed
+    # one (None included) would differ between two runs of the same tree
+    tool = _load(monkeypatch, OUTPUT_HASHES)
+    for value in (None, np.array([1.0, None])):
+        with pytest.raises(TypeError, match="Python objects"):
+            tool._array_bytes(value)
+    assert tool._array_bytes(np.zeros(2)) == b"<f8|(2,)|(8,)|" + bytes(16)
 
 
 def _load_perfbench(monkeypatch):

@@ -93,27 +93,26 @@ def test_report_computes_shared_quantities_once(monkeypatch, workers):
 def test_report_drops_entries_of_the_bundle_it_builds_only(monkeypatch, workers):
     # reader counts are shared by the pool's workers: with more workers than cores and a short
     # switch interval, a lost update would leave an entry held or drop it while a stage still reads it
-    built, first_order = [], rp._first_order
+    built, make_bundle = [], rp.make_bundle
 
-    def recording_first_order(bundle):
-        built.append(first_order(bundle))
+    def recording_make_bundle(patch):
+        built.append(make_bundle(patch))
         return built[-1]
 
-    monkeypatch.setattr(rp, "_first_order", recording_first_order)
+    monkeypatch.setattr(rp, "make_bundle", recording_make_bundle)
     patch = im.make_surface("graph_perturbation", G33, m=4)
-    given = im.make_bundle(patch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with pool_of(workers) as pool:
-            reports = [pool.submit(rp.residual_report, source, pool).result(timeout=120) if pool else
-                       rp.residual_report(source) for source in (patch, given)]
+            if pool:
+                pool.submit(rp.residual_report, patch, pool).result(timeout=120)
+            else:
+                rp.residual_report(patch)
     finally:
         sys.setswitchinterval(interval)
-    assert reports[0] == reports[1]
     assert len(built) == 1
     assert [name for name in DROPPED if entry(name) in built[0]._memo] == []
-    assert [name for name in DROPPED if entry(name) not in given._memo] == []
 
 
 def test_stage_table_writes_every_key_once(sphere_report):
@@ -182,17 +181,16 @@ def test_pooled_report_propagates_stage_error(monkeypatch, workers):
 
 
 def test_report_peak_memory():
-    # stages drop their temporaries after last use, so the memo plus one stage sets the peak:
-    # an m = 6, n = 65 graph report peaks at 46.6 fields (n, n, m) above its bundle (61.7
-    # when the stages held theirs to the end)
+    # stages drop their temporaries after last use, so the memo plus one stage sets the peak: an m = 6,
+    # n = 65 graph report on a patch the caller keeps peaks at 40.8 fields (n, n, m) above that patch
+    # (46.6 from a bundle built beforehand with its whole jet, 61.7 when the stages held theirs to the end)
     patch = im.make_surface("graph_perturbation", G65, m=6)
     rp.residual_report(patch)  # warm the table and solver caches
-    bundle = im.make_bundle(patch)
     gc.collect()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        rp.residual_report(bundle)
+        rp.residual_report(patch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -246,38 +244,25 @@ def spy_first_stage(monkeypatch, check):
     monkeypatch.setattr(rp, "STAGES", (first._replace(fn=fn),) + rp.STAGES[1:])
 
 
-def test_report_built_bundle_sheds_the_second_order_jet(monkeypatch):
-    seen = []
-    spy_first_stage(monkeypatch, seen.append)
-    patch = im.make_surface("catenoid", G33)
-    given = im.make_bundle(patch)
-    assert rp.residual_report(patch) == rp.residual_report(given)
-    built = seen[0]
-    assert seen[1] is given
-    # only second_fundamental reads the second order; every other field holds what make_bundle computes
-    assert (built.jet.d11, built.jet.d12, built.jet.d22, built.patch.jets) == (None, None, None, None)
-    assert built.jet.phi is patch.phi and built.jet.d1 is patch.jets.d1 and built.jet.d2 is patch.jets.d2
-    assert all(np.array_equal(getattr(built, name), getattr(given, name)) for name in ("lam", "t1", "h", "H0"))
-    assert given.jet is patch.jets and given.patch is patch
-    assert all(getattr(given.jet, name) is not None for name in ("d11", "d12", "d22"))
-
-
 @pytest.mark.parametrize("perturbed", [False, True], ids=["analytic-jet", "fd-jet"])
 def test_second_order_jet_goes_before_the_stages(monkeypatch, perturbed):
     # handed the one reference to its patch, a report frees the patch's jet (or the finite-difference
     # jet make_bundle computes) before its first stage runs
     refs, alive = [], []
+    fd_jet = im.fd_jet
 
-    def recording_make_bundle(patch):
-        bundle = im.make_bundle(patch)
-        refs.append(weakref.ref(bundle.jet.d11))
-        return bundle
+    def recording_fd_jet(grid, phi):
+        jet = fd_jet(grid, phi)
+        refs.append(weakref.ref(jet.d11))
+        return jet
 
-    monkeypatch.setattr(rp, "make_bundle", recording_make_bundle)
+    monkeypatch.setattr(im, "fd_jet", recording_fd_jet)
     spy_first_stage(monkeypatch, lambda bundle: alive.append(refs[-1]() is not None))
     patches = [im.make_surface("sphere", G33)]
     if perturbed:
         patches.append(im.perturb_normal(patches.pop(), seed=1))
+    else:
+        refs.append(weakref.ref(patches[0].jets.d11))
     rp.residual_report(patches.pop())
     assert alive == [False]
 
@@ -296,13 +281,6 @@ def test_cli_hands_each_patch_to_its_report(monkeypatch, tmp_path):
     spy_first_stage(monkeypatch, lambda bundle: alive.append(refs[bundle.grid.n]() is not None))
     assert cli.main(["verify", "--surface", "sphere", "--n", "65", "--n", "97", "--out", str(tmp_path / "v.json")]) == 0
     assert sorted(refs) == [65, 97] and alive == [False, False]
-
-
-def test_report_accepts_bundle_or_patch(sphere_report):
-    bundle = im.make_bundle(im.make_surface("sphere", G65, rho=1.0))
-    again = rp.residual_report(bundle)
-    # make_surface then make_bundle is what the patch path runs: every value is equal
-    assert again == sphere_report
 
 
 def test_sphere_passes_default_thresholds(sphere_report):
@@ -347,10 +325,17 @@ def test_refinement_ratios_with_floor_sentinel():
     coarse = dict.fromkeys(["f_inf", *reversed(rp.DEFAULT_THRESHOLDS), "willmore_energy"], 0.0)
     fine = dict(coarse)
     coarse["a4_resid"], fine["a4_resid"] = 4e-4, 1e-4
+    # a NaN on either grid reads NaN, never FLOOR or inf; an infinite value is no floor
+    pairs = {"a5_resid": (0.0, np.nan), "L_defect": (np.nan, 0.0), "S_defect": (1e-13, np.inf),
+             "R_defect": (np.inf, 1e-13)}
+    for key, (a, b) in pairs.items():
+        coarse[key], fine[key] = a, b
     rows = rp.refinement_ratios([coarse, fine])
     assert list(rows[0]) == list(rp.DEFAULT_THRESHOLDS)
     assert rows[0]["a4_resid"] == pytest.approx(4.0)
     assert rows[0]["codazzi_resid"] == rp.FLOOR
+    assert np.isnan(rows[0]["a5_resid"]) and np.isnan(rows[0]["L_defect"])
+    assert rows[0]["S_defect"] == 0.0 and rows[0]["R_defect"] == np.inf
 
 
 def test_willmore_flags():

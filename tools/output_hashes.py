@@ -20,12 +20,14 @@ The outputs are:
 * the JSON (timestamp removed) printed by ``wente --n 65 --samples 2
   --seed 3`` and by ``flow`` on perturbed-catenoid:seed=2, n = 65,
   --max-iters 20, neither given ``--out``;
-* for 37 (surface, m) bundles at n = 65 (the catalog at m = 3..6 and the
-  perturbed catenoid, sphere and plane at m = 3, 4, 6): each array of
-  ``BUNDLE_ARRAYS`` and every jet array (dtype, shape, strides and bytes,
-  signed zeros included), the A, f and L arrays of ``extract_A_f``, Q, S, R,
-  the S/R defects and system residuals, the phi identity, the tangency
-  identities and the Gauss-map energy.
+* for 37 (surface, m) patches at n = 65 (the catalog at m = 3..6 and the
+  perturbed catenoid, sphere and plane at m = 3, 4, 6): every array of the
+  jet ``make_bundle`` differentiates (``patch.jet()``, the second order
+  included), and of the patch's bundle each array of ``BUNDLE_ARRAYS``
+  (dtype, shape, strides and bytes, signed zeros included), the A, f and L
+  arrays of ``extract_A_f``, Q, S, R, the S/R defects and system residuals,
+  the phi identity, the tangency identities and the Gauss-map energy; and
+  the values of ``residual_report`` on the patch.
   Blade-row fields are hashed through ``.dense()``.  A name of
   ``BUNDLE_ARRAYS`` that is no bundle field is read from the immersion
   function that computes it (``DERIVED_ARRAYS``), so a quantity that moves
@@ -66,6 +68,8 @@ def _sha(data: bytes) -> str:
 
 def _array_bytes(x) -> bytes:
     x = x.dense() if hasattr(x, "dense") else np.asarray(x)
+    if x.dtype.hasobject:  # its bytes would be object addresses, which differ between runs
+        raise TypeError(f"cannot hash an array of Python objects (dtype {x.dtype})")
     head = f"{x.dtype.str}|{x.shape}|{x.strides}|".encode()
     return head + x.tobytes()
 
@@ -154,8 +158,9 @@ def main() -> int:
         case = f"{surface} m={m}"
         for name in BUNDLE_ARRAYS:
             print(_sha(_array_bytes(_bundle_array(bundle, name))), f"{case} bundle.{name}")
-        for f in dataclasses.fields(bundle.jet):
-            print(_sha(_array_bytes(getattr(bundle.jet, f.name))), f"{case} jet.{f.name}")
+        jet = patch.jet()
+        for f in dataclasses.fields(jet):
+            print(_sha(_array_bytes(getattr(jet, f.name))), f"{case} jet.{f.name}")
         print(_sha(_array_bytes(bundle.derived(conservation.assemble_Q))), f"{case} Q")
         conf = confwillmore.extract_A_f(bundle)
         for name in ("A", "f", "L"):
@@ -168,7 +173,7 @@ def main() -> int:
         print(_sha(_float_bytes(conservation.phi_identity_residual(bundle, sr.S, sr.R))), f"{case} phi identity")
         print(_sha(_float_bytes(*conservation.tangency_identities(bundle))), f"{case} tangency identities")
         print(_sha(_float_bytes(confwillmore.gauss_map_energy(bundle))), f"{case} Gauss-map energy")
-        print(_sha(_float_bytes(*reports.residual_report(bundle).values())), f"{case} report values")
+        print(_sha(_float_bytes(*reports.residual_report(patch).values())), f"{case} report values")
     return 0
 
 
