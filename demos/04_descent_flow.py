@@ -33,8 +33,8 @@ print("note: conformality drifts and is recorded, never silently repaired")
 print()
 print("== Round sphere: already critical, stops at the discretization floor ==")
 sphere = im.make_surface("sphere", grid, rho=1.0)
-floor = fl.ps_norm(im.make_bundle(sphere))
-sphere_trace = fl.run(sphere, max_iters=500, stop=1.01 * floor)
+sphere_trace = fl.run(sphere, max_iters=500, stop_ratio=1.01)
+floor = sphere_trace.initial.ps
 print(f"ps floor {floor:.3e}; accepted steps: {len(sphere_trace.states) - 1}; "
       f"stopped by: {sphere_trace.stopped_by}")
 

@@ -32,8 +32,8 @@ import numpy as np
 from . import lorentz as lo
 from . import reports as rp
 from .diskgrid import Grid, read_field, write_field
-from .flow import ps_norm, run as flow_run
-from .immersion import CATALOG, make_bundle, make_surface, perturb_normal
+from .flow import ps_norm, run as flow_run  # noqa: F401 (ps_norm: a binding perfbench pins)
+from .immersion import CATALOG, make_bundle, make_surface, perturb_normal  # noqa: F401 (make_bundle: likewise)
 from .reports import DEFAULT_THRESHOLDS, FLOOR
 
 __all__ = ["main"]
@@ -145,10 +145,21 @@ def _outputs(args) -> dict[str, str]:
     return paths
 
 
+def _json_text(value):
+    """value with each non-finite float replaced by the text the CSV writes for it ("inf", "-inf", "nan")."""
+    if isinstance(value, dict):
+        return {k: _json_text(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_text(v) for v in value]
+    if isinstance(value, float) and not -np.inf < value < np.inf:
+        return f"{value:.17g}"
+    return value
+
+
 def _write_outputs(paths: dict[str, str], command: str, results: dict) -> None:
     """Write each result of a cmd_* to its path from _outputs: results maps "json" to the payload
     without its schema/command/timestamp header, "table" to (header, rows), "checkpoint" to
-    (grid, values)."""
+    (grid, values).  The JSON is strict: a non-finite float is written as text (``_json_text``)."""
     for kind, path in paths.items():
         if kind == "checkpoint":
             write_field(path, *results[kind])
@@ -157,7 +168,7 @@ def _write_outputs(paths: dict[str, str], command: str, results: dict) -> None:
             if kind == "json":
                 stamp = datetime.now(timezone.utc).isoformat()
                 payload = {"schema": SCHEMA_VERSION, "command": command, "timestamp": stamp, **results[kind]}
-                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                fh.write(json.dumps(_json_text(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
             else:
                 header, rows = results[kind]
                 csv.writer(fh).writerows([header, *rows])
@@ -253,10 +264,7 @@ def cmd_lorentz(args) -> tuple[int, dict]:
 
 def cmd_flow(args) -> tuple[int, dict]:
     patch = args.patches[0]
-    bundles = [make_bundle(patch)]
-    stop = args.stop_ratio * bundles[0].derived(ps_norm) if args.stop_ratio > 0.0 else 0.0
-    # the run gets the one reference to the initial bundle, so the bundle goes with the initial state
-    trace = flow_run(bundles.pop(), max_iters=args.max_iters, stop=stop)
+    trace = flow_run(patch, max_iters=args.max_iters, stop_ratio=args.stop_ratio)
     payload = {
         "surface": patch.label,
         "iterations": len(trace.states) - 1,

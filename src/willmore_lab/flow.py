@@ -80,9 +80,10 @@ class FlowState:
 
     Working states carry their patch and geometry bundle, whose memo
     holds the Q that ps was computed from (the next step's direction
-    reuses it).  ``summary`` drops the bundle, and ``step`` rebuilds it
-    from the patch.  States stored in a FlowTrace carry no bundle, and
-    all but the final one no patch either (see FlowTrace).
+    reuses it).  An initial state keeps the patch it was made from, jets
+    included, so ``summary`` drops only the bundle: ``step`` rebuilds the
+    same one from the patch.  States stored in a FlowTrace carry no
+    bundle, and all but the final one no patch either (see FlowTrace).
     ``rejections`` names, in trial order, why each line-search trial of
     the step that produced this state was rejected: "energy" (no strict
     decrease) or the class name of the exception the trial raised.
@@ -114,10 +115,9 @@ def _accept(patch: ImmersionPatch, bundle: GeometryBundle, energy: float, tau: f
     )
 
 
-def _state_from_patch(source: ImmersionPatch | GeometryBundle, tau: float) -> FlowState:
-    # a patch passed in is kept with its jets, which step rebuilds a bundle from; a bundle's patch has none
-    bundle = source if isinstance(source, GeometryBundle) else make_bundle(source)
-    return _accept(bundle.patch if bundle is source else source, bundle, willmore_energy(bundle), tau)
+def _state_from_patch(patch: ImmersionPatch, tau: float) -> FlowState:
+    bundle = make_bundle(patch)
+    return _accept(patch, bundle, willmore_energy(bundle), tau)
 
 
 def step(state: FlowState, tau0: float) -> FlowState:
@@ -179,24 +179,20 @@ class FlowTrace:
         return np.array([s.energy for s in self.states])
 
 
-def run(
-    source: ImmersionPatch | GeometryBundle,
-    max_iters: int = 500,
-    stop: float = 0.0,
-) -> FlowTrace:
-    """Iterate descent steps from a patch, or from its bundle, until stop
-    threshold, stall, or max_iters.
+def run(patch: ImmersionPatch, max_iters: int = 500, stop_ratio: float = 0.0) -> FlowTrace:
+    """Iterate descent steps from patch until the stop threshold, stall, or
+    max_iters.
 
-    ``stop`` is an absolute ps_norm threshold (0 disables it).  The first
-    line search starts at tau = 1; afterwards the trial step is twice the
-    last accepted one, so the search stays near its acceptance boundary.
-    A collapsing conformal factor (e^lambda below 1e-8 of its initial
-    maximum) ends the run, stopped_by "degenerate", after that state.
-    From a bundle, the initial state carries its jet-less patch; a run never
-    rebuilds a state's bundle from its patch, so the trace is the same.
+    The run stops by "threshold" once ps_norm is at most ``stop_ratio`` times
+    the initial state's; a threshold that is not positive (a ratio of 0, or
+    an initial ps_norm of 0) disables it.  The first line search starts at
+    tau = 1; afterwards the trial step is twice the last accepted one, so the
+    search stays near its acceptance boundary.  A collapsing conformal factor
+    (e^lambda below 1e-8 of its initial maximum) ends the run, stopped_by
+    "degenerate", after that state.
     """
-    state = _state_from_patch(source, 0.0)
-    del source  # a bundle passed in is the initial state's, and goes with it after the first step
+    state = _state_from_patch(patch, 0.0)
+    stop = stop_ratio * state.ps
     elam_floor = 1e-8 * float(np.max(state.bundle.elam))
     states = []
     stopped = "max_iters"

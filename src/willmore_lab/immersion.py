@@ -88,7 +88,7 @@ class Jet:
 @dataclass(frozen=True)
 class ImmersionPatch:
     """Sampled conformal immersion of the grid square into R^m; jets is the catalog's
-    analytic jet on the grid's nodes (None off the catalog, and in a bundle's patch)."""
+    analytic jet on the grid's nodes (None off the catalog)."""
 
     grid: Grid
     m: int
@@ -395,8 +395,8 @@ def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05
 @dataclass(frozen=True)
 class GeometryBundle:
     """Conformal-frame geometry of an immersion patch: the fields ``frames``
-    and ``second_fundamental`` build, with the first-order jet only and the
-    patch without its jets (``make_bundle``).
+    and ``second_fundamental`` build, with the patch's grid and ambient
+    dimension m and the first-order jet only (``make_bundle``).
 
     normal_frame has shape (m-2, n, n, m); gauss holds n = n_1 ^ ... ^ n_{m-2}
     as blade rows over (n, n).  t1/t2 are the exactly orthonormalized
@@ -415,7 +415,8 @@ class GeometryBundle:
     builds, ``reports.residual_report`` drops each one no stage left reads.
     """
 
-    patch: ImmersionPatch
+    grid: Grid
+    m: int
     jet: Jet
     lam: np.ndarray
     elam: np.ndarray
@@ -429,14 +430,6 @@ class GeometryBundle:
     area_density: np.ndarray
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _locks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    @property
-    def grid(self) -> Grid:
-        return self.patch.grid
-
-    @property
-    def m(self) -> int:
-        return self.patch.m
 
     @property
     def H0(self) -> np.ndarray:
@@ -506,9 +499,9 @@ _SEED_ACCEPT = 0.35
 
 
 def frames(patch: ImmersionPatch) -> dict[str, Any]:
-    """First-order geometry, keyed by ``GeometryBundle`` field: patch, its
-    whole jet (``patch.jet()``), lam, elam, the tangents t1 and t2,
-    normal_frame, the Gauss map gauss and conformal_defect."""
+    """First-order geometry, keyed by ``GeometryBundle`` field: the patch's
+    grid and m, its whole jet (``patch.jet()``), lam, elam, the tangents t1
+    and t2, normal_frame, the Gauss map gauss and conformal_defect."""
     jet = patch.jet()
     m = patch.m
     n1, defect = conformal_factor(patch.grid, jet)
@@ -541,7 +534,7 @@ def frames(patch: ImmersionPatch) -> dict[str, Any]:
     n_last /= np.sqrt(dg.component_sum(n_last * n_last))[..., None]
 
     normal_frame = np.stack(accepted + [n_last])
-    return dict(patch=patch, jet=jet, lam=lam, elam=elam, t1=t1, t2=t2, normal_frame=normal_frame,
+    return dict(grid=patch.grid, m=m, jet=jet, lam=lam, elam=elam, t1=t1, t2=t2, normal_frame=normal_frame,
                 gauss=mv.field_wedge_vectors(*normal_frame), conformal_defect=defect)
 
 
@@ -563,10 +556,10 @@ def second_fundamental(jet: Jet, elam: np.ndarray, normal_frame: np.ndarray) -> 
 
 def make_bundle(patch: ImmersionPatch) -> GeometryBundle:
     """The geometry bundle of patch: ``frames``, then ``second_fundamental`` of the whole jet.  The bundle
-    keeps the first order of the jet and the patch without its jets, so the second order goes with the patch."""
+    keeps the patch's grid and m and the first order of the jet, not the patch, so the second order goes with it."""
     first = frames(patch)
     second = second_fundamental(first["jet"], first["elam"], first["normal_frame"])
-    first.update(patch=replace(patch, jets=None), jet=replace(first["jet"], d11=None, d12=None, d22=None))
+    first["jet"] = replace(first["jet"], d11=None, d12=None, d22=None)
     return GeometryBundle(**first, **second)
 
 

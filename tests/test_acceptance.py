@@ -50,7 +50,7 @@ def identity_statistics(kind, n, s, **params):
     cdata = cw.extract_A_f(bundle)
     sr = cons.build_S_R(bundle, cdata.L)
     a4, a5 = cw.frame_derivative_residuals(bundle)
-    lap_phi = dg.laplace(grid, bundle.patch.phi) - 2.0 * bundle.area_density[..., None] * bundle.H
+    lap_phi = dg.laplace(grid, bundle.jet.phi) - 2.0 * bundle.area_density[..., None] * bundle.H
     return {
         "b1_dot": dot,
         "b1_wedge": wedge,
@@ -270,7 +270,7 @@ def test_criterion_7_hodge_decomposition():
 def test_criterion_8_flow_palais_smale_generator():
     grid = Grid(0.5, 65)
     pert = im.perturb_normal(im.make_surface("catenoid", grid), seed=0, amplitude=0.05)
-    trace = fl.run(pert, max_iters=500, stop=0.0)
+    trace = fl.run(pert, max_iters=500, stop_ratio=0.0)
     energies = trace.energies()
     problems = []
     if not np.all(np.diff(energies) <= 0.0):
@@ -281,8 +281,8 @@ def test_criterion_8_flow_palais_smale_generator():
     if len(trace.states) - 1 > 500:
         problems.append("exceeded 500 iterations")
     sphere = im.make_surface("sphere", grid, rho=1.0)
-    floor = fl.ps_norm(im.make_bundle(sphere))
-    sphere_trace = fl.run(sphere, max_iters=500, stop=1.01 * floor)
+    sphere_trace = fl.run(sphere, max_iters=500, stop_ratio=1.01)
+    floor = sphere_trace.initial.ps
     if len(sphere_trace.states) != 1 or sphere_trace.stopped_by != "threshold":
         problems.append("sphere run did not terminate immediately at the floor")
     ok = not problems

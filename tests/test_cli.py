@@ -169,16 +169,30 @@ class TestInputBoundary:
 
     def test_small_sphere_reports(self, capsys, tmp_path):
         # a valid immersion however small, or a grid so fine that h^2 underflows: it gets a
-        # report whose keys FAIL (they are not scale covariant, as README says), not a traceback
+        # report whose keys FAIL (they are not scale covariant, as README says), not a traceback;
+        # its JSON is strict, a non-finite key reading "inf" or "nan"
+        def strict(token):
+            raise ValueError(f"{token} is no JSON value")
+
         out = tmp_path / "r.json"
+        texts = set()
         for args, label in ((["--surface", "sphere:rho=1e-13"], "sphere(rho=1e-13)"),
+                            (["--surface", "sphere:rho=1e-100"], "sphere(rho=1e-100)"),
                             (["--surface", "sphere", "--s", "1e-300"], "sphere"),
                             (["--surface", "enneper", "--s", "1e-320"], "enneper"),
                             (["--surface", "cylinder:rho=1e-200"], "cylinder(rho=1e-200)")):
             rc = run_cli(["verify", *args, "--n", "33", "--out", str(out)])
             lines = capsys.readouterr().err.splitlines()
             assert rc == 1 and lines and all(line.startswith(f"FAIL {label} n=33: ") for line in lines)
-            assert not json.loads(out.read_text())["pass"]
+            payload = json.loads(out.read_text(), parse_constant=strict)
+            assert not payload["pass"]
+            keys = payload["items"][0]["keys"].values()
+            assert all(isinstance(v, float) or v in ("inf", "nan") for v in keys), label
+            texts.update(v for v in keys if isinstance(v, str))
+        assert texts == {"inf", "nan"}
+        assert run_cli(["refine", "--surface", "sphere:rho=1e-100", "--n", "33", "--n", "65"]) == 0
+        ratios = json.loads(capsys.readouterr().out, parse_constant=strict)["ratios"][0]
+        assert ratios["divQ_inf"] == "nan"
 
     def test_wente_grid_too_fine_rejected(self, capsys, tmp_path):
         # at n = 33, h^2 is subnormal for s = 1e-154 and 8/h^2 overflows for s = 3.3e-153; for

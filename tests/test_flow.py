@@ -3,7 +3,7 @@
 import gc
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -150,7 +150,8 @@ class TestStep:
         state = fl.step(fl._state_from_patch(perturbed_catenoid(), 0.0), tau0=1.0)
         assert not state.stalled
         jet = state.bundle.jet
-        assert (jet.d11, jet.d12, jet.d22, state.bundle.patch.jets) == (None, None, None, None)
+        assert (jet.d11, jet.d12, jet.d22) == (None, None, None)
+        assert "patch" not in {f.name for f in fields(state.bundle)}
 
     def test_trial_failing_after_energy_decrease_is_rejected(self, monkeypatch):
         state = fl._state_from_patch(perturbed_catenoid(), 0.0)
@@ -176,7 +177,8 @@ class TestRun:
     def test_sphere_stops_immediately_at_floor(self):
         patch, b = make_state("sphere", rho=1.0)
         floor = fl.ps_norm(b)
-        trace = fl.run(patch, max_iters=50, stop=1.01 * floor)
+        trace = fl.run(patch, max_iters=50, stop_ratio=1.01)
+        assert trace.initial.ps == floor
         assert len(trace.states) == 1
         assert trace.stopped_by == "threshold"
 
@@ -196,7 +198,8 @@ class TestRun:
     def test_threshold_stop(self):
         patch = im.perturb_normal(im.make_surface("catenoid", G65), seed=0, amplitude=0.05)
         ps0 = fl.ps_norm(im.make_bundle(patch))
-        trace = fl.run(patch, max_iters=500, stop=0.5 * ps0)
+        trace = fl.run(patch, max_iters=500, stop_ratio=0.5)
+        assert trace.initial.ps == ps0
         assert trace.stopped_by == "threshold"
         assert trace.final.ps <= 0.5 * ps0
         assert len(trace.states) < 500
@@ -314,22 +317,32 @@ class TestRun:
                                          "SolverError", "ValueError"}
 
     def test_initial_bundle_goes_after_the_first_step(self, monkeypatch, tmp_path):
-        # neither the flow command nor the run keeps the initial bundle once a step has replaced its state,
-        # so a trial holds two bundles (state and trial), not three
-        refs, alive = [], []
-        make_bundle, step = cli.make_bundle, fl.step
+        # the flow command builds no bundle of its own, and the run drops the initial one once a step has
+        # replaced its state, so a trial holds two bundles (state and trial), not three
+        refs, alive, in_step = [], [], []
+        make_bundle, step = fl.make_bundle, fl.step
 
         def recording_make_bundle(patch):
             bundle = make_bundle(patch)
-            refs.append(weakref.ref(bundle))
+            if not in_step:
+                refs.append(weakref.ref(bundle))
             return bundle
 
         def checking_step(*args, **kwargs):
             alive.append(refs[0]() is not None)
-            return step(*args, **kwargs)
+            in_step.append(True)
+            try:
+                return step(*args, **kwargs)
+            finally:
+                in_step.pop()
 
-        monkeypatch.setattr(cli, "make_bundle", recording_make_bundle)
+        def unused(*args):
+            raise AssertionError("the flow command builds no bundle and solves for no ps_norm of its own")
+
+        monkeypatch.setattr(fl, "make_bundle", recording_make_bundle)
         monkeypatch.setattr(fl, "step", checking_step)
+        monkeypatch.setattr(cli, "make_bundle", unused)
+        monkeypatch.setattr(cli, "ps_norm", unused)
         assert cli.main(["flow", "--surface", "perturbed-catenoid:seed=0,amplitude=0.05", "--n", "65",
                          "--stop-ratio", "0.2", "--max-iters", "3", "--out", str(tmp_path / "flow.csv")]) == 0
         assert len(refs) == 1 and alive == [True, False, False]

@@ -61,17 +61,19 @@ class TestEachValueOnce:
             p = im.make_surface(kind, G65, **params)
             b = im.make_bundle(p)
             assert b.jet.phi is p.jets.phi and b.jet.d1 is p.jets.d1 and b.jet.d2 is p.jets.d2, kind
-            assert (b.jet.d11, b.jet.d12, b.jet.d22, b.patch.jets) == (None, None, None, None), kind
+            assert (b.jet.d11, b.jet.d12, b.jet.d22) == (None, None, None), kind
+            assert "patch" not in {f.name for f in fields(b)} and (b.grid, b.m) == (p.grid, p.m), kind
 
     def test_bundle_sheds_the_second_order_jet(self):
         # only second_fundamental reads the second order: a bundle keeps phi, d1 and d2 of the jet it was
-        # built from and a patch without jets, and h and H hold what the whole jet gives
+        # built from and the patch's grid and m (no patch), and h and H hold what the whole jet gives
         catalog = im.make_surface("catenoid", G33)
         patches = [catalog, catalog.with_phi(catalog.phi + 0.0), im.perturb_normal(catalog, seed=1)]
         for patch in patches:
             b, jet = im.make_bundle(patch), patch.jet()
-            assert (b.jet.d11, b.jet.d12, b.jet.d22, b.patch.jets) == (None, None, None, None), patch.label
-            assert b.patch.phi is patch.phi and b.patch.label == patch.label and b.patch.grid is patch.grid
+            assert (b.jet.d11, b.jet.d12, b.jet.d22) == (None, None, None), patch.label
+            assert "patch" not in {f.name for f in fields(b)}, patch.label
+            assert b.jet.phi is patch.phi and b.grid is patch.grid and b.m == patch.m, patch.label
             assert all(np.array_equal(getattr(b.jet, name), getattr(jet, name)) for name in ("phi", "d1", "d2"))
             want = im.second_fundamental(jet, b.elam, b.normal_frame)
             assert all(getattr(b, name).tobytes() == want[name].tobytes() for name in ("h", "H", "area_density"))

@@ -31,9 +31,12 @@ The outputs are:
   Blade-row fields are hashed through ``.dense()``.  A name of
   ``BUNDLE_ARRAYS`` that is no bundle field is read from the immersion
   function that computes it (``DERIVED_ARRAYS``), so a quantity that moves
-  between a field and a derived entry keeps its line in the listing.
+  between a field and a derived entry keeps its line in the listing;
+* the standard output of each script in the ``demos`` directory beside
+  ``--src``, run on that ``src`` from an empty temporary working directory.
 
-Runs single-process with WILLMORE_LAB_THREADS=2 unless it is set.
+Runs single-process, apart from the demos, with WILLMORE_LAB_THREADS=2
+unless it is set.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import io
 import os
 import re
 import struct
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -129,7 +133,8 @@ def main() -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                         help="the src directory of the tree to hash (default: this repository's)")
     args = parser.parse_args()
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
     os.environ.setdefault("WILLMORE_LAB_THREADS", "2")
 
     from willmore_lab import cli, confwillmore, conservation, reports
@@ -174,6 +179,12 @@ def main() -> int:
         print(_sha(_float_bytes(*conservation.tangency_identities(bundle))), f"{case} tangency identities")
         print(_sha(_float_bytes(confwillmore.gauss_map_energy(bundle))), f"{case} Gauss-map energy")
         print(_sha(_float_bytes(*reports.residual_report(patch).values())), f"{case} report values")
+
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for demo in sorted((src.parent / "demos").glob("*.py")):
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = subprocess.run([sys.executable, str(demo)], cwd=tmp, env=env, capture_output=True)
+        print(_sha(proc.stdout), f"demo {demo.name} stdout (exit {proc.returncode})")
     return 0
 
 
