@@ -47,13 +47,13 @@ print()
 print("Tangency identities of Q hold on every conformal patch, Willmore or not:")
 for kind, params, s in SURFACES[1:]:
     bundle = im.make_bundle(im.make_surface(kind, Grid(s, 129), **params))
-    dot, wedge = cons.tangency_identities(bundle)
+    dot, wedge = (r / cons.surface_scale(bundle) for r in cons.tangency_identities(bundle))
     print(f"  {kind:24s} grad Phi . Q: {dot:.2e}   grad Phi ^ Q + 2 grad Phi ^ grad H: {wedge:.2e}")
 
 print()
 print("Potential recovery grad_perp L = Q (componentwise curl potentials):")
 for kind, params in (("sphere", {"rho": 1.0}), ("clifford_torus_patch", {}), ("cylinder", {"rho": 1.0})):
     bundle = im.make_bundle(im.make_surface(kind, Grid(0.5, 129), **params))
-    rec = cons.recover_L(bundle)
-    note = "exact potential (Willmore)" if rec.defect < 1e-3 else "no potential: div Q != 0"
-    print(f"  {kind:24s} defect {rec.defect:.3e}   {note}")
+    defect = cons.recover_L(bundle).defect / cons.surface_scale(bundle)
+    note = "exact potential (Willmore)" if defect < 1e-3 else "no potential: div Q != 0"
+    print(f"  {kind:24s} defect {defect:.3e}   {note}")

@@ -34,7 +34,8 @@ for rho in (1.0, 1.5):
     print(f"  cw residual with f          {interior_sup(grid, resid_f):.2e}")
     print(f"  cw residual with f = 0      {interior_sup(grid, resid_0):.6f}"
           f"   (the Willmore defect 1/(4 rho^3) = {0.25 / rho**3:.6f})")
-    print(f"  Lap(L - L0) - 2 i H0 f      {cw.eq13_residual(bundle, data.f, data.L):.2e}")
+    eq13 = cw.eq13_residual(bundle, data.f, data.L) / cons.surface_scale(bundle)
+    print(f"  Lap(L - L0) - 2 i H0 f      {eq13:.2e}")
 
 print()
 print("== Genus-zero patches carry no quadratic differential: f -> 0 ==")
@@ -50,9 +51,10 @@ print()
 print("== Unconditional complex-frame identities (interior sup, normalized) ==")
 for kind, params in (("sphere", {"rho": 1.0}), ("cylinder", {"rho": 1.0}), ("clifford_torus_patch", {})):
     bundle = im.make_bundle(im.make_surface(kind, Grid(0.5, 129), **params))
-    a4, a5 = cw.frame_derivative_residuals(bundle)
+    scale = cons.surface_scale(bundle)
+    a4, a5 = (r / scale for r in cw.frame_derivative_residuals(bundle))
     print(f"  {kind:24s} frame derivatives {a4:.2e} / {a5:.2e}   "
-          f"Codazzi-Mainardi {cw.codazzi_residual(bundle):.2e}")
+          f"Codazzi-Mainardi {cw.codazzi_residual(bundle) / scale:.2e}")
 
 print()
 print("Energy of the Gauss map per patch (the smallness hypothesis is reported, never asserted):")

@@ -30,7 +30,8 @@ validated facts wired into this module (each is also a test):
   residual reads Lap S and Lap R as curl(grad_perp S), curl(grad_perp R).
 
 Potentials are fixed mean-zero; every off-shell input degrades to a
-reported defect rather than an error.  Q, grad H, pi_n(grad H), grad n,
+reported defect rather than an error.  Residuals are raw: ``reports``
+divides them by ``surface_scale``.  Q, grad H, pi_n(grad H), grad n,
 L, the surface scale and the closed form of dz L0 are computed once per
 bundle and shared through ``GeometryBundle.derived``; grad star n is the
 star of the memoized grad n.  Multivector fields (n, R and their
@@ -61,13 +62,12 @@ __all__ = [
     "build_S_R",
     "sr_system_residual",
     "phi_identity_residual",
-    "LRecovery",
     "SRData",
 ]
 
 
 def surface_scale(bundle: GeometryBundle) -> float:
-    """Normalization constant for residuals: sup e^{2 lambda}(1 + |H|^2 + |B|^2)."""
+    """Divisor of the scaled report keys and of the f fit's gate: max(1, sup e^{2 lambda}(1 + |H|^2 + |B|^2))."""
     win = bundle.grid.interior()
     normH2, normB2 = bundle.derived(norm_H2), bundle.derived(norm_B2)
     return float(max(1.0, np.max((bundle.area_density * (1.0 + normH2 + normB2))[win])))
@@ -114,7 +114,7 @@ def willmore_residual(bundle: GeometryBundle) -> np.ndarray:
 
 
 def tangency_identities(bundle: GeometryBundle) -> tuple[float, float]:
-    """Pointwise tangency identities of Q, as normalized interior sup-residuals.
+    """Pointwise tangency identities of Q, as raw interior sup-residuals.
 
     resid_dot  : grad Phi . Q = 0
     resid_wedge: grad Phi ^ Q + 2 grad Phi ^ grad H = 0
@@ -123,7 +123,6 @@ def tangency_identities(bundle: GeometryBundle) -> tuple[float, float]:
     grid = bundle.grid
     jet = bundle.jet
     Q = bundle.derived(assemble_Q)
-    scale = bundle.derived(surface_scale)
     dot = dg.component_sum(jet.d1 * Q[0] + jet.d2 * Q[1])
     gradH = bundle.derived(_grad_H)
     blades = mv.grade_masks(bundle.m, 2)
@@ -132,28 +131,17 @@ def tangency_identities(bundle: GeometryBundle) -> tuple[float, float]:
         for dphi, Qj, gHj in ((jet.d1, Q[0], gradH[0]), (jet.d2, Q[1], gradH[1]))
     ))
     norm = np.sqrt(mv.field_inner(wedge, wedge))
-    return dg.interior_sup(grid, dot) / scale, dg.interior_sup(grid, norm) / scale
+    return dg.interior_sup(grid, dot), dg.interior_sup(grid, norm)
 
 
-@dataclass(frozen=True)
-class LRecovery:
-    """Potential L with grad_perp L ~ Q, recovered componentwise."""
-
-    L: np.ndarray
-    defect: float          # || grad_perp L - Q ||_L2 / surface scale
-    defect_abs: float
-    compat_defect: float
-
-
-def recover_L(bundle: GeometryBundle) -> LRecovery:
+def recover_L(bundle: GeometryBundle) -> dg.PotentialResult:
     """Recover L from grad_perp L = Q via componentwise curl potentials.
 
     Exact (to O(h^2)) precisely when div Q ~ 0, i.e. on Willmore patches;
-    otherwise the defect stays bounded away from zero and is reported.
-    L is normalized mean-zero per component.
+    otherwise the raw defect ||grad_perp L - Q||_L2 stays bounded away from
+    zero and is reported.  L (the result's u) is mean-zero per component.
     """
-    res = dg.curl_potential(bundle.grid, bundle.derived(assemble_Q))
-    return LRecovery(res.u, res.defect / bundle.derived(surface_scale), res.defect, res.compat_defect)
+    return dg.curl_potential(bundle.grid, bundle.derived(assemble_Q))
 
 
 def dz_L0_closed_form(bundle: GeometryBundle) -> np.ndarray:
@@ -165,7 +153,7 @@ def dz_L0_closed_form(bundle: GeometryBundle) -> np.ndarray:
 
 
 def assemble_L0(bundle: GeometryBundle) -> float:
-    """Assemble grad_perp L0 both ways; their normalized interior sup mismatch.
+    """Assemble grad_perp L0 both ways; their raw interior sup mismatch.
 
     The defining combination is Q itself written as a rotated gradient,
     whose dz-transcription is (1/2)(Q_2 + i Q_1); the closed form comes
@@ -174,7 +162,7 @@ def assemble_L0(bundle: GeometryBundle) -> float:
     Q = bundle.derived(assemble_Q)
     W = 0.5 * (Q[1] + 1j * Q[0])
     Z0 = bundle.derived(dz_L0_closed_form)
-    return dg.interior_sup(bundle.grid, W - Z0) / bundle.derived(surface_scale)
+    return dg.interior_sup(bundle.grid, W - Z0)
 
 
 @dataclass(frozen=True)
@@ -183,8 +171,8 @@ class SRData:
 
     S: np.ndarray              # (n, n)
     R: mv.BladeRows            # every grade-2 blade, rows over (n, n)
-    S_defect: float            # || grad S - grad Phi . L ||_L2 / scale
-    R_defect: float
+    S_defect: float            # || grad S - grad Phi . L ||_L2
+    R_defect: float            # || grad R - (grad Phi ^ L + 2 grad_perp Phi ^ H) ||_L2
 
 
 def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
@@ -208,26 +196,24 @@ def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
         del wH
     resR = dg.grad_potential(grid, np.moveaxis(TR, 0, -1))
     R = mv.BladeRows(m, blades, np.moveaxis(resR.u, -1, 0))
-    scale = bundle.derived(surface_scale)
-    return SRData(resS.u, R, resS.defect / scale, resR.defect / scale)
+    return SRData(resS.u, R, resS.defect, resR.defect)
 
 
 def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -> tuple[float, float]:
-    """Normalized interior sup-residuals of the S/R elliptic system.
+    """Raw interior sup-residuals of the S/R elliptic system.
 
     The contraction term star(grad n . grad_perp R) carries the sign (-1)^m
     (the reading validated for m = 3, 4, 5).  Lap S and Lap R are the curls
     of the rotated gradients the right-hand sides read.  Each field is
     dropped after its last use, each residual reduced as soon as formed."""
     grid, m = bundle.grid, bundle.m
-    scale = bundle.derived(surface_scale)
     blades = mv.grade_masks(m, 2)  # every term of the R equation is a 2-vector
     gstarn = mv.field_hodge(bundle.derived(_grad_gauss))  # grad(star n), up to the sign of an exact zero
     gperpR = mv.field_slotwise(partial(dg.grad_perp, grid), R)
     gperpS = dg.grad_perp(grid, S)
     res = dg.curl(grid, gperpS)  # Lap S
     res -= sum(mv.field_inner(gstarn, gperpR))
-    res_S = dg.interior_sup(grid, res) / scale
+    res_S = dg.interior_sup(grid, res)
     # read only, so the rows themselves when every 2-blade is held
     gs = gstarn.rows if np.array_equal(gstarn.slots, blades) else gstarn.part(blades)
     sterm = gs[:, 0] * gperpS[0]
@@ -246,7 +232,7 @@ def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -
     lapR -= rhs
     del rhs
     res = mv.BladeRows(m, blades, lapR)
-    return res_S, dg.interior_sup(grid, np.sqrt(mv.field_inner(res, res))) / scale
+    return res_S, dg.interior_sup(grid, np.sqrt(mv.field_inner(res, res)))
 
 
 def phi_identity_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -> float:
@@ -254,7 +240,7 @@ def phi_identity_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows
 
     The contraction is multivec.bullet; the identity holds whenever
     (S, R) come from a potential L solving the conservation system.
-    Returns the normalized interior sup-norm.
+    Returns the raw interior sup-norm.
     """
     grid = bundle.grid
     jet = bundle.jet
@@ -274,4 +260,4 @@ def phi_identity_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows
     np.multiply(0.5, contraction, out=contraction)
     resid = dg.laplace(grid, jet.phi)
     resid -= contraction
-    return dg.interior_sup(grid, resid) / bundle.derived(surface_scale)
+    return dg.interior_sup(grid, resid)

@@ -1,18 +1,18 @@
 """Residual reports with a stable key contract, per-surface expectations, and refinement-ratio tables.
 
-Report keys (values are dimensionless; identity residuals are interior sup-norms divided by the
-surface scale sup e^{2 lambda}(1+|H|^2+|B|^2), except divQ_inf which is the absolute interior sup
-of the Euler-Lagrange-normalized Willmore residual so that catalog magnitudes like 1/(4 rho^3) on
-the cylinder are read off directly):
+Stage functions return raw magnitudes; one rule makes them keys.  A ``STAGES`` row marked ``scaled`` has its
+values divided by the surface scale max(1, sup e^{2 lambda}(1+|H|^2+|B|^2)) (``conservation.surface_scale``); the
+other rows (``fit_f``, ``divQ``, ``energies``) are absolute, so divQ_inf reads 1/(4 rho^3) on the cylinder.
+Residuals are interior sup-norms, but the L, S and R defects and cwbis_resid are interior L2 norms.
 
     dot_identity, wedge_identity  tangency identities of Q
     divQ_inf                      Willmore residual sup (EL normalization)
-    L_defect                      ||grad_perp L - Q||_L2 / scale
-    S_defect, R_defect            potential integration defects / scale
+    L_defect                      ||grad_perp L - Q||_L2
+    S_defect, R_defect            potential integration defects
     srS_resid, srR_resid          S/R elliptic system residuals
     phi_identity                  Lap Phi reconstruction residual
     L0_consistency                closed dz-form vs Q-combination
-    cwbis_resid                   Lap(L - L0) = 2 i H0 f closure (interior L2)
+    cwbis_resid                   Lap(L - L0) = 2 i H0 f closure
     a4_resid, a5_resid            complex frame derivative identities
     codazzi_resid                 Codazzi-Mainardi residual
     f_inf                         sup |f| of the extracted coordinate
@@ -72,9 +72,10 @@ DEFAULT_THRESHOLDS: dict[str, float] = {
 FLOOR = "floor"
 
 
-#: a row of STAGES: fn(bundle, chain) returns the values of keys (a tuple if more than one) and may compute or read
-#: the named derived entries (of conservation, confwillmore or immersion); chain carries L, then S and R, onward
-Stage = namedtuple("Stage", "name group fn entries keys")
+#: a row of STAGES: fn(bundle, chain) returns the raw values of keys (a tuple if more than one) and may compute or
+#: read the named derived entries (of conservation, confwillmore or immersion); chain carries L, then S and R, onward.
+#: A scaled row's values are divided by the surface scale, an absolute row's are reported as returned
+Stage = namedtuple("Stage", "name group fn entries keys scaled")
 _Q = ("assemble_Q", "_grad_H", "_pin_grad_H", "_grad_gauss")  # Q and what it reads
 _Z0 = ("dz_L0_closed_form", "complex_frame", "_H0cH", "tracefree_H0")  # dz L0's closed form, what it reads but grad H
 
@@ -87,9 +88,9 @@ def _fit(bundle: GeometryBundle, chain: dict) -> tuple:
 
 
 def _cw(bundle: GeometryBundle, chain: dict) -> tuple:
-    """The conformal Willmore equation with f and with 0, and Lap(L - L0) = 2 i H0 f."""
-    grid, scale, f = bundle.grid, bundle.derived(cons.surface_scale), chain.pop("f")
-    cw = (dg.interior_sup(grid, cwmod.conformal_willmore_residual(bundle, fv)) / scale for fv in (f, 0.0))
+    """The conformal Willmore equation's sups with f and with 0, and Lap(L - L0) = 2 i H0 f's L2 norm."""
+    grid, f = bundle.grid, chain.pop("f")
+    cw = (dg.interior_sup(grid, cwmod.conformal_willmore_residual(bundle, fv)) for fv in (f, 0.0))
     return *cw, cwmod.eq13_residual(bundle, f, chain["L"])
 
 
@@ -103,25 +104,28 @@ def _potentials(bundle: GeometryBundle, chain: dict) -> tuple:
 #: of them, so the entries that only they read are gone before the S/R stages.  The L0 stage lists dz L0 but not
 #: the complex frame, H0 and H0* . H it is formed from: the f fit lists those and forms dz L0 before it finishes
 STAGES = (
-    Stage("fit_f", "conformal", _fit, _Z0 + ("_grad_H",), ("f_inf", "f_holo_defect")),
+    Stage("fit_f", "conformal", _fit, _Z0 + ("_grad_H",), ("f_inf", "f_holo_defect"), scaled=False),
     Stage("frame", "frame", lambda b, c: cwmod.frame_derivative_residuals(b), ("complex_frame", "tracefree_H0"),
-          ("a4_resid", "a5_resid")),
+          ("a4_resid", "a5_resid"), scaled=True),
     Stage("codazzi", "frame", lambda b, c: cwmod.codazzi_residual(b), ("_H0cH", "_grad_H", "tracefree_H0"),
-          ("codazzi_resid",)),
+          ("codazzi_resid",), scaled=True),
     Stage("tangency", "conservation", lambda b, c: cons.tangency_identities(b), _Q,
-          ("dot_identity", "wedge_identity")),
+          ("dot_identity", "wedge_identity"), scaled=True),
     Stage("divQ", "conservation", lambda b, c: dg.interior_sup(b.grid, cons.willmore_residual(b)), _Q + ("_div_Q",),
-          ("divQ_inf",)),
-    Stage("L", "conservation", lambda b, c: b.derived(cons.recover_L).defect, _Q + ("recover_L",), ("L_defect",)),
-    Stage("L0", "conservation", lambda b, c: cons.assemble_L0(b), _Q + ("dz_L0_closed_form",), ("L0_consistency",)),
+          ("divQ_inf",), scaled=False),
+    Stage("L", "conservation", lambda b, c: b.derived(cons.recover_L).defect, _Q + ("recover_L",), ("L_defect",),
+          scaled=True),
+    Stage("L0", "conservation", lambda b, c: cons.assemble_L0(b), _Q + ("dz_L0_closed_form",), ("L0_consistency",),
+          scaled=True),
     Stage("cw", "conformal", _cw, _Q + ("_cw_lhs", "_div_Q", "tracefree_H0"),
-          ("cw_resid_f", "cw_resid_zero", "cwbis_resid")),
+          ("cw_resid_f", "cw_resid_zero", "cwbis_resid"), scaled=True),
     Stage("energies", "frame", lambda b, c: (cwmod.gauss_map_energy(b), b.conformal_defect, willmore_energy(b)),
-          ("_grad_gauss",), ("gradn_energy", "conformal_defect", "willmore_energy")),
-    Stage("S_R", "conformal", _potentials, (), ("S_defect", "R_defect")),
+          ("_grad_gauss",), ("gradn_energy", "conformal_defect", "willmore_energy"), scaled=False),
+    Stage("S_R", "conformal", _potentials, (), ("S_defect", "R_defect"), scaled=True),
     Stage("sr", "conformal", lambda b, c: cons.sr_system_residual(b, c["sr"].S, c["sr"].R), ("_grad_gauss",),
-          ("srS_resid", "srR_resid")),
-    Stage("phi", "conformal", lambda b, c: cons.phi_identity_residual(b, c["sr"].S, c["sr"].R), (), ("phi_identity",)),
+          ("srS_resid", "srR_resid"), scaled=True),
+    Stage("phi", "conformal", lambda b, c: cons.phi_identity_residual(b, c["sr"].S, c["sr"].R), (), ("phi_identity",),
+          scaled=True),
 )
 GROUPS = ("conservation", "conformal", "frame")  # in report key order
 
@@ -143,7 +147,11 @@ def residual_report(patch: ImmersionPatch, pool: Executor | None = None) -> dict
     def run(groups) -> None:
         for stage in (stage for stage in STAGES if stage.group in groups):
             out = stage.fn(bundle, chain)
-            values.update(zip(stage.keys, out if len(stage.keys) > 1 else (out,)))
+            out = out if len(stage.keys) > 1 else (out,)
+            if stage.scaled:  # cons.surface_scale looked up now, as below: a wrapper bound in its place keys the memo
+                scale = bundle.derived(cons.surface_scale)
+                out = [value / scale for value in out]
+            values.update(zip(stage.keys, out))
             with lock:
                 readers.subtract(stage.entries)
                 for name in [name for name in stage.entries if readers[name] == 0]:

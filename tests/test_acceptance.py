@@ -45,21 +45,22 @@ def announce(num, ok, text):
 def identity_statistics(kind, n, s, **params):
     grid = Grid(s, n)
     bundle = im.make_bundle(im.make_surface(kind, grid, **params))
-    scale = cons.surface_scale(bundle)
     dot, wedge = cons.tangency_identities(bundle)
     cdata = cw.extract_A_f(bundle)
     sr = cons.build_S_R(bundle, cdata.L)
     a4, a5 = cw.frame_derivative_residuals(bundle)
     lap_phi = dg.laplace(grid, bundle.jet.phi) - 2.0 * bundle.area_density[..., None] * bundle.H
-    return {
+    raw = {
         "b1_dot": dot,
         "b1_wedge": wedge,
         "r1b_phi": cons.phi_identity_residual(bundle, sr.S, sr.R),
         "a4": a4,
         "a5": a5,
         "a10_codazzi": cw.codazzi_residual(bundle),
-        "laplace_phi": interior_sup(grid, lap_phi) / scale,
+        "laplace_phi": interior_sup(grid, lap_phi),
     }
+    scale = cons.surface_scale(bundle)
+    return {key: value / scale for key, value in raw.items()}
 
 
 SUITE_SURFACES = [
@@ -126,7 +127,7 @@ def test_criterion_3_conformal_willmore_closure_cylinder():
             "f_err": interior_sup(grid, cdata.f - 0.5),
             "holo": cdata.holomorphy_defect,
             "cw": interior_sup(grid, cw.conformal_willmore_residual(bundle, cdata.f)),
-            "eq13": cw.eq13_residual(bundle, cdata.f, cdata.L),
+            "eq13": cw.eq13_residual(bundle, cdata.f, cdata.L) / cons.surface_scale(bundle),
         }
     problems = []
     if stats[257]["f_err"] >= 1e-3:
@@ -150,9 +151,10 @@ def test_criterion_4_sr_system_with_negative_control():
     for n in (129, 257):
         grid = Grid(0.5, n)
         bundle = im.make_bundle(im.make_surface("sphere", grid, rho=1.0))
-        sr = cons.build_S_R(bundle, cons.recover_L(bundle).L)
+        sr = cons.build_S_R(bundle, cons.recover_L(bundle).u)
         srS, srR = cons.sr_system_residual(bundle, sr.S, sr.R)
-        vals[n] = {"S_defect": sr.S_defect, "R_defect": sr.R_defect, "srS": srS, "srR": srR}
+        raw = {"S_defect": sr.S_defect, "R_defect": sr.R_defect, "srS": srS, "srR": srR}
+        vals[n] = {key: value / cons.surface_scale(bundle) for key, value in raw.items()}
     problems = []
     for key in vals[129]:
         coarse, fine = vals[129][key], vals[257][key]
@@ -162,10 +164,11 @@ def test_criterion_4_sr_system_with_negative_control():
             problems.append(f"sphere {key} not O(h^2): {coarse:.2e} -> {fine:.2e}")
     grid = Grid(0.5, 257)
     control = im.make_bundle(im.make_surface("graph_perturbation", grid, seed=0, amplitude=0.05))
-    src = cons.build_S_R(control, cons.recover_L(control).L)
+    src = cons.build_S_R(control, cons.recover_L(control).u)
     srS_c, srR_c = cons.sr_system_residual(control, src.S, src.R)
     floor_stats = vals[257]
-    for key, value in (("R_defect", src.R_defect), ("srS", srS_c), ("srR", srR_c)):
+    for key, raw in (("R_defect", src.R_defect), ("srS", srS_c), ("srR", srR_c)):
+        value = raw / cons.surface_scale(control)
         if value <= 10.0 * max(floor_stats[key], 1e-12):
             problems.append(f"control {key} = {value:.2e} not > 10x sphere floor {floor_stats[key]:.2e}")
     ok = not problems

@@ -17,7 +17,7 @@ from willmore_lab import confwillmore as cw
 from willmore_lab import conservation as cons
 from willmore_lab import immersion as im
 from willmore_lab import reports as rp
-from willmore_lab.diskgrid import Grid, SolverError
+from willmore_lab.diskgrid import Grid, SolverError, interior_sup
 
 G33 = Grid(0.5, 33)
 G65 = Grid(0.5, 65)
@@ -122,6 +122,48 @@ def test_stage_table_writes_every_key_once(sphere_report):
     assert {stage.group for stage in rp.STAGES} == set(rp.GROUPS)
     # every entry a stage names is a derived entry the report can drop
     assert {name for stage in rp.STAGES for name in stage.entries} == set(DROPPED)
+
+
+def raw_values(patch):
+    """Every report key's raw value, from the public stage functions on a bundle of its own, and its scale."""
+    b = im.make_bundle(patch)
+    cdata = cw.extract_A_f(b)
+    sr = cons.build_S_R(b, cdata.L)
+    rows = {
+        ("dot_identity", "wedge_identity"): cons.tangency_identities(b),
+        ("divQ_inf",): (interior_sup(b.grid, cons.willmore_residual(b)),),
+        ("L_defect",): (cons.recover_L(b).defect,),
+        ("L0_consistency",): (cons.assemble_L0(b),),
+        ("f_inf", "f_holo_defect"): (interior_sup(b.grid, cdata.f), cdata.holomorphy_defect),
+        ("cw_resid_f", "cw_resid_zero"): [interior_sup(b.grid, cw.conformal_willmore_residual(b, f))
+                                          for f in (cdata.f, 0.0)],
+        ("cwbis_resid",): (cw.eq13_residual(b, cdata.f, cdata.L),),
+        ("S_defect", "R_defect"): (sr.S_defect, sr.R_defect),
+        ("srS_resid", "srR_resid"): cons.sr_system_residual(b, sr.S, sr.R),
+        ("phi_identity",): (cons.phi_identity_residual(b, sr.S, sr.R),),
+        ("a4_resid", "a5_resid"): cw.frame_derivative_residuals(b),
+        ("codazzi_resid",): (cw.codazzi_residual(b),),
+        ("gradn_energy", "conformal_defect", "willmore_energy"):
+            (cw.gauss_map_energy(b), b.conformal_defect, im.willmore_energy(b)),
+    }
+    values = {key: value for keys, row in rows.items() for key, value in zip(keys, row, strict=True)}
+    return values, cons.surface_scale(b)
+
+
+@pytest.mark.parametrize("kind,m", [("sphere", 3), ("graph_perturbation", 6)])
+def test_scaled_rows_divide_raw_values_by_the_surface_scale(kind, m):
+    # the one normalization rule: a scaled row's keys are its raw values over the surface scale, an
+    # absolute row's keys are its raw values, and the two kinds of row partition the report's keys
+    patch = im.make_surface(kind, G33, m=m)
+    report = rp.residual_report(patch)
+    raw, scale = raw_values(patch)
+    assert scale != 1.0
+    scaled = [key for stage in rp.STAGES if stage.scaled for key in stage.keys]
+    absolute = [key for stage in rp.STAGES if not stage.scaled for key in stage.keys]
+    assert sorted(scaled + absolute) == sorted(report)
+    assert {stage.name for stage in rp.STAGES if not stage.scaled} == {"fit_f", "divQ", "energies"}
+    assert {key: report[key] for key in scaled} == {key: raw[key] / scale for key in scaled}
+    assert {key: report[key] for key in absolute} == {key: raw[key] for key in absolute}
 
 
 def test_derived_entry_computed_once_across_threads():

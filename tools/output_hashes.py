@@ -24,9 +24,10 @@ The outputs are:
   perturbed catenoid, sphere and plane at m = 3, 4, 6): every array of the
   jet ``make_bundle`` differentiates (``patch.jet()``, the second order
   included), and of the patch's bundle each array of ``BUNDLE_ARRAYS``
-  (dtype, shape, strides and bytes, signed zeros included), the A, f and L
+  (dtype, shape, strides and bytes, signed zeros included), the f and L
   arrays of ``extract_A_f``, Q, S, R, the S/R defects and system residuals,
-  the phi identity, the tangency identities and the Gauss-map energy; and
+  the phi identity and the tangency identities (each divided by
+  ``surface_scale``, as the report divides them), the Gauss-map energy, and
   the values of ``residual_report`` on the patch.
   Blade-row fields are hashed through ``.dense()``.  A name of
   ``BUNDLE_ARRAYS`` that is no bundle field is read from the immersion
@@ -168,15 +169,20 @@ def main() -> int:
             print(_sha(_array_bytes(getattr(jet, f.name))), f"{case} jet.{f.name}")
         print(_sha(_array_bytes(bundle.derived(conservation.assemble_Q))), f"{case} Q")
         conf = confwillmore.extract_A_f(bundle)
-        for name in ("A", "f", "L"):
+        for name in ("f", "L"):
             print(_sha(_array_bytes(getattr(conf, name))), f"{case} extract_A_f.{name}")
         sr = conservation.build_S_R(bundle, conf.L)
         print(_sha(_array_bytes(sr.S)), f"{case} S")
         print(_sha(_array_bytes(sr.R)), f"{case} R")
-        print(_sha(_float_bytes(sr.S_defect, sr.R_defect)), f"{case} S/R defects")
-        print(_sha(_float_bytes(*conservation.sr_system_residual(bundle, sr.S, sr.R))), f"{case} S/R residuals")
-        print(_sha(_float_bytes(conservation.phi_identity_residual(bundle, sr.S, sr.R))), f"{case} phi identity")
-        print(_sha(_float_bytes(*conservation.tangency_identities(bundle))), f"{case} tangency identities")
+        scale = conservation.surface_scale(bundle)
+
+        def scaled(*values):
+            return _float_bytes(*(v / scale for v in values))
+
+        print(_sha(scaled(sr.S_defect, sr.R_defect)), f"{case} S/R defects")
+        print(_sha(scaled(*conservation.sr_system_residual(bundle, sr.S, sr.R))), f"{case} S/R residuals")
+        print(_sha(scaled(conservation.phi_identity_residual(bundle, sr.S, sr.R))), f"{case} phi identity")
+        print(_sha(scaled(*conservation.tangency_identities(bundle))), f"{case} tangency identities")
         print(_sha(_float_bytes(confwillmore.gauss_map_energy(bundle))), f"{case} Gauss-map energy")
         print(_sha(_float_bytes(*reports.residual_report(patch).values())), f"{case} report values")
 
