@@ -114,7 +114,6 @@ class ConformalData:
     f: np.ndarray                 # complex (n, n)
     holomorphy_defect: float      # ||dz* f||_L2 / ||f||_L2 on the interior window
     L: np.ndarray                 # integrated potential (real, (n, n, m))
-    L_defect: float               # || grad L - candidate ||_L2 (integration defect)
 
 
 def _holomorphy_defect(grid, f: np.ndarray) -> float:
@@ -192,7 +191,8 @@ def extract_A_f(bundle: GeometryBundle) -> ConformalData:
     (integrability) constraint Im[dz*(dz L candidate)] = 0 in the least-squares
     sense over the interior window (``_fit_f``), and the candidate derivative
     Z0 + i e^{-lambda} f e_{z*} is integrated to a real potential by a
-    mean-zero Neumann solve, whose defect is reported.
+    mean-zero Neumann solve: ``dg.grad_potential``'s u, bit for bit, without
+    the integration defect, which no report reads.
     """
     grid = bundle.grid
     Z0 = bundle.derived(dz_L0_closed_form)
@@ -204,8 +204,10 @@ def extract_A_f(bundle: GeometryBundle) -> ConformalData:
     np.multiply(2.0, candidate.real, out=gradL[0])
     np.multiply(-2.0, candidate.imag, out=gradL[1])
     del candidate
-    res = dg.grad_potential(grid, gradL)
-    return ConformalData(f, _holomorphy_defect(grid, f), res.u, res.defect)
+    L, _ = dg.poisson_neumann(
+        grid, dg.div(grid, gradL), -gradL[0][0, :], gradL[0][-1, :], -gradL[1][:, 0], gradL[1][:, -1]
+    )
+    return ConformalData(f, _holomorphy_defect(grid, f), L)
 
 
 def _cw_lhs(bundle: GeometryBundle) -> np.ndarray:

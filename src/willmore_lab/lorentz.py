@@ -104,18 +104,21 @@ def lorentz_norm(profile: RearrangedProfile, p: float, q: float) -> float:
 
 
 def _grad_norms(grid: Grid, f: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, float, int]:
-    """grad f 2^-e as the pair (d1, d2), its pointwise magnitude and its L2 norm, and e.
+    """grad f 2^-e as the pair (d1, d2), sq = d1^2 + d2^2, the L2 norm sqrt(h^2 sum sq), and e.
 
-    e brings sup |grad f| 2^-e into [1/2, 1) (e = 0 if that sup is 0 or not finite).  Scaling by a
-    power of 2 is exact, so quotients of these norms keep their bits, while the sums of squares and
-    products taken from them stay far from overflow and underflow at any scale of f or of the grid.
+    e brings max(|d1|, |d2|) 2^-e into [1/2, 1) (e = 0 if it is 0 or not finite), read off the
+    four extrema of the components.  Scaling by a power of 2 is exact, so quotients of these norms
+    keep their bits, while sq <= 2 and the products taken from the scaled components stay far from
+    overflow and underflow at any scale of f or of the grid.  A caller that needs |grad f| takes
+    sqrt(sq): np.hypot costs several times the sum of squares.
     """
     G = dg.d1(grid, f), dg.d2(grid, f)
-    mag = np.hypot(*G)
-    e = dg.exponent(mag)
-    for X in (*G, mag):
+    e = dg.exponent(np.array([G[0].max(), G[0].min(), G[1].max(), G[1].min()]))
+    for X in G:
         np.ldexp(X, -e, out=X)
-    return G, mag, float(dg.l2norm(grid, mag)), e
+    sq = np.square(G[0])
+    sq += np.square(G[1])
+    return G, sq, float(np.sqrt(grid.h**2 * np.sum(sq))), e
 
 
 @dataclass(frozen=True)
@@ -136,23 +139,24 @@ def wente_solve(grid: Grid, a: np.ndarray, b: np.ndarray) -> WenteResult:
     the disk's.  The solve runs on the gradients scaled by powers of 2, an
     exact scaling undone on u and the ratios, so no scale of a, b or the
     grid flips the verdict: ``degenerate`` flags only a zero denominator (a
-    or b without gradient) or a non-finite one.
+    or b without gradient) or a non-finite one.  |grad b|, the one magnitude
+    rearranged, is sqrt(d1^2 + d2^2); no other magnitude is formed.
     """
     # each field is dropped once used up, a and b too (freed if the caller kept no reference):
     # the CLI pool runs two samples at once, so what one holds outside its solve adds to the
     # other's peak memory
-    Gb, mag, nb_l2, eb = _grad_norms(grid, b)
+    Gb, sq, nb_l2, eb = _grad_norms(grid, b)
     del b
-    nb_weak = lorentz_norm(rearrange(grid, mag), 2.0, np.inf)
-    del mag
-    Ga, mag, na_l2, ea = _grad_norms(grid, a)
-    del a, mag
+    nb_weak = lorentz_norm(rearrange(grid, np.sqrt(sq, out=sq)), 2.0, np.inf)  # of |grad b| 2^-eb
+    del sq
+    Ga, sq, na_l2, ea = _grad_norms(grid, a)
+    del a, sq
     rhs = -Ga[0] * Gb[1] + Ga[1] * Gb[0]
     del Ga, Gb
     u = dg.poisson_dirichlet(grid, rhs)  # the solution for a 2^-ea and b 2^-eb
     del rhs
-    Gu, mag, nu_l2, eu = _grad_norms(grid, u)
-    del mag
+    Gu, sq, nu_l2, eu = _grad_norms(grid, u)
+    del sq
     nu_l21 = sum(lorentz_norm(rearrange(grid, Gu[j]), 2.0, 1.0) for j in range(2))
     np.ldexp(u, ea + eb, out=u)
     den2 = na_l2 * nb_weak
@@ -170,23 +174,24 @@ def random_band_limited(grid: Grid, seed: int, kmax: int = 4) -> np.ndarray:
     and both phases uniform on [0, 2 pi), drawn mode by mode, k-major.
     cos(k w x1 + ph1) = cos(k w x1) cos ph1 - sin(k w x1) sin ph1 folds the
     (kmax + 1)^2 modes into 2 kmax + 1 separable terms; each right factor
-    sums amp cos ph1 or -amp sin ph1 times cos(l w x2 + ph2) over l.  The
-    terms are summed by ``np.einsum``, not a BLAS product, so a seed gives
-    the same field bit for bit whatever the thread count.  The fold rounds
-    differently from the mode-by-mode sum: they agree within 1e-14 sup|f|.
+    sums amp cos ph1 or -amp sin ph1 times cos(l w x2 + ph2) over l, in
+    order from zero.  All the cos(l w x2 + ph2) factors come from one call,
+    and the sums from ``np.add.reduce`` over l, which adds the rows one at a
+    time as the mode-by-mode loop does.  The terms are summed by
+    ``np.einsum``, not a BLAS product, so a seed gives the same field bit for
+    bit whatever the thread count.  The fold rounds differently from the
+    mode-by-mode sum: they agree within 1e-14 sup|f|.
     """
     rng = np.random.default_rng(seed)
     x = grid.axis()
     omega = np.pi / (2.0 * grid.s)
-    kx = np.arange(kmax + 1)[:, None] * omega * x
+    modes = np.arange(kmax + 1)
+    kx = modes[:, None] * omega * x
     left = np.concatenate([np.cos(kx), np.sin(kx[1:])])  # cos(k w x1), k = 0..kmax, then sin, k = 1..kmax
-    right = np.zeros_like(left)
-    for k in range(kmax + 1):
-        for l in range(kmax + 1):
-            amp = rng.normal() / (1.0 + k * k + l * l)
-            ph1, ph2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-            c2 = np.cos(l * omega * x + ph2)
-            right[k] += amp * np.cos(ph1) * c2
-            if k:
-                right[kmax + k] -= amp * np.sin(ph1) * c2
+    draws = [(rng.normal(), *rng.uniform(0.0, 2.0 * np.pi, size=2)) for _ in range((kmax + 1) ** 2)]
+    z, ph1, ph2 = np.transpose(draws).reshape(3, kmax + 1, kmax + 1)  # (k, l) planes
+    amp = z / (1.0 + modes[:, None] ** 2 + modes**2)
+    coef = np.concatenate([amp * np.cos(ph1), -(amp * np.sin(ph1))[1:]])  # rows of right, each over l
+    c2 = np.cos(modes[:, None] * omega * x + ph2[..., None])  # cos(l w x2 + ph2) as (k, l, x2)
+    right = np.add.reduce(coef[..., None] * c2[np.r_[modes, modes[1:]]], axis=1, initial=0.0)
     return np.einsum("ki,kj->ij", left, right)

@@ -8,7 +8,7 @@ from willmore_lab import confwillmore as cw
 from willmore_lab import conservation as cons
 from willmore_lab import immersion as im
 from willmore_lab import reports as rp
-from willmore_lab.diskgrid import Grid, dz, interior_sup
+from willmore_lab.diskgrid import Grid, dz, grad, interior_sup, l2norm
 
 G65 = Grid(0.5, 65)
 G129 = Grid(0.5, 129)
@@ -134,7 +134,12 @@ class TestExtraction:
         # conservation system: S/R built from it have small defects
         b = bundle("cylinder", rho=1.0)
         data = cw.extract_A_f(b)
-        assert data.L_defect < 1e-4
+        # the integration defect ||grad L - target||_L2, target the real gradient of the
+        # candidate Z0 + i e^{-lambda} f e_{z*} that L integrates
+        ezstar = b.derived(im.complex_frame)[1]
+        candidate = b.derived(cons.dz_L0_closed_form) + 1j * (data.f / b.elam)[..., None] * ezstar
+        target = np.stack([2.0 * candidate.real, -2.0 * candidate.imag])
+        assert l2norm(b.grid, grad(b.grid, data.L) - target) < 1e-4
         sr = cons.build_S_R(b, data.L)
         scale = cons.surface_scale(b)
         assert sr.S_defect / scale < 1e-5 and sr.R_defect / scale < 1e-4

@@ -216,23 +216,43 @@ class TestWente:
             assert res.ratio_L2 > 0.0 and res.ratio_L21 > 0.0
 
     def test_ratios_equal_separately_computed_reference(self):
-        # |grad b| is computed once, inside _grad_norms; the ratios must equal
-        # the route that recomputes hypot for the weak norm
-        def l2_of_grad(f):
-            G = dg.grad(G65, f)
-            return G, float(dg.l2norm(G65, np.hypot(G[0], G[1])))
-
+        # the route wente_solve takes, recomputed apart: |grad f| = sqrt(d1^2 + d2^2) for the weak
+        # norm and ||grad f||_2 = sqrt(h^2 sum (d1^2 + d2^2)); the power-of-2 scaling is exact
         for seed in range(3):
             a = lo.random_band_limited(G65, 2 * seed)
             b = lo.random_band_limited(G65, 2 * seed + 1)
-            Ga, na_l2 = l2_of_grad(a)
-            Gb, nb_l2 = l2_of_grad(b)
-            Gu, nu_l2 = l2_of_grad(dg.poisson_dirichlet(G65, -Ga[0] * Gb[1] + Ga[1] * Gb[0]))
-            nb_weak = lo.lorentz_norm(lo.rearrange(G65, np.hypot(Gb[0], Gb[1])), 2.0, np.inf)
-            nu_l21 = sum(lo.lorentz_norm(lo.rearrange(G65, Gu[j]), 2.0, 1.0) for j in range(2))
             res = lo.wente_solve(G65, a, b)
-            assert res.ratio_L2 == nu_l2 / (na_l2 * nb_weak)
-            assert res.ratio_L21 == nu_l21 / (na_l2 * nb_l2)
+            assert (res.ratio_L2, res.ratio_L21) == _reference_ratios(G65, a, b, hypot=False)
+
+    @pytest.mark.parametrize("n", [65, 129, 257])
+    def test_ratios_match_the_hypot_route(self, n):
+        # the sum of squares rounds differently from np.hypot: the ratios move by rounding only
+        grid = Grid(0.5, n)
+        for seed in range(3):
+            a = lo.random_band_limited(grid, 2 * seed)
+            b = lo.random_band_limited(grid, 2 * seed + 1)
+            res = lo.wente_solve(grid, a, b)
+            for got, ref in zip((res.ratio_L2, res.ratio_L21), _reference_ratios(grid, a, b, hypot=True)):
+                assert abs(got - ref) <= 1e-14 * ref
+
+
+def _reference_ratios(grid, a, b, hypot):
+    """The two Wente ratios from unscaled gradients: |grad f| and ||grad f||_2 from np.hypot if
+    hypot, else from the sum of squares d1^2 + d2^2."""
+    def norms(f):
+        G = dg.grad(grid, f)
+        if hypot:
+            mag = np.hypot(G[0], G[1])
+            return G, mag, float(dg.l2norm(grid, mag))
+        sq = G[0] ** 2 + G[1] ** 2
+        return G, np.sqrt(sq), float(np.sqrt(grid.h**2 * np.sum(sq)))
+
+    Ga, _, na_l2 = norms(a)
+    Gb, mag_b, nb_l2 = norms(b)
+    Gu, _, nu_l2 = norms(dg.poisson_dirichlet(grid, -Ga[0] * Gb[1] + Ga[1] * Gb[0]))
+    nb_weak = lo.lorentz_norm(lo.rearrange(grid, mag_b), 2.0, np.inf)
+    nu_l21 = sum(lo.lorentz_norm(lo.rearrange(grid, Gu[j]), 2.0, 1.0) for j in range(2))
+    return nu_l2 / (na_l2 * nb_weak), nu_l21 / (na_l2 * nb_l2)
 
 
 def _meshgrid_band_limited(grid, seed, kmax):
@@ -272,12 +292,13 @@ def _meshgrid_folded(grid, seed, kmax):
     return f
 
 
-@pytest.mark.parametrize("n", [33, 65, 257])
+@pytest.mark.parametrize("n", [5, 9, 17, 33, 65, 129, 257])
 @pytest.mark.parametrize("s", [0.5, 0.7])
-@pytest.mark.parametrize("kmax", [1, 4])
+@pytest.mark.parametrize("kmax", range(7))
 def test_separable_field_is_bit_identical_to_meshgrid(n, s, kmax):
     # the outer products of the folded sum round exactly like its meshgrid evaluation: the
-    # terms are added elementwise, in order, never by a BLAS product
+    # terms are added elementwise, in order, never by a BLAS product, and each right factor
+    # sums its modes over l in order from zero, as the loop here does
     grid = Grid(s, n)
     for seed in range(10):
         assert np.array_equal(lo.random_band_limited(grid, seed, kmax), _meshgrid_folded(grid, seed, kmax))
