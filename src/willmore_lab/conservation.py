@@ -33,11 +33,13 @@ Potentials are fixed mean-zero; every off-shell input degrades to a
 reported defect rather than an error.  Residuals are raw: ``reports``
 divides them by ``surface_scale``.  Q, grad H, pi_n(grad H), grad n,
 L, the surface scale and the closed form of dz L0 are computed once per
-bundle and shared through ``GeometryBundle.derived``; grad star n is the
-star of the memoized grad n.  Multivector fields (n, R and their
-derivatives and products) are ``multivec.BladeRows`` end to end, and
-residual norms sum over the blade axis in numpy's order
-(``blade_sum``); wedges of vector fields start from the component rows.
+bundle and shared through ``GeometryBundle.derived``, and so are, in a
+report, f with the L integrated from it (``confwillmore.extract_A_f``)
+and the S, R built from that L; grad star n is the star of the memoized
+grad n.  Multivector fields (n, R and their derivatives and products)
+are ``multivec.BladeRows`` end to end, and residual norms sum over the
+blade axis in numpy's order (``blade_sum``); wedges of vector fields
+start from the component rows.
 """
 
 from __future__ import annotations

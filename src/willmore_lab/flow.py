@@ -115,9 +115,9 @@ def _accept(patch: ImmersionPatch, bundle: GeometryBundle, energy: float, tau: f
     )
 
 
-def _state_from_patch(patch: ImmersionPatch, tau: float) -> FlowState:
+def _state_from_patch(patch: ImmersionPatch) -> FlowState:
     bundle = make_bundle(patch)
-    return _accept(patch, bundle, willmore_energy(bundle), tau)
+    return _accept(patch, bundle, willmore_energy(bundle), 0.0)
 
 
 def step(state: FlowState, tau0: float) -> FlowState:
@@ -184,35 +184,31 @@ def run(patch: ImmersionPatch, max_iters: int = 500, stop_ratio: float = 0.0) ->
     max_iters.
 
     The run stops by "threshold" once ps_norm is at most ``stop_ratio`` times
-    the initial state's; a threshold that is not positive (a ratio of 0, or
-    an initial ps_norm of 0) disables it.  The first line search starts at
+    the initial state's, also on the state that ends the max_iters budget; a
+    threshold that is not positive (a ratio of 0, or an initial ps_norm of 0)
+    disables it.  The first line search starts at
     tau = 1; afterwards the trial step is twice the last accepted one, so the
     search stays near its acceptance boundary.  A collapsing conformal factor
     (e^lambda below 1e-8 of its initial maximum) ends the run, stopped_by
     "degenerate", after that state.
     """
-    state = _state_from_patch(patch, 0.0)
+    state = _state_from_patch(patch)
     stop = stop_ratio * state.ps
     elam_floor = 1e-8 * float(np.max(state.bundle.elam))
-    states = []
-    stopped = "max_iters"
-    tau_try = 1.0
-    for _ in range(max_iters):
+    states, stopped, tau_try = [], None, 1.0
+    while stopped is None:
         if stop > 0.0 and state.ps <= stop:
             stopped = "threshold"
-            break
-        states.append(replace(state, patch=None, bundle=None))
-        state = step(state, tau_try)
-        if state.stalled:
-            stopped = "stalled"
-            break
-        if float(np.min(state.bundle.elam)) < elam_floor:
-            stopped = "degenerate"
-            break
-        tau_try = 2.0 * state.tau
-    else:
-        if stop > 0.0 and state.ps <= stop:
-            stopped = "threshold"
+        elif len(states) >= max_iters:
+            stopped = "max_iters"
+        else:
+            states.append(replace(state, patch=None, bundle=None))
+            state = step(state, tau_try)
+            if state.stalled:
+                stopped = "stalled"
+            elif float(np.min(state.bundle.elam)) < elam_floor:
+                stopped = "degenerate"
+            tau_try = 2.0 * state.tau
     states.append(state.summary())
     energies = [s.energy for s in states]
     if any(b > a for a, b in zip(energies, energies[1:])):

@@ -26,6 +26,7 @@ refinement tables.  Expected-nonzero keys are declared per surface by the ``exem
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import Counter, namedtuple
 from concurrent.futures import Executor
@@ -72,60 +73,62 @@ DEFAULT_THRESHOLDS: dict[str, float] = {
 FLOOR = "floor"
 
 
-#: a row of STAGES: fn(bundle, chain) returns the raw values of keys (a tuple if more than one) and may compute or
-#: read the named derived entries (of conservation, confwillmore or immersion); chain carries L, then S and R, onward.
+#: a row of STAGES: fn(bundle) returns the raw values of keys (a tuple if more than one) and may compute or read the
+#: named derived entries (of conservation, confwillmore, immersion or this module): f and L (``extract_A_f``) and
+#: S and R (``_potentials``) pass from stage to stage as such entries, like Q.
 #: A scaled row's values are divided by the surface scale, an absolute row's are reported as returned
 Stage = namedtuple("Stage", "name group fn entries keys scaled")
 _Q = ("assemble_Q", "_grad_H", "_pin_grad_H", "_grad_gauss")  # Q and what it reads
 _Z0 = ("dz_L0_closed_form", "complex_frame", "_H0cH", "tracefree_H0")  # dz L0's closed form, what it reads but grad H
 
 
-def _fit(bundle: GeometryBundle, chain: dict) -> tuple:
-    """The extracted f; chain["f"] is f and chain["L"] the potential integrated with it (A is not kept)."""
-    cdata = cwmod.extract_A_f(bundle)
-    chain["f"], chain["L"] = cdata.f, cdata.L
-    return dg.interior_sup(bundle.grid, cdata.f), cdata.holomorphy_defect
-
-
-def _cw(bundle: GeometryBundle, chain: dict) -> tuple:
+def _cw(bundle: GeometryBundle) -> tuple:
     """The conformal Willmore equation's sups with f and with 0, and Lap(L - L0) = 2 i H0 f's L2 norm."""
-    grid, f = bundle.grid, chain.pop("f")
-    cw = (dg.interior_sup(grid, cwmod.conformal_willmore_residual(bundle, fv)) for fv in (f, 0.0))
-    return *cw, cwmod.eq13_residual(bundle, f, chain["L"])
+    fit = bundle.derived(cwmod.extract_A_f)
+    cw = (dg.interior_sup(bundle.grid, cwmod.conformal_willmore_residual(bundle, f)) for f in (fit.f, 0.0))
+    return *cw, cwmod.eq13_residual(bundle, fit.f, fit.L)
 
 
-def _potentials(bundle: GeometryBundle, chain: dict) -> tuple:
-    sr = chain["sr"] = cons.build_S_R(bundle, chain.pop("L"))
-    return sr.S_defect, sr.R_defect
+def _potentials(bundle: GeometryBundle) -> cons.SRData:
+    """S and R, integrated from the L of the f fit (``confwillmore.extract_A_f``)."""
+    return cons.build_S_R(bundle, bundle.derived(cwmod.extract_A_f).L)
+
+
+def entry(name: str):
+    """The derived entry a stage names name, looked up now: a wrapper bound in the function's place keys the memo."""
+    return next(getattr(mod, name) for mod in (cons, cwmod, im, sys.modules[__name__]) if hasattr(mod, name))
 
 
 #: the stages in the order they run without a pool: the f fit, then the frame and Codazzi stages, so the complex
-#: frame is gone before the conservation stages form Q, then the conformal Willmore stage, and build_S_R after all
+#: frame is gone before the conservation stages form Q, then the conformal Willmore stage, and S and R after all
 #: of them, so the entries that only they read are gone before the S/R stages.  The L0 stage lists dz L0 but not
 #: the complex frame, H0 and H0* . H it is formed from: the f fit lists those and forms dz L0 before it finishes
 STAGES = (
-    Stage("fit_f", "conformal", _fit, _Z0 + ("_grad_H",), ("f_inf", "f_holo_defect"), scaled=False),
-    Stage("frame", "frame", lambda b, c: cwmod.frame_derivative_residuals(b), ("complex_frame", "tracefree_H0"),
+    Stage("fit_f", "conformal", lambda b: (dg.interior_sup(b.grid, (fit := b.derived(cwmod.extract_A_f)).f),
+                                          fit.holomorphy_defect),
+          _Z0 + ("_grad_H", "extract_A_f"), ("f_inf", "f_holo_defect"), scaled=False),
+    Stage("frame", "frame", lambda b: cwmod.frame_derivative_residuals(b), ("complex_frame", "tracefree_H0"),
           ("a4_resid", "a5_resid"), scaled=True),
-    Stage("codazzi", "frame", lambda b, c: cwmod.codazzi_residual(b), ("_H0cH", "_grad_H", "tracefree_H0"),
+    Stage("codazzi", "frame", lambda b: cwmod.codazzi_residual(b), ("_H0cH", "_grad_H", "tracefree_H0"),
           ("codazzi_resid",), scaled=True),
-    Stage("tangency", "conservation", lambda b, c: cons.tangency_identities(b), _Q,
+    Stage("tangency", "conservation", lambda b: cons.tangency_identities(b), _Q,
           ("dot_identity", "wedge_identity"), scaled=True),
-    Stage("divQ", "conservation", lambda b, c: dg.interior_sup(b.grid, cons.willmore_residual(b)), _Q + ("_div_Q",),
+    Stage("divQ", "conservation", lambda b: dg.interior_sup(b.grid, cons.willmore_residual(b)), _Q + ("_div_Q",),
           ("divQ_inf",), scaled=False),
-    Stage("L", "conservation", lambda b, c: b.derived(cons.recover_L).defect, _Q + ("recover_L",), ("L_defect",),
+    Stage("L", "conservation", lambda b: b.derived(cons.recover_L).defect, _Q + ("recover_L",), ("L_defect",),
           scaled=True),
-    Stage("L0", "conservation", lambda b, c: cons.assemble_L0(b), _Q + ("dz_L0_closed_form",), ("L0_consistency",),
+    Stage("L0", "conservation", lambda b: cons.assemble_L0(b), _Q + ("dz_L0_closed_form",), ("L0_consistency",),
           scaled=True),
-    Stage("cw", "conformal", _cw, _Q + ("_cw_lhs", "_div_Q", "tracefree_H0"),
+    Stage("cw", "conformal", _cw, _Q + ("_cw_lhs", "_div_Q", "tracefree_H0", "extract_A_f"),
           ("cw_resid_f", "cw_resid_zero", "cwbis_resid"), scaled=True),
-    Stage("energies", "frame", lambda b, c: (cwmod.gauss_map_energy(b), b.conformal_defect, willmore_energy(b)),
+    Stage("energies", "frame", lambda b: (cwmod.gauss_map_energy(b), b.conformal_defect, willmore_energy(b)),
           ("_grad_gauss",), ("gradn_energy", "conformal_defect", "willmore_energy"), scaled=False),
-    Stage("S_R", "conformal", _potentials, (), ("S_defect", "R_defect"), scaled=True),
-    Stage("sr", "conformal", lambda b, c: cons.sr_system_residual(b, c["sr"].S, c["sr"].R), ("_grad_gauss",),
-          ("srS_resid", "srR_resid"), scaled=True),
-    Stage("phi", "conformal", lambda b, c: cons.phi_identity_residual(b, c["sr"].S, c["sr"].R), (), ("phi_identity",),
-          scaled=True),
+    Stage("S_R", "conformal", lambda b: ((sr := b.derived(_potentials)).S_defect, sr.R_defect),
+          ("extract_A_f", "_potentials"), ("S_defect", "R_defect"), scaled=True),
+    Stage("sr", "conformal", lambda b: cons.sr_system_residual(b, (sr := b.derived(_potentials)).S, sr.R),
+          ("_grad_gauss", "_potentials"), ("srS_resid", "srR_resid"), scaled=True),
+    Stage("phi", "conformal", lambda b: cons.phi_identity_residual(b, (sr := b.derived(_potentials)).S, sr.R),
+          ("_potentials",), ("phi_identity",), scaled=True),
 )
 GROUPS = ("conservation", "conformal", "frame")  # in report key order
 
@@ -142,11 +145,11 @@ def residual_report(patch: ImmersionPatch, pool: Executor | None = None) -> dict
     bundle = make_bundle(patch)
     del patch
     readers = Counter(name for stage in STAGES for name in stage.entries)  # stages left that may read each entry
-    lock, chain, values = threading.Lock(), {}, {}
+    lock, values = threading.Lock(), {}
 
     def run(groups) -> None:
         for stage in (stage for stage in STAGES if stage.group in groups):
-            out = stage.fn(bundle, chain)
+            out = stage.fn(bundle)
             out = out if len(stage.keys) > 1 else (out,)
             if stage.scaled:  # cons.surface_scale looked up now, as below: a wrapper bound in its place keys the memo
                 scale = bundle.derived(cons.surface_scale)
@@ -155,8 +158,7 @@ def residual_report(patch: ImmersionPatch, pool: Executor | None = None) -> dict
             with lock:
                 readers.subtract(stage.entries)
                 for name in [name for name in stage.entries if readers[name] == 0]:
-                    # looked up now: a tracer or a test may have bound a wrapper in the function's place
-                    bundle.drop(getattr(cons, name, None) or getattr(cwmod, name, None) or getattr(im, name))
+                    bundle.drop(entry(name))
 
     side = {group: pool.submit(run, (group,)) for group in ("conservation", "frame")} if pool is not None else {}
     try:

@@ -95,14 +95,14 @@ class TestStep:
         patch, b = make_state("plane")
         vel = fl.descent_velocity(b)
         assert np.max(np.abs(vel)) < 1e-14
-        state = fl._state_from_patch(patch, 0.0)
+        state = fl._state_from_patch(patch)
         new = fl.step(state, tau0=1.0)
         assert new.stalled
         assert new.energy == state.energy
 
     def test_zero_trial_step_rejected(self):
         patch, _ = make_state("plane")
-        state = fl._state_from_patch(patch, 0.0)
+        state = fl._state_from_patch(patch)
         with pytest.raises(ValueError):
             fl.step(state, tau0=0.0)
         with pytest.raises(ValueError):
@@ -110,7 +110,7 @@ class TestStep:
 
     def test_first_step_decreases_energy_on_perturbation(self):
         patch = im.perturb_normal(im.make_surface("catenoid", G65), seed=0, amplitude=0.05)
-        state = fl._state_from_patch(patch, 0.0)
+        state = fl._state_from_patch(patch)
         new = fl.step(state, tau0=1.0)
         assert not new.stalled
         assert new.energy < state.energy
@@ -118,14 +118,14 @@ class TestStep:
 
     def test_frozen_boundary_ring(self):
         patch = im.perturb_normal(im.make_surface("catenoid", G65), seed=1, amplitude=0.05)
-        state = fl._state_from_patch(patch, 0.0)
+        state = fl._state_from_patch(patch)
         new = fl.step(state, tau0=1.0)
         diff = np.abs(new.patch.phi - patch.phi)
         assert np.max(diff[:2]) == 0.0 and np.max(diff[-2:]) == 0.0
         assert np.max(diff[:, :2]) == 0.0 and np.max(diff[:, -2:]) == 0.0
 
     def test_step_from_summary_matches_full_state(self):
-        state = fl._state_from_patch(perturbed_catenoid(), 0.0)
+        state = fl._state_from_patch(perturbed_catenoid())
         full = fl.step(state, tau0=1.0)
         stripped = state.summary()
         assert stripped.bundle is None
@@ -139,7 +139,7 @@ class TestStep:
         # a state made from a patch keeps that patch with its jets, so the step from its summary
         # rebuilds the bundle from the analytic jet, not from finite differences of phi
         patch = im.make_surface("graph_perturbation", Grid(0.5, 33))
-        state = fl._state_from_patch(patch, 0.0)
+        state = fl._state_from_patch(patch)
         assert state.patch is patch
         full, light = fl.step(state, tau0=1.0), fl.step(state.summary(), tau0=1.0)
         for name in ("energy", "ps", "tau"):
@@ -147,14 +147,14 @@ class TestStep:
         assert light.patch.phi.tobytes() == full.patch.phi.tobytes() and light.rejections == full.rejections
 
     def test_accepted_state_holds_no_second_order_jet(self):
-        state = fl.step(fl._state_from_patch(perturbed_catenoid(), 0.0), tau0=1.0)
+        state = fl.step(fl._state_from_patch(perturbed_catenoid()), tau0=1.0)
         assert not state.stalled
         jet = state.bundle.jet
         assert (jet.d11, jet.d12, jet.d22) == (None, None, None)
         assert "patch" not in {f.name for f in fields(state.bundle)}
 
     def test_trial_failing_after_energy_decrease_is_rejected(self, monkeypatch):
-        state = fl._state_from_patch(perturbed_catenoid(), 0.0)
+        state = fl._state_from_patch(perturbed_catenoid())
         ref = fl.step(state, tau0=1.0)
         ps_norm = fl.ps_norm
         raised = []
@@ -203,6 +203,21 @@ class TestRun:
         assert trace.stopped_by == "threshold"
         assert trace.final.ps <= 0.5 * ps0
         assert len(trace.states) < 500
+
+    @pytest.mark.parametrize("surface, max_iters, stop_ratio, stopped_by, states", [
+        ("catenoid", 15, 0.5, "threshold", 16),
+        ("catenoid", 14, 0.5, "max_iters", 15),
+        ("catenoid", 0, 0.5, "max_iters", 1),
+        ("sphere", 0, 1.01, "threshold", 1),
+    ])
+    def test_threshold_outranks_the_iteration_budget(self, surface, max_iters, stop_ratio, stopped_by, states):
+        # the state the budget ends on is tested against the threshold too, the initial state included:
+        # the perturbed catenoid at n = 33 first reaches half its initial ps_norm on its 15th step
+        patch = im.make_surface(surface, Grid(0.5, 33))
+        if surface == "catenoid":
+            patch = im.perturb_normal(patch, seed=0, amplitude=0.05)
+        trace = fl.run(patch, max_iters=max_iters, stop_ratio=stop_ratio)
+        assert (trace.stopped_by, len(trace.states)) == (stopped_by, states)
 
     def test_conformality_drift_recorded_not_repaired(self):
         patch = im.perturb_normal(im.make_surface("catenoid", G65), seed=0, amplitude=0.05)

@@ -53,22 +53,17 @@ def test_all_contract_keys_present(sphere_report):
         "willmore_energy"]
 
 
-def entry(name):
-    """The derived entry the stage table names name, looked up as ``residual_report`` drops it."""
-    return getattr(cons, name, None) or getattr(cw, name, None) or getattr(im, name)
-
-
 def counting(monkeypatch, name):
-    """Wrap every package binding of the conservation, confwillmore or immersion
-    function name; returns the list its calls append to."""
+    """Wrap every binding of the derived entry the stage table names name in the conservation,
+    confwillmore, immersion and reports modules; returns the list its calls append to."""
     calls = []
-    inner = entry(name)
+    inner = rp.entry(name)
 
     def wrapper(*args, **kwargs):
         calls.append(name)
         return inner(*args, **kwargs)
 
-    for module in (cons, cw, im):
+    for module in (cons, cw, im, rp):
         if getattr(module, name, None) is inner:
             monkeypatch.setattr(module, name, wrapper)
     return calls
@@ -76,7 +71,7 @@ def counting(monkeypatch, name):
 
 #: the derived entries a report-built bundle drops once no stage left may read them
 DROPPED = ("tracefree_H0", "complex_frame", "_H0cH", "dz_L0_closed_form", "_grad_H", "_pin_grad_H", "assemble_Q",
-           "_div_Q", "recover_L", "_cw_lhs", "_grad_gauss")
+           "_div_Q", "recover_L", "_cw_lhs", "_grad_gauss", "extract_A_f", "_potentials")
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2], ids=["no-pool", "pool-1", "pool-2"])
@@ -112,7 +107,7 @@ def test_report_drops_entries_of_the_bundle_it_builds_only(monkeypatch, workers)
     finally:
         sys.setswitchinterval(interval)
     assert len(built) == 1
-    assert [name for name in DROPPED if entry(name) in built[0]._memo] == []
+    assert [name for name in DROPPED if rp.entry(name) in built[0]._memo] == []
 
 
 def test_stage_table_writes_every_key_once(sphere_report):
@@ -242,7 +237,7 @@ def test_report_peak_memory():
 def test_report_built_from_patch_peak_memory():
     # a bundle the report builds drops each derived entry once no stage left reads it, and the
     # conservation and frame stages run before build_S_R: an m = 6, n = 129 graph report built from
-    # its patch peaks at 46.0 fields (n, n, m) (57.7 when the memo was held to the end)
+    # its patch peaks at 39.5 fields (n, n, m) (57.7 when the memo was held to the end)
     grid = Grid(0.5, 129)
     patch = im.make_surface("graph_perturbation", grid, m=6)
     rp.residual_report(patch)  # warm the table and solver caches
@@ -279,9 +274,9 @@ def spy_first_stage(monkeypatch, check):
     """Call check(bundle) before the first stage of each report runs."""
     first = rp.STAGES[0]
 
-    def fn(bundle, chain):
+    def fn(bundle):
         check(bundle)
-        return first.fn(bundle, chain)
+        return first.fn(bundle)
 
     monkeypatch.setattr(rp, "STAGES", (first._replace(fn=fn),) + rp.STAGES[1:])
 
