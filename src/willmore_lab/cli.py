@@ -93,7 +93,7 @@ def _patched(name: str, params: dict, s: float, n: int, m: int, seed: int):
     patch = make_surface(kind, Grid(s, n), m=m, **{k: v for k, v in params.items() if k not in bump})
     if not bump:
         return patch
-    return perturb_normal(patch, seed=params.get("seed", seed), amplitude=params.get("amplitude", 0.05))
+    return perturb_normal(patch, **{"seed": seed, **{k: v for k, v in params.items() if k in bump}})
 
 
 def _read_thresholds(path) -> dict:

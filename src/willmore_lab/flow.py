@@ -54,8 +54,8 @@ _MIN_STEP_FACTOR = 1e-12
 def ps_norm(bundle: GeometryBundle) -> float:
     """H^{-1}-proxy stationarity norm of div Q (zero at critical points)."""
     grid = bundle.grid
-    phi = dg.poisson_dirichlet(grid, bundle.derived(_div_Q))
-    return sum(dg.l2norm(grid, dg.grad(grid, phi[..., k])) for k in range(phi.shape[-1]))
+    G = dg.grad(grid, dg.poisson_dirichlet(grid, bundle.derived(_div_Q)))
+    return sum(dg.l2norm(grid, G[..., k]) for k in range(G.shape[-1]))
 
 
 def descent_velocity(bundle: GeometryBundle) -> np.ndarray:

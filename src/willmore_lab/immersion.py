@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
+from inspect import unwrap
 from numbers import Integral, Real
 from typing import Any, Callable
 
@@ -410,6 +411,7 @@ class GeometryBundle:
     ``derived(fn)`` evaluates fn(bundle) once per bundle (H0, the complex frame,
     K, |H|^2, Q, grad n, L, the surface scale, ...), also when several
     threads ask for it at once: the first computes it and the others wait.
+    The key is ``inspect.unwrap(fn)``: a ``functools.wraps`` wrapper shares fn's entry.
     ``dataclasses.replace`` starts an empty memo; memoized arrays are shared
     and must not be mutated.  ``drop(fn)`` forgets an entry: on the bundle it
     builds, ``reports.residual_report`` drops each one no stage left reads.
@@ -451,18 +453,19 @@ class GeometryBundle:
         return out
 
     def derived(self, fn: Callable[["GeometryBundle"], Any]) -> Any:
-        """fn(self), computed once per bundle; the function object is the key."""
-        if fn not in self._memo:
+        """fn(self), computed once per bundle; the unwrapped function is the key."""
+        key = unwrap(fn)
+        if key not in self._memo:
             # one lock per key (setdefault is atomic), so an entry that reads
             # another entry never waits on an unrelated computation
-            with self._locks.setdefault(fn, threading.Lock()):
-                if fn not in self._memo:
-                    self._memo[fn] = fn(self)
-        return self._memo[fn]
+            with self._locks.setdefault(key, threading.Lock()):
+                if key not in self._memo:
+                    self._memo[key] = fn(self)
+        return self._memo[key]
 
     def drop(self, fn: Callable[["GeometryBundle"], Any]) -> None:
         """Forget fn's entry, if held; a later ``derived(fn)`` computes it again."""
-        self._memo.pop(fn, None)
+        self._memo.pop(unwrap(fn), None)
 
 
 def conformal_factor(grid: Grid, jet: Jet) -> tuple[np.ndarray, float]:

@@ -26,7 +26,6 @@ refinement tables.  Expected-nonzero keys are declared per surface by the ``exem
 
 from __future__ import annotations
 
-import sys
 import threading
 from collections import Counter, namedtuple
 from concurrent.futures import Executor
@@ -74,12 +73,12 @@ FLOOR = "floor"
 
 
 #: a row of STAGES: fn(bundle) returns the raw values of keys (a tuple if more than one) and may compute or read the
-#: named derived entries (of conservation, confwillmore, immersion or this module): f and L (``extract_A_f``) and
-#: S and R (``_potentials``) pass from stage to stage as such entries, like Q.
+#: derived entries of the functions in entries: f and L (``extract_A_f``) and S and R (``_potentials``) pass from
+#: stage to stage as such entries, like Q.  The memo keys on the unwrapped function, so a wrapper shares its entry.
 #: A scaled row's values are divided by the surface scale, an absolute row's are reported as returned
 Stage = namedtuple("Stage", "name group fn entries keys scaled")
-_Q = ("assemble_Q", "_grad_H", "_pin_grad_H", "_grad_gauss")  # Q and what it reads
-_Z0 = ("dz_L0_closed_form", "complex_frame", "_H0cH", "tracefree_H0")  # dz L0's closed form, what it reads but grad H
+_Q = (cons.assemble_Q, cons._grad_H, cons._pin_grad_H, cons._grad_gauss)  # Q and what it reads
+_Z0 = (cons.dz_L0_closed_form, im.complex_frame, cons._H0cH, im.tracefree_H0)  # dz L0, what it reads but grad H
 
 
 def _cw(bundle: GeometryBundle) -> tuple:
@@ -94,11 +93,6 @@ def _potentials(bundle: GeometryBundle) -> cons.SRData:
     return cons.build_S_R(bundle, bundle.derived(cwmod.extract_A_f).L)
 
 
-def entry(name: str):
-    """The derived entry a stage names name, looked up now: a wrapper bound in the function's place keys the memo."""
-    return next(getattr(mod, name) for mod in (cons, cwmod, im, sys.modules[__name__]) if hasattr(mod, name))
-
-
 #: the stages in the order they run without a pool: the f fit, then the frame and Codazzi stages, so the complex
 #: frame is gone before the conservation stages form Q, then the conformal Willmore stage, and S and R after all
 #: of them, so the entries that only they read are gone before the S/R stages.  The L0 stage lists dz L0 but not
@@ -106,29 +100,29 @@ def entry(name: str):
 STAGES = (
     Stage("fit_f", "conformal", lambda b: (dg.interior_sup(b.grid, (fit := b.derived(cwmod.extract_A_f)).f),
                                           fit.holomorphy_defect),
-          _Z0 + ("_grad_H", "extract_A_f"), ("f_inf", "f_holo_defect"), scaled=False),
-    Stage("frame", "frame", lambda b: cwmod.frame_derivative_residuals(b), ("complex_frame", "tracefree_H0"),
+          _Z0 + (cons._grad_H, cwmod.extract_A_f), ("f_inf", "f_holo_defect"), scaled=False),
+    Stage("frame", "frame", lambda b: cwmod.frame_derivative_residuals(b), (im.complex_frame, im.tracefree_H0),
           ("a4_resid", "a5_resid"), scaled=True),
-    Stage("codazzi", "frame", lambda b: cwmod.codazzi_residual(b), ("_H0cH", "_grad_H", "tracefree_H0"),
+    Stage("codazzi", "frame", lambda b: cwmod.codazzi_residual(b), (cons._H0cH, cons._grad_H, im.tracefree_H0),
           ("codazzi_resid",), scaled=True),
     Stage("tangency", "conservation", lambda b: cons.tangency_identities(b), _Q,
           ("dot_identity", "wedge_identity"), scaled=True),
-    Stage("divQ", "conservation", lambda b: dg.interior_sup(b.grid, cons.willmore_residual(b)), _Q + ("_div_Q",),
+    Stage("divQ", "conservation", lambda b: dg.interior_sup(b.grid, cons.willmore_residual(b)), _Q + (cons._div_Q,),
           ("divQ_inf",), scaled=False),
-    Stage("L", "conservation", lambda b: b.derived(cons.recover_L).defect, _Q + ("recover_L",), ("L_defect",),
+    Stage("L", "conservation", lambda b: b.derived(cons.recover_L).defect, _Q + (cons.recover_L,), ("L_defect",),
           scaled=True),
-    Stage("L0", "conservation", lambda b: cons.assemble_L0(b), _Q + ("dz_L0_closed_form",), ("L0_consistency",),
+    Stage("L0", "conservation", lambda b: cons.assemble_L0(b), _Q + (cons.dz_L0_closed_form,), ("L0_consistency",),
           scaled=True),
-    Stage("cw", "conformal", _cw, _Q + ("_cw_lhs", "_div_Q", "tracefree_H0", "extract_A_f"),
+    Stage("cw", "conformal", _cw, _Q + (cwmod._cw_lhs, cons._div_Q, im.tracefree_H0, cwmod.extract_A_f),
           ("cw_resid_f", "cw_resid_zero", "cwbis_resid"), scaled=True),
     Stage("energies", "frame", lambda b: (cwmod.gauss_map_energy(b), b.conformal_defect, willmore_energy(b)),
-          ("_grad_gauss",), ("gradn_energy", "conformal_defect", "willmore_energy"), scaled=False),
+          (cons._grad_gauss,), ("gradn_energy", "conformal_defect", "willmore_energy"), scaled=False),
     Stage("S_R", "conformal", lambda b: ((sr := b.derived(_potentials)).S_defect, sr.R_defect),
-          ("extract_A_f", "_potentials"), ("S_defect", "R_defect"), scaled=True),
+          (cwmod.extract_A_f, _potentials), ("S_defect", "R_defect"), scaled=True),
     Stage("sr", "conformal", lambda b: cons.sr_system_residual(b, (sr := b.derived(_potentials)).S, sr.R),
-          ("_grad_gauss", "_potentials"), ("srS_resid", "srR_resid"), scaled=True),
+          (cons._grad_gauss, _potentials), ("srS_resid", "srR_resid"), scaled=True),
     Stage("phi", "conformal", lambda b: cons.phi_identity_residual(b, (sr := b.derived(_potentials)).S, sr.R),
-          ("_potentials",), ("phi_identity",), scaled=True),
+          (_potentials,), ("phi_identity",), scaled=True),
 )
 GROUPS = ("conservation", "conformal", "frame")  # in report key order
 
@@ -144,21 +138,21 @@ def residual_report(patch: ImmersionPatch, pool: Executor | None = None) -> dict
     """
     bundle = make_bundle(patch)
     del patch
-    readers = Counter(name for stage in STAGES for name in stage.entries)  # stages left that may read each entry
+    readers = Counter(fn for stage in STAGES for fn in stage.entries)  # stages left that may read each entry
     lock, values = threading.Lock(), {}
 
     def run(groups) -> None:
         for stage in (stage for stage in STAGES if stage.group in groups):
             out = stage.fn(bundle)
             out = out if len(stage.keys) > 1 else (out,)
-            if stage.scaled:  # cons.surface_scale looked up now, as below: a wrapper bound in its place keys the memo
+            if stage.scaled:  # cons.surface_scale looked up now: a wrapper bound in its place makes the call
                 scale = bundle.derived(cons.surface_scale)
                 out = [value / scale for value in out]
             values.update(zip(stage.keys, out))
             with lock:
                 readers.subtract(stage.entries)
-                for name in [name for name in stage.entries if readers[name] == 0]:
-                    bundle.drop(entry(name))
+                for fn in [fn for fn in stage.entries if readers[fn] == 0]:
+                    bundle.drop(fn)
 
     side = {group: pool.submit(run, (group,)) for group in ("conservation", "frame")} if pool is not None else {}
     try:

@@ -1,5 +1,6 @@
 """CLI orchestration: exit codes, report schema, determinism, file formats."""
 
+import contextlib
 import csv
 import io
 import json
@@ -176,12 +177,13 @@ class TestInputBoundary:
 
         out = tmp_path / "r.json"
         texts = set()
-        for args, label in ((["--surface", "sphere:rho=1e-13"], "sphere(rho=1e-13)"),
-                            (["--surface", "sphere:rho=1e-100"], "sphere(rho=1e-100)"),
-                            (["--surface", "sphere", "--s", "1e-300"], "sphere"),
-                            (["--surface", "enneper", "--s", "1e-320"], "enneper"),
-                            (["--surface", "cylinder:rho=1e-200"], "cylinder(rho=1e-200)")):
-            rc = run_cli(["verify", *args, "--n", "33", "--out", str(out)])
+        for args, label, warns in ((["--surface", "sphere:rho=1e-13"], "sphere(rho=1e-13)", False),
+                                   (["--surface", "sphere:rho=1e-100"], "sphere(rho=1e-100)", True),
+                                   (["--surface", "sphere", "--s", "1e-300"], "sphere", True),
+                                   (["--surface", "enneper", "--s", "1e-320"], "enneper", True),
+                                   (["--surface", "cylinder:rho=1e-200"], "cylinder(rho=1e-200)", True)):
+            with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
+                rc = run_cli(["verify", *args, "--n", "33", "--out", str(out)])
             lines = capsys.readouterr().err.splitlines()
             assert rc == 1 and lines and all(line.startswith(f"FAIL {label} n=33: ") for line in lines)
             payload = json.loads(out.read_text(), parse_constant=strict)
@@ -190,7 +192,8 @@ class TestInputBoundary:
             assert all(isinstance(v, float) or v in ("inf", "nan") for v in keys), label
             texts.update(v for v in keys if isinstance(v, str))
         assert texts == {"inf", "nan"}
-        assert run_cli(["refine", "--surface", "sphere:rho=1e-100", "--n", "33", "--n", "65"]) == 0
+        with pytest.warns(RuntimeWarning):
+            assert run_cli(["refine", "--surface", "sphere:rho=1e-100", "--n", "33", "--n", "65"]) == 0
         ratios = json.loads(capsys.readouterr().out, parse_constant=strict)["ratios"][0]
         assert ratios["divQ_inf"] == "nan"
 

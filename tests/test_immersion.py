@@ -1,5 +1,6 @@
 """Surface catalog and conformal-frame geometry against closed forms."""
 
+import functools
 import gc
 import tracemalloc
 from dataclasses import fields, replace
@@ -106,6 +107,22 @@ class TestDerivedEntries:
         assert b.H0.tobytes() == want.tobytes() and b.H0.strides == want.strides
         assert b.H0 is b.derived(im.tracefree_H0)
         assert np.array_equal(replace(b, h=2.0 * b.h).H0, 2.0 * b.H0)
+
+    def test_wrapper_shares_its_functions_entry(self):
+        # the memo keys on the unwrapped function: a functools.wraps wrapper (a tracer's, a counter's)
+        # computes the entry of the function it wraps, and dropping that function drops it
+        calls = []
+
+        @functools.wraps(im.norm_H2)
+        def wrapper(bundle):
+            calls.append(bundle)
+            return im.norm_H2(bundle)
+
+        b = im.make_bundle(im.make_surface("sphere", G33))
+        value = b.derived(wrapper)
+        assert b.derived(im.norm_H2) is value and len(calls) == 1
+        b.drop(im.norm_H2)
+        assert b.derived(wrapper) is not value and len(calls) == 2
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     @pytest.mark.parametrize("kind", sorted(im.CATALOG))

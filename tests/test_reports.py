@@ -1,6 +1,7 @@
 """Report contract: stable keys, exemption semantics, ratio sentinels."""
 
 import contextlib
+import functools
 import gc
 import sys
 import threading
@@ -53,35 +54,36 @@ def test_all_contract_keys_present(sphere_report):
         "willmore_energy"]
 
 
-def counting(monkeypatch, name):
-    """Wrap every binding of the derived entry the stage table names name in the conservation,
-    confwillmore, immersion and reports modules; returns the list its calls append to."""
+def counting(monkeypatch, fn):
+    """Wrap every binding of the derived-entry function fn in the conservation, confwillmore,
+    immersion and reports modules (the wrapper shares fn's entry); returns the list its calls append to."""
     calls = []
-    inner = rp.entry(name)
 
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        calls.append(name)
-        return inner(*args, **kwargs)
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
 
     for module in (cons, cw, im, rp):
-        if getattr(module, name, None) is inner:
-            monkeypatch.setattr(module, name, wrapper)
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, wrapper)
     return calls
 
 
 #: the derived entries a report-built bundle drops once no stage left may read them
-DROPPED = ("tracefree_H0", "complex_frame", "_H0cH", "dz_L0_closed_form", "_grad_H", "_pin_grad_H", "assemble_Q",
-           "_div_Q", "recover_L", "_cw_lhs", "_grad_gauss", "extract_A_f", "_potentials")
+DROPPED = (im.tracefree_H0, im.complex_frame, cons._H0cH, cons.dz_L0_closed_form, cons._grad_H, cons._pin_grad_H,
+           cons.assemble_Q, cons._div_Q, cons.recover_L, cw._cw_lhs, cons._grad_gauss, cw.extract_A_f,
+           rp._potentials)
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2], ids=["no-pool", "pool-1", "pool-2"])
 def test_report_computes_shared_quantities_once(monkeypatch, workers):
     # an entry dropped while a stage may still read it would be computed a second time
-    names = DROPPED + ("surface_scale",)
-    calls = {name: counting(monkeypatch, name) for name in names}
+    fns = DROPPED + (cons.surface_scale,)
+    calls = {fn.__name__: counting(monkeypatch, fn) for fn in fns}
     with pool_of(workers) as pool:
         rp.residual_report(im.make_surface("sphere", G65, rho=1.0), pool)
-    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 1)
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2, 4], ids=["no-pool", "pool-1", "pool-2", "pool-4"])
@@ -107,7 +109,7 @@ def test_report_drops_entries_of_the_bundle_it_builds_only(monkeypatch, workers)
     finally:
         sys.setswitchinterval(interval)
     assert len(built) == 1
-    assert [name for name in DROPPED if rp.entry(name) in built[0]._memo] == []
+    assert [fn.__name__ for fn in DROPPED if fn in built[0]._memo] == []
 
 
 def test_stage_table_writes_every_key_once(sphere_report):
@@ -115,8 +117,8 @@ def test_stage_table_writes_every_key_once(sphere_report):
     assert sorted(keys) == sorted(sphere_report)
     assert {key: keys.count(key) for key in rp.DEFAULT_THRESHOLDS} == dict.fromkeys(rp.DEFAULT_THRESHOLDS, 1)
     assert {stage.group for stage in rp.STAGES} == set(rp.GROUPS)
-    # every entry a stage names is a derived entry the report can drop
-    assert {name for stage in rp.STAGES for name in stage.entries} == set(DROPPED)
+    # every entry a stage lists is a derived entry the report can drop
+    assert {fn for stage in rp.STAGES for fn in stage.entries} == set(DROPPED)
 
 
 def raw_values(patch):
@@ -159,6 +161,25 @@ def test_scaled_rows_divide_raw_values_by_the_surface_scale(kind, m):
     assert {stage.name for stage in rp.STAGES if not stage.scaled} == {"fit_f", "divQ", "energies"}
     assert {key: report[key] for key in scaled} == {key: raw[key] / scale for key in scaled}
     assert {key: report[key] for key in absolute} == {key: raw[key] for key in absolute}
+
+
+@pytest.mark.parametrize("grid", [G33, G65], ids=["n33", "n65"])
+@pytest.mark.parametrize("kind, m", [("sphere", 3), ("catenoid", 3), ("enneper", 3), ("clifford_torus_patch", 4),
+                                     ("graph_perturbation", 3), ("graph_perturbation", 6)])
+def test_report_is_invariant_under_the_grids_reflections(kind, m, grid):
+    # the FD stencils commute with reversing either grid axis: on the catalog patches every key keeps its
+    # bits, and graph_perturbation moves by at most 1.0e-11 (srS_resid, m = 6, n = 65), inside the rigid-motion
+    # bound 10 eps h^-4 of rounding through a fourth-order operator.  The axis swap is no such map yet
+    patch = im.make_surface(kind, grid, m=m)
+    report = rp.residual_report(patch.with_phi(patch.phi + 0.0))
+    for reflect in (np.s_[::-1], np.s_[:, ::-1], np.s_[::-1, ::-1]):
+        reflected = rp.residual_report(patch.with_phi(patch.phi[reflect] + 0.0))
+        if kind == "graph_perturbation":
+            bound = 10 * np.finfo(float).eps * grid.h**-4
+            assert {key: reflected[key] - value for key, value in report.items()
+                    if not abs(reflected[key] - value) <= bound} == {}
+        else:
+            assert reflected == report
 
 
 def test_derived_entry_computed_once_across_threads():
