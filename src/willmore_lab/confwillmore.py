@@ -190,9 +190,9 @@ def extract_A_f(bundle: GeometryBundle) -> ConformalData:
     f is the polynomial in z of degree ``_DEGREE`` that solves the reality
     (integrability) constraint Im[dz*(dz L candidate)] = 0 in the least-squares
     sense over the interior window (``_fit_f``), and the candidate derivative
-    Z0 + i e^{-lambda} f e_{z*} is integrated to a real potential by a
-    mean-zero Neumann solve: ``dg.grad_potential``'s u, bit for bit, without
-    the integration defect, which no report reads.
+    Z0 + i e^{-lambda} f e_{z*} is integrated to a real potential by
+    ``dg.neumann_potential``, the mean-zero Neumann solve of ``dg.grad_potential``,
+    without the integration defect, which no report reads.
     """
     grid = bundle.grid
     Z0 = bundle.derived(dz_L0_closed_form)
@@ -204,9 +204,7 @@ def extract_A_f(bundle: GeometryBundle) -> ConformalData:
     np.multiply(2.0, candidate.real, out=gradL[0])
     np.multiply(-2.0, candidate.imag, out=gradL[1])
     del candidate
-    L, _ = dg.poisson_neumann(
-        grid, dg.div(grid, gradL), -gradL[0][0, :], gradL[0][-1, :], -gradL[1][:, 0], gradL[1][:, -1]
-    )
+    L, _ = dg.neumann_potential(grid, gradL)
     return ConformalData(f, _holomorphy_defect(grid, f), L)
 
 

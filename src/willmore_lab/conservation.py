@@ -216,8 +216,7 @@ def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -
     res = dg.curl(grid, gperpS)  # Lap S
     res -= sum(mv.field_inner(gstarn, gperpR))
     res_S = dg.interior_sup(grid, res)
-    # read only, so the rows themselves when every 2-blade is held
-    gs = gstarn.rows if np.array_equal(gstarn.slots, blades) else gstarn.part(blades)
+    gs = gstarn.part(blades)
     sterm = gs[:, 0] * gperpS[0]
     sterm += gs[:, 1] * gperpS[1]
     del gstarn, gs, gperpS

@@ -15,7 +15,8 @@ Dirichlet Poisson solver takes zero boundary data, the only Dirichlet
 problem the package poses, and uses the classical 5-point operator,
 diagonalized by a type-I discrete sine transform; Neumann problems use
 ghost-point elimination diagonalized by a type-I cosine transform, with
-mean-zero normalization and the compatibility defect reported.  Both
+mean-zero normalization and the compatibility defect reported, and only
+``neumann_potential`` forms a gradient target's Neumann data.  Both
 transforms are pocketfft's type-I recipe on numpy.fft (``_pass``), fused
 with the mode divisions, and keep scipy.fft's bits; both divide by one
 eigenvalue table.  ``exponent`` is the package's one power-of-two rule.
@@ -56,6 +57,7 @@ __all__ = [
     "interior_sup",
     "poisson_dirichlet",
     "poisson_neumann",
+    "neumann_potential",
     "grad_potential",
     "curl_potential",
     "hodge_decompose",
@@ -362,25 +364,33 @@ def poisson_neumann(
     slice (an array of the trailing shape; a float for a 2-D field).
     """
     n, h = grid.n, grid.h
-    b = np.array(rhs, dtype=np.result_type(rhs, float))
-    b[0, :] -= 2.0 * np.asarray(flux_w) / h
-    b[-1, :] -= 2.0 * np.asarray(flux_e) / h
-    b[:, 0] -= 2.0 * np.asarray(flux_s) / h
-    b[:, -1] -= 2.0 * np.asarray(flux_n) / h
+    u = np.array(rhs, dtype=np.result_type(rhs, float))  # the data, overwritten slab by slab with u
+    u[0, :] -= 2.0 * np.asarray(flux_w) / h
+    u[-1, :] -= 2.0 * np.asarray(flux_e) / h
+    u[:, 0] -= 2.0 * np.asarray(flux_s) / h
+    u[:, -1] -= 2.0 * np.asarray(flux_n) / h
     w = _dct_weights(n)
     c = (n - 1.0) / (2.0 * w)  # <w_k, v_k> per mode
     norm, eigs, weights = 4.0 * np.outer(c, c), _eigs(n, h), 4.0 * np.outer(w, w)
-    u, beta00 = np.empty_like(b), np.empty((1, 1) + b.shape[2:], b.dtype)
+    beta00 = np.empty((1, 1) + u.shape[2:], u.dtype)
     with np.errstate(all="ignore"):  # non-finite data gives a non-finite u and no numpy warning
-        for src, dst, zero in _slabs(b, u, beta00):
-            beta = _pass(_pass(src, False), False) / norm  # dctn(src), mode by mode
+        for slab, zero in _slabs(u, beta00):  # each slab is read into the pass buffers before it is written
+            beta = _pass(_pass(slab, False), False) / norm  # dctn(slab), mode by mode
             zero[...] = beta[:, :1, :1]
             beta /= eigs
             beta[:, 0, 0] = 0.0
             beta /= weights
-            dst[...] = _pass(_pass(beta, False), False)
+            slab[...] = _pass(_pass(beta, False), False)
     compat = np.abs(beta00[0, 0])
     return u, (compat if compat.ndim else float(compat))
+
+
+def neumann_potential(grid: Grid, G: np.ndarray, perp: bool = False) -> tuple[np.ndarray, float | np.ndarray]:
+    """poisson_neumann's (u, compat_defect) for u with grad u ~ G (2, n, n, ...), Laplace(u) = div G and
+    d_nu u = G . nu, or with perp for grad_perp u ~ G, Laplace(u) = curl G and d_nu u = G . tau."""
+    if perp:
+        return poisson_neumann(grid, curl(grid, G), -G[1][0, :], G[1][-1, :], G[0][:, 0], -G[0][:, -1])
+    return poisson_neumann(grid, div(grid, G), -G[0][0, :], G[0][-1, :], -G[1][:, 0], G[1][:, -1])
 
 
 @dataclass(frozen=True)
@@ -396,13 +406,12 @@ class PotentialResult:
     compat_defect: float     # largest incompatible constant part of a slice's Neumann data
 
 
-def _potential(grid: Grid, rhs, fw, fe, fs, fn, target, reconstruct) -> PotentialResult:
-    """Neumann-solve Laplace(u) = rhs with fluxes (fw, fe, fs, fn); the defect
-    compares reconstruct(u) with target, the compat defect is the worst slice's."""
-    u, compat = poisson_neumann(grid, rhs, fw, fe, fs, fn)
-    del rhs  # solved: only u and the target are needed for the defect
-    defect = reconstruct(u)
-    defect -= target  # in place: no third array of the target's size
+def _potential(grid: Grid, G: np.ndarray, perp: bool) -> PotentialResult:
+    """neumann_potential's u for the target G; the defect compares grad u (grad_perp u with
+    perp) with G, the compat defect is the worst slice's."""
+    u, compat = neumann_potential(grid, G, perp)
+    defect = grad_perp(grid, u) if perp else grad(grid, u)
+    defect -= G  # in place: no third array of the target's size
     return PotentialResult(u, l2norm(grid, defect), float(np.max(compat)))
 
 
@@ -414,13 +423,7 @@ def grad_potential(grid: Grid, G: np.ndarray) -> PotentialResult:
     measures how far G is from an exact gradient; the compat defect of
     the Neumann data is reported, never enforced.
     """
-    return _potential(
-        grid,
-        div(grid, G),
-        -G[0][0, :], G[0][-1, :], -G[1][:, 0], G[1][:, -1],
-        G,
-        lambda u: grad(grid, u),
-    )
+    return _potential(grid, G, False)
 
 
 def curl_potential(grid: Grid, G: np.ndarray) -> PotentialResult:
@@ -432,13 +435,7 @@ def curl_potential(grid: Grid, G: np.ndarray) -> PotentialResult:
     stream-type potential of the flux-free lemma; the defect
     ||grad_perp u - G||_L2 is reported, never enforced.
     """
-    return _potential(
-        grid,
-        curl(grid, G),
-        -G[1][0, :], G[1][-1, :], G[0][:, 0], -G[0][:, -1],
-        G,
-        lambda u: grad_perp(grid, u),
-    )
+    return _potential(grid, G, True)
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,10 @@ class BladeRows(NamedTuple):
         return i, r[i]
 
     def part(self, blades: np.ndarray) -> np.ndarray:
-        """Rows of the given blade masks, shape (len(blades), ...); +0 where not held."""
+        """Rows of the given blade masks, shape (len(blades), ...); +0 where not held.  Exactly the held
+        slots give the held rows themselves: a caller writes into the result only if it owns this BladeRows."""
+        if np.array_equal(self.slots, blades):
+            return self.rows
         out = np.zeros((len(blades),) + self.rows.shape[1:], dtype=self.rows.dtype)
         i, r = self._find(blades)
         out[i] = self.rows[r]
@@ -324,9 +327,7 @@ def field_cross(*vectors: np.ndarray) -> np.ndarray:
     if len(vectors) != w.m - 1:
         raise GradeError(f"a cross product in R^{w.m} takes {w.m - 1} vectors, got {len(vectors)}")
     blades = grade_masks(w.m, w.m - 1)
-    if not np.array_equal(w.slots, blades):
-        w = BladeRows(w.m, blades, w.part(blades))
-    return mv_field_vector_part(field_hodge(w))
+    return mv_field_vector_part(field_hodge(BladeRows(w.m, blades, w.part(blades))))
 
 
 def field_slotwise(fn, a: BladeRows) -> BladeRows:

@@ -465,8 +465,9 @@ class TestPartLookup:
         rng = np.random.default_rng(80 + m)
         everything = np.arange(1 << m)
         for a in self.fields(m, rng):
+            assert a.part(a.slots) is a.rows  # exactly the held slots: the rows themselves
             for blades in (everything, mv.grade_masks(m, 1), mv.grade_masks(m, m - 1), everything[::-1],
-                           np.array([(1 << m) - 1]), np.array([0, 0, 5]), everything[:0]):
+                           np.array([(1 << m) - 1]), np.array([0, 0, 5]), everything[:0], a.slots):
                 assert same_bits(a.part(blades), isin_part(a, blades)), (a.slots, blades)
 
     @pytest.mark.parametrize("m", [3, 4, 6])
