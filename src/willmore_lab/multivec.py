@@ -20,17 +20,17 @@ Operations provided, with the conventions used throughout the package:
 
 Each operation is one per-blade rule (``_wedge_rule``, ``_interior_rule``,
 ``_bullet_rule``) that maps a pair of basis blades to its signed blade
-expansion; ``_entries(m, rule)`` builds the multiplication table of any
-rule over R^m once, and the tables are cached and shared.  Everything is
-immutable and pure.
+expansion; a product's plan is its rule evaluated on the held slot pairs
+only, cached per pair of slot sets.  Everything is immutable and pure.
 
 Fields are ``BladeRows``: one contiguous row per held blade slot, every
 other slot +0.  Every field operation takes and returns rows; dense
 (..., 2**m) arrays appear only in ``BladeRows.dense()`` and in
 ``BladeRows.from_dense``; a single point is a 0-d field.  A bilinear
-product runs the kept table entries in table order on the rows (the plan
-for a pair of slot sets is cached), so each product slot sums the same
-terms in the same order as a loop over the whole table: the same bits.
+product runs its plan's terms in plan order (left slot increasing, then
+right slot increasing: the whole multiplication table's order restricted
+to the held slots), so each product slot sums the same terms in the same
+order as a loop over the whole table: the same bits.
 ``blade_sum`` sums over the blade axis in numpy's own order.
 ``field_wedge_vectors`` wedges vector fields (..., m) from their component
 rows, ``field_cross`` is the vector part of the star of such a wedge (a
@@ -129,14 +129,6 @@ def _bullet_rule(a: int, b: int) -> dict[int, float]:
 
 
 @lru_cache(maxsize=None)
-def _entries(m: int, rule) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Table (left blade, right blade, product blade, sign) of a per-blade rule over R^m."""
-    ia, ib, iout, sg = zip(*[(a, b, mask, coeff) for a in range(1 << m) for b in range(1 << m)
-                             for mask, coeff in rule(a, b).items()])
-    return np.array(ia), np.array(ib), np.array(iout), np.array(sg, dtype=float)
-
-
-@lru_cache(maxsize=None)
 def _hodge_signs(m: int) -> np.ndarray:
     """Per slot j, the sign with which star(blade_{full ^ j}) lands on blade_j."""
     full = (1 << m) - 1
@@ -153,33 +145,27 @@ def _check_dim(m: int) -> None:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1024)
-def _plan(m: int, rule, slots_a: bytes, slots_b: bytes):
-    """Program of a rule's table for operands holding slots_a, slots_b
-    (increasing masks as intp bytes): the product's slots and, per kept table
-    entry in table order, (row of a, row of b, product row, sign)."""
-    ia, ib, iout, sg = _entries(m, rule)
-    sa, sb = (np.frombuffer(s, dtype=np.intp) for s in (slots_a, slots_b))
-    keep = np.flatnonzero(np.isin(ia, sa) & np.isin(ib, sb))
-    slots_out, ro = np.unique(iout[keep], return_inverse=True)
-    ra, rb = np.searchsorted(sa, ia[keep]), np.searchsorted(sb, ib[keep])
-    return slots_out, tuple(zip(ra.tolist(), rb.tolist(), ro.tolist(), sg[keep]))
+def _plan(rule, slots_a: bytes, slots_b: bytes):
+    """Program of a rule for operands holding slots_a, slots_b (increasing
+    masks as intp bytes): the product's slots and, per term of the rule on a
+    held slot pair in plan order (a's slot increasing, then b's), (row of a,
+    row of b, product row, sign)."""
+    sa, sb = (np.frombuffer(s, dtype=np.intp).tolist() for s in (slots_a, slots_b))
+    terms = [(i, j, mask, coeff) for i, a in enumerate(sa) for j, b in enumerate(sb)
+             for mask, coeff in rule(a, b).items()]
+    slots_out = sorted({mask for _, _, mask, _ in terms})
+    row = {mask: k for k, mask in enumerate(slots_out)}
+    return np.array(slots_out, dtype=np.intp), tuple((i, j, row[mask], coeff) for i, j, mask, coeff in terms)
 
 
 def _live(a: np.ndarray) -> np.ndarray:
-    """Mask of the trailing slots of a that are nonzero somewhere.
-
-    The rows of ``a != 0`` are or-folded in halves; numpy's reduction over
-    the leading axes runs its inner loop along the short trailing axis only
-    and is 2-7x slower here.
-    """
-    rows = (a != 0).reshape(-1, a.shape[-1])
-    while len(rows) > 1:
-        half = len(rows) // 2
-        folded = rows[:half] | rows[half:2 * half]
-        if len(rows) % 2:
-            folded[0] |= rows[-1]
-        rows = folded
-    return rows.any(axis=0)
+    """Mask of the trailing slots of a that are nonzero somewhere: ``a != 0``
+    reduced one leading axis at a time (an any over all leading axes at once
+    loops over the short trailing axis only, slower here)."""
+    live = a != 0
+    while live.ndim > 1:
+        live = live.any(axis=0)
+    return live
 
 
 class BladeRows(NamedTuple):
@@ -230,12 +216,12 @@ def _check_pair(a: BladeRows, b: BladeRows) -> None:
 
 
 def _product(rule, a: BladeRows, b: BladeRows) -> BladeRows:
-    """Pointwise bilinear product of blade rows by a rule's table: every kept
-    entry adds sign * a_row * b_row onto its product row, in table order.  A
-    row that is zero everywhere adds zeros to sums that start at +0 and
-    changes no bit."""
+    """Pointwise bilinear product of blade rows by a rule's plan: every term
+    adds sign * a_row * b_row onto its product row, in plan order.  A row
+    that is zero everywhere adds zeros to sums that start at +0 and changes
+    no bit."""
     _check_pair(a, b)
-    slots_out, program = _plan(a.m, rule, a.slots.tobytes(), b.slots.tobytes())
+    slots_out, program = _plan(rule, a.slots.tobytes(), b.slots.tobytes())
     lead = np.broadcast_shapes(a.rows.shape[1:], b.rows.shape[1:])
     dtype = np.result_type(a.rows.dtype, b.rows.dtype)
     acc = np.zeros((len(slots_out),) + lead, dtype=dtype)

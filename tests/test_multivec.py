@@ -282,7 +282,8 @@ def test_vector_embedding_roundtrip():
 
 def loop_bilinear(m, rule, a, b):
     """Reference: the per-entry loop over the whole table that the live-slot kernel replaced."""
-    ia, ib, iout, sg = mv._entries(m, rule)
+    ia, ib, iout, sg = map(np.array, zip(*[(p, q, mask, coeff) for p in range(1 << m) for q in range(1 << m)
+                                           for mask, coeff in rule(p, q).items()]))
     out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (a.shape[-1],),
                    dtype=np.result_type(a.dtype, b.dtype))
     live_a = np.any(a != 0, axis=tuple(range(a.ndim - 1))) if a.ndim > 1 else (a != 0)
@@ -340,6 +341,21 @@ class TestLiveSlotKernel:
             for x, y in ((A, B), (B, A), (A, A), (A, Z), (Z, B), (S, A), (B, S)):
                 assert same_bits(dense_op(op, x, y), loop_bilinear(m, rule, x, y)), name
             assert not np.any(dense_op(op, A, Z))
+
+    def test_plan_calls_its_rule_once_per_held_slot_pair(self, monkeypatch):
+        """The wedge rule, not the recursive bullet rule: a wrapper around that would count its recursion."""
+        rule, calls = mv._wedge_rule, []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return rule(a, b)
+
+        monkeypatch.setattr(mv, "_wedge_rule", counting)
+        rng = np.random.default_rng(20)
+        two, one = (rows(random_mv(6, rng, grade=k)) for k in (2, 1))
+        assert (len(two.slots), len(one.slots)) == (15, 6)
+        mv.field_wedge(two, one)
+        assert len(calls) == 15 * 6
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_hodge_matches_its_definition(self, m):
@@ -423,6 +439,24 @@ class TestVectorRows:
     def test_dimension_mismatch(self):
         with pytest.raises(mv.DimensionMismatchError):
             mv.field_wedge_vectors(np.ones((3, 3, 4)), np.ones((3, 3, 5)))
+
+
+class TestLive:
+    """The liveness scan marks the trailing slots nonzero somewhere: numpy's any over every leading axis."""
+
+    @pytest.mark.parametrize("shape", [(8,), (64,), (9, 9, 6), (2, 9, 9, 6), (5, 5, 64)])
+    def test_matches_any_over_the_leading_axes(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        a = rng.normal(size=shape)
+        a[..., rng.random(shape[-1]) < 0.3] = 0.0
+        a[..., 1:5] = 0.0
+        a[..., 1] = -0.0                                               # only -0.0: dead
+        a[tuple(s // 2 for s in shape[:-1]) + (2,)] = np.nan           # a single NaN: live
+        a[(-1,) * (len(shape) - 1) + (3,)] = 1e-300                    # one corner node: live
+        expect = np.any(a != 0, axis=tuple(range(a.ndim - 1)))
+        assert expect[2] and expect[3] and not expect[1] and not expect[4]
+        live = mv._live(a)
+        assert live.dtype == bool and np.array_equal(live, expect)
 
 
 def isin_part(a, blades):
