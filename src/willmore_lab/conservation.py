@@ -27,7 +27,8 @@ validated facts wired into this module (each is also a test):
       Lap Phi = 1/2 (grad R . grad_perp Phi - grad S grad_perp Phi),
 
   where . is the first-order contraction of multivec.bullet.  The
-  residual reads Lap S and Lap R as curl(grad_perp S), curl(grad_perp R).
+  residuals read X = S, R through grad_perp X alone: Lap X as its curl,
+  grad X . grad_perp Phi as grad_perp X . (-grad Phi).
 
 Potentials are fixed mean-zero; every off-shell input degrades to a
 reported defect rather than an error.  Residuals are raw: ``reports``
@@ -201,13 +202,13 @@ def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
     return SRData(resS.u, R, resS.defect, resR.defect)
 
 
-def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -> tuple[float, float]:
-    """Raw interior sup-residuals of the S/R elliptic system.
+def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -> tuple[float, float, float]:
+    """Raw interior sup-residuals of the S/R elliptic system and of the Phi identity.
 
-    The contraction term star(grad n . grad_perp R) carries the sign (-1)^m
-    (the reading validated for m = 3, 4, 5).  Lap S and Lap R are the curls
-    of the rotated gradients the right-hand sides read.  Each field is
-    dropped after its last use, each residual reduced as soon as formed."""
+    grad_perp S and grad_perp R are formed once; Lap S and Lap R are their curls, and the right-hand
+    sides and ``phi_identity_residual`` read them.  The contraction term star(grad n . grad_perp R)
+    carries the sign (-1)^m (the reading validated for m = 3, 4, 5).  Each field is dropped after
+    its last use, each residual reduced as soon as formed."""
     grid, m = bundle.grid, bundle.m
     blades = mv.grade_masks(m, 2)  # every term of the R equation is a 2-vector
     gstarn = mv.field_hodge(bundle.derived(_grad_gauss))  # grad(star n), up to the sign of an exact zero
@@ -219,7 +220,9 @@ def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -
     gs = gstarn.part(blades)
     sterm = gs[:, 0] * gperpS[0]
     sterm += gs[:, 1] * gperpS[1]
-    del gstarn, gs, gperpS
+    del gstarn, gs
+    phi = phi_identity_residual(bundle, gperpS, gperpR)
+    del gperpS
     lapR = mv.field_slotwise(partial(dg.curl, grid), gperpR).part(blades)  # now, so grad_perp R goes after the bullet
     bullet = mv.field_bullet(bundle.derived(_grad_gauss), gperpR)
     del gperpR
@@ -233,31 +236,29 @@ def sr_system_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -
     lapR -= rhs
     del rhs
     res = mv.BladeRows(m, blades, lapR)
-    return res_S, dg.interior_sup(grid, np.sqrt(mv.field_inner(res, res)))
+    return res_S, dg.interior_sup(grid, np.sqrt(mv.field_inner(res, res))), phi
 
 
-def phi_identity_residual(bundle: GeometryBundle, S: np.ndarray, R: mv.BladeRows) -> float:
-    """Residual of Lap Phi = 1/2 (grad R . grad_perp Phi - grad S grad_perp Phi).
+def phi_identity_residual(bundle: GeometryBundle, gperpS: np.ndarray, gperpR: mv.BladeRows) -> float:
+    """Residual of Lap Phi = 1/2 (grad R . grad_perp Phi - grad S grad_perp Phi), from grad_perp S and grad_perp R.
 
-    The contraction is multivec.bullet; the identity holds whenever
-    (S, R) come from a potential L solving the conservation system.
-    Returns the raw interior sup-norm.
+    Each grad X . grad_perp Phi is read as grad_perp X . (-grad Phi): the slots trade places and each
+    product moves a sign between its operands, so the sums keep their order and every bit.  The
+    contraction is multivec.bullet; the identity holds whenever (S, R) come from a potential L solving
+    the conservation system.  Returns the raw interior sup-norm.
     """
     grid = bundle.grid
     jet = bundle.jet
-    gR = mv.field_slotwise(partial(dg.grad, grid), R)
-    gperp_phi = np.stack([-jet.d2, jet.d1])
-    bullet = mv.field_bullet(gR, mv.vector_field_to_mv(gperp_phi))
-    del gR
+    mgrad_phi = np.stack([-jet.d1, -jet.d2])
+    bullet = mv.field_bullet(gperpR, mv.vector_field_to_mv(mgrad_phi))
     vec = mv.mv_field_vector_part(bullet)
     del bullet
-    contraction = vec[0] + vec[1]
+    contraction = vec[1] + vec[0]  # the d1 R term first
     del vec
-    gS = dg.grad(grid, S)
-    sterm = gS[0][..., None] * gperp_phi[0]
-    sterm += gS[1][..., None] * gperp_phi[1]
+    sterm = gperpS[1][..., None] * mgrad_phi[1]  # the d1 S term first
+    sterm += gperpS[0][..., None] * mgrad_phi[0]
     contraction -= sterm  # the formed sum: subtracting its terms one by one rounds differently
-    del gS, gperp_phi, sterm
+    del mgrad_phi, sterm
     np.multiply(0.5, contraction, out=contraction)
     resid = dg.laplace(grid, jet.phi)
     resid -= contraction

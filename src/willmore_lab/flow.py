@@ -123,13 +123,12 @@ def _state_from_patch(patch: ImmersionPatch) -> FlowState:
 def step(state: FlowState, tau0: float) -> FlowState:
     """One backtracking descent step from an accepted state.
 
-    Halves the trial step until the energy strictly decreases; returns
-    the state flagged stalled when tau drops below 1e-12 * tau0.  A trial
-    whose bundle, energy, Q or ps_norm raises is rejected like one whose
-    energy does not decrease.
+    Halves the trial step from tau0 (positive and finite, else ValueError) until the energy strictly
+    decreases; returns the state flagged stalled when tau drops below 1e-12 * tau0.  A trial whose
+    bundle, energy, Q or ps_norm raises is rejected like one whose energy does not decrease.
     """
-    if tau0 <= 0.0:
-        raise ValueError("trial step tau0 must be positive")
+    if not 0.0 < tau0 < np.inf:  # NaN and inf would stall without a trial
+        raise ValueError(f"trial step tau0 must be positive and finite, got {tau0}")
     bundle = state.bundle if state.bundle is not None else make_bundle(state.patch)
     vel = descent_velocity(bundle)
     rejections = []

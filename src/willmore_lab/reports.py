@@ -10,7 +10,7 @@ Residuals are interior sup-norms, but the L, S and R defects and cwbis_resid are
     L_defect                      ||grad_perp L - Q||_L2
     S_defect, R_defect            potential integration defects
     srS_resid, srR_resid          S/R elliptic system residuals
-    phi_identity                  Lap Phi reconstruction residual
+    phi_identity                  Lap Phi reconstruction residual, from the S/R system's grad_perp S and R
     L0_consistency                closed dz-form vs Q-combination
     cwbis_resid                   Lap(L - L0) = 2 i H0 f closure
     a4_resid, a5_resid            complex frame derivative identities
@@ -74,8 +74,9 @@ FLOOR = "floor"
 
 #: a row of STAGES: fn(bundle) returns the raw values of keys (a tuple if more than one) and may compute or read the
 #: derived entries of the functions in entries: f and L (``extract_A_f``) and S and R (``_potentials``) pass from
-#: stage to stage as such entries, like Q.  The memo keys on the unwrapped function, so a wrapper shares its entry.
-#: A scaled row's values are divided by the surface scale, an absolute row's are reported as returned
+#: stage to stage as such entries, like Q, and what one stage alone reads (L from Q) is its local.  The memo keys
+#: on the unwrapped function, so a wrapper shares its entry.  A scaled row's values are divided by the surface
+#: scale, an absolute row's are reported as returned
 Stage = namedtuple("Stage", "name group fn entries keys scaled")
 _Q = (cons.assemble_Q, cons._grad_H, cons._pin_grad_H, cons._grad_gauss)  # Q and what it reads
 _Z0 = (cons.dz_L0_closed_form, im.complex_frame, cons._H0cH, im.tracefree_H0)  # dz L0, what it reads but grad H
@@ -109,8 +110,7 @@ STAGES = (
           ("dot_identity", "wedge_identity"), scaled=True),
     Stage("divQ", "conservation", lambda b: dg.interior_sup(b.grid, cons.willmore_residual(b)), _Q + (cons._div_Q,),
           ("divQ_inf",), scaled=False),
-    Stage("L", "conservation", lambda b: b.derived(cons.recover_L).defect, _Q + (cons.recover_L,), ("L_defect",),
-          scaled=True),
+    Stage("L", "conservation", lambda b: cons.recover_L(b).defect, _Q, ("L_defect",), scaled=True),
     Stage("L0", "conservation", lambda b: cons.assemble_L0(b), _Q + (cons.dz_L0_closed_form,), ("L0_consistency",),
           scaled=True),
     Stage("cw", "conformal", _cw, _Q + (cwmod._cw_lhs, cons._div_Q, im.tracefree_H0, cwmod.extract_A_f),
@@ -120,9 +120,7 @@ STAGES = (
     Stage("S_R", "conformal", lambda b: ((sr := b.derived(_potentials)).S_defect, sr.R_defect),
           (cwmod.extract_A_f, _potentials), ("S_defect", "R_defect"), scaled=True),
     Stage("sr", "conformal", lambda b: cons.sr_system_residual(b, (sr := b.derived(_potentials)).S, sr.R),
-          (cons._grad_gauss, _potentials), ("srS_resid", "srR_resid"), scaled=True),
-    Stage("phi", "conformal", lambda b: cons.phi_identity_residual(b, (sr := b.derived(_potentials)).S, sr.R),
-          (_potentials,), ("phi_identity",), scaled=True),
+          (cons._grad_gauss, _potentials), ("srS_resid", "srR_resid", "phi_identity"), scaled=True),
 )
 GROUPS = ("conservation", "conformal", "frame")  # in report key order
 

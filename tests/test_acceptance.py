@@ -53,7 +53,7 @@ def identity_statistics(kind, n, s, **params):
     raw = {
         "b1_dot": dot,
         "b1_wedge": wedge,
-        "r1b_phi": cons.phi_identity_residual(bundle, sr.S, sr.R),
+        "r1b_phi": cons.sr_system_residual(bundle, sr.S, sr.R)[2],
         "a4": a4,
         "a5": a5,
         "a10_codazzi": cw.codazzi_residual(bundle),
@@ -152,7 +152,7 @@ def test_criterion_4_sr_system_with_negative_control():
         grid = Grid(0.5, n)
         bundle = im.make_bundle(im.make_surface("sphere", grid, rho=1.0))
         sr = cons.build_S_R(bundle, cons.recover_L(bundle).u)
-        srS, srR = cons.sr_system_residual(bundle, sr.S, sr.R)
+        srS, srR, _ = cons.sr_system_residual(bundle, sr.S, sr.R)
         raw = {"S_defect": sr.S_defect, "R_defect": sr.R_defect, "srS": srS, "srR": srR}
         vals[n] = {key: value / cons.surface_scale(bundle) for key, value in raw.items()}
     problems = []
@@ -165,7 +165,7 @@ def test_criterion_4_sr_system_with_negative_control():
     grid = Grid(0.5, 257)
     control = im.make_bundle(im.make_surface("graph_perturbation", grid, seed=0, amplitude=0.05))
     src = cons.build_S_R(control, cons.recover_L(control).u)
-    srS_c, srR_c = cons.sr_system_residual(control, src.S, src.R)
+    srS_c, srR_c, _ = cons.sr_system_residual(control, src.S, src.R)
     floor_stats = vals[257]
     for key, raw in (("R_defect", src.R_defect), ("srS", srS_c), ("srR", srR_c)):
         value = raw / cons.surface_scale(control)

@@ -194,7 +194,7 @@ class TestSRSystem:
         for n in (129, 257):
             b = bundle("sphere", Grid(0.5, n), rho=1.0)
             sr = cons.build_S_R(b, cons.recover_L(b).u)
-            srS, srR = cons.sr_system_residual(b, sr.S, sr.R)
+            srS, srR, _ = cons.sr_system_residual(b, sr.S, sr.R)
             vals.append([r / cons.surface_scale(b) for r in (sr.S_defect, sr.R_defect, srS, srR)])
         for c, f in zip(vals[0], vals[1]):
             assert f <= max(c, 1e-12)
@@ -207,7 +207,7 @@ class TestSRSystem:
         sr = cons.build_S_R(b, np.zeros_like(b.H))
         assert sr.S_defect / scale < 1e-12
         assert sr.R_defect / scale < 1e-4
-        srS, srR = cons.sr_system_residual(b, sr.S, sr.R)
+        srS, srR, _ = cons.sr_system_residual(b, sr.S, sr.R)
         assert srS / scale < 1e-6 and srR / scale < 1e-4
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
@@ -224,10 +224,12 @@ class TestSRSystem:
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     @pytest.mark.parametrize("kind", sorted(im.CATALOG) + ["perturbed sphere"])
     def test_laplacians_from_the_rotated_gradients_keep_the_bits(self, kind, m, n):
-        # the residual reads Lap S and Lap R as curl(grad_perp S) and curl(grad_perp R); the reference
-        # forms them with dg.laplace, as div(grad), and every other term as the residual does.  The
-        # routes differ at most in the sign of an exact zero, which no residual norm sees: the raw
-        # sups agree bit for bit, and so do the report's values, each divided by the surface scale
+        # the residual reads Lap S and Lap R as curl(grad_perp S) and curl(grad_perp R), and the Phi
+        # identity's grad X . grad_perp Phi as grad_perp X . (-grad Phi); the reference forms the
+        # Laplacians with dg.laplace, as div(grad), the Phi identity from grad S and grad R, and every
+        # other term as the residual does.  The routes differ at most in the sign of an exact zero,
+        # which no residual norm sees: the raw sups agree bit for bit, and so do the report's values,
+        # each divided by the surface scale
         grid = Grid(0.5, n)
         if kind == "perturbed sphere":  # no analytic jet: the FD jet
             b = im.make_bundle(im.perturb_normal(im.make_surface("sphere", grid, m=m), seed=2))
@@ -244,7 +246,13 @@ class TestSRSystem:
         contraction = mv.field_hodge(bullet._replace(rows=bullet.rows[:, 0] + bullet.rows[:, 1])).part(blades)
         rhs = (-1.0) ** m * contraction - (gs[:, 0] * gperpS[0] + gs[:, 1] * gperpS[1])
         res_R = mv.BladeRows(m, blades, mv.field_slotwise(partial(dg.laplace, grid), R).part(blades) - rhs)
-        want = interior_sup(grid, res_S), interior_sup(grid, np.sqrt(mv.field_inner(res_R, res_R)))
+        gR, gperp_phi = mv.field_slotwise(partial(dg.grad, grid), R), np.stack([-b.jet.d2, b.jet.d1])
+        vec = mv.mv_field_vector_part(mv.field_bullet(gR, mv.vector_field_to_mv(gperp_phi)))
+        gS = dg.grad(grid, S)
+        contraction = (vec[0] + vec[1]) - (gS[0][..., None] * gperp_phi[0] + gS[1][..., None] * gperp_phi[1])
+        res_phi = dg.laplace(grid, b.jet.phi) - 0.5 * contraction
+        want = (interior_sup(grid, res_S), interior_sup(grid, np.sqrt(mv.field_inner(res_R, res_R))),
+                interior_sup(grid, res_phi))
         got = cons.sr_system_residual(b, S, R)
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert (np.array(got) / scale).tobytes() == (np.array(want) / scale).tobytes()
@@ -272,8 +280,7 @@ class TestSRSystem:
         for n in (129, 257):
             b = bundle("clifford_torus_patch", Grid(0.5, n))
             sr = cons.build_S_R(b, cons.recover_L(b).u)
-            srS, srR = cons.sr_system_residual(b, sr.S, sr.R)
-            phi = cons.phi_identity_residual(b, sr.S, sr.R)
+            srS, srR, phi = cons.sr_system_residual(b, sr.S, sr.R)
             vals.append([r / cons.surface_scale(b) for r in (srS, srR, phi)])
         for c, f in zip(vals[0], vals[1]):
             assert 2.8 <= c / f <= 5.5
@@ -290,6 +297,22 @@ class TestSRSystem:
         srR_g = cons.sr_system_residual(b_g, sr_g.S, sr_g.R)[1] / scale_g
         srR_s = cons.sr_system_residual(b_sph, sr_sph.S, sr_sph.R)[1] / scale_sph
         assert srR_g > 10.0 * srR_s
+
+    def test_one_rotated_gradient_of_S_and_of_R(self, monkeypatch):
+        # the three residuals take one derivative of S and of R, their rotated gradients: every FD
+        # entry point of diskgrid is counted on the arrays that are S or R's rows
+        b = bundle("clifford_torus_patch", G65, m=4)
+        sr = cons.build_S_R(b, cons.recover_L(b).u)
+        calls = []
+        for name in ("grad", "grad_perp", "d1", "d2"):
+            def counted(grid, f, fn=getattr(dg, name), name=name):
+                for label, x in (("S", sr.S), ("R", sr.R.rows)):
+                    if np.shares_memory(f, x):
+                        calls.append((name, label))
+                return fn(grid, f)
+            monkeypatch.setattr(dg, name, counted)
+        assert len(cons.sr_system_residual(b, sr.S, sr.R)) == 3
+        assert sorted(calls) == [("grad_perp", "R"), ("grad_perp", "S")]
 
     def test_build_S_R_peak_memory(self):
         # wedge products that hold exactly the 2-blades are summed as they are, not copied first: an
@@ -308,11 +331,16 @@ class TestSRSystem:
         assert (peak - start) / (G65.n**2 * 6 * 8) < 20.0
 
 
+def rotated_gradients(b, sr):
+    """grad_perp S and grad_perp R, the arguments of phi_identity_residual."""
+    return dg.grad_perp(b.grid, sr.S), mv.field_slotwise(partial(dg.grad_perp, b.grid), sr.R)
+
+
 class TestPhiIdentity:
     def test_plane_zero(self):
         b = bundle("plane", G65)
         sr = cons.build_S_R(b, np.zeros((65, 65, 3)))
-        assert cons.phi_identity_residual(b, sr.S, sr.R) / cons.surface_scale(b) < 1e-12
+        assert cons.phi_identity_residual(b, *rotated_gradients(b, sr)) / cons.surface_scale(b) < 1e-12
 
     @pytest.mark.parametrize("kind,params,Lmode", [
         ("sphere", {"rho": 1.0}, "recover"),
@@ -325,7 +353,7 @@ class TestPhiIdentity:
             b = bundle(kind, Grid(0.5, n), **params)
             L = np.zeros_like(b.H) if Lmode == "zero" else cons.recover_L(b).u
             sr = cons.build_S_R(b, L)
-            vals.append(cons.phi_identity_residual(b, sr.S, sr.R) / cons.surface_scale(b))
+            vals.append(cons.phi_identity_residual(b, *rotated_gradients(b, sr)) / cons.surface_scale(b))
         assert vals[1] < max(vals[0] / 3.0, 1e-10)
         assert vals[1] < 1e-4
 
@@ -335,8 +363,9 @@ class TestPhiIdentity:
         b = bundle("clifford_torus_patch", G129)
         sr = cons.build_S_R(b, cons.recover_L(b).u)
         scale = cons.surface_scale(b)
-        good = cons.phi_identity_residual(b, sr.S, sr.R) / scale
-        bad = cons.phi_identity_residual(b, -sr.S, sr.R) / scale
+        gperpS, gperpR = rotated_gradients(b, sr)
+        good = cons.phi_identity_residual(b, gperpS, gperpR) / scale
+        bad = cons.phi_identity_residual(b, -gperpS, gperpR) / scale
         assert bad > 50.0 * good
 
 

@@ -100,13 +100,13 @@ class TestStep:
         assert new.stalled
         assert new.energy == state.energy
 
-    def test_zero_trial_step_rejected(self):
+    @pytest.mark.parametrize("tau0", [np.nan, np.inf, 0.0, -1.0])
+    def test_trial_step_must_be_positive_and_finite(self, tau0):
+        # NaN and inf would skip the line search and return a stalled state without one trial
         patch, _ = make_state("plane")
         state = fl._state_from_patch(patch)
-        with pytest.raises(ValueError):
-            fl.step(state, tau0=0.0)
-        with pytest.raises(ValueError):
-            fl.step(state, tau0=-1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            fl.step(state, tau0=tau0)
 
     def test_first_step_decreases_energy_on_perturbation(self):
         patch = im.perturb_normal(im.make_surface("catenoid", G65), seed=0, amplitude=0.05)

@@ -72,14 +72,14 @@ def counting(monkeypatch, fn):
 
 #: the derived entries a report-built bundle drops once no stage left may read them
 DROPPED = (im.tracefree_H0, im.complex_frame, cons._H0cH, cons.dz_L0_closed_form, cons._grad_H, cons._pin_grad_H,
-           cons.assemble_Q, cons._div_Q, cons.recover_L, cw._cw_lhs, cons._grad_gauss, cw.extract_A_f,
-           rp._potentials)
+           cons.assemble_Q, cons._div_Q, cw._cw_lhs, cons._grad_gauss, cw.extract_A_f, rp._potentials)
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2], ids=["no-pool", "pool-1", "pool-2"])
 def test_report_computes_shared_quantities_once(monkeypatch, workers):
-    # an entry dropped while a stage may still read it would be computed a second time
-    fns = DROPPED + (cons.surface_scale,)
+    # an entry dropped while a stage may still read it would be computed a second time; L, which the L
+    # stage alone reads, is no entry and is recovered once too
+    fns = DROPPED + (cons.recover_L, cons.surface_scale)
     calls = {fn.__name__: counting(monkeypatch, fn) for fn in fns}
     with pool_of(workers) as pool:
         rp.residual_report(im.make_surface("sphere", G65, rho=1.0), pool)
@@ -136,8 +136,7 @@ def raw_values(patch):
                                           for f in (cdata.f, 0.0)],
         ("cwbis_resid",): (cw.eq13_residual(b, cdata.f, cdata.L),),
         ("S_defect", "R_defect"): (sr.S_defect, sr.R_defect),
-        ("srS_resid", "srR_resid"): cons.sr_system_residual(b, sr.S, sr.R),
-        ("phi_identity",): (cons.phi_identity_residual(b, sr.S, sr.R),),
+        ("srS_resid", "srR_resid", "phi_identity"): cons.sr_system_residual(b, sr.S, sr.R),
         ("a4_resid", "a5_resid"): cw.frame_derivative_residuals(b),
         ("codazzi_resid",): (cw.codazzi_residual(b),),
         ("gradn_energy", "conformal_defect", "willmore_energy"):

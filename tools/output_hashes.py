@@ -25,10 +25,11 @@ The outputs are:
   jet ``make_bundle`` differentiates (``patch.jet()``, the second order
   included), and of the patch's bundle each array of ``BUNDLE_ARRAYS``
   (dtype, shape, strides and bytes, signed zeros included), the f and L
-  arrays of ``extract_A_f``, Q, S, R, the S/R defects and system residuals,
-  the phi identity and the tangency identities (each divided by
-  ``surface_scale``, as the report divides them), the Gauss-map energy, and
-  the values of ``residual_report`` on the patch.
+  arrays of ``extract_A_f``, Q, S, R, the S/R defects, the S/R system
+  residuals and the phi identity (the three values of
+  ``sr_system_residual``, on two lines) and the tangency identities (each
+  divided by ``surface_scale``, as the report divides them), the Gauss-map
+  energy, and the values of ``residual_report`` on the patch.
   Blade-row fields are hashed through ``.dense()``.  A name of
   ``BUNDLE_ARRAYS`` that is no bundle field is read from the immersion
   function that computes it (``DERIVED_ARRAYS``), so a quantity that moves
@@ -180,8 +181,9 @@ def main() -> int:
             return _float_bytes(*(v / scale for v in values))
 
         print(_sha(scaled(sr.S_defect, sr.R_defect)), f"{case} S/R defects")
-        print(_sha(scaled(*conservation.sr_system_residual(bundle, sr.S, sr.R))), f"{case} S/R residuals")
-        print(_sha(scaled(conservation.phi_identity_residual(bundle, sr.S, sr.R))), f"{case} phi identity")
+        *sr_resids, phi = conservation.sr_system_residual(bundle, sr.S, sr.R)
+        print(_sha(scaled(*sr_resids)), f"{case} S/R residuals")
+        print(_sha(scaled(phi)), f"{case} phi identity")
         print(_sha(scaled(*conservation.tangency_identities(bundle))), f"{case} tangency identities")
         print(_sha(_float_bytes(confwillmore.gauss_map_energy(bundle))), f"{case} Gauss-map energy")
         print(_sha(_float_bytes(*reports.residual_report(patch).values())), f"{case} report values")
