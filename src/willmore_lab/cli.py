@@ -366,10 +366,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--n values must be increasing, got {args.n}")
         if hasattr(args, "s"):
             grids = [Grid(args.s, n) for n in args.n]
-            # the Dirichlet eigenvalues reach 8/h^2, which overflows on a finer grid; verify, whose
-            # keys such a grid makes NaN or huge, reports them (README)
-            if args.command == "wente" and grids[0].h**2 < 8.0 / np.finfo(float).max:
-                raise ValueError(f"wente --s {args.s} --n {args.n[0]}: grid step too small, "
+            # the Dirichlet eigenvalues reach 8/h^2, which overflows on a finer grid: wente and flow solve
+            # Dirichlet problems; verify, whose keys such a grid makes NaN or huge, reports them (README)
+            if args.command in ("wente", "flow") and grids[0].h**2 < 8.0 / np.finfo(float).max:
+                raise ValueError(f"{args.command} --s {args.s} --n {args.n[0]}: grid step too small, "
                                  f"h^2 = {grids[0].h**2:.3g} makes the Poisson eigenvalues 8/h^2 overflow")
         if hasattr(args, "surface"):
             # workers only run reports: every patch is built, and checked, here
@@ -385,17 +385,12 @@ def main(argv: list[str] | None = None) -> int:
         paths = _outputs(args)
         # all or nothing: no output is written unless every one can be
         _check_writable([path for path in paths.values() if path != "-"])
-    except (OSError, ValueError) as exc:
-        error = exc
-    else:
-        try:
-            code, results = args.func(args)
-            _write_outputs(paths, args.command, results)
-            return code
-        except OSError as exc:  # an output file that cannot be written
-            error = exc
-    print(f"{parser.prog}: error: {error}", file=sys.stderr)
-    return 2
+        code, results = args.func(args)
+        _write_outputs(paths, args.command, results)
+        return code
+    except (OSError, ValueError) as exc:  # input the toolkit cannot handle; a RuntimeError is a bug and raises
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

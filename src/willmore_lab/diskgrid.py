@@ -68,8 +68,8 @@ __all__ = [
 ]
 
 
-class SolverError(RuntimeError):
-    """Elliptic solve failed to meet its residual contract."""
+class SolverError(ValueError):
+    """Elliptic solve failed to meet its residual contract; a ValueError: unusable input."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")

@@ -15,12 +15,13 @@ frozen in place of compactly supported variations) and a backtracking
 line search keeps the energy trace exactly non-increasing; conformality
 is measured and recorded, never repaired.  A trial step costs one
 geometry bundle and its energy, which alone decide acceptance; Q and
-ps_norm are computed once, for accepted states only.  Q travels in the
-accepted bundle's memo (``GeometryBundle.derived``), so the next step's
-direction reuses it.  A run keeps the running state and one trial at a
-time; its trace keeps per-state scalars and the final patch only, so
-its memory does not grow with the number of iterations (``step``
-returns full states, for a caller that wants the iterates).
+ps_norm are computed once, for accepted states only.  A run forms the
+next step's direction from the accepted bundle's div Q and lets that
+bundle go before the line search, so a search holds only its trial's
+bundle.  A run keeps the running state and one trial at a time; its
+trace keeps per-state scalars and the final patch only, so its memory
+does not grow with the number of iterations (``step`` returns full
+states, for a caller that wants the iterates).
 
 The stationarity measure ps_norm is an H^{-1}-type proxy for the dual
 norm in the Palais-Smale definition: solve Lap phi_k = (div Q)_k with
@@ -36,14 +37,7 @@ import numpy as np
 
 from . import diskgrid as dg
 from .conservation import _div_Q, assemble_Q, willmore_residual  # noqa: F401 (a binding perfbench traces)
-from .immersion import (
-    DegenerateImmersionError,
-    FrameError,
-    GeometryBundle,
-    ImmersionPatch,
-    make_bundle,
-    willmore_energy,
-)
+from .immersion import GeometryBundle, ImmersionPatch, make_bundle, willmore_energy
 
 __all__ = ["FlowState", "FlowTrace", "ps_norm", "descent_velocity", "step", "run"]
 
@@ -78,15 +72,18 @@ def descent_velocity(bundle: GeometryBundle) -> np.ndarray:
 class FlowState:
     """Snapshot of one accepted flow iterate.
 
-    Working states carry their patch and geometry bundle, whose memo
-    holds the Q that ps was computed from (the next step's direction
-    reuses it).  An initial state keeps the patch it was made from, jets
-    included, so ``summary`` drops only the bundle: ``step`` rebuilds the
-    same one from the patch.  States stored in a FlowTrace carry no
-    bundle, and all but the final one no patch either (see FlowTrace).
+    An accepted state carries its patch and geometry bundle; ``run``
+    forms its descent ``velocity`` from the bundle and drops the bundle
+    before the next step, so a line search holds only its trial's bundle.
+    ``step`` reads the velocity, or forms it from the bundle (rebuilt from
+    the patch if absent).  An initial state keeps the patch it
+    was made from, jets included, so ``summary`` drops only the bundle and
+    the velocity: ``step`` rebuilds the same ones from the patch.  A
+    stalled state and the states stored in a FlowTrace carry no bundle,
+    and all but the final one no patch either (see FlowTrace).
     ``rejections`` names, in trial order, why each line-search trial of
     the step that produced this state was rejected: "energy" (no strict
-    decrease) or the class name of the exception the trial raised.
+    decrease) or the class name of the ValueError the trial raised.
     """
 
     patch: ImmersionPatch | None
@@ -97,9 +94,10 @@ class FlowState:
     stalled: bool = False   # no energy-decreasing step was found
     bundle: GeometryBundle | None = None
     rejections: tuple[str, ...] = ()
+    velocity: np.ndarray | None = None  # the next step's direction, formed by run
 
     def summary(self) -> "FlowState":
-        return replace(self, bundle=None)
+        return replace(self, bundle=None, velocity=None)
 
 
 def _accept(patch: ImmersionPatch, bundle: GeometryBundle, energy: float, tau: float,
@@ -124,13 +122,16 @@ def step(state: FlowState, tau0: float) -> FlowState:
     """One backtracking descent step from an accepted state.
 
     Halves the trial step from tau0 (positive and finite, else ValueError) until the energy strictly
-    decreases; returns the state flagged stalled when tau drops below 1e-12 * tau0.  A trial whose
-    bundle, energy, Q or ps_norm raises is rejected like one whose energy does not decrease.
+    decreases; returns the state flagged stalled, with no bundle, when tau drops below 1e-12 * tau0.
+    The direction is state.velocity, else formed from the state's bundle.  A trial whose bundle,
+    energy, Q or ps_norm raises a ValueError (geometry and solver failures are ValueErrors) is
+    rejected like one whose energy does not decrease.
     """
     if not 0.0 < tau0 < np.inf:  # NaN and inf would stall without a trial
         raise ValueError(f"trial step tau0 must be positive and finite, got {tau0}")
-    bundle = state.bundle if state.bundle is not None else make_bundle(state.patch)
-    vel = descent_velocity(bundle)
+    vel = state.velocity
+    if vel is None:
+        vel = descent_velocity(state.bundle if state.bundle is not None else make_bundle(state.patch))
     rejections = []
     tau = tau0
     while tau > _MIN_STEP_FACTOR * tau0:
@@ -140,12 +141,12 @@ def step(state: FlowState, tau0: float) -> FlowState:
             energy = willmore_energy(trial)
             if energy < state.energy:
                 return _accept(candidate, trial, energy, tau, tuple(rejections))
-        except (DegenerateImmersionError, FrameError, dg.SolverError, ValueError) as exc:
+        except ValueError as exc:
             rejections.append(type(exc).__name__)
         else:
             rejections.append("energy")
         tau *= 0.5
-    return replace(state, tau=0.0, stalled=True, bundle=bundle, rejections=tuple(rejections))
+    return replace(state, tau=0.0, stalled=True, bundle=None, rejections=tuple(rejections))
 
 
 @dataclass(frozen=True)
@@ -202,6 +203,8 @@ def run(patch: ImmersionPatch, max_iters: int = 500, stop_ratio: float = 0.0) ->
             stopped = "max_iters"
         else:
             states.append(replace(state, patch=None, bundle=None))
+            # the direction comes from the accepted bundle's div Q; the bundle goes before the line search
+            state = replace(state, bundle=None, velocity=descent_velocity(state.bundle))
             state = step(state, tau_try)
             if state.stalled:
                 stopped = "stalled"

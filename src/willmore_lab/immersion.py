@@ -65,12 +65,12 @@ __all__ = [
 ]
 
 
-class DegenerateImmersionError(RuntimeError):
-    """The sampled immersion degenerates (|dPhi| ~ 0) somewhere."""
+class DegenerateImmersionError(ValueError):
+    """The sampled immersion degenerates (|dPhi| ~ 0) somewhere; a ValueError: unusable input."""
 
 
-class FrameError(RuntimeError):
-    """No admissible seed vector spans the normal bundle over the patch."""
+class FrameError(ValueError):
+    """No admissible seed vector spans the normal bundle over the patch; a ValueError: unusable input."""
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,34 @@ class TestInputBoundary:
                 "--out", str(tmp_path / "r.json")]
         assert "not finite" in self.check_rejected(capsys, tmp_path, argv=argv)
 
+    @pytest.mark.parametrize("argv, word", [
+        (["verify", "--surface", "perturbed-sphere:amplitude=1", "--m", "4", "--n", "33"], "transverse"),
+        (["refine", "--surface", "perturbed-sphere:amplitude=1", "--m", "4", "--n", "33", "--n", "65"],
+         "transverse"),
+        (["flow", "--surface", "perturbed-sphere:amplitude=1", "--m", "4", "--n", "33", "--max-iters", "2"],
+         "transverse"),
+        (["flow", "--surface", "sphere", "--n", "33", "--s", "1e-300", "--max-iters", "2"], "h^2"),
+        (["flow", "--surface", "enneper", "--n", "33", "--s", "1e-320", "--max-iters", "2"], "h^2"),
+    ])
+    def test_geometry_and_solver_failures_rejected(self, capsys, tmp_path, argv, word):
+        # a FrameError (no seeded normal of the bumped sphere stays transverse, raised in a report worker or
+        # in the flow's initial bundle) is a ValueError; a flow grid whose Dirichlet eigenvalues 8/h^2
+        # overflow is rejected before any computation, as for wente
+        assert word in self.check_rejected(capsys, tmp_path, argv=[*argv, "--out", str(tmp_path / "r.json")])
+        assert not (tmp_path / "r.json.json").exists()
+
+    @pytest.mark.parametrize("module, name", [(rp, "residual_report"), (fl, "step")])
+    def test_broken_invariant_raises(self, monkeypatch, tmp_path, module, name):
+        # a RuntimeError inside a command is a bug, not bad input: it leaves main with its traceback
+        def broken(*args, **kwargs):
+            raise RuntimeError("invariant broken")
+
+        monkeypatch.setattr(module, name, broken)
+        argv = (["verify", "--surface", "plane"] if module is rp else ["flow", "--surface", "perturbed-catenoid"])
+        with pytest.raises(RuntimeError, match="invariant broken"):
+            run_cli([*argv, "--n", "33", "--out", str(tmp_path / "r.json")])
+        assert not (tmp_path / "r.json").exists()
+
     def test_largest_finite_metric_gives_finite_keys(self, tmp_path):
         # no numpy warning either: a NaN made inside the report and dropped would raise here
         out = tmp_path / "r.json"
