@@ -15,13 +15,14 @@ frozen in place of compactly supported variations) and a backtracking
 line search keeps the energy trace exactly non-increasing; conformality
 is measured and recorded, never repaired.  A trial step costs one
 geometry bundle and its energy, which alone decide acceptance; Q and
-ps_norm are computed once, for accepted states only.  A run forms the
-next step's direction from the accepted bundle's div Q and lets that
-bundle go before the line search, so a search holds only its trial's
-bundle.  A run keeps the running state and one trial at a time; its
-trace keeps per-state scalars and the final patch only, so its memory
-does not grow with the number of iterations (``step`` returns full
-states, for a caller that wants the iterates).
+ps_norm are computed once, for accepted states only.  A descent trial
+has one path: ``run`` forms the direction from the accepted bundle's
+div Q, lets that bundle go, and hands the direction to ``step``, so a
+line search holds only its trial's bundle.  A run keeps the running
+state and one trial at a time; its trace keeps per-state scalars and
+the final patch only, so its memory does not grow with the number of
+iterations (``step(state, vel, tau0)`` returns full states, for a
+caller that wants the iterates).
 
 The stationarity measure ps_norm is an H^{-1}-type proxy for the dual
 norm in the Palais-Smale definition: solve Lap phi_k = (div Q)_k with
@@ -73,14 +74,11 @@ class FlowState:
     """Snapshot of one accepted flow iterate.
 
     An accepted state carries its patch and geometry bundle; ``run``
-    forms its descent ``velocity`` from the bundle and drops the bundle
-    before the next step, so a line search holds only its trial's bundle.
-    ``step`` reads the velocity, or forms it from the bundle (rebuilt from
-    the patch if absent).  An initial state keeps the patch it
-    was made from, jets included, so ``summary`` drops only the bundle and
-    the velocity: ``step`` rebuilds the same ones from the patch.  A
-    stalled state and the states stored in a FlowTrace carry no bundle,
-    and all but the final one no patch either (see FlowTrace).
+    forms the descent direction from the bundle and drops the bundle
+    before it steps from the state, so a line search holds only its
+    trial's bundle.  A stalled state and the states stored in a FlowTrace
+    carry no bundle, and all but the final one no patch either (see
+    FlowTrace).
     ``rejections`` names, in trial order, why each line-search trial of
     the step that produced this state was rejected: "energy" (no strict
     decrease) or the class name of the ValueError the trial raised.
@@ -94,10 +92,6 @@ class FlowState:
     stalled: bool = False   # no energy-decreasing step was found
     bundle: GeometryBundle | None = None
     rejections: tuple[str, ...] = ()
-    velocity: np.ndarray | None = None  # the next step's direction, formed by run
-
-    def summary(self) -> "FlowState":
-        return replace(self, bundle=None, velocity=None)
 
 
 def _accept(patch: ImmersionPatch, bundle: GeometryBundle, energy: float, tau: float,
@@ -118,20 +112,17 @@ def _state_from_patch(patch: ImmersionPatch) -> FlowState:
     return _accept(patch, bundle, willmore_energy(bundle), 0.0)
 
 
-def step(state: FlowState, tau0: float) -> FlowState:
-    """One backtracking descent step from an accepted state.
+def step(state: FlowState, vel: np.ndarray, tau0: float) -> FlowState:
+    """One backtracking descent step from an accepted state along vel, the ``descent_velocity`` of its bundle.
 
     Halves the trial step from tau0 (positive and finite, else ValueError) until the energy strictly
     decreases; returns the state flagged stalled, with no bundle, when tau drops below 1e-12 * tau0.
-    The direction is state.velocity, else formed from the state's bundle.  A trial whose bundle,
-    energy, Q or ps_norm raises a ValueError (geometry and solver failures are ValueErrors) is
-    rejected like one whose energy does not decrease.
+    A trial whose bundle (admitted by the metric rule of every patch), energy, Q or ps_norm raises a
+    ValueError (geometry and solver failures are ValueErrors) is rejected like one whose energy does
+    not decrease.
     """
     if not 0.0 < tau0 < np.inf:  # NaN and inf would stall without a trial
         raise ValueError(f"trial step tau0 must be positive and finite, got {tau0}")
-    vel = state.velocity
-    if vel is None:
-        vel = descent_velocity(state.bundle if state.bundle is not None else make_bundle(state.patch))
     rejections = []
     tau = tau0
     while tau > _MIN_STEP_FACTOR * tau0:
@@ -204,14 +195,14 @@ def run(patch: ImmersionPatch, max_iters: int = 500, stop_ratio: float = 0.0) ->
         else:
             states.append(replace(state, patch=None, bundle=None))
             # the direction comes from the accepted bundle's div Q; the bundle goes before the line search
-            state = replace(state, bundle=None, velocity=descent_velocity(state.bundle))
-            state = step(state, tau_try)
+            vel, state = descent_velocity(state.bundle), replace(state, bundle=None)
+            state = step(state, vel, tau_try)
             if state.stalled:
                 stopped = "stalled"
             elif float(np.min(state.bundle.elam)) < elam_floor:
                 stopped = "degenerate"
             tau_try = 2.0 * state.tau
-    states.append(state.summary())
+    states.append(replace(state, bundle=None))
     energies = [s.energy for s in states]
     if any(b > a for a, b in zip(energies, energies[1:])):
         raise RuntimeError("energy trace must be non-increasing")

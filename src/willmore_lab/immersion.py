@@ -321,27 +321,34 @@ def _check_value(kind: str, name: str, default: Any, value: Any) -> None:
         raise ValueError(f"surface {kind} parameter {name} must be finite and positive, got {value!r}")
 
 
-def _check_metric(label: str, phi: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> None:
-    """ValueError unless the samples phi and the metric |d_i Phi|^2 are finite
-    and the metric is a normal number (not zero or subnormal) at every node."""
+def _metric(label: str, phi: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g11 = |d1 Phi|^2 and g22 = |d2 Phi|^2 at the nodes, by the one rule that admits a sampled immersion:
+    DegenerateImmersionError unless phi and the metric are finite, the metric is normal (not zero or
+    subnormal) at every node, and no |d_i Phi| is at most 1e-12 of its largest value on the patch."""
     with np.errstate(all="ignore"):  # an overflow or underflow is reported below
-        metric = [dg.component_sum(d * d) for d in (d1, d2)]
-    if not all(np.all(np.isfinite(x)) for x in (phi, *metric)):
-        raise ValueError(f"surface {label} is not finite on this grid: its samples or its metric |d_i Phi|^2 overflow")
-    if min(np.min(x) for x in metric) < np.finfo(float).tiny:
-        raise ValueError(f"surface {label} degenerates on this grid: its metric |d_i Phi|^2 is zero or subnormal")
+        g11, g22 = (dg.component_sum(d * d) for d in (d1, d2))
+    if not all(np.all(np.isfinite(x)) for x in (phi, g11, g22)):
+        raise DegenerateImmersionError(f"{label} is not finite on this grid: "
+                                       "its samples or its metric |d_i Phi|^2 overflow")
+    low = min(np.min(g11), np.min(g22))
+    if low < np.finfo(float).tiny:
+        raise DegenerateImmersionError(f"{label} degenerates on this grid: its metric |d_i Phi|^2 is zero or subnormal")
+    if np.sqrt(low) <= 1e-12 * np.sqrt(max(np.max(g11), np.max(g22))):  # sqrt is monotone: min/max |d_i Phi|
+        i, j = np.unravel_index(int(np.argmin(np.minimum(g11, g22))), g11.shape)
+        raise DegenerateImmersionError(f"{label} degenerates near node ({i}, {j})")
+    return g11, g22
 
 
 def make_surface(kind: str, grid: Grid, m: int = 3, **params) -> ImmersionPatch:
     """Construct the ``CATALOG`` surface ``kind`` on the given grid; parameters
     left out take their defaults, the others are checked by _check_surface.
-    ValueError if the samples or the metric |d_i Phi|^2 are not finite, or the
-    metric is zero or subnormal somewhere."""
+    DegenerateImmersionError unless the jet meets the one metric rule that
+    ``conformal_factor`` applies to every bundle (``_metric``)."""
     kind = kind.replace("-", "_")
     record = _check_surface(kind, m, params)
-    with np.errstate(all="ignore"):  # an overflow is reported by _check_metric
+    with np.errstate(all="ignore"):  # an overflow is reported by _metric
         jet = record.jets(grid, m, **{**record.params, **params})
-    _check_metric(kind, jet.phi, jet.d1, jet.d2)
+    _metric(f"surface {kind}", jet.phi, jet.d1, jet.d2)
     label = kind if not params else kind + "(" + ",".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
     return ImmersionPatch(grid=grid, m=m, phi=jet.phi, jets=jet, label=label)
 
@@ -365,7 +372,7 @@ def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05
     The result has no analytic jets; geometry falls back to FD.  Used to
     produce off-critical starting points for the descent flow.  seed and
     amplitude are checked like the catalog parameters, and the result like a
-    catalog surface, with its finite-difference metric (ValueError).
+    catalog surface, with its finite-difference metric (``_metric``).
     """
     _check_value(f"perturbed-{patch.label}", "seed", 0, seed)
     _check_value(f"perturbed-{patch.label}", "amplitude", 0.05, amplitude)
@@ -381,11 +388,11 @@ def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05
         c = rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
         g += c * np.exp(-((X1 - p1) ** 2 + (X2 - p2) ** 2) / w**2)
     label = f"perturbed-{patch.label}(seed={seed},amp={amplitude})"
-    with np.errstate(all="ignore"):  # an overflow is reported by _check_metric
+    with np.errstate(all="ignore"):  # an overflow is reported by _metric
         bump = amplitude * window * g
         phi = patch.phi + bump[..., None] * normal
         d1, d2 = dg.d1(grid, phi), dg.d2(grid, phi)
-    _check_metric(label, phi, d1, d2)
+    _metric(f"surface {label}", phi, d1, d2)
     return patch.with_phi(phi, label=label)
 
 
@@ -475,15 +482,10 @@ def conformal_factor(grid: Grid, jet: Jet) -> tuple[np.ndarray, float]:
     exp(lambda) can differ from it in the last bit.
 
     The defect is the interior max of ||d1|-|d2||/e^lambda and
-    |d1 . d2|/e^2lambda; a node where |d_i Phi| is at most 1e-12 of its
-    largest value on the patch raises (so does an all-zero jet).
+    |d1 . d2|/e^2lambda; a jet that fails the one metric rule (``_metric``,
+    as in make_surface and perturb_normal) raises DegenerateImmersionError.
     """
-    n1 = np.sqrt(dg.component_sum(jet.d1 * jet.d1))
-    n2 = np.sqrt(dg.component_sum(jet.d2 * jet.d2))
-    floor = 1e-12 * max(np.max(n1), np.max(n2))
-    if np.min(n1) <= floor or np.min(n2) <= floor:
-        i, j = np.unravel_index(int(np.argmin(n1 + n2)), n1.shape)
-        raise DegenerateImmersionError(f"immersion degenerates near node ({i}, {j})")
+    n1, n2 = (np.sqrt(g) for g in _metric("immersion", jet.phi, jet.d1, jet.d2))
     win = grid.interior()
     cross = np.abs(dg.component_sum(jet.d1 * jet.d2))
     defect = float(max(np.max(np.abs(n1 - n2)[win] / n1[win]), np.max(cross[win] / n1[win] ** 2)))

@@ -437,6 +437,12 @@ class TestLorentzCommand:
 
 
 class TestFlowCommand:
+    def test_tiny_sphere_flow_warns_nothing(self, capsys):
+        # a trial whose metric overflows is rejected by the metric rule every patch meets, before
+        # anything reads it: no RuntimeWarning (an error here), exit 0
+        assert run_cli(["flow", "--surface", "sphere:rho=1e-100", "--n", "33", "--max-iters", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["surface"] == "sphere(rho=1e-100)"
+
     def test_perturbed_catenoid_trace(self, tmp_path):
         out = tmp_path / "trace.csv"
         rc = run_cli([

@@ -22,6 +22,11 @@ def make_state(kind, **params):
     return patch, im.make_bundle(patch)
 
 
+def step_from(state, tau0=1.0):
+    """fl.step along the direction run forms: descent_velocity of the state's bundle."""
+    return fl.step(state, fl.descent_velocity(state.bundle), tau0)
+
+
 def perturbed_catenoid(seed=0):
     return im.perturb_normal(im.make_surface("catenoid", G65), seed=seed, amplitude=0.05)
 
@@ -96,7 +101,7 @@ class TestStep:
         vel = fl.descent_velocity(b)
         assert np.max(np.abs(vel)) < 1e-14
         state = fl._state_from_patch(patch)
-        new = fl.step(state, tau0=1.0)
+        new = step_from(state)
         assert new.stalled
         assert new.energy == state.energy
 
@@ -106,12 +111,12 @@ class TestStep:
         patch, _ = make_state("plane")
         state = fl._state_from_patch(patch)
         with pytest.raises(ValueError, match="positive and finite"):
-            fl.step(state, tau0=tau0)
+            step_from(state, tau0)
 
     def test_first_step_decreases_energy_on_perturbation(self):
         patch = im.perturb_normal(im.make_surface("catenoid", G65), seed=0, amplitude=0.05)
         state = fl._state_from_patch(patch)
-        new = fl.step(state, tau0=1.0)
+        new = step_from(state)
         assert not new.stalled
         assert new.energy < state.energy
         assert new.tau > 0.0
@@ -119,35 +124,13 @@ class TestStep:
     def test_frozen_boundary_ring(self):
         patch = im.perturb_normal(im.make_surface("catenoid", G65), seed=1, amplitude=0.05)
         state = fl._state_from_patch(patch)
-        new = fl.step(state, tau0=1.0)
+        new = step_from(state)
         diff = np.abs(new.patch.phi - patch.phi)
         assert np.max(diff[:2]) == 0.0 and np.max(diff[-2:]) == 0.0
         assert np.max(diff[:, :2]) == 0.0 and np.max(diff[:, -2:]) == 0.0
 
-    def test_step_from_summary_matches_full_state(self):
-        state = fl._state_from_patch(perturbed_catenoid())
-        full = fl.step(state, tau0=1.0)
-        stripped = state.summary()
-        assert stripped.bundle is None
-        light = fl.step(stripped, tau0=1.0)
-        assert light.energy == full.energy and light.ps == full.ps and light.tau == full.tau
-        assert light.rejections == full.rejections
-        assert np.array_equal(light.patch.phi, full.patch.phi)
-        assert np.array_equal(light.bundle.derived(fl.assemble_Q), full.bundle.derived(fl.assemble_Q))
-
-    def test_step_from_summary_keeps_the_analytic_jet(self):
-        # a state made from a patch keeps that patch with its jets, so the step from its summary
-        # rebuilds the bundle from the analytic jet, not from finite differences of phi
-        patch = im.make_surface("graph_perturbation", Grid(0.5, 33))
-        state = fl._state_from_patch(patch)
-        assert state.patch is patch
-        full, light = fl.step(state, tau0=1.0), fl.step(state.summary(), tau0=1.0)
-        for name in ("energy", "ps", "tau"):
-            assert np.float64(getattr(light, name)).tobytes() == np.float64(getattr(full, name)).tobytes(), name
-        assert light.patch.phi.tobytes() == full.patch.phi.tobytes() and light.rejections == full.rejections
-
     def test_accepted_state_holds_no_second_order_jet(self):
-        state = fl.step(fl._state_from_patch(perturbed_catenoid()), tau0=1.0)
+        state = step_from(fl._state_from_patch(perturbed_catenoid()))
         assert not state.stalled
         jet = state.bundle.jet
         assert (jet.d11, jet.d12, jet.d22) == (None, None, None)
@@ -155,7 +138,7 @@ class TestStep:
 
     def test_trial_failing_after_energy_decrease_is_rejected(self, monkeypatch):
         state = fl._state_from_patch(perturbed_catenoid())
-        ref = fl.step(state, tau0=1.0)
+        ref = step_from(state)
         ps_norm = fl.ps_norm
         raised = []
 
@@ -166,7 +149,7 @@ class TestStep:
             return ps_norm(bundle)
 
         monkeypatch.setattr(fl, "ps_norm", ps_norm_failing_once)
-        new = fl.step(state, tau0=1.0)
+        new = step_from(state)
         assert raised
         assert new.tau == 0.5 * ref.tau
         assert new.rejections == ref.rejections + ("ValueError",)
@@ -366,7 +349,7 @@ class TestRun:
 
     def test_energy_increase_raises(self, monkeypatch):
         # the run drops the bundle before the step, so the uphill state carries one of its own
-        def uphill(state, tau0):
+        def uphill(state, vel, tau0):
             return replace(state, energy=state.energy + 1.0, tau=tau0, bundle=im.make_bundle(state.patch))
 
         monkeypatch.setattr(fl, "step", uphill)

@@ -261,6 +261,45 @@ class TestConformalFactor:
             im.conformal_factor(G65, replace(jet, d1=d1))
 
 
+def inadmissible_sphere(case):
+    """A sphere patch on G33 that no entry point may admit: its metric overflows or underflows, a
+    sample is NaN (finite differences carry it into the metric, as in a flow trial), or |d1 Phi|
+    falls to 1e-13 of the rest at node (3, 4)."""
+    rho = {"overflow": 1e308, "underflow": 1e-200, "nan": 1.0, "floor": 1e-13}[case]
+    with np.errstate(all="ignore"):  # the overflow is the point
+        jet = im.CATALOG["sphere"].jets(G33, 3, rho=rho)
+    if case == "nan":
+        phi = jet.phi.copy()
+        phi[3, 4, 0] = np.nan
+        return rho, im.ImmersionPatch(G33, 3, phi, None, case)
+    if case == "floor":
+        d1 = jet.d1.copy()
+        d1[3, 4] *= 1e-13
+        jet = replace(jet, d1=d1)
+    return rho, im.ImmersionPatch(G33, 3, jet.phi, jet, case)
+
+
+ENTRY_POINTS = {
+    "make_surface": lambda rho, patch: im.make_surface("sphere", G33, rho=rho),
+    "perturb_normal": lambda rho, patch: im.perturb_normal(patch),
+    "make_bundle": lambda rho, patch: im.make_bundle(patch),
+    "conformal_factor": lambda rho, patch: im.conformal_factor(G33, patch.jet()),
+}
+
+
+CASES = {"overflow": "not finite", "underflow": "zero or subnormal", "nan": "not finite", "floor": r"\(3, 4\)"}
+
+
+# make_surface builds the catalog jet itself, so it takes only the sphere's overflowing and underflowing radii
+@pytest.mark.parametrize("entry, case", [(entry, case) for entry in sorted(ENTRY_POINTS) for case in CASES
+                                         if entry != "make_surface" or case in ("overflow", "underflow")])
+def test_one_metric_rule_admits_every_patch(entry, case):
+    # catalog, perturbed and bundled patches (a flow trial's among them) meet one rule
+    rho, patch = inadmissible_sphere(case)
+    with pytest.raises(im.DegenerateImmersionError, match=CASES[case]):
+        ENTRY_POINTS[entry](rho, patch)
+
+
 class TestFrames:
     @pytest.mark.parametrize("kind,params,m", [
         ("sphere", {"rho": 1.0}, 3),
