@@ -52,7 +52,7 @@ import numpy as np
 
 from . import diskgrid as dg
 from . import multivec as mv
-from .immersion import GeometryBundle, complex_frame, norm_B2, norm_H2
+from .immersion import GeometryBundle, complex_frame, gauss_map, norm_B2, norm_H2
 
 __all__ = [
     "surface_scale",
@@ -86,8 +86,8 @@ def _pin_grad_H(bundle: GeometryBundle) -> np.ndarray:
 
 
 def _grad_gauss(bundle: GeometryBundle) -> mv.BladeRows:
-    """grad n of the Gauss map, as rows over the field shape (2, n, n)."""
-    return mv.field_slotwise(partial(dg.grad, bundle.grid), bundle.gauss)
+    """grad n of the Gauss map, as rows over the field shape (2, n, n); n is formed here and goes with the call."""
+    return mv.field_slotwise(partial(dg.grad, bundle.grid), gauss_map(bundle))
 
 
 def _H0cH(bundle: GeometryBundle) -> np.ndarray:

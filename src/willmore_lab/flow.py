@@ -38,7 +38,7 @@ import numpy as np
 
 from . import diskgrid as dg
 from .conservation import _div_Q, assemble_Q, willmore_residual  # noqa: F401 (a binding perfbench traces)
-from .immersion import GeometryBundle, ImmersionPatch, make_bundle, willmore_energy
+from .immersion import GeometryBundle, ImmersionPatch, conformal_defect, make_bundle, willmore_energy
 
 __all__ = ["FlowState", "FlowTrace", "ps_norm", "descent_velocity", "step", "run"]
 
@@ -100,7 +100,7 @@ def _accept(patch: ImmersionPatch, bundle: GeometryBundle, energy: float, tau: f
         patch=patch,
         energy=energy,
         ps=bundle.derived(ps_norm),
-        conformal_defect=bundle.conformal_defect,
+        conformal_defect=bundle.derived(conformal_defect),
         tau=tau,
         bundle=bundle,
         rejections=rejections,
@@ -132,10 +132,10 @@ def step(state: FlowState, vel: np.ndarray, tau0: float) -> FlowState:
             energy = willmore_energy(trial)
             if energy < state.energy:
                 return _accept(candidate, trial, energy, tau, tuple(rejections))
+            rejections.append("energy")
         except ValueError as exc:
             rejections.append(type(exc).__name__)
-        else:
-            rejections.append("energy")
+        trial = None  # a rejected trial's bundle goes before the next trial's is built
         tau *= 0.5
     return replace(state, tau=0.0, stalled=True, bundle=None, rejections=tuple(rejections))
 

@@ -14,12 +14,12 @@ conformal-frame conventions:
     H0       = 1/2 sum_a (h^a_11 - h^a_22 + 2 i h^a_12) n_a,
     K        = -e^-2lambda Laplace(lambda)   (and via the Gauss equation).
 
-``GeometryBundle`` is the one geometry record: ``make_bundle`` builds it
-from the fields that ``frames`` and ``second_fundamental`` return as
-dicts keyed by field name.  Anything computed from fields (here H0, the
-complex frame, both curvature routes, |H|^2 and |B|^2) is an entry read
-as ``bundle.derived(fn)``: computed once per bundle, and never stale,
-since ``dataclasses.replace`` starts an empty memo.
+``GeometryBundle`` is the one geometry record, the fields every reader
+shares: ``make_bundle`` builds it from the dicts keyed by field name that
+``frames`` and ``second_fundamental`` return.  Anything computed from
+fields (the Gauss map, the conformality defect, H0, the complex frame,
+both curvature routes, |H|^2, |B|^2) is an entry formed where it is read,
+as ``bundle.derived(fn)``: once per bundle, and never stale.
 
 The normal frame is deterministic: constant ambient seed vectors are
 Gram-Schmidt-projected when they stay uniformly transverse, and the
@@ -51,10 +51,11 @@ __all__ = [
     "Surface",
     "make_surface",
     "perturb_normal",
-    "conformal_factor",
     "frames",
     "second_fundamental",
     "make_bundle",
+    "gauss_map",
+    "conformal_defect",
     "tracefree_H0",
     "complex_frame",
     "gaussian_curvature",
@@ -343,7 +344,7 @@ def make_surface(kind: str, grid: Grid, m: int = 3, **params) -> ImmersionPatch:
     """Construct the ``CATALOG`` surface ``kind`` on the given grid; parameters
     left out take their defaults, the others are checked by _check_surface.
     DegenerateImmersionError unless the jet meets the one metric rule that
-    ``conformal_factor`` applies to every bundle (``_metric``)."""
+    ``frames`` applies to every bundle (``_metric``)."""
     kind = kind.replace("-", "_")
     record = _check_surface(kind, m, params)
     with np.errstate(all="ignore"):  # an overflow is reported by _metric
@@ -406,14 +407,14 @@ class GeometryBundle:
     and ``second_fundamental`` build, with the patch's grid and ambient
     dimension m and the first-order jet only (``make_bundle``).
 
-    normal_frame has shape (m-2, n, n, m); gauss holds n = n_1 ^ ... ^ n_{m-2}
-    as blade rows over (n, n).  t1/t2 are the exactly orthonormalized
-    tangents used for projections (they agree with e_i = e^-lambda d_i Phi
-    up to the conformality defect).  h has shape (n, n, m-2, 2, 2), and
-    area_density = e^{2 lambda}.  ``H0`` is no field: it reads the derived
-    entry ``tracefree_H0``, so a bundle that never reads it (a flow trial's)
-    never forms it, and a bundle with a replaced h or normal frame forms it
-    anew.
+    normal_frame has shape (m-2, n, n, m).  t1/t2 are the exactly
+    orthonormalized tangents used for projections (they agree with
+    e_i = e^-lambda d_i Phi up to the conformality defect).  h has shape
+    (n, n, m-2, 2, 2), and area_density = e^{2 lambda}.  ``H0``, the Gauss
+    map n = n_1 ^ ... ^ n_{m-2} (``gauss_map``) and the conformality defect
+    (``conformal_defect``) are no fields: a bundle that never reads them (a
+    rejected flow trial's) never forms them, and one with a replaced h or
+    normal frame forms them anew.
 
     ``derived(fn)`` evaluates fn(bundle) once per bundle (H0, the complex frame,
     K, |H|^2, Q, grad n, L, the surface scale, ...), also when several
@@ -432,8 +433,6 @@ class GeometryBundle:
     t1: np.ndarray
     t2: np.ndarray
     normal_frame: np.ndarray
-    gauss: mv.BladeRows
-    conformal_defect: float
     h: np.ndarray
     H: np.ndarray
     area_density: np.ndarray
@@ -475,23 +474,6 @@ class GeometryBundle:
         self._memo.pop(unwrap(fn), None)
 
 
-def conformal_factor(grid: Grid, jet: Jet) -> tuple[np.ndarray, float]:
-    """Conformal factor |d1 Phi| and the conformality defect of a patch's jet
-    on grid (``patch.jet()``, which ``frames`` already holds).  ``frames``
-    takes lambda = log |d1 Phi| and divides d1 Phi by this |d1 Phi| itself:
-    exp(lambda) can differ from it in the last bit.
-
-    The defect is the interior max of ||d1|-|d2||/e^lambda and
-    |d1 . d2|/e^2lambda; a jet that fails the one metric rule (``_metric``,
-    as in make_surface and perturb_normal) raises DegenerateImmersionError.
-    """
-    n1, n2 = (np.sqrt(g) for g in _metric("immersion", jet.phi, jet.d1, jet.d2))
-    win = grid.interior()
-    cross = np.abs(dg.component_sum(jet.d1 * jet.d2))
-    defect = float(max(np.max(np.abs(n1 - n2)[win] / n1[win]), np.max(cross[win] / n1[win] ** 2)))
-    return n1, defect
-
-
 def _orthonormal_tangents(jet: Jet, n1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """t1 = d1 Phi / n1 with n1 = |d1 Phi|, and t2 the unit part of d2 Phi orthogonal to t1."""
     t1 = jet.d1 / n1[..., None]
@@ -505,11 +487,14 @@ _SEED_ACCEPT = 0.35
 
 def frames(patch: ImmersionPatch) -> dict[str, Any]:
     """First-order geometry, keyed by ``GeometryBundle`` field: the patch's
-    grid and m, its whole jet (``patch.jet()``), lam, elam, the tangents t1
-    and t2, normal_frame, the Gauss map gauss and conformal_defect."""
+    grid and m, its whole jet (``patch.jet()``), lam, elam, t1, t2 and
+    normal_frame, which the entries ``gauss_map`` and ``conformal_defect``
+    read.  lam = log n1 and t1 = d1 Phi / n1 take n1 = |d1 Phi| from the one
+    metric rule (``_metric``), so a jet that fails it raises
+    DegenerateImmersionError; exp(lam) can differ from n1 in the last bit."""
     jet = patch.jet()
     m = patch.m
-    n1, defect = conformal_factor(patch.grid, jet)
+    n1 = np.sqrt(_metric("immersion", jet.phi, jet.d1, jet.d2)[0])
     lam = np.log(n1)
     elam = np.exp(lam)
     t1, t2 = _orthonormal_tangents(jet, n1)
@@ -539,8 +524,7 @@ def frames(patch: ImmersionPatch) -> dict[str, Any]:
     n_last /= np.sqrt(dg.component_sum(n_last * n_last))[..., None]
 
     normal_frame = np.stack(accepted + [n_last])
-    return dict(grid=patch.grid, m=m, jet=jet, lam=lam, elam=elam, t1=t1, t2=t2, normal_frame=normal_frame,
-                gauss=mv.field_wedge_vectors(*normal_frame), conformal_defect=defect)
+    return dict(grid=patch.grid, m=m, jet=jet, lam=lam, elam=elam, t1=t1, t2=t2, normal_frame=normal_frame)
 
 
 def second_fundamental(jet: Jet, elam: np.ndarray, normal_frame: np.ndarray) -> dict[str, np.ndarray]:
@@ -561,11 +545,25 @@ def second_fundamental(jet: Jet, elam: np.ndarray, normal_frame: np.ndarray) -> 
 
 def make_bundle(patch: ImmersionPatch) -> GeometryBundle:
     """The geometry bundle of patch: ``frames``, then ``second_fundamental`` of the whole jet.  The bundle
-    keeps the patch's grid and m and the first order of the jet, not the patch, so the second order goes with it."""
+    keeps the patch's grid and m and the first order of the jet, not the patch, so the second order goes with it.
+    The Gauss map and the conformality defect are formed where they are read (``gauss_map``, ``conformal_defect``)."""
     first = frames(patch)
     second = second_fundamental(first["jet"], first["elam"], first["normal_frame"])
     first["jet"] = replace(first["jet"], d11=None, d12=None, d22=None)
     return GeometryBundle(**first, **second)
+
+
+def gauss_map(bundle: GeometryBundle) -> mv.BladeRows:
+    """The Gauss map n = n_1 ^ ... ^ n_{m-2} of the normal frame, as blade rows over (n, n)."""
+    return mv.field_wedge_vectors(*bundle.normal_frame)
+
+
+def conformal_defect(bundle: GeometryBundle) -> float:
+    """Interior max of ||d1 Phi|-|d2 Phi|| / |d1 Phi| and |d1 Phi.d2 Phi| / |d1 Phi|^2, |d_i Phi| as in ``_metric``."""
+    jet, win = bundle.jet, bundle.grid.interior()
+    n1, n2 = (np.sqrt(dg.component_sum(d * d))[win] for d in (jet.d1, jet.d2))
+    cross = np.abs(dg.component_sum(jet.d1 * jet.d2))[win]
+    return float(max(np.max(np.abs(n1 - n2) / n1), np.max(cross / n1**2)))
 
 
 def tracefree_H0(bundle: GeometryBundle) -> np.ndarray:

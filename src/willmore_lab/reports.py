@@ -115,7 +115,8 @@ STAGES = (
           scaled=True),
     Stage("cw", "conformal", _cw, _Q + (cwmod._cw_lhs, cons._div_Q, im.tracefree_H0, cwmod.extract_A_f),
           ("cw_resid_f", "cw_resid_zero", "cwbis_resid"), scaled=True),
-    Stage("energies", "frame", lambda b: (cwmod.gauss_map_energy(b), b.conformal_defect, willmore_energy(b)),
+    Stage("energies", "frame",
+          lambda b: (cwmod.gauss_map_energy(b), b.derived(im.conformal_defect), willmore_energy(b)),
           (cons._grad_gauss,), ("gradn_energy", "conformal_defect", "willmore_energy"), scaled=False),
     Stage("S_R", "conformal", lambda b: ((sr := b.derived(_potentials)).S_defect, sr.R_defect),
           (cwmod.extract_A_f, _potentials), ("S_defect", "R_defect"), scaled=True),

@@ -233,8 +233,6 @@ class TestConsistencyTriangle:
         # residual unchanged to within 1e-8 relative
         from dataclasses import replace
 
-        from willmore_lab import multivec as mvec
-
         patch = im.make_surface("clifford_torus_patch", G65, m=4)
         b1 = im.make_bundle(patch)
         X1, X2 = G65.nodes()
@@ -244,9 +242,8 @@ class TestConsistencyTriangle:
             [c * b1.normal_frame[0] + s * b1.normal_frame[1],
              -s * b1.normal_frame[0] + c * b1.normal_frame[1]]
         )
-        gauss = mvec.field_wedge(mvec.vector_field_to_mv(rot[0]), mvec.vector_field_to_mv(rot[1]))
-        # h is rebuilt from the patch's jet: the bundle keeps no second order
-        b2 = replace(b1, normal_frame=rot, gauss=gauss, **im.second_fundamental(patch.jet(), b1.elam, rot))
+        # h is rebuilt from the patch's jet: the bundle keeps no second order; the Gauss map is the rotated frame's
+        b2 = replace(b1, normal_frame=rot, **im.second_fundamental(patch.jet(), b1.elam, rot))
         f1 = cw.extract_A_f(b1).f
         f2 = cw.extract_A_f(b2).f
         assert interior_sup(G65, f1 - f2) < 1e-8 * interior_sup(G65, f1)

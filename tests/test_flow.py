@@ -136,6 +136,25 @@ class TestStep:
         assert (jet.d11, jet.d12, jet.d22) == (None, None, None)
         assert "patch" not in {f.name for f in fields(state.bundle)}
 
+    def test_line_search_holds_one_bundle(self, monkeypatch):
+        # a rejected trial's bundle goes before the next trial's is built: when each build starts, no earlier
+        # trial's bundle is alive
+        patch = im.perturb_normal(im.make_surface("catenoid", Grid(0.5, 33)), seed=0, amplitude=0.05)
+        state = fl._state_from_patch(patch)
+        refs, live = [], []
+        make_bundle = fl.make_bundle
+
+        def recording_make_bundle(patch):
+            live.append(sum(ref() is not None for ref in refs))
+            bundle = make_bundle(patch)
+            refs.append(weakref.ref(bundle))
+            return bundle
+
+        monkeypatch.setattr(fl, "make_bundle", recording_make_bundle)
+        new = step_from(state)
+        assert new.rejections == ("energy",)  # the first trial is rejected, the second accepted
+        assert live == [0, 0]
+
     def test_trial_failing_after_energy_decrease_is_rejected(self, monkeypatch):
         state = fl._state_from_patch(perturbed_catenoid())
         ref = step_from(state)
@@ -346,6 +365,35 @@ class TestRun:
         assert cli.main(["flow", "--surface", "perturbed-catenoid:seed=0,amplitude=0.05", "--n", "65",
                          "--stop-ratio", "0.2", "--max-iters", "3", "--out", str(tmp_path / "flow.csv")]) == 0
         assert len(refs) == 1 and alive == [False, False, False]
+
+    def test_rejected_trial_forms_neither_defect_nor_gauss_map(self, monkeypatch):
+        # the conformality defect and the Gauss map are formed where they are read: once per accepted state,
+        # the initial one included, and never on a rejected trial's bundle, which only its energy decides
+        built, returned, read = [], [], {"conformal_defect": [], "gauss_map": []}
+        make_bundle, step = fl.make_bundle, fl.step
+
+        def recording_make_bundle(patch):
+            built.append(make_bundle(patch))
+            return built[-1]
+
+        def recording_step(*args, **kwargs):
+            returned.append(step(*args, **kwargs))
+            return returned[-1]
+
+        def reading(module, name):
+            inner = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda bundle: read[name].append(bundle) or inner(bundle))
+
+        monkeypatch.setattr(fl, "make_bundle", recording_make_bundle)
+        monkeypatch.setattr(fl, "step", recording_step)
+        reading(fl, "conformal_defect")
+        reading(cons, "gauss_map")
+        patch = im.perturb_normal(im.make_surface("catenoid", Grid(0.5, 33)), seed=0, amplitude=0.05)
+        trace = fl.run(patch, max_iters=5)
+        accepted = [built[0]] + [s.bundle for s in returned]
+        assert len(accepted) == len(trace.states) < len(built)  # the line search did reject trials
+        for name, bundles in read.items():
+            assert [id(b) for b in bundles] == [id(b) for b in accepted], name
 
     def test_energy_increase_raises(self, monkeypatch):
         # the run drops the bundle before the step, so the uphill state carries one of its own

@@ -175,7 +175,7 @@ class TestCatalogClosedForms:
         b = im.make_bundle(im.make_surface("plane", G65))
         assert np.max(np.abs(b.lam)) == 0.0
         assert np.max(np.abs(b.H)) == 0.0
-        assert b.conformal_defect == 0.0
+        assert im.conformal_defect(b) == 0.0
         assert np.max(np.abs(b.normal_frame[0] - np.array([0.0, 0.0, 1.0]))) < 1e-14
 
     def test_sphere(self):
@@ -215,7 +215,7 @@ class TestCatalogClosedForms:
         _, X2 = G65.nodes()
         assert np.max(np.abs(b.lam - np.log(np.cosh(X2)))) < 1e-13
         assert np.max(np.abs(b.H)) < 1e-13
-        assert b.conformal_defect < 1e-13
+        assert im.conformal_defect(b) < 1e-13
 
     def test_enneper_minimal_conformal(self):
         b = im.make_bundle(im.make_surface("enneper", Grid(0.4, 65)))
@@ -228,37 +228,37 @@ class TestCatalogClosedForms:
         _, X2 = G65.nodes()
         v = 2.0 * np.arctan((np.sqrt(2.0) + 1.0) * np.tan(X2 / 2.0))
         assert np.max(np.abs(b.elam - (np.sqrt(2.0) + np.cos(v)))) < 1e-13
-        assert b.conformal_defect < 1e-13
+        assert im.conformal_defect(b) < 1e-13
 
 
-class TestConformalFactor:
+class TestConformalDefect:
     def test_defect_zero_for_exact_catalog(self):
         for kind, params in ALL_KINDS[:-1]:
-            _, defect = im.conformal_factor(G65, im.make_surface(kind, G65, **params).jet())
+            defect = im.conformal_defect(im.make_bundle(im.make_surface(kind, G65, **params)))
             assert defect < 1e-12, kind
 
     def test_graph_defect_scales_with_amplitude_squared(self):
         d = {}
         for amp in (0.02, 0.04):
-            _, d[amp] = im.conformal_factor(
-                G65, im.make_surface("graph_perturbation", G65, seed=1, amplitude=amp).jet()
+            d[amp] = im.conformal_defect(
+                im.make_bundle(im.make_surface("graph_perturbation", G65, seed=1, amplitude=amp))
             )
         assert 3.0 < d[0.04] / d[0.02] < 5.0
 
     def test_degenerate_immersion_raises(self):
         patch = im.ImmersionPatch(G65, 3, np.zeros((65, 65, 3)), None, "degenerate")
         with pytest.raises(im.DegenerateImmersionError):
-            im.conformal_factor(G65, patch.jet())
+            im.frames(patch)
 
     def test_degeneracy_gate_is_relative(self):
         # a sphere of radius 1e-13 is a valid immersion; one node at 1e-13 of the rest is not
-        jet = im.make_surface("sphere", G65, rho=1e-13).jet()
-        speed, _ = im.conformal_factor(G65, jet)
+        patch = im.make_surface("sphere", G65, rho=1e-13)
+        speed = im.frames(patch)["elam"]
         assert np.all(np.isfinite(np.log(speed)))
-        d1 = jet.d1.copy()
+        d1 = patch.jets.d1.copy()
         d1[3, 4] *= 1e-13
         with pytest.raises(im.DegenerateImmersionError, match=r"\(3, 4\)"):
-            im.conformal_factor(G65, replace(jet, d1=d1))
+            im.frames(replace(patch, jets=replace(patch.jets, d1=d1)))
 
 
 def inadmissible_sphere(case):
@@ -283,7 +283,7 @@ ENTRY_POINTS = {
     "make_surface": lambda rho, patch: im.make_surface("sphere", G33, rho=rho),
     "perturb_normal": lambda rho, patch: im.perturb_normal(patch),
     "make_bundle": lambda rho, patch: im.make_bundle(patch),
-    "conformal_factor": lambda rho, patch: im.conformal_factor(G33, patch.jet()),
+    "frames": lambda rho, patch: im.frames(patch),
 }
 
 
@@ -326,11 +326,12 @@ class TestFrames:
     ])
     def test_gauss_map_orientation(self, kind, params, m):
         # star(n ^ e1) = e2 and star(n ^ e2) = -e1, exactly by construction
-        b = im.frames(im.make_surface(kind, G65, m=m, **params))
-        s1 = mv.mv_field_vector_part(mv.field_hodge(mv.field_wedge(b["gauss"], mv.vector_field_to_mv(b["t1"]))))
-        s2 = mv.mv_field_vector_part(mv.field_hodge(mv.field_wedge(b["gauss"], mv.vector_field_to_mv(b["t2"]))))
-        assert np.max(np.abs(s1 - b["t2"])) < 1e-10
-        assert np.max(np.abs(s2 + b["t1"])) < 1e-10
+        b = im.make_bundle(im.make_surface(kind, G65, m=m, **params))
+        gauss = im.gauss_map(b)
+        s1 = mv.mv_field_vector_part(mv.field_hodge(mv.field_wedge(gauss, mv.vector_field_to_mv(b.t1))))
+        s2 = mv.mv_field_vector_part(mv.field_hodge(mv.field_wedge(gauss, mv.vector_field_to_mv(b.t2))))
+        assert np.max(np.abs(s1 - b.t2)) < 1e-10
+        assert np.max(np.abs(s2 + b.t1)) < 1e-10
 
     def test_sphere_normal_is_radial(self):
         p = im.make_surface("sphere", G65, rho=1.0)
@@ -418,10 +419,9 @@ class TestSecondFundamental:
             [c * b1.normal_frame[0] + s * b1.normal_frame[1],
              -s * b1.normal_frame[0] + c * b1.normal_frame[1]]
         )
-        gauss = mv.field_wedge(mv.vector_field_to_mv(rot[0]), mv.vector_field_to_mv(rot[1]))
-        # h is rebuilt from the patch's jet: the bundle keeps no second order
-        b2 = replace(b1, normal_frame=rot, gauss=gauss, **im.second_fundamental(patch.jet(), b1.elam, rot))
-        assert np.max(np.abs(b2.gauss.dense() - b1.gauss.dense())) < 1e-12
+        # h is rebuilt from the patch's jet: the bundle keeps no second order; the Gauss map is the rotated frame's
+        b2 = replace(b1, normal_frame=rot, **im.second_fundamental(patch.jet(), b1.elam, rot))
+        assert np.max(np.abs(im.gauss_map(b2).dense() - im.gauss_map(b1).dense())) < 1e-12
         assert np.max(np.abs(b2.H - b1.H)) < 1e-12
         assert np.max(np.abs(b2.H0 - b1.H0)) < 1e-12
         K1, K2 = (b.derived(im.gaussian_curvature)[1] for b in (b1, b2))
@@ -571,10 +571,10 @@ def test_frames_match_the_dense_blade_chains(kind, params, m):
     def wedge(a, b):
         return mv.field_wedge(mv.BladeRows.from_dense(a), mv.BladeRows.from_dense(b)).dense()
 
-    b = im.frames(im.make_surface(kind, G65, m=m, **params))
-    normal_frame = b["normal_frame"]
-    w = embed(b["t1"])
-    for v in [b["t2"], *normal_frame[:-1]]:
+    b = im.make_bundle(im.make_surface(kind, G65, m=m, **params))
+    normal_frame = b.normal_frame
+    w = embed(b.t1)
+    for v in [b.t2, *normal_frame[:-1]]:
         w = wedge(w, embed(v))
     n_last = (w[..., ::-1] * mv._hodge_signs(m))[..., 1 << np.arange(m)]
     n_last = n_last / np.sqrt(dg.component_sum(n_last * n_last))[..., None]
@@ -582,4 +582,4 @@ def test_frames_match_the_dense_blade_chains(kind, params, m):
     for v in normal_frame[1:]:
         gauss = wedge(gauss, embed(v))
     assert normal_frame[-1].tobytes() == n_last.tobytes()
-    assert b["gauss"].dense().tobytes() == gauss.tobytes()
+    assert im.gauss_map(b).dense().tobytes() == gauss.tobytes()

@@ -1,9 +1,10 @@
 """Package surface: every name a module lists in __all__ resolves, so does
 every function the benchmark's tracer wraps, and each benchmark workload
 still reaches every layer its traced run requires; the output hash tool
-hashes arrays by value only."""
+finds every bundle array it lists and hashes arrays by value only."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -47,6 +48,19 @@ def test_traced_layers_resolve(monkeypatch):
     missing = [(module, fn) for module, fn in layers
                if not callable(getattr(importlib.import_module(f"willmore_lab.{module}"), fn, None))]
     assert missing == []
+
+
+def test_hashed_bundle_arrays_resolve(monkeypatch):
+    # the output hash tool reads each of its bundle arrays from a bundle field or, through DERIVED_ARRAYS,
+    # from the immersion function that computes it; a field moved to a function without its mapping would
+    # break only that slow tool, run by hand, so its names are checked here (the file is only read)
+    from willmore_lab import immersion
+
+    tool = _load(monkeypatch, OUTPUT_HASHES)
+    fields = {f.name for f in dataclasses.fields(immersion.GeometryBundle)}
+    unresolved = [name for name in tool.BUNDLE_ARRAYS if name not in fields and not (
+        name in tool.DERIVED_ARRAYS and callable(getattr(immersion, tool.DERIVED_ARRAYS[name][0], None)))]
+    assert unresolved == []
 
 
 def test_required_bindings_resolve(monkeypatch):

@@ -140,7 +140,7 @@ def raw_values(patch):
         ("a4_resid", "a5_resid"): cw.frame_derivative_residuals(b),
         ("codazzi_resid",): (cw.codazzi_residual(b),),
         ("gradn_energy", "conformal_defect", "willmore_energy"):
-            (cw.gauss_map_energy(b), b.conformal_defect, im.willmore_energy(b)),
+            (cw.gauss_map_energy(b), im.conformal_defect(b), im.willmore_energy(b)),
     }
     values = {key: value for keys, row in rows.items() for key, value in zip(keys, row, strict=True)}
     return values, cons.surface_scale(b)

@@ -63,7 +63,8 @@ BUNDLE_ARRAYS = ("lam", "elam", "t1", "t2", "ez", "ezstar", "normal_frame", "gau
                  "h", "H", "H0", "K_lambda", "K_gauss", "area_density")
 # name -> (immersion function of the bundle, index into the tuple it returns; None: it returns the array)
 DERIVED_ARRAYS = {"H0": ("tracefree_H0", None), "ez": ("complex_frame", 0), "ezstar": ("complex_frame", 1),
-                  "K_lambda": ("gaussian_curvature", 0), "K_gauss": ("gaussian_curvature", 1)}
+                  "K_lambda": ("gaussian_curvature", 0), "K_gauss": ("gaussian_curvature", 1),
+                  "gauss": ("gauss_map", None)}
 
 CATALOG = ("plane", "sphere", "cylinder", "catenoid", "enneper", "clifford_torus_patch", "graph_perturbation")
 
