@@ -15,14 +15,11 @@ frozen in place of compactly supported variations) and a backtracking
 line search keeps the energy trace exactly non-increasing; conformality
 is measured and recorded, never repaired.  A trial step costs one
 geometry bundle and its energy, which alone decide acceptance; Q and
-ps_norm are computed once, for accepted states only.  A descent trial
-has one path: ``run`` forms the direction from the accepted bundle's
-div Q, lets that bundle go, and hands the direction to ``step``, so a
-line search holds only its trial's bundle.  A run keeps the running
-state and one trial at a time; its trace keeps per-state scalars and
-the final patch only, so its memory does not grow with the number of
-iterations (``step(state, vel, tau0)`` returns full states, for a
-caller that wants the iterates).
+ps_norm are computed once, for accepted states only.  A run keeps the
+running state and one trial at a time; its trace keeps per-state
+scalars and the final patch only, so its memory does not grow with the
+number of iterations (``step(state, vel, tau0)`` returns full states
+beside their bundles, for a caller that wants the iterates).
 
 The stationarity measure ps_norm is an H^{-1}-type proxy for the dual
 norm in the Palais-Smale definition: solve Lap phi_k = (div Q)_k with
@@ -73,12 +70,8 @@ def descent_velocity(bundle: GeometryBundle) -> np.ndarray:
 class FlowState:
     """Snapshot of one accepted flow iterate.
 
-    An accepted state carries its patch and geometry bundle; ``run``
-    forms the descent direction from the bundle and drops the bundle
-    before it steps from the state, so a line search holds only its
-    trial's bundle.  A stalled state and the states stored in a FlowTrace
-    carry no bundle, and all but the final one no patch either (see
-    FlowTrace).
+    The states stored in a FlowTrace, all but the final one, carry no
+    patch (see FlowTrace).
     ``rejections`` names, in trial order, why each line-search trial of
     the step that produced this state was rejected: "energy" (no strict
     decrease) or the class name of the ValueError the trial raised.
@@ -90,7 +83,6 @@ class FlowState:
     conformal_defect: float
     tau: float              # accepted step size (0.0 for the initial state)
     stalled: bool = False   # no energy-decreasing step was found
-    bundle: GeometryBundle | None = None
     rejections: tuple[str, ...] = ()
 
 
@@ -102,21 +94,21 @@ def _accept(patch: ImmersionPatch, bundle: GeometryBundle, energy: float, tau: f
         ps=bundle.derived(ps_norm),
         conformal_defect=bundle.derived(conformal_defect),
         tau=tau,
-        bundle=bundle,
         rejections=rejections,
     )
 
 
-def _state_from_patch(patch: ImmersionPatch) -> FlowState:
+def _state_from_patch(patch: ImmersionPatch) -> tuple[FlowState, GeometryBundle]:
     bundle = make_bundle(patch)
-    return _accept(patch, bundle, willmore_energy(bundle), 0.0)
+    return _accept(patch, bundle, willmore_energy(bundle), 0.0), bundle
 
 
-def step(state: FlowState, vel: np.ndarray, tau0: float) -> FlowState:
+def step(state: FlowState, vel: np.ndarray, tau0: float) -> tuple[FlowState, GeometryBundle | None]:
     """One backtracking descent step from an accepted state along vel, the ``descent_velocity`` of its bundle.
 
     Halves the trial step from tau0 (positive and finite, else ValueError) until the energy strictly
-    decreases; returns the state flagged stalled, with no bundle, when tau drops below 1e-12 * tau0.
+    decreases and returns the accepted state and its trial's bundle; returns the state flagged stalled
+    and None when tau drops below 1e-12 * tau0.
     A trial whose bundle (admitted by the metric rule of every patch), energy, Q or ps_norm raises a
     ValueError (geometry and solver failures are ValueErrors) is rejected like one whose energy does
     not decrease.
@@ -131,13 +123,13 @@ def step(state: FlowState, vel: np.ndarray, tau0: float) -> FlowState:
             trial = make_bundle(candidate)
             energy = willmore_energy(trial)
             if energy < state.energy:
-                return _accept(candidate, trial, energy, tau, tuple(rejections))
+                return _accept(candidate, trial, energy, tau, tuple(rejections)), trial
             rejections.append("energy")
         except ValueError as exc:
             rejections.append(type(exc).__name__)
         trial = None  # a rejected trial's bundle goes before the next trial's is built
         tau *= 0.5
-    return replace(state, tau=0.0, stalled=True, bundle=None, rejections=tuple(rejections))
+    return replace(state, tau=0.0, stalled=True, rejections=tuple(rejections)), None
 
 
 @dataclass(frozen=True)
@@ -183,9 +175,9 @@ def run(patch: ImmersionPatch, max_iters: int = 500, stop_ratio: float = 0.0) ->
     (e^lambda below 1e-8 of its initial maximum) ends the run, stopped_by
     "degenerate", after that state.
     """
-    state = _state_from_patch(patch)
+    state, bundle = _state_from_patch(patch)
     stop = stop_ratio * state.ps
-    elam_floor = 1e-8 * float(np.max(state.bundle.elam))
+    elam_floor = 1e-8 * float(np.max(bundle.elam))
     states, stopped, tau_try = [], None, 1.0
     while stopped is None:
         if stop > 0.0 and state.ps <= stop:
@@ -193,16 +185,16 @@ def run(patch: ImmersionPatch, max_iters: int = 500, stop_ratio: float = 0.0) ->
         elif len(states) >= max_iters:
             stopped = "max_iters"
         else:
-            states.append(replace(state, patch=None, bundle=None))
+            states.append(replace(state, patch=None))
             # the direction comes from the accepted bundle's div Q; the bundle goes before the line search
-            vel, state = descent_velocity(state.bundle), replace(state, bundle=None)
-            state = step(state, vel, tau_try)
+            vel, bundle = descent_velocity(bundle), None
+            state, bundle = step(state, vel, tau_try)
             if state.stalled:
                 stopped = "stalled"
-            elif float(np.min(state.bundle.elam)) < elam_floor:
+            elif float(np.min(bundle.elam)) < elam_floor:
                 stopped = "degenerate"
             tau_try = 2.0 * state.tau
-    states.append(replace(state, bundle=None))
+    states.append(state)
     energies = [s.energy for s in states]
     if any(b > a for a, b in zip(energies, energies[1:])):
         raise RuntimeError("energy trace must be non-increasing")

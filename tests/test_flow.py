@@ -22,9 +22,9 @@ def make_state(kind, **params):
     return patch, im.make_bundle(patch)
 
 
-def step_from(state, tau0=1.0):
-    """fl.step along the direction run forms: descent_velocity of the state's bundle."""
-    return fl.step(state, fl.descent_velocity(state.bundle), tau0)
+def step_from(state, bundle, tau0=1.0):
+    """fl.step along the direction run forms: descent_velocity of the bundle that came with the state."""
+    return fl.step(state, fl.descent_velocity(bundle), tau0)
 
 
 def perturbed_catenoid(seed=0):
@@ -100,47 +100,47 @@ class TestStep:
         patch, b = make_state("plane")
         vel = fl.descent_velocity(b)
         assert np.max(np.abs(vel)) < 1e-14
-        state = fl._state_from_patch(patch)
-        new = step_from(state)
+        state, bundle = fl._state_from_patch(patch)
+        new, new_bundle = step_from(state, bundle)
         assert new.stalled
+        assert new_bundle is None  # a stalled step returns no bundle
         assert new.energy == state.energy
 
     @pytest.mark.parametrize("tau0", [np.nan, np.inf, 0.0, -1.0])
     def test_trial_step_must_be_positive_and_finite(self, tau0):
         # NaN and inf would skip the line search and return a stalled state without one trial
         patch, _ = make_state("plane")
-        state = fl._state_from_patch(patch)
+        state, bundle = fl._state_from_patch(patch)
         with pytest.raises(ValueError, match="positive and finite"):
-            step_from(state, tau0)
+            step_from(state, bundle, tau0)
 
     def test_first_step_decreases_energy_on_perturbation(self):
         patch = im.perturb_normal(im.make_surface("catenoid", G65), seed=0, amplitude=0.05)
-        state = fl._state_from_patch(patch)
-        new = step_from(state)
+        state, bundle = fl._state_from_patch(patch)
+        new, _ = step_from(state, bundle)
         assert not new.stalled
         assert new.energy < state.energy
         assert new.tau > 0.0
 
     def test_frozen_boundary_ring(self):
         patch = im.perturb_normal(im.make_surface("catenoid", G65), seed=1, amplitude=0.05)
-        state = fl._state_from_patch(patch)
-        new = step_from(state)
+        new, _ = step_from(*fl._state_from_patch(patch))
         diff = np.abs(new.patch.phi - patch.phi)
         assert np.max(diff[:2]) == 0.0 and np.max(diff[-2:]) == 0.0
         assert np.max(diff[:, :2]) == 0.0 and np.max(diff[:, -2:]) == 0.0
 
     def test_accepted_state_holds_no_second_order_jet(self):
-        state = step_from(fl._state_from_patch(perturbed_catenoid()))
+        state, bundle = step_from(*fl._state_from_patch(perturbed_catenoid()))
         assert not state.stalled
-        jet = state.bundle.jet
+        jet = bundle.jet
         assert (jet.d11, jet.d12, jet.d22) == (None, None, None)
-        assert "patch" not in {f.name for f in fields(state.bundle)}
+        assert "patch" not in {f.name for f in fields(bundle)}
 
     def test_line_search_holds_one_bundle(self, monkeypatch):
         # a rejected trial's bundle goes before the next trial's is built: when each build starts, no earlier
         # trial's bundle is alive
         patch = im.perturb_normal(im.make_surface("catenoid", Grid(0.5, 33)), seed=0, amplitude=0.05)
-        state = fl._state_from_patch(patch)
+        state, bundle = fl._state_from_patch(patch)
         refs, live = [], []
         make_bundle = fl.make_bundle
 
@@ -151,13 +151,13 @@ class TestStep:
             return bundle
 
         monkeypatch.setattr(fl, "make_bundle", recording_make_bundle)
-        new = step_from(state)
+        new, _ = step_from(state, bundle)
         assert new.rejections == ("energy",)  # the first trial is rejected, the second accepted
         assert live == [0, 0]
 
     def test_trial_failing_after_energy_decrease_is_rejected(self, monkeypatch):
-        state = fl._state_from_patch(perturbed_catenoid())
-        ref = step_from(state)
+        state, bundle = fl._state_from_patch(perturbed_catenoid())
+        ref, _ = step_from(state, bundle)
         ps_norm = fl.ps_norm
         raised = []
 
@@ -168,7 +168,7 @@ class TestStep:
             return ps_norm(bundle)
 
         monkeypatch.setattr(fl, "ps_norm", ps_norm_failing_once)
-        new = step_from(state)
+        new, _ = step_from(state, bundle)
         assert raised
         assert new.tau == 0.5 * ref.tau
         assert new.rejections == ref.rejections + ("ValueError",)
@@ -254,7 +254,7 @@ class TestRun:
             assert got.energy == want["energy"]
             assert got.ps == want["ps"]
             assert got.tau == want["tau"]
-        for got, want in zip(iterates, ref[1:]):
+        for (got, _), want in zip(iterates, ref[1:]):
             assert got.energy == want["energy"] and got.tau == want["tau"]
             assert np.array_equal(got.patch.phi, want["patch"].phi)
         assert np.array_equal(trace.final.patch.phi, ref[-1]["patch"].phi)
@@ -283,8 +283,8 @@ class TestRun:
             finally:
                 tracemalloc.stop()
             assert len(trace.states) == iters + 1
-            assert trace.final.patch is last[0].patch
-            assert all(s.patch is None and s.bundle is None for s in trace.states[:-1])
+            assert trace.final.patch is last[0][0].patch
+            assert all(s.patch is None for s in trace.states[:-1])
             del trace
         assert abs(retained[30] - retained[5]) < patch.phi.nbytes
 
@@ -328,10 +328,10 @@ class TestRun:
         monkeypatch.setattr(fl, "make_bundle", tracked_make_bundle)
         trace = fl.run(perturbed_catenoid(), max_iters=5)
         assert trace.stopped_by == "max_iters"
-        assert not any(s.stalled for s in returned)
-        assert [s.rejections for s in trace.states[1:]] == [s.rejections for s in returned]
-        assert [len(s.rejections) for s in returned] == [b - 1 for b in builds]
-        assert any(s.rejections for s in returned)  # the line search did reject trials
+        assert not any(s.stalled for s, _ in returned)
+        assert [s.rejections for s in trace.states[1:]] == [s.rejections for s, _ in returned]
+        assert [len(s.rejections) for s, _ in returned] == [b - 1 for b in builds]
+        assert any(s.rejections for s, _ in returned)  # the line search did reject trials
         assert set(trace.rejections) <= {"energy", "DegenerateImmersionError", "FrameError",
                                          "SolverError", "ValueError"}
 
@@ -390,19 +390,43 @@ class TestRun:
         reading(cons, "gauss_map")
         patch = im.perturb_normal(im.make_surface("catenoid", Grid(0.5, 33)), seed=0, amplitude=0.05)
         trace = fl.run(patch, max_iters=5)
-        accepted = [built[0]] + [s.bundle for s in returned]
+        accepted = [built[0]] + [b for _, b in returned]
         assert len(accepted) == len(trace.states) < len(built)  # the line search did reject trials
         for name, bundles in read.items():
             assert [id(b) for b in bundles] == [id(b) for b in accepted], name
 
     def test_energy_increase_raises(self, monkeypatch):
-        # the run drops the bundle before the step, so the uphill state carries one of its own
+        # the run drops the bundle before the step, so the uphill step returns one of its own
         def uphill(state, vel, tau0):
-            return replace(state, energy=state.energy + 1.0, tau=tau0, bundle=im.make_bundle(state.patch))
+            return replace(state, energy=state.energy + 1.0, tau=tau0), im.make_bundle(state.patch)
 
         monkeypatch.setattr(fl, "step", uphill)
         with pytest.raises(RuntimeError, match="non-increasing"):
             fl.run(perturbed_catenoid(), max_iters=2)
+
+    def test_stalled_step_stops_the_run(self, monkeypatch):
+        def stalling(state, vel, tau0):
+            return replace(state, tau=0.0, stalled=True), None
+
+        monkeypatch.setattr(fl, "step", stalling)
+        trace = fl.run(perturbed_catenoid(), max_iters=5)
+        assert trace.stopped_by == "stalled"
+        assert len(trace.states) == 2 and trace.final.stalled
+        assert np.all(np.diff(trace.energies()) <= 0.0)
+
+    def test_collapsing_conformal_factor_stops_the_run(self, monkeypatch):
+        # the degenerate check reads the accepted bundle step returns: e^lambda below 1e-8 of its initial maximum
+        step = fl.step
+
+        def collapsing(*args, **kwargs):
+            state, bundle = step(*args, **kwargs)
+            return state, replace(bundle, elam=1e-9 * bundle.elam)
+
+        monkeypatch.setattr(fl, "step", collapsing)
+        trace = fl.run(perturbed_catenoid(), max_iters=5)
+        assert trace.stopped_by == "degenerate"
+        assert len(trace.states) == 2 and not trace.final.stalled
+        assert trace.final.energy < trace.initial.energy
 
     def test_trace_csv(self, tmp_path):
         # the flow command writes the trace table: one row per accepted state, in full precision

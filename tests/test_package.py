@@ -63,6 +63,14 @@ def test_hashed_bundle_arrays_resolve(monkeypatch):
     assert unresolved == []
 
 
+def test_hashed_surfaces_cover_the_catalog(monkeypatch):
+    # the output hash tool lists the catalog surfaces by hand; a surface added to the catalog without its
+    # line would silently drop out of the bit-identity listing
+    from willmore_lab import immersion
+
+    assert set(_load(monkeypatch, OUTPUT_HASHES).CATALOG) == set(immersion.CATALOG)
+
+
 def test_required_bindings_resolve(monkeypatch):
     # the benchmark's smoke test pins bindings made by "from .x import f", which the tracer
     # must wrap too; one dropped by a refactor would fail only that slow test
