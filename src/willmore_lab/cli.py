@@ -278,7 +278,7 @@ def cmd_flow(args) -> tuple[int, dict]:
     rows = [[i, f"{s.energy:.17g}", f"{s.ps:.17g}", f"{s.conformal_defect:.17g}", f"{s.tau:.17g}"]
             for i, s in enumerate(trace.states)]
     return 0, {"json": payload, "table": (["iter", "energy", "ps_norm", "conformal_defect", "tau"], rows),
-               "checkpoint": (patch.grid, trace.final.patch.phi)}
+               "checkpoint": (patch.grid, trace.patch.phi)}
 
 
 def _add_common(parser: argparse.ArgumentParser, surface: bool = True) -> None:

@@ -15,11 +15,11 @@ frozen in place of compactly supported variations) and a backtracking
 line search keeps the energy trace exactly non-increasing; conformality
 is measured and recorded, never repaired.  A trial step costs one
 geometry bundle and its energy, which alone decide acceptance; Q and
-ps_norm are computed once, for accepted states only.  A run keeps the
-running state and one trial at a time; its trace keeps per-state
-scalars and the final patch only, so its memory does not grow with the
-number of iterations (``step(state, vel, tau0)`` returns full states
-beside their bundles, for a caller that wants the iterates).
+ps_norm are computed once, for accepted states only.  A state is its
+scalars.  A run keeps the running patch and one trial at a time; its
+trace keeps per-state scalars and the final patch only, so its memory
+does not grow with the number of iterations (``step`` returns each
+iterate's patch and bundle beside its state, for a caller that wants them).
 
 The stationarity measure ps_norm is an H^{-1}-type proxy for the dual
 norm in the Palais-Smale definition: solve Lap phi_k = (div Q)_k with
@@ -68,16 +68,13 @@ def descent_velocity(bundle: GeometryBundle) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Snapshot of one accepted flow iterate.
-
-    The states stored in a FlowTrace, all but the final one, carry no
-    patch (see FlowTrace).
+    """Scalars of one accepted flow iterate; its patch travels beside it
+    (``step`` takes and returns it, ``FlowTrace.patch`` is the final one).
     ``rejections`` names, in trial order, why each line-search trial of
     the step that produced this state was rejected: "energy" (no strict
     decrease) or the class name of the ValueError the trial raised.
     """
 
-    patch: ImmersionPatch | None
     energy: float
     ps: float
     conformal_defect: float
@@ -86,10 +83,8 @@ class FlowState:
     rejections: tuple[str, ...] = ()
 
 
-def _accept(patch: ImmersionPatch, bundle: GeometryBundle, energy: float, tau: float,
-            rejections: tuple[str, ...] = ()) -> FlowState:
+def _accept(bundle: GeometryBundle, energy: float, tau: float, rejections: tuple[str, ...] = ()) -> FlowState:
     return FlowState(
-        patch=patch,
         energy=energy,
         ps=bundle.derived(ps_norm),
         conformal_defect=bundle.derived(conformal_defect),
@@ -100,15 +95,20 @@ def _accept(patch: ImmersionPatch, bundle: GeometryBundle, energy: float, tau: f
 
 def _state_from_patch(patch: ImmersionPatch) -> tuple[FlowState, GeometryBundle]:
     bundle = make_bundle(patch)
-    return _accept(patch, bundle, willmore_energy(bundle), 0.0), bundle
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, as a ValueError
+        state = _accept(bundle, willmore_energy(bundle), 0.0)
+    if not (np.isfinite(state.energy) and np.isfinite(state.ps)):
+        raise ValueError(f"flow cannot start on {patch.label}: its Willmore energy or ps norm is not finite")
+    return state, bundle
 
 
-def step(state: FlowState, vel: np.ndarray, tau0: float) -> tuple[FlowState, GeometryBundle | None]:
-    """One backtracking descent step from an accepted state along vel, the ``descent_velocity`` of its bundle.
+def step(state: FlowState, patch: ImmersionPatch, vel: np.ndarray,
+         tau0: float) -> tuple[FlowState, ImmersionPatch, GeometryBundle | None]:
+    """One backtracking descent step from an accepted state and its patch along vel, its bundle's ``descent_velocity``.
 
     Halves the trial step from tau0 (positive and finite, else ValueError) until the energy strictly
-    decreases and returns the accepted state and its trial's bundle; returns the state flagged stalled
-    and None when tau drops below 1e-12 * tau0.
+    decreases and returns the accepted state, its trial's patch and that trial's bundle; returns the
+    state flagged stalled, the patch it was given and None when tau drops below 1e-12 * tau0.
     A trial whose bundle (admitted by the metric rule of every patch), energy, Q or ps_norm raises a
     ValueError (geometry and solver failures are ValueErrors) is rejected like one whose energy does
     not decrease.
@@ -118,33 +118,32 @@ def step(state: FlowState, vel: np.ndarray, tau0: float) -> tuple[FlowState, Geo
     rejections = []
     tau = tau0
     while tau > _MIN_STEP_FACTOR * tau0:
-        candidate = state.patch.with_phi(state.patch.phi + tau * vel)
+        candidate = patch.with_phi(patch.phi + tau * vel)
         try:
             trial = make_bundle(candidate)
             energy = willmore_energy(trial)
             if energy < state.energy:
-                return _accept(candidate, trial, energy, tau, tuple(rejections)), trial
+                return _accept(trial, energy, tau, tuple(rejections)), candidate, trial
             rejections.append("energy")
         except ValueError as exc:
             rejections.append(type(exc).__name__)
         trial = None  # a rejected trial's bundle goes before the next trial's is built
         tau *= 0.5
-    return replace(state, tau=0.0, stalled=True, rejections=tuple(rejections)), None
+    return replace(state, tau=0.0, stalled=True, rejections=tuple(rejections)), patch, None
 
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """Accepted states of one descent run, energies non-increasing.
-
-    Every state keeps its scalars (energy, ps, conformal defect, tau,
-    stalled, rejections); only the final state keeps its patch, so a
-    trace holds one patch however long the run.  ``step`` returns the
-    iterates themselves.  The states are the one record of rejected
-    trials; ``rejections`` counts them.
+    """Accepted states of one descent run, energies non-increasing, and the
+    final iterate's patch.  A state is its scalars, so a trace holds one
+    patch however long the run; ``step`` returns the iterates themselves.
+    The states are the one record of rejected trials; ``rejections`` counts
+    them.
     """
 
     states: tuple[FlowState, ...]
     stopped_by: str   # "threshold" | "stalled" | "max_iters" | "degenerate"
+    patch: ImmersionPatch
 
     @property
     def rejections(self) -> dict[str, int]:
@@ -169,11 +168,11 @@ def run(patch: ImmersionPatch, max_iters: int = 500, stop_ratio: float = 0.0) ->
     The run stops by "threshold" once ps_norm is at most ``stop_ratio`` times
     the initial state's, also on the state that ends the max_iters budget; a
     threshold that is not positive (a ratio of 0, or an initial ps_norm of 0)
-    disables it.  The first line search starts at
-    tau = 1; afterwards the trial step is twice the last accepted one, so the
-    search stays near its acceptance boundary.  A collapsing conformal factor
-    (e^lambda below 1e-8 of its initial maximum) ends the run, stopped_by
-    "degenerate", after that state.
+    disables it.  The first line search starts at tau = 1; afterwards the
+    trial step is twice the last accepted one, so the search stays near its
+    acceptance boundary.  A collapsing conformal factor (e^lambda below 1e-8
+    of its initial maximum) ends the run, stopped_by "degenerate", after that
+    state.  ValueError if the initial energy or ps_norm is not finite.
     """
     state, bundle = _state_from_patch(patch)
     stop = stop_ratio * state.ps
@@ -185,10 +184,10 @@ def run(patch: ImmersionPatch, max_iters: int = 500, stop_ratio: float = 0.0) ->
         elif len(states) >= max_iters:
             stopped = "max_iters"
         else:
-            states.append(replace(state, patch=None))
+            states.append(state)
             # the direction comes from the accepted bundle's div Q; the bundle goes before the line search
             vel, bundle = descent_velocity(bundle), None
-            state, bundle = step(state, vel, tau_try)
+            state, patch, bundle = step(state, patch, vel, tau_try)
             if state.stalled:
                 stopped = "stalled"
             elif float(np.min(bundle.elam)) < elam_floor:
@@ -198,4 +197,4 @@ def run(patch: ImmersionPatch, max_iters: int = 500, stop_ratio: float = 0.0) ->
     energies = [s.energy for s in states]
     if any(b > a for a, b in zip(energies, energies[1:])):
         raise RuntimeError("energy trace must be non-increasing")
-    return FlowTrace(tuple(states), stopped)
+    return FlowTrace(tuple(states), stopped, patch)

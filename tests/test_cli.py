@@ -18,6 +18,7 @@ import pytest
 from willmore_lab import cli
 from willmore_lab import diskgrid as dg
 from willmore_lab import flow as fl
+from willmore_lab import immersion as im
 from willmore_lab import reports as rp
 from willmore_lab.diskgrid import Grid
 
@@ -443,6 +444,19 @@ class TestFlowCommand:
         assert run_cli(["flow", "--surface", "sphere:rho=1e-100", "--n", "33", "--max-iters", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["surface"] == "sphere(rho=1e-100)"
 
+    @pytest.mark.parametrize("rho", ["1e-152", "1e-154", "1e-200"])
+    def test_start_with_energy_that_is_not_finite_fails_in_one_line(self, tmp_path, capsys, rho):
+        # the start meets the finiteness a trial needs: no RuntimeWarning (an error here), exit 2, one
+        # line naming the patch, no output written
+        out = tmp_path / "trace.csv"
+        rc = run_cli(["flow", "--surface", f"cylinder:rho={rho}", "--n", "33", "--max-iters", "2",
+                      "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("willmore-lab: error: flow cannot start on ") and len(err.splitlines()) == 1
+        assert f"cylinder(rho={rho})" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_perturbed_catenoid_trace(self, tmp_path):
         out = tmp_path / "trace.csv"
         rc = run_cli([
@@ -487,6 +501,17 @@ class TestFlowCommand:
         grid, values = dg.read_field(ckpt)
         assert grid.n == 65
         assert values.shape == (65, 65, 3)
+
+    def test_checkpoint_is_the_final_patch(self, tmp_path):
+        # the checkpoint holds the trace's final patch bit for bit
+        ckpt = tmp_path / "final.bin"
+        assert run_cli(["flow", "--surface", "perturbed-catenoid:seed=0,amplitude=0.05", "--n", "33",
+                        "--max-iters", "2", "--out", str(tmp_path / "trace.csv"), "--checkpoint", str(ckpt)]) == 0
+        patch = im.perturb_normal(im.make_surface("catenoid", Grid(0.5, 33)), seed=0, amplitude=0.05)
+        trace = fl.run(patch, max_iters=2)
+        grid, values = dg.read_field(ckpt)
+        assert (grid.n, grid.s) == (33, 0.5)
+        assert values.tobytes() == trace.patch.phi.tobytes()
 
     def test_checkpoint_without_out(self, tmp_path, capsys):
         ckpt = tmp_path / "ck.bin"

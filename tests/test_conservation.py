@@ -420,7 +420,7 @@ def test_no_dense_blade_field_on_the_residual_path(monkeypatch):
     assert np.all(np.isfinite(list(report.values())))
     patch = im.perturb_normal(im.make_surface("catenoid", Grid(0.5, 33), m=3), seed=0, amplitude=0.05)
     state, bundle = fl._state_from_patch(patch)
-    assert fl.step(state, fl.descent_velocity(bundle), tau0=1.0)[0].energy < state.energy
+    assert fl.step(state, patch, fl.descent_velocity(bundle), tau0=1.0)[0].energy < state.energy
     assert calls == []
     mvec.BladeRows.from_dense(np.ones(8)).dense()  # the counters do see a call
     assert calls == ["from_dense", "dense"]

@@ -22,9 +22,9 @@ def make_state(kind, **params):
     return patch, im.make_bundle(patch)
 
 
-def step_from(state, bundle, tau0=1.0):
-    """fl.step along the direction run forms: descent_velocity of the bundle that came with the state."""
-    return fl.step(state, fl.descent_velocity(bundle), tau0)
+def step_from(patch, state, bundle, tau0=1.0):
+    """fl.step from patch along the direction run forms: descent_velocity of the bundle that came with the state."""
+    return fl.step(state, patch, fl.descent_velocity(bundle), tau0)
 
 
 def perturbed_catenoid(seed=0):
@@ -101,9 +101,9 @@ class TestStep:
         vel = fl.descent_velocity(b)
         assert np.max(np.abs(vel)) < 1e-14
         state, bundle = fl._state_from_patch(patch)
-        new, new_bundle = step_from(state, bundle)
+        new, new_patch, new_bundle = step_from(patch, state, bundle)
         assert new.stalled
-        assert new_bundle is None  # a stalled step returns no bundle
+        assert new_patch is patch and new_bundle is None  # a stalled step returns its patch and no bundle
         assert new.energy == state.energy
 
     @pytest.mark.parametrize("tau0", [np.nan, np.inf, 0.0, -1.0])
@@ -112,25 +112,26 @@ class TestStep:
         patch, _ = make_state("plane")
         state, bundle = fl._state_from_patch(patch)
         with pytest.raises(ValueError, match="positive and finite"):
-            step_from(state, bundle, tau0)
+            step_from(patch, state, bundle, tau0)
 
     def test_first_step_decreases_energy_on_perturbation(self):
         patch = im.perturb_normal(im.make_surface("catenoid", G65), seed=0, amplitude=0.05)
         state, bundle = fl._state_from_patch(patch)
-        new, _ = step_from(state, bundle)
+        new, _, _ = step_from(patch, state, bundle)
         assert not new.stalled
         assert new.energy < state.energy
         assert new.tau > 0.0
 
     def test_frozen_boundary_ring(self):
         patch = im.perturb_normal(im.make_surface("catenoid", G65), seed=1, amplitude=0.05)
-        new, _ = step_from(*fl._state_from_patch(patch))
-        diff = np.abs(new.patch.phi - patch.phi)
+        _, new_patch, _ = step_from(patch, *fl._state_from_patch(patch))
+        diff = np.abs(new_patch.phi - patch.phi)
         assert np.max(diff[:2]) == 0.0 and np.max(diff[-2:]) == 0.0
         assert np.max(diff[:, :2]) == 0.0 and np.max(diff[:, -2:]) == 0.0
 
     def test_accepted_state_holds_no_second_order_jet(self):
-        state, bundle = step_from(*fl._state_from_patch(perturbed_catenoid()))
+        patch = perturbed_catenoid()
+        state, _, bundle = step_from(patch, *fl._state_from_patch(patch))
         assert not state.stalled
         jet = bundle.jet
         assert (jet.d11, jet.d12, jet.d22) == (None, None, None)
@@ -151,13 +152,14 @@ class TestStep:
             return bundle
 
         monkeypatch.setattr(fl, "make_bundle", recording_make_bundle)
-        new, _ = step_from(state, bundle)
+        new, _, _ = step_from(patch, state, bundle)
         assert new.rejections == ("energy",)  # the first trial is rejected, the second accepted
         assert live == [0, 0]
 
     def test_trial_failing_after_energy_decrease_is_rejected(self, monkeypatch):
-        state, bundle = fl._state_from_patch(perturbed_catenoid())
-        ref, _ = step_from(state, bundle)
+        patch = perturbed_catenoid()
+        state, bundle = fl._state_from_patch(patch)
+        ref, _, _ = step_from(patch, state, bundle)
         ps_norm = fl.ps_norm
         raised = []
 
@@ -168,7 +170,7 @@ class TestStep:
             return ps_norm(bundle)
 
         monkeypatch.setattr(fl, "ps_norm", ps_norm_failing_once)
-        new, _ = step_from(state, bundle)
+        new, _, _ = step_from(patch, state, bundle)
         assert raised
         assert new.tau == 0.5 * ref.tau
         assert new.rejections == ref.rejections + ("ValueError",)
@@ -254,10 +256,10 @@ class TestRun:
             assert got.energy == want["energy"]
             assert got.ps == want["ps"]
             assert got.tau == want["tau"]
-        for (got, _), want in zip(iterates, ref[1:]):
+        for (got, got_patch, _), want in zip(iterates, ref[1:]):
             assert got.energy == want["energy"] and got.tau == want["tau"]
-            assert np.array_equal(got.patch.phi, want["patch"].phi)
-        assert np.array_equal(trace.final.patch.phi, ref[-1]["patch"].phi)
+            assert np.array_equal(got_patch.phi, want["patch"].phi)
+        assert np.array_equal(trace.patch.phi, ref[-1]["patch"].phi)
 
     def test_trace_memory_does_not_grow_with_length(self, monkeypatch):
         # a trace retains per-state scalars and one patch: 25 more iterations
@@ -283,10 +285,28 @@ class TestRun:
             finally:
                 tracemalloc.stop()
             assert len(trace.states) == iters + 1
-            assert trace.final.patch is last[0][0].patch
-            assert all(s.patch is None for s in trace.states[:-1])
+            assert trace.patch is last[0][1]
             del trace
         assert abs(retained[30] - retained[5]) < patch.phi.nbytes
+
+    def test_a_state_is_scalars_and_the_trace_keeps_the_final_patch(self, monkeypatch):
+        # no state holds an array, a patch or a bundle; the one patch a trace holds is the last step's
+        returned = []
+        step = fl.step
+
+        def recording_step(*args, **kwargs):
+            returned.append(step(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(fl, "step", recording_step)
+        trace = fl.run(perturbed_catenoid(), max_iters=5)
+        assert len(trace.states) == len(returned) + 1 == 6
+        for state in trace.states:
+            for f in fields(state):
+                value = getattr(state, f.name)
+                assert (isinstance(value, (float, bool))
+                        or isinstance(value, tuple) and all(isinstance(r, str) for r in value)), f.name
+        assert trace.patch is returned[-1][1]
 
     def test_run_peak_memory(self):
         # a line search holds its trial's bundle and the accepted state's direction, not that state's bundle,
@@ -328,10 +348,10 @@ class TestRun:
         monkeypatch.setattr(fl, "make_bundle", tracked_make_bundle)
         trace = fl.run(perturbed_catenoid(), max_iters=5)
         assert trace.stopped_by == "max_iters"
-        assert not any(s.stalled for s, _ in returned)
-        assert [s.rejections for s in trace.states[1:]] == [s.rejections for s, _ in returned]
-        assert [len(s.rejections) for s, _ in returned] == [b - 1 for b in builds]
-        assert any(s.rejections for s, _ in returned)  # the line search did reject trials
+        assert not any(s.stalled for s, _, _ in returned)
+        assert [s.rejections for s in trace.states[1:]] == [s.rejections for s, _, _ in returned]
+        assert [len(s.rejections) for s, _, _ in returned] == [b - 1 for b in builds]
+        assert any(s.rejections for s, _, _ in returned)  # the line search did reject trials
         assert set(trace.rejections) <= {"energy", "DegenerateImmersionError", "FrameError",
                                          "SolverError", "ValueError"}
 
@@ -390,37 +410,39 @@ class TestRun:
         reading(cons, "gauss_map")
         patch = im.perturb_normal(im.make_surface("catenoid", Grid(0.5, 33)), seed=0, amplitude=0.05)
         trace = fl.run(patch, max_iters=5)
-        accepted = [built[0]] + [b for _, b in returned]
+        accepted = [built[0]] + [b for _, _, b in returned]
         assert len(accepted) == len(trace.states) < len(built)  # the line search did reject trials
         for name, bundles in read.items():
             assert [id(b) for b in bundles] == [id(b) for b in accepted], name
 
     def test_energy_increase_raises(self, monkeypatch):
         # the run drops the bundle before the step, so the uphill step returns one of its own
-        def uphill(state, vel, tau0):
-            return replace(state, energy=state.energy + 1.0, tau=tau0), im.make_bundle(state.patch)
+        def uphill(state, patch, vel, tau0):
+            return replace(state, energy=state.energy + 1.0, tau=tau0), patch, im.make_bundle(patch)
 
         monkeypatch.setattr(fl, "step", uphill)
         with pytest.raises(RuntimeError, match="non-increasing"):
             fl.run(perturbed_catenoid(), max_iters=2)
 
     def test_stalled_step_stops_the_run(self, monkeypatch):
-        def stalling(state, vel, tau0):
-            return replace(state, tau=0.0, stalled=True), None
+        def stalling(state, patch, vel, tau0):
+            return replace(state, tau=0.0, stalled=True), patch, None
 
         monkeypatch.setattr(fl, "step", stalling)
-        trace = fl.run(perturbed_catenoid(), max_iters=5)
+        patch = perturbed_catenoid()
+        trace = fl.run(patch, max_iters=5)
         assert trace.stopped_by == "stalled"
         assert len(trace.states) == 2 and trace.final.stalled
         assert np.all(np.diff(trace.energies()) <= 0.0)
+        assert trace.patch is patch  # the patch the stalled step returned: the one the run started from
 
     def test_collapsing_conformal_factor_stops_the_run(self, monkeypatch):
         # the degenerate check reads the accepted bundle step returns: e^lambda below 1e-8 of its initial maximum
         step = fl.step
 
         def collapsing(*args, **kwargs):
-            state, bundle = step(*args, **kwargs)
-            return state, replace(bundle, elam=1e-9 * bundle.elam)
+            state, patch, bundle = step(*args, **kwargs)
+            return state, patch, replace(bundle, elam=1e-9 * bundle.elam)
 
         monkeypatch.setattr(fl, "step", collapsing)
         trace = fl.run(perturbed_catenoid(), max_iters=5)

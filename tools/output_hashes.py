@@ -11,9 +11,9 @@ The outputs are:
   graph_perturbation and plane at m = 4, 5, 6 (--n 65);
   graph_perturbation:seed=7 at m = 6, n = 129; perturbed-sphere:seed=2 at
   m = 3 and 6 (n = 65);
-* ``flow`` CSV and JSON (timestamp removed) on
-  perturbed-catenoid:seed=K,amplitude=0.05, n = 65, --stop-ratio 0.2,
-  --max-iters 500, for K = 1, 0, 3, 4, 7;
+* ``flow`` CSV, JSON (timestamp removed) and ``--checkpoint`` (the
+  final patch) on perturbed-catenoid:seed=K,amplitude=0.05, n = 65,
+  --stop-ratio 0.2, --max-iters 500, for K = 1, 0, 3, 4, 7;
 * ``wente --n 129 --samples 3 --seed 5`` CSV and JSON (timestamp removed);
 * ``refine --surface sphere --n 65 --n 129``: the CSV of ``--out``, and the
   JSON (timestamp removed) it prints without ``--out``;
@@ -109,8 +109,9 @@ def _cli_runs():
     for k in (1, 0, 3, 4, 7):
         yield (f"flow perturbed-catenoid:seed={k}",
                ["flow", "--surface", f"perturbed-catenoid:seed={k},amplitude=0.05", "--n", "65",
-                "--stop-ratio", "0.2", "--max-iters", "500", "--out", "{dir}/flow.csv"],
-               ("flow.csv", "flow.csv.json"))
+                "--stop-ratio", "0.2", "--max-iters", "500", "--out", "{dir}/flow.csv",
+                "--checkpoint", "{dir}/flow.bin"],
+               ("flow.csv", "flow.csv.json", "flow.bin"))
     yield ("wente n=129", ["wente", "--n", "129", "--samples", "3", "--seed", "5", "--out", "{dir}/wente.csv"],
            ("wente.csv", "wente.csv.json"))
     refine = ["refine", "--surface", "sphere", "--n", "65", "--n", "129"]
