@@ -85,12 +85,12 @@ def _parse_surface(arg: str) -> tuple[str, dict]:
     return name, params
 
 
-def _patched(name: str, params: dict, s: float, n: int, m: int, seed: int):
-    """The parsed --surface on Grid(s, n); perturbed_<kind> hands seed and amplitude to the bump.
+def _patched(name: str, params: dict, grid: Grid, m: int, seed: int):
+    """The parsed --surface on grid; perturbed_<kind> hands seed and amplitude to the bump.
     make_surface and perturb_normal check the name, m and every parameter (ValueError)."""
     kind = name.removeprefix("perturbed_")
     bump = ("seed", "amplitude") if kind != name else ()
-    patch = make_surface(kind, Grid(s, n), m=m, **{k: v for k, v in params.items() if k not in bump})
+    patch = make_surface(kind, grid, m=m, **{k: v for k, v in params.items() if k not in bump})
     if not bump:
         return patch
     return perturb_normal(patch, **{"seed": seed, **{k: v for k, v in params.items() if k in bump}})
@@ -232,7 +232,7 @@ def cmd_refine(args) -> tuple[int, dict]:
 
 
 def cmd_wente(args) -> tuple[int, dict]:
-    grid = Grid(args.s, args.n[0])
+    grid = args.grids[0]
 
     def work(seed):
         # the fields go straight to wente_solve, which frees each once its gradient exists
@@ -365,16 +365,16 @@ def main(argv: list[str] | None = None) -> int:
         if any(a >= b for a, b in zip(args.n, args.n[1:])):
             raise ValueError(f"--n values must be increasing, got {args.n}")
         if hasattr(args, "s"):
-            grids = [Grid(args.s, n) for n in args.n]
+            args.grids = [Grid(args.s, n) for n in args.n]
             # the Dirichlet eigenvalues reach 8/h^2, which overflows on a finer grid: wente and flow solve
             # Dirichlet problems; verify, whose keys such a grid makes NaN or huge, reports them (README)
-            if args.command in ("wente", "flow") and grids[0].h**2 < 8.0 / np.finfo(float).max:
+            if args.command in ("wente", "flow") and args.grids[0].h**2 < 8.0 / np.finfo(float).max:
                 raise ValueError(f"{args.command} --s {args.s} --n {args.n[0]}: grid step too small, "
-                                 f"h^2 = {grids[0].h**2:.3g} makes the Poisson eigenvalues 8/h^2 overflow")
+                                 f"h^2 = {args.grids[0].h**2:.3g} makes the Poisson eigenvalues 8/h^2 overflow")
         if hasattr(args, "surface"):
             # workers only run reports: every patch is built, and checked, here
             args.kind, args.params = _parse_surface(args.surface)
-            args.patches = [_patched(args.kind, args.params, args.s, n, args.m, args.seed) for n in args.n]
+            args.patches = [_patched(args.kind, args.params, grid, args.m, args.seed) for grid in args.grids]
         if hasattr(args, "field"):
             lo._check_exponents(args.p, args.q)
             args.grid, args.values = read_field(args.field)

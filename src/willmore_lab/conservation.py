@@ -32,15 +32,15 @@ validated facts wired into this module (each is also a test):
 
 Potentials are fixed mean-zero; every off-shell input degrades to a
 reported defect rather than an error.  Residuals are raw: ``reports``
-divides them by ``surface_scale``.  Q, grad H, pi_n(grad H), grad n,
-L, the surface scale and the closed form of dz L0 are computed once per
-bundle and shared through ``GeometryBundle.derived``, and so are, in a
-report, f with the L integrated from it (``confwillmore.extract_A_f``)
-and the S, R built from that L; grad star n is the star of the memoized
-grad n.  Multivector fields (n, R and their derivatives and products)
-are ``multivec.BladeRows`` end to end, and residual norms sum over the
-blade axis in numpy's order (``blade_sum``); wedges of vector fields
-start from the component rows.
+divides them by ``surface_scale``.  Q, grad H, pi_n(grad H), grad n, the
+surface scale and the closed form of dz L0 are computed once per bundle
+and shared through ``GeometryBundle.derived``, and so are, in a report, f
+with the L integrated from it (``confwillmore.extract_A_f``) and the S, R
+built from that L (``recover_L``'s L is no entry: the L stage alone reads
+it); grad star n is the star of the memoized grad n.  Multivector fields
+(n, R and their derivatives and products) are ``multivec.BladeRows`` end
+to end, and residual norms sum over the blade axis in numpy's order
+(``blade_sum``); wedges of vector fields start from the component rows.
 """
 
 from __future__ import annotations
@@ -124,14 +124,13 @@ def tangency_identities(bundle: GeometryBundle) -> tuple[float, float]:
     Both hold on every conformal patch, Willmore or not.
     """
     grid = bundle.grid
-    jet = bundle.jet
     Q = bundle.derived(assemble_Q)
-    dot = dg.component_sum(jet.d1 * Q[0] + jet.d2 * Q[1])
+    dot = dg.component_sum(bundle.d1 * Q[0] + bundle.d2 * Q[1])
     gradH = bundle.derived(_grad_H)
     blades = mv.grade_masks(bundle.m, 2)
     wedge = mv.BladeRows(bundle.m, blades, sum(
         mv.field_wedge_vectors(dphi, Qj + 2.0 * gHj).part(blades)
-        for dphi, Qj, gHj in ((jet.d1, Q[0], gradH[0]), (jet.d2, Q[1], gradH[1]))
+        for dphi, Qj, gHj in ((bundle.d1, Q[0], gradH[0]), (bundle.d2, Q[1], gradH[1]))
     ))
     norm = np.sqrt(mv.field_inner(wedge, wedge))
     return dg.interior_sup(grid, dot), dg.interior_sup(grid, norm)
@@ -185,14 +184,13 @@ def build_S_R(bundle: GeometryBundle, L: np.ndarray) -> SRData:
     measure the curl-freeness of the targets, which the conservation
     system guarantees only when L actually solves it.
     """
-    grid, m = bundle.grid, bundle.m
-    jet = bundle.jet
-    resS = dg.grad_potential(grid, np.stack([dg.component_sum(jet.d1 * L), dg.component_sum(jet.d2 * L)]))
+    grid, m, d1, d2 = bundle.grid, bundle.m, bundle.d1, bundle.d2
+    resS = dg.grad_potential(grid, np.stack([dg.component_sum(d1 * L), dg.component_sum(d2 * L)]))
     blades = mv.grade_masks(m, 2)
     # blade axis outermost in memory: the solver's defect sums run in memory
     # order, so this layout fixes the bits of R_defect
     TR = np.empty((len(blades), 2) + L.shape[:-1])
-    for j, (dphi, gp) in enumerate(((jet.d1, -jet.d2), (jet.d2, jet.d1))):
+    for j, (dphi, gp) in enumerate(((d1, -d2), (d2, d1))):
         wH = mv.field_wedge_vectors(gp, bundle.H).part(blades)
         np.multiply(2.0, wH, out=wH)
         np.add(mv.field_wedge_vectors(dphi, L).part(blades), wH, out=TR[:, j])
@@ -248,8 +246,7 @@ def phi_identity_residual(bundle: GeometryBundle, gperpS: np.ndarray, gperpR: mv
     the conservation system.  Returns the raw interior sup-norm.
     """
     grid = bundle.grid
-    jet = bundle.jet
-    mgrad_phi = np.stack([-jet.d1, -jet.d2])
+    mgrad_phi = np.stack([-bundle.d1, -bundle.d2])
     bullet = mv.field_bullet(gperpR, mv.vector_field_to_mv(mgrad_phi))
     vec = mv.mv_field_vector_part(bullet)
     del bullet
@@ -260,6 +257,6 @@ def phi_identity_residual(bundle: GeometryBundle, gperpS: np.ndarray, gperpR: mv
     contraction -= sterm  # the formed sum: subtracting its terms one by one rounds differently
     del mgrad_phi, sterm
     np.multiply(0.5, contraction, out=contraction)
-    resid = dg.laplace(grid, jet.phi)
+    resid = dg.laplace(grid, bundle.phi)
     resid -= contraction
     return dg.interior_sup(grid, resid)

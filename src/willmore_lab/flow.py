@@ -68,7 +68,7 @@ def descent_velocity(bundle: GeometryBundle) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Scalars of one accepted flow iterate; its patch travels beside it
+    """Scalars of one flow iterate; its patch travels beside it
     (``step`` takes and returns it, ``FlowTrace.patch`` is the final one).
     ``rejections`` names, in trial order, why each line-search trial of
     the step that produced this state was rejected: "energy" (no strict
@@ -78,8 +78,7 @@ class FlowState:
     energy: float
     ps: float
     conformal_defect: float
-    tau: float              # accepted step size (0.0 for the initial state)
-    stalled: bool = False   # no energy-decreasing step was found
+    tau: float              # accepted step size (0.0 for the initial state and a stalled step)
     rejections: tuple[str, ...] = ()
 
 
@@ -107,8 +106,8 @@ def step(state: FlowState, patch: ImmersionPatch, vel: np.ndarray,
     """One backtracking descent step from an accepted state and its patch along vel, its bundle's ``descent_velocity``.
 
     Halves the trial step from tau0 (positive and finite, else ValueError) until the energy strictly
-    decreases and returns the accepted state, its trial's patch and that trial's bundle; returns the
-    state flagged stalled, the patch it was given and None when tau drops below 1e-12 * tau0.
+    decreases and returns the accepted state, its trial's patch and that trial's bundle; once tau drops
+    below 1e-12 * tau0 it stalls, returning the given state with tau 0.0 and its rejections, the given patch and None.
     A trial whose bundle (admitted by the metric rule of every patch), energy, Q or ps_norm raises a
     ValueError (geometry and solver failures are ValueErrors) is rejected like one whose energy does
     not decrease.
@@ -129,7 +128,7 @@ def step(state: FlowState, patch: ImmersionPatch, vel: np.ndarray,
             rejections.append(type(exc).__name__)
         trial = None  # a rejected trial's bundle goes before the next trial's is built
         tau *= 0.5
-    return replace(state, tau=0.0, stalled=True, rejections=tuple(rejections)), patch, None
+    return replace(state, tau=0.0, rejections=tuple(rejections)), patch, None
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def run(patch: ImmersionPatch, max_iters: int = 500, stop_ratio: float = 0.0) ->
             # the direction comes from the accepted bundle's div Q; the bundle goes before the line search
             vel, bundle = descent_velocity(bundle), None
             state, patch, bundle = step(state, patch, vel, tau_try)
-            if state.stalled:
+            if bundle is None:
                 stopped = "stalled"
             elif float(np.min(bundle.elam)) < elam_floor:
                 stopped = "degenerate"

@@ -15,11 +15,11 @@ conformal-frame conventions:
     K        = -e^-2lambda Laplace(lambda)   (and via the Gauss equation).
 
 ``GeometryBundle`` is the one geometry record, the fields every reader
-shares: ``make_bundle`` builds it from the dicts keyed by field name that
-``frames`` and ``second_fundamental`` return.  Anything computed from
-fields (the Gauss map, the conformality defect, H0, the complex frame,
-both curvature routes, |H|^2, |B|^2) is an entry formed where it is read,
-as ``bundle.derived(fn)``: once per bundle, and never stale.
+shares: ``make_bundle`` builds it from the fields ``frames`` returns with
+the whole jet and those ``second_fundamental`` forms from that jet.  Any
+value of fields (the Gauss map, the conformality defect, H0, the complex
+frame, both curvature routes, |H|^2, |B|^2) is an entry formed where it is
+read, as ``bundle.derived(fn)``: once per bundle, and never stale.
 
 The normal frame is deterministic: constant ambient seed vectors are
 Gram-Schmidt-projected when they stay uniformly transverse, and the
@@ -76,24 +76,23 @@ class FrameError(ValueError):
 
 @dataclass(frozen=True)
 class Jet:
-    """Position and derivatives of Phi at the grid nodes, shape (n, n, m).  The
-    second order is None in every bundle's jet: ``make_bundle`` reads it once, to form h."""
+    """Position and first and second derivatives of Phi at the grid nodes, each (n, n, m).
+    A bundle keeps phi, d1 and d2 of it; ``make_bundle`` reads the second order once, to form h."""
 
     phi: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    d11: np.ndarray | None
-    d12: np.ndarray | None
-    d22: np.ndarray | None
+    d11: np.ndarray
+    d12: np.ndarray
+    d22: np.ndarray
 
 
 @dataclass(frozen=True)
 class ImmersionPatch:
-    """Sampled conformal immersion of the grid square into R^m; jets is the catalog's
-    analytic jet on the grid's nodes (None off the catalog)."""
+    """Sampled conformal immersion of the grid square into R^m, m = phi.shape[-1]; jets is
+    the catalog's analytic jet on the grid's nodes (None off the catalog)."""
 
     grid: Grid
-    m: int
     phi: np.ndarray
     jets: Jet | None = None
     label: str = "surface"
@@ -351,7 +350,7 @@ def make_surface(kind: str, grid: Grid, m: int = 3, **params) -> ImmersionPatch:
         jet = record.jets(grid, m, **{**record.params, **params})
     _metric(f"surface {kind}", jet.phi, jet.d1, jet.d2)
     label = kind if not params else kind + "(" + ",".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
-    return ImmersionPatch(grid=grid, m=m, phi=jet.phi, jets=jet, label=label)
+    return ImmersionPatch(grid=grid, phi=jet.phi, jets=jet, label=label)
 
 
 CATALOG: dict[str, Surface] = {
@@ -404,8 +403,8 @@ def perturb_normal(patch: ImmersionPatch, seed: int = 0, amplitude: float = 0.05
 @dataclass(frozen=True)
 class GeometryBundle:
     """Conformal-frame geometry of an immersion patch: the fields ``frames``
-    and ``second_fundamental`` build, with the patch's grid and ambient
-    dimension m and the first-order jet only (``make_bundle``).
+    and ``second_fundamental`` build (``make_bundle``).  Of the jet it keeps
+    phi, d1 = d1 Phi and d2 = d2 Phi; m is the ambient dimension phi.shape[-1].
 
     normal_frame has shape (m-2, n, n, m).  t1/t2 are the exactly
     orthonormalized tangents used for projections (they agree with
@@ -427,7 +426,9 @@ class GeometryBundle:
 
     grid: Grid
     m: int
-    jet: Jet
+    phi: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
     lam: np.ndarray
     elam: np.ndarray
     t1: np.ndarray
@@ -486,14 +487,13 @@ _SEED_ACCEPT = 0.35
 
 
 def frames(patch: ImmersionPatch) -> dict[str, Any]:
-    """First-order geometry, keyed by ``GeometryBundle`` field: the patch's
-    grid and m, its whole jet (``patch.jet()``), lam, elam, t1, t2 and
-    normal_frame, which the entries ``gauss_map`` and ``conformal_defect``
-    read.  lam = log n1 and t1 = d1 Phi / n1 take n1 = |d1 Phi| from the one
-    metric rule (``_metric``), so a jet that fails it raises
-    DegenerateImmersionError; exp(lam) can differ from n1 in the last bit."""
+    """First-order geometry, keyed by ``GeometryBundle`` field (grid, m = phi.shape[-1], lam,
+    elam, t1, t2 and normal_frame, which ``gauss_map`` and ``conformal_defect`` read), and the
+    patch's whole jet (``patch.jet()``) under "jet", for ``make_bundle``.  lam = log n1 and
+    t1 = d1 Phi / n1 take n1 = |d1 Phi| from the one metric rule (``_metric``), so a jet that
+    fails it raises DegenerateImmersionError; exp(lam) can differ from n1 in the last bit."""
     jet = patch.jet()
-    m = patch.m
+    m = patch.phi.shape[-1]
     n1 = np.sqrt(_metric("immersion", jet.phi, jet.d1, jet.d2)[0])
     lam = np.log(n1)
     elam = np.exp(lam)
@@ -544,13 +544,13 @@ def second_fundamental(jet: Jet, elam: np.ndarray, normal_frame: np.ndarray) -> 
 
 
 def make_bundle(patch: ImmersionPatch) -> GeometryBundle:
-    """The geometry bundle of patch: ``frames``, then ``second_fundamental`` of the whole jet.  The bundle
-    keeps the patch's grid and m and the first order of the jet, not the patch, so the second order goes with it.
+    """The geometry bundle of patch: ``frames``, then ``second_fundamental`` of the whole jet that ``frames``
+    hands over.  The bundle keeps phi, d1 and d2 of that jet, not the patch, so the second order goes with it.
     The Gauss map and the conformality defect are formed where they are read (``gauss_map``, ``conformal_defect``)."""
     first = frames(patch)
-    second = second_fundamental(first["jet"], first["elam"], first["normal_frame"])
-    first["jet"] = replace(first["jet"], d11=None, d12=None, d22=None)
-    return GeometryBundle(**first, **second)
+    jet = first.pop("jet")
+    second = second_fundamental(jet, first["elam"], first["normal_frame"])
+    return GeometryBundle(phi=jet.phi, d1=jet.d1, d2=jet.d2, **first, **second)
 
 
 def gauss_map(bundle: GeometryBundle) -> mv.BladeRows:
@@ -560,9 +560,9 @@ def gauss_map(bundle: GeometryBundle) -> mv.BladeRows:
 
 def conformal_defect(bundle: GeometryBundle) -> float:
     """Interior max of ||d1 Phi|-|d2 Phi|| / |d1 Phi| and |d1 Phi.d2 Phi| / |d1 Phi|^2, |d_i Phi| as in ``_metric``."""
-    jet, win = bundle.jet, bundle.grid.interior()
-    n1, n2 = (np.sqrt(dg.component_sum(d * d))[win] for d in (jet.d1, jet.d2))
-    cross = np.abs(dg.component_sum(jet.d1 * jet.d2))[win]
+    win = bundle.grid.interior()
+    n1, n2 = (np.sqrt(dg.component_sum(d * d))[win] for d in (bundle.d1, bundle.d2))
+    cross = np.abs(dg.component_sum(bundle.d1 * bundle.d2))[win]
     return float(max(np.max(np.abs(n1 - n2) / n1), np.max(cross / n1**2)))
 
 
@@ -575,8 +575,8 @@ def tracefree_H0(bundle: GeometryBundle) -> np.ndarray:
 
 def complex_frame(bundle: GeometryBundle) -> tuple[np.ndarray, np.ndarray]:
     """(e_z, e_{z*}) = ((e_1 - i e_2)/2, (e_1 + i e_2)/2) with e_i = e^-lambda d_i Phi."""
-    e1 = bundle.jet.d1 / bundle.elam[..., None]
-    e2 = bundle.jet.d2 / bundle.elam[..., None]
+    e1 = bundle.d1 / bundle.elam[..., None]
+    e2 = bundle.d2 / bundle.elam[..., None]
     return 0.5 * (e1 - 1j * e2), 0.5 * (e1 + 1j * e2)
 
 

@@ -49,7 +49,7 @@ def identity_statistics(kind, n, s, **params):
     cdata = cw.extract_A_f(bundle)
     sr = cons.build_S_R(bundle, cdata.L)
     a4, a5 = cw.frame_derivative_residuals(bundle)
-    lap_phi = dg.laplace(grid, bundle.jet.phi) - 2.0 * bundle.area_density[..., None] * bundle.H
+    lap_phi = dg.laplace(grid, bundle.phi) - 2.0 * bundle.area_density[..., None] * bundle.H
     raw = {
         "b1_dot": dot,
         "b1_wedge": wedge,

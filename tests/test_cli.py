@@ -406,6 +406,18 @@ class TestInputBoundary:
             capsys, tmp_path)
 
 
+@pytest.mark.parametrize("argv", [
+    ["refine", "--surface", "perturbed-plane", "--n", "33", "--n", "65"],
+    ["wente", "--samples", "1", "--n", "33"],
+])
+def test_each_grid_built_once(tmp_path, monkeypatch, argv):
+    # main builds one Grid per --n (args.grids), which the patches and the Wente solves read
+    grids = []
+    monkeypatch.setattr(cli, "Grid", lambda s, n: grids.append(Grid(s, n)) or grids[-1])
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert [g.n for g in grids] == [int(n) for k, n in zip(argv, argv[1:]) if k == "--n"]
+
+
 class TestWenteCommand:
     def test_batch_csv_and_summary(self, tmp_path):
         out = tmp_path / "wente.csv"

@@ -51,8 +51,8 @@ class TestAssembleQ:
     def test_cylinder_Q_closed_form(self):
         b = bundle("cylinder", rho=1.0)
         Q = cons.assemble_Q(b)
-        expect0 = -0.5 * b.jet.d1 / b.elam[..., None]  # e_i = e^-lambda d_i Phi
-        expect1 = 0.5 * b.jet.d2 / b.elam[..., None]
+        expect0 = -0.5 * b.d1 / b.elam[..., None]  # e_i = e^-lambda d_i Phi
+        expect1 = 0.5 * b.d2 / b.elam[..., None]
         assert interior_sup(G129, Q[0] - expect0) < 1e-5
         assert interior_sup(G129, Q[1] - expect1) < 1e-5
 
@@ -246,11 +246,11 @@ class TestSRSystem:
         contraction = mv.field_hodge(bullet._replace(rows=bullet.rows[:, 0] + bullet.rows[:, 1])).part(blades)
         rhs = (-1.0) ** m * contraction - (gs[:, 0] * gperpS[0] + gs[:, 1] * gperpS[1])
         res_R = mv.BladeRows(m, blades, mv.field_slotwise(partial(dg.laplace, grid), R).part(blades) - rhs)
-        gR, gperp_phi = mv.field_slotwise(partial(dg.grad, grid), R), np.stack([-b.jet.d2, b.jet.d1])
+        gR, gperp_phi = mv.field_slotwise(partial(dg.grad, grid), R), np.stack([-b.d2, b.d1])
         vec = mv.mv_field_vector_part(mv.field_bullet(gR, mv.vector_field_to_mv(gperp_phi)))
         gS = dg.grad(grid, S)
         contraction = (vec[0] + vec[1]) - (gS[0][..., None] * gperp_phi[0] + gS[1][..., None] * gperp_phi[1])
-        res_phi = dg.laplace(grid, b.jet.phi) - 0.5 * contraction
+        res_phi = dg.laplace(grid, b.phi) - 0.5 * contraction
         want = (interior_sup(grid, res_S), interior_sup(grid, np.sqrt(mv.field_inner(res_R, res_R))),
                 interior_sup(grid, res_phi))
         got = cons.sr_system_residual(b, S, R)
@@ -388,15 +388,14 @@ def test_contraction_form_of_the_wedge_identity(kind, params, m, tol):
     b = bundle(kind, G129, m=m, **params)
     grid = b.grid
     win = grid.interior()
-    jet = b.jet
     gH = dg.grad(grid, b.H)
     lhs = sum(
         mvec.field_wedge(mvec.vector_field_to_mv(d), mvec.vector_field_to_mv(gh)).dense()
-        for d, gh in ((jet.d1, gH[0]), (jet.d2, gH[1]))
+        for d, gh in ((b.d1, gH[0]), (b.d2, gH[1]))
     )
     star_nH = mvec.field_hodge(mvec.field_interior(im.gauss_map(b), mvec.vector_field_to_mv(b.H)))
     gs = mvec.field_slotwise(partial(dg.grad, grid), star_nH)
-    gperp_phi = np.stack([-jet.d2, jet.d1])
+    gperp_phi = np.stack([-b.d2, b.d1])
     contr = sum(mvec.field_interior(gs, mvec.vector_field_to_mv(gperp_phi)).dense())
     scale = max(1.0, interior_sup(grid, lhs))
     sign = (-1.0) ** (m - 1)

@@ -61,9 +61,23 @@ class TestEachValueOnce:
         for kind, params in ALL_KINDS:
             p = im.make_surface(kind, G65, **params)
             b = im.make_bundle(p)
-            assert b.jet.phi is p.jets.phi and b.jet.d1 is p.jets.d1 and b.jet.d2 is p.jets.d2, kind
-            assert (b.jet.d11, b.jet.d12, b.jet.d22) == (None, None, None), kind
-            assert "patch" not in {f.name for f in fields(b)} and (b.grid, b.m) == (p.grid, p.m), kind
+            assert b.phi is p.jets.phi and b.d1 is p.jets.d1 and b.d2 is p.jets.d2, kind
+            assert (b.grid, b.m) == (p.grid, p.phi.shape[-1]), kind
+
+    def test_bundle_has_no_second_order_or_patch_field(self):
+        # a bundle keeps phi, d1 and d2 of its jet and no patch, so the second order goes once h is formed
+        names = {f.name for f in fields(im.GeometryBundle)}
+        assert {"phi", "d1", "d2"} <= names and names.isdisjoint({"d11", "d12", "d22", "jet", "patch"})
+
+    def test_patch_reads_its_dimension_from_its_samples(self):
+        # m is no patch field: samples padded to R^4 give the bundle of the R^4 sphere, bit for bit
+        assert "m" not in {f.name for f in fields(im.ImmersionPatch)}
+        p3, p4 = im.make_surface("sphere", G33, m=3), im.make_surface("sphere", G33, m=4)
+        phi = np.concatenate([p3.phi, np.zeros(p3.phi.shape[:-1] + (1,))], axis=-1)
+        got, want = im.make_bundle(p3.with_phi(phi)), im.make_bundle(p4.with_phi(phi + 0.0))
+        assert got.m == 4
+        for name in ("lam", "elam", "t1", "t2", "normal_frame", "h", "H"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_bundle_sheds_the_second_order_jet(self):
         # only second_fundamental reads the second order: a bundle keeps phi, d1 and d2 of the jet it was
@@ -72,10 +86,8 @@ class TestEachValueOnce:
         patches = [catalog, catalog.with_phi(catalog.phi + 0.0), im.perturb_normal(catalog, seed=1)]
         for patch in patches:
             b, jet = im.make_bundle(patch), patch.jet()
-            assert (b.jet.d11, b.jet.d12, b.jet.d22) == (None, None, None), patch.label
-            assert "patch" not in {f.name for f in fields(b)}, patch.label
-            assert b.jet.phi is patch.phi and b.grid is patch.grid and b.m == patch.m, patch.label
-            assert all(np.array_equal(getattr(b.jet, name), getattr(jet, name)) for name in ("phi", "d1", "d2"))
+            assert b.phi is patch.phi and b.grid is patch.grid and b.m == patch.phi.shape[-1], patch.label
+            assert all(np.array_equal(getattr(b, name), getattr(jet, name)) for name in ("phi", "d1", "d2"))
             want = im.second_fundamental(jet, b.elam, b.normal_frame)
             assert all(getattr(b, name).tobytes() == want[name].tobytes() for name in ("h", "H", "area_density"))
 
@@ -246,7 +258,7 @@ class TestConformalDefect:
         assert 3.0 < d[0.04] / d[0.02] < 5.0
 
     def test_degenerate_immersion_raises(self):
-        patch = im.ImmersionPatch(G65, 3, np.zeros((65, 65, 3)), None, "degenerate")
+        patch = im.ImmersionPatch(G65, np.zeros((65, 65, 3)), None, "degenerate")
         with pytest.raises(im.DegenerateImmersionError):
             im.frames(patch)
 
@@ -271,12 +283,12 @@ def inadmissible_sphere(case):
     if case == "nan":
         phi = jet.phi.copy()
         phi[3, 4, 0] = np.nan
-        return rho, im.ImmersionPatch(G33, 3, phi, None, case)
+        return rho, im.ImmersionPatch(G33, phi, None, case)
     if case == "floor":
         d1 = jet.d1.copy()
         d1[3, 4] *= 1e-13
         jet = replace(jet, d1=d1)
-    return rho, im.ImmersionPatch(G33, 3, jet.phi, jet, case)
+    return rho, im.ImmersionPatch(G33, jet.phi, jet, case)
 
 
 ENTRY_POINTS = {
@@ -343,7 +355,7 @@ class TestFrames:
         X1, X2 = G65.nodes()
         phi = np.zeros((65, 65, 4))
         phi[..., 2], phi[..., 3] = X1, X2
-        patch = im.ImmersionPatch(G65, 4, phi, None, "pathological")
+        patch = im.ImmersionPatch(G65, phi, None, "pathological")
         with pytest.raises(im.FrameError):
             im.frames(patch)
 
